@@ -14,72 +14,6 @@ let workloads =
     (Store_replay.name, Store_replay.run);
   ]
 
-(* Per-layer metrics and their units, in BENCHMARK.json order. A
-   workload reports the layers it runs; the others read 0. *)
-let per_layer =
-  [
-    ("generator.generate_s", "s");
-    ("trace_io.parse_s", "s");
-    ("snapshot.calls", "count");
-    ("snapshot.of_trace_ms_p50", "ms");
-    ("snapshot.of_trace_ms_p90", "ms");
-    ("enumerate.calls", "count");
-    ("enumerate.busy_s", "s");
-    ("enumerate.call_ms_p50", "ms");
-    ("enumerate.call_ms_p90", "ms");
-    ("enumerate.steps", "count");
-    ("enumerate.arrivals", "count");
-    ("enumerate.stopped_early_ratio", "ratio");
-    ("explosion.analyze_s", "s");
-    ("engine.runs", "count");
-    ("engine.busy_s", "s");
-    ("engine.events", "count");
-    ("engine.events_per_s", "1/s");
-    ("engine.setup_s", "s");
-    ("engine.drain_s", "s");
-    ("engine.finish_s", "s");
-    ("engine.transmissions", "count");
-    ("forwarding.factory_s", "s");
-    ("forwarding.decisions", "count");
-    ("forwarding.accept_ratio", "ratio");
-    ("parallel.jobs", "count");
-    ("parallel.idle_s", "s");
-    ("runner.metrics_s", "s");
-    ("runner.task_self_s", "s");
-    ("metrics.pool_s", "s");
-    ("faults.compile_ms_p50", "ms");
-    ("faults.degrade_ms_p50", "ms");
-    ("store.lookup_ms_p50", "ms");
-    ("store.lookup_ms_p90", "ms");
-    ("store.insert_ms_p50", "ms");
-    ("store.hits", "count");
-    ("store.misses", "count");
-    ("store.hit_ratio", "ratio");
-    ("store.entries", "count");
-    ("store.manifest_bytes", "bytes");
-    ("codec.decode_outcome_ms_p50", "ms");
-    ("store.snapshot_ms_p50", "ms");
-    ("window.trace_ms_p50", "ms");
-    ("window.trace_ms_p90", "ms");
-    ("window.size_p50", "count");
-    ("window.evicted", "count");
-    ("multipath.diversity_ms_p50", "ms");
-    ("serve.unattributed_ms_p50", "ms");
-    ("serve.delivery_ms_p50", "ms");
-    ("serve.delivery_ms_p90", "ms");
-    ("serve.paths_ms_p50", "ms");
-    ("serve.paths_ms_p90", "ms");
-    ("serve.advance_ms_p90", "ms");
-    ("serve.ingest_events_per_s", "1/s");
-    ("trace.coverage", "ratio");
-    ("trace.uncovered_ratio", "ratio");
-    ("trace.overhead_ratio", "ratio");
-    ("kernel.snapshot_of_trace_ns", "ns");
-    ("kernel.enumerate_k100_ns", "ns");
-    ("kernel.engine_epidemic50_ns", "ns");
-    ("run.cores", "count");
-  ]
-
 let usage () =
   prerr_endline
     ("usage: main.exe --workload NAME --seed N --seconds S --trace 0|1\n  workloads: "
@@ -135,26 +69,40 @@ let () =
   in
   let r = Fun.protect ~finally:cleanup (fun () -> run cfg) in
   let c = r.Util.checks in
+  (* Names and units come from BENCHMARK.json. A workload reports the
+     layers it runs; the others read 0. *)
   let metrics =
-    if traced then
+    if traced then begin
+      let values = ("run.cores", float_of_int cores) :: r.Util.layers in
+      let spec = Lazy.force Spec.per_layer in
+      List.iter
+        (fun (name, _) ->
+          if not (List.mem_assoc name spec) then invalid_arg ("per-layer metric not in BENCHMARK.json: " ^ name))
+        values;
+      List.map (fun (name, unit) -> (name, Option.value ~default:0. (List.assoc_opt name values), unit)) spec
+    end
+    else begin
+      let ok_ratio =
+        if c.Util.attempted = 0 then 0. else 1. -. (float_of_int c.Util.failed /. float_of_int c.Util.attempted)
+      in
+      let values =
+        [
+          ("setup_s", r.Util.setup_s);
+          ("ok_ratio", ok_ratio);
+          ("peak_rss_mb", Util.peak_rss_mb ());
+          ("work_per_s", r.Util.work_per_s);
+        ]
+      in
       List.map
         (fun (name, unit) ->
-          let v =
-            if String.equal name "run.cores" then float_of_int cores
-            else Option.value ~default:0. (List.assoc_opt name r.Util.layers)
-          in
-          (name, v, unit))
-        per_layer
-    else
-      [
-        ("setup_s", r.Util.setup_s, "s");
-        ("ok_ratio", (if c.Util.attempted = 0 then 0. else 1. -. (float_of_int c.Util.failed /. float_of_int c.Util.attempted)), "ratio");
-        ("peak_rss_mb", Util.peak_rss_mb (), "MB");
-        ("work_per_s", r.Util.work_per_s, "1/s");
-      ]
+          match List.assoc_opt name values with
+          | Some v -> (name, v, unit)
+          | None -> invalid_arg ("no value for end-to-end metric " ^ name))
+        (Lazy.force Spec.end_to_end)
+    end
   in
-  Printf.printf "# workload=%s seed=%d traced=%b cores=%d jobs=%d reps=%d attempted=%d failed=%d digest=%s\n" w
-    seed traced cores r.Util.run_jobs r.Util.reps c.Util.attempted c.Util.failed (Util.hex r.Util.digest);
+  Printf.printf "# workload=%s seed=%d traced=%b cores=%d jobs=%d reps=%d speed=%.4f attempted=%d failed=%d digest=%s\n"
+    w seed traced cores r.Util.run_jobs r.Util.reps r.Util.speed c.Util.attempted c.Util.failed (Util.hex r.Util.digest);
   Printf.printf "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}\n%!"
     (c.Util.failed = 0 && c.Util.attempted > 0)
     (Int.max 1 c.Util.attempted) c.Util.failed

@@ -14,8 +14,9 @@ module W = Core.Serve_window
 
 let name = "serve-session"
 
-(* Set-ups per run: cheap ones, so enough of them for a steady median. *)
-let n_setups = 9
+(* Extra set-ups per untraced run: cheap ones, so enough of them for a
+   steady median. *)
+let n_setups = 20
 let dataset = Core.Dataset.infocom06_am
 let span = 1800.
 let strategies = [ "epidemic"; "direct"; "two-hop" ]
@@ -323,14 +324,8 @@ let digests out =
 
 let run cfg =
   let ledger = Ledger.create () in
-  let previous = ref None in
-  let setup_once i =
-    Option.iter rm_rf !previous;
-    let st = Ledger.traced_if cfg.traced ledger (fun sink -> setup cfg ~sink i) in
-    previous := Some st.dir;
-    st
-  in
-  let st, setup_s = setups ~n:n_setups setup_once in
+  let st, first_setup = setup_once (fun () -> Ledger.traced_if cfg.traced ledger (fun sink -> setup cfg ~sink 0)) in
+  let between, setup_samples = spread_setups ~n:n_setups (fun i -> rm_rf (setup cfg ~sink:T.Sink.null i).dir) in
   (* The server fans each query out over the machine's cores, as
      `psn serve -j N` does: a single-domain session stays on one core,
      and with cores of unequal speed its throughput split into two modes
@@ -377,7 +372,7 @@ let run cfg =
     end
     else check_all c ~expected:!first d
   in
-  let reps = timed_phase cfg one in
+  let phase = timed_phase cfg ~between one in
   (* jobs 1 against jobs nproc: the transcript must not change. *)
   let scratch_tm = { ingest = []; latency = []; unattributed = []; handled = 0.; shadow_s = 0. } in
   let other = if jobs = 1 then cfg.jobs else 1 in
@@ -397,7 +392,7 @@ let run cfg =
       let enum_calls = Ledger.calls ledger "enumerate.run" in
       let ingest_s = sum (List.map fst tm.ingest) and ingest_n = List.fold_left (fun a (_, n) -> a + n) 0 tm.ingest in
       [
-        ("generator.generate_s", Ledger.total ledger "generator.generate" /. float_of_int n_setups);
+        ("generator.generate_s", Ledger.total ledger "generator.generate");
         ("snapshot.calls", per_rep (Ledger.calls ledger "snapshot.of_trace"));
         ("snapshot.of_trace_ms_p50", Ledger.ms_quantile ledger "snapshot.of_trace" 0.5);
         ("snapshot.of_trace_ms_p90", Ledger.ms_quantile ledger "snapshot.of_trace" 0.9);
@@ -442,10 +437,11 @@ let run cfg =
     end
   in
   {
-    setup_s;
-    work_per_s = median (List.map (fun w -> float_of_int lines /. w) !walls);
+    setup_s = setup_time phase (first_setup :: setup_samples ());
+    work_per_s = rate phase (List.rev_map (fun w -> (float_of_int lines, w)) !walls);
+    speed = median (Array.to_list phase.speed);
     run_jobs = jobs;
-    reps;
+    reps = phase.reps;
     checks = c;
     digest = combine !first;
     layers;

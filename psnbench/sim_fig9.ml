@@ -10,8 +10,9 @@ module T = Core.Telemetry
 
 let name = "sim-fig9"
 
-(* Set-ups per run: cheap ones, so enough of them for a steady median. *)
-let n_setups = 9
+(* Extra set-ups per untraced run: cheap ones, so enough of them for a
+   steady median. *)
+let n_setups = 20
 let datasets = [ Core.Dataset.infocom06_am; Core.Dataset.conext06_am ]
 let n_seeds cfg = if cfg.tiny then 1 else 4
 let entries = Core.Registry.paper_six
@@ -85,8 +86,8 @@ let digests_of_rep results = Array.concat (List.map (fun (outs, rows) -> digests
 
 let run cfg =
   let ledger = Ledger.create () in
-  let setup_sink i = Ledger.traced_if cfg.traced ledger (fun sink -> setup cfg ~sink i) in
-  let inputs, setup_s = setups ~n:n_setups setup_sink in
+  let inputs, first_setup = setup_once (fun () -> Ledger.traced_if cfg.traced ledger (fun sink -> setup cfg ~sink 0)) in
+  let between, setup_samples = spread_setups ~n:n_setups (fun i -> ignore (setup cfg ~sink:T.Sink.null i)) in
   let c = checks () in
   let runs = List.length datasets * List.length entries * n_seeds cfg in
   let first = ref [||] in
@@ -105,7 +106,7 @@ let run cfg =
     end
     else check_all c ~expected:!first digests
   in
-  let reps = timed_phase cfg one in
+  let phase = timed_phase cfg ~between one in
   (* jobs 1 against jobs nproc. *)
   check_all c ~expected:!first (digests_of_rep (rep ~jobs:1 ~sink:T.Sink.null ~wrap:Fun.id inputs));
   let layers =
@@ -125,7 +126,7 @@ let run cfg =
       let accepted = List.fold_left (fun acc d -> acc + d.accepted) 0 !all_decisions in
       let engine_busy = Ledger.total ledger "engine.run" in
       [
-        ("generator.generate_s", Ledger.total ledger "generator.generate" /. float_of_int n_setups);
+        ("generator.generate_s", Ledger.total ledger "generator.generate");
         ("engine.runs", per_rep (Ledger.count ledger "engine.runs"));
         ("engine.busy_s", per_rep engine_busy);
         ("engine.events", per_rep (Ledger.count ledger "engine.events"));
@@ -150,10 +151,11 @@ let run cfg =
     end
   in
   {
-    setup_s;
-    work_per_s = median (List.map (fun w -> float_of_int runs /. w) !walls);
+    setup_s = setup_time phase (first_setup :: setup_samples ());
+    work_per_s = rate phase (List.rev_map (fun w -> (float_of_int runs, w)) !walls);
+    speed = median (Array.to_list phase.speed);
     run_jobs = cfg.jobs;
-    reps;
+    reps = phase.reps;
     checks = c;
     digest = combine !first;
     layers;

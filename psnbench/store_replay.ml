@@ -10,8 +10,9 @@ module T = Core.Telemetry
 
 let name = "store-replay"
 
-(* Set-ups per run: each runs the cold grid, about 8 s. *)
-let n_setups = 3
+(* Extra set-ups per untraced run: each runs the cold grid, about 8 s,
+   long enough to smooth the machine's drift by itself. *)
+let n_setups = 2
 let dataset = Core.Dataset.infocom06_am
 let entries = Core.Registry.paper_six
 let n_seeds cfg = if cfg.tiny then 2 else 34
@@ -101,15 +102,11 @@ let rep ~jobs ~sink st =
 let run cfg =
   let ledger = Ledger.create () and setup_ledger = Ledger.create () in
   let probe = { sink = T.Sink.null; hits = 0; misses = 0 } in
-  let previous = ref None in
-  let setup_once i =
-    Option.iter (fun d -> rm_rf d) !previous;
-    let st = Ledger.traced_if cfg.traced setup_ledger (fun sink -> setup cfg probe ~sink i) in
-    previous := Some st.dir;
-    st
+  let st, first_setup =
+    setup_once (fun () -> Ledger.traced_if cfg.traced setup_ledger (fun sink -> setup cfg probe ~sink 0))
   in
-  let st, setup_s = setups ~n:n_setups setup_once in
   probe.sink <- T.Sink.null;
+  let between, setup_samples = spread_setups ~n:n_setups (fun i -> rm_rf (setup cfg probe ~sink:T.Sink.null i).dir) in
   if cfg.corrupt then corrupt_one_frame st.dir;
   let c = checks () in
   let walls = ref [] and traced_walls = ref [] in
@@ -138,7 +135,7 @@ let run cfg =
     total_misses := !total_misses + probe.misses;
     if traced then traced_walls := wall :: !traced_walls else walls := (float_of_int probe.hits, wall) :: !walls
   in
-  let reps = timed_phase cfg one in
+  let phase = timed_phase cfg ~between one in
   (* jobs 1 against jobs nproc. *)
   check (replay ~jobs:1 ~sink:T.Sink.null);
   let stats = Core.Store.stats st.store in
@@ -169,12 +166,12 @@ let run cfg =
       let covered = sum (List.map (Ledger.self ledger) layer_spans) in
       let hits = float_of_int !total_hits and misses = float_of_int !total_misses in
       [
-        ("generator.generate_s", Ledger.total setup_ledger "generator.generate" /. float_of_int n_setups);
+        ("generator.generate_s", Ledger.total setup_ledger "generator.generate");
         ("store.lookup_ms_p50", Ledger.ms_quantile ledger "store.find" 0.5);
         ("store.lookup_ms_p90", Ledger.ms_quantile ledger "store.find" 0.9);
         ("store.insert_ms_p50", Ledger.ms_quantile setup_ledger "store.insert" 0.5);
         ("store.hits", median !hits_per_rep);
-        ("store.misses", misses /. float_of_int reps);
+        ("store.misses", misses /. float_of_int phase.reps);
         ("store.hit_ratio", Ledger.ratio hits (hits +. misses));
         ("store.entries", float_of_int stats.Core.Store.entries);
         ("store.manifest_bytes", manifest_bytes);
@@ -190,10 +187,11 @@ let run cfg =
     end
   in
   {
-    setup_s;
-    work_per_s = median (List.map (fun (h, w) -> h /. w) !walls);
+    setup_s = setup_time phase (first_setup :: setup_samples ());
+    work_per_s = rate phase (List.rev !walls);
+    speed = median (Array.to_list phase.speed);
     run_jobs = cfg.jobs;
-    reps;
+    reps = phase.reps;
     checks = c;
     digest = combine st.cold;
     layers;

@@ -7,31 +7,9 @@
      one enumeration, one outcome) makes a check fail, so ok_ratio drops
      below 1 and "failed" is positive.
 
-   Usage: test_bench.exe MAIN_EXE BENCHMARK_JSON *)
+   Usage: test_bench.exe MAIN_EXE *)
 
 let workloads = [ "enum-fig4"; "sim-fig9"; "serve-session"; "store-replay" ]
-
-(* The "name" values of one array section of BENCHMARK.json, by plain
-   scanning: the file is ours and flat. *)
-let names json section =
-  let find_from i sub =
-    let n = String.length sub in
-    let rec go i = if i + n > String.length json then None else if String.sub json i n = sub then Some i else go (i + 1) in
-    go i
-  in
-  match find_from 0 (Printf.sprintf "%S" section) with
-  | None -> failwith ("BENCHMARK.json has no section " ^ section)
-  | Some start ->
-    let stop = match find_from start "]" with Some i -> i | None -> String.length json in
-    let rec collect i acc =
-      match find_from i "\"name\": \"" with
-      | Some j when j < stop ->
-        let k = j + 9 in
-        let e = String.index_from json k '"' in
-        collect e (String.sub json k (e - k) :: acc)
-      | Some _ | None -> List.rev acc
-    in
-    collect start []
 
 let run exe args =
   let ic = Unix.open_process_args_in exe (Array.of_list (exe :: args)) in
@@ -43,10 +21,22 @@ let run exe args =
     | [] -> failwith "no output")
   | _ -> failwith (String.concat " " ("exit status non-zero:" :: args))
 
-let contains s sub =
+let find s sub =
   let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  let rec go i = if i + n > String.length s then None else if String.sub s i n = sub then Some i else go (i + 1) in
   go 0
+
+let contains s sub = Option.is_some (find s sub)
+
+(* Whether the result line reports metric [name] with [unit]. *)
+let reports line (name, unit) =
+  match find line (Printf.sprintf "%S: {\"value\": " name) with
+  | None -> false
+  | Some i -> (
+    let rest = String.sub line i (String.length line - i) in
+    match (find rest "\"unit\": ", find rest "}") with
+    | Some u, Some e -> u < e && String.sub rest (u + 8) (e - u - 8) = Printf.sprintf "%S" unit
+    | _ -> false)
 
 let failures = ref 0
 
@@ -66,16 +56,15 @@ let failed_count line =
 
 let () =
   let exe = if Filename.is_implicit Sys.argv.(1) then Filename.concat "." Sys.argv.(1) else Sys.argv.(1) in
-  let json = In_channel.with_open_text Sys.argv.(2) In_channel.input_all in
-  let e2e = names json "end_to_end" and layers = names json "per_layer" in
+  let e2e = Lazy.force Spec.end_to_end and layers = Lazy.force Spec.per_layer in
   List.iter
     (fun w ->
       let base = [ "--workload"; w; "--seed"; "5"; "--seconds"; "0.2"; "--tiny" ] in
       let plain = run exe (base @ [ "--trace"; "0" ]) in
-      List.iter (fun m -> expect (w ^ " emits " ^ m) (contains plain (Printf.sprintf "%S:" m))) e2e;
+      List.iter (fun m -> expect (w ^ " emits " ^ fst m) (reports plain m)) e2e;
       expect (w ^ " passes its checks") (failed_count plain = 0 && contains plain "\"correct\": true");
       let traced = run exe (base @ [ "--trace"; "1" ]) in
-      List.iter (fun m -> expect (w ^ " traced emits " ^ m) (contains traced (Printf.sprintf "%S:" m))) layers;
+      List.iter (fun m -> expect (w ^ " traced emits " ^ fst m) (reports traced m)) layers;
       expect (w ^ " traced passes its checks") (failed_count traced = 0);
       let broken = run exe (base @ [ "--trace"; "0"; "--corrupt" ]) in
       expect (w ^ " detects a damaged output") (failed_count broken > 0 && contains broken "\"correct\": false"))

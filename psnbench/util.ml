@@ -86,18 +86,15 @@ let check c ~expected actual =
   c.attempted <- c.attempted + 1;
   if not (Int64.equal expected actual) then c.failed <- c.failed + 1
 
-(* Digests of the default seed's outputs, kept with the benchmark. *)
+(* Digests of the default seed's outputs: reference.txt, compiled in. *)
 let reference_seed = 1
 
 let reference workload =
-  let path = Filename.concat "psnbench" "reference.txt" in
-  if not (Sys.file_exists path) then None
-  else
-    In_channel.with_open_text path In_channel.input_lines
-    |> List.find_map (fun line ->
-           match String.split_on_char ' ' (String.trim line) with
-           | [ w; d ] when String.equal w workload -> Some d
-           | _ -> None)
+  String.split_on_char '\n' Embedded.reference
+  |> List.find_map (fun line ->
+         match String.split_on_char ' ' (String.trim line) with
+         | [ w; d ] when String.equal w workload -> Some d
+         | _ -> None)
 
 (* ---- process ---------------------------------------------------------- *)
 
@@ -132,20 +129,71 @@ let rec mkdir_p path =
     Sys.mkdir path 0o755
   end
 
-(* Run [f] until [seconds] have elapsed and at least [min_reps] reps ran;
-   [f] gets the rep index. Returns the number of reps. Every rep starts
+(* Run [f] until its reps have taken [seconds] and at least [min_reps]
+   reps ran; [f] gets the rep index. Before each rep and once at the end,
+   [between] gets the share of [seconds] spent so far (at most 1); its
+   own time is not counted. Returns the number of reps. Every rep starts
    from a compacted heap, so no rep inherits another's garbage. *)
-let repeat ~seconds ~min_reps f =
-  let t0 = now () in
+let repeat ?(between = ignore) ~seconds ~min_reps f =
+  let spent = ref 0. in
   let rec go i =
-    if i >= min_reps && now () -. t0 >= seconds then i
+    between (Float.min 1. (!spent /. seconds));
+    if i >= min_reps && !spent >= seconds then i
     else begin
       Gc.compact ();
-      f i;
+      let (), dt = time (fun () -> f i) in
+      spent := !spent +. dt;
       go (i + 1)
     end
   in
   go 0
+
+(* ---- machine speed ---------------------------------------------------- *)
+
+(* The 2-vCPU virtual machine the bounds were set on shares its cores
+   with other tenants, and its speed drifts by up to 20% over seconds to
+   minutes: the same seed's sim-fig9 rate read 35 to 47 runs/s in runs
+   minutes apart, and ten runs spread by 0.23 of their median. So an
+   untraced run times a fixed calibration load before each rep and after
+   the last, and reports its timings at reference speed. The load uses
+   no library code, so no change to the program moves it. Per domain,
+   it inserts into small ordered maps that die young: allocation and
+   minor collections, which stop every domain as the program's do, but
+   no major-heap work, so the program's heap does not move it either. *)
+module Int_map = Map.Make (Int)
+
+(* Seconds one calibration unit takes at reference speed: close to what
+   it took on that machine, so reported rates stay near raw ones. *)
+let unit_reference_s = 0.035
+
+let calibration_unit () =
+  let acc = ref 0 in
+  for round = 0 to 511 do
+    let m = ref Int_map.empty in
+    for i = 0 to 511 do
+      m := Int_map.add (((i * 7919) + round) land 0xFFFF) i !m
+    done;
+    acc := !acc + Int_map.cardinal !m
+  done;
+  !acc
+
+(* Seconds per unit, with [units] calibration units back to back on
+   each of [jobs] domains. *)
+let calibrate ~jobs ~units =
+  let load () =
+    let acc = ref 0 in
+    for _ = 1 to units do
+      acc := !acc + calibration_unit ()
+    done;
+    !acc
+  in
+  let (), dt =
+    time (fun () ->
+        let others = List.init (jobs - 1) (fun _ -> Domain.spawn load) in
+        let mine = load () in
+        ignore (List.fold_left (fun acc d -> acc + Domain.join d) mine others))
+  in
+  dt /. float_of_int units
 
 (* ---- one run ---------------------------------------------------------- *)
 
@@ -160,8 +208,9 @@ type config = {
 }
 
 type result = {
-  setup_s : float;  (** Median over the set-ups. *)
-  work_per_s : float;  (** Median over untraced reps. *)
+  setup_s : float;  (** Over the set-ups, at reference speed (see {!setup_time}). *)
+  work_per_s : float;  (** Median over untraced reps, at reference speed (see {!rate}). *)
+  speed : float;  (** Median of the phase's [speed]: above 1 is slower than reference. *)
   run_jobs : int;  (** Domains the timed body fans out over. *)
   reps : int;
   checks : checks;
@@ -169,38 +218,98 @@ type result = {
   layers : (string * float) list;  (** Traced runs only. *)
 }
 
-(* Set up [n] times, each from a compacted heap; every set-up but the
-   last is discarded. Returns the last set-up's value and the median
-   set-up time. *)
-let setups ~n f =
-  let rec go i acc =
-    Gc.compact ();
-    let v, dt = time (fun () -> f i) in
-    if i + 1 >= n then (v, median (dt :: acc)) else go (i + 1) (dt :: acc)
+(* One set-up from a compacted heap: its value and its time. *)
+let setup_once f =
+  Gc.compact ();
+  time f
+
+(* Set-up time samples. The first set-up builds what the reps use. On
+   the 2-vCPU virtual machine the bounds were set on, one thread's speed
+   switched between two phases about 1.7x apart, each lasting from a
+   fraction of a second to a few seconds, and set-ups timed back to back
+   shared a phase: the medians of two runs of unchanged code sat 60%
+   apart. An untraced run therefore times [n] more set-ups spread evenly
+   over its timed phase, as [timed_phase]'s [between], where [again i]
+   builds and drops set-up [i]. Returns [between] and the samples so
+   far, oldest first. *)
+let spread_setups ~n again =
+  let samples = ref [] and done_ = ref 0 in
+  let between share =
+    let target = Int.min n (int_of_float (share *. float_of_int (n + 1))) in
+    while !done_ < target do
+      incr done_;
+      let (), dt = setup_once (fun () -> again !done_) in
+      samples := dt :: !samples
+    done
   in
-  go 0 []
+  (between, fun () -> List.rev !samples)
+
 
 (* Check the first rep's combined digest against the reference kept for
-   the default seed: a mismatch fails every operation of that rep. *)
+   the default seed: a mismatch, or no reference for the workload, fails
+   every operation of that rep. *)
 let check_reference cfg c ~workload ~ops combined =
-  if cfg.seed = reference_seed && not cfg.tiny then
+  if cfg.seed = reference_seed && not cfg.tiny then begin
+    c.attempted <- c.attempted + ops;
     match reference workload with
-    | None -> ()
-    | Some want ->
-      c.attempted <- c.attempted + ops;
-      if not (String.equal want (hex combined)) then c.failed <- c.failed + ops
+    | Some want when String.equal want (hex combined) -> ()
+    | Some _ | None -> c.failed <- c.failed + ops
+  end
 
 let combine digests = Array.fold_left (fun acc d -> digest ~init:acc (hex d)) 0L digests
 
 (* Per-item comparison of a rep's digests against the first rep's. *)
 let check_all c ~expected actual = Array.iteri (fun i d -> check c ~expected:expected.(i) d) actual
 
-(* The timed phase. Untraced, reps run for [seconds]. Traced, the first
-   third runs untraced (the baseline for the overhead ratio) and the
-   rest traced. [one ~traced i] runs rep [i]. Returns the rep count. *)
-let timed_phase cfg one =
+(* The timed phase. Untraced, reps run for [seconds], with [between]
+   and then a calibration between them, lasting about a tenth of the rep
+   before it (3 to 12 units): a short one reads a slow reps' machine
+   no better than noise. Traced, the first third runs untraced (the
+   baseline for the overhead ratio) and the rest traced; a traced run
+   reports no end-to-end metric, so neither [between] nor a calibration
+   runs and every rep counts at speed 1. [one ~traced i] runs rep [i].
+   [speed.(i)] is untraced rep [i]'s seconds per calibration unit (the
+   mean of the calibrations before and after it) over
+   [unit_reference_s]. *)
+type phase = { reps : int; speed : float array }
+
+let timed_phase cfg ~between one =
   if cfg.traced then begin
     let a = repeat ~seconds:(cfg.seconds /. 3.) ~min_reps:1 (fun i -> one ~traced:false i) in
-    a + repeat ~seconds:(cfg.seconds *. 2. /. 3.) ~min_reps:2 (fun i -> one ~traced:true (a + i))
+    let b = repeat ~seconds:(cfg.seconds *. 2. /. 3.) ~min_reps:2 (fun i -> one ~traced:true (a + i)) in
+    { reps = a + b; speed = Array.make a 1. }
   end
-  else repeat ~seconds:cfg.seconds ~min_reps:3 (fun i -> one ~traced:false i)
+  else begin
+    (* The first domain spawned is slow to start: not a sample. *)
+    ignore (calibrate ~jobs:cfg.jobs ~units:1);
+    let cals = ref [] and last = ref 0. in
+    let between share =
+      between share;
+      let rep_s = (share -. !last) *. cfg.seconds in
+      last := share;
+      let units = Int.max 3 (Int.min 12 (int_of_float (rep_s *. 0.1 /. unit_reference_s))) in
+      cals := calibrate ~jobs:cfg.jobs ~units :: !cals
+    in
+    let reps = repeat ~between ~seconds:cfg.seconds ~min_reps:3 (fun i -> one ~traced:false i) in
+    let c = Array.of_list (List.rev !cals) in
+    { reps; speed = Array.init reps (fun i -> (c.(i) +. c.(i + 1)) /. 2. /. unit_reference_s) }
+  end
+
+(* A rate at reference speed from the untraced reps' (work, wall), oldest
+   first: the median of work over wall, each scaled by its rep's speed. *)
+let rate phase samples = median (List.mapi (fun i (work, wall) -> work /. wall *. phase.speed.(i)) samples)
+
+(* A run's set-up time from its samples, oldest first, at reference
+   speed. The samples are dealt in turn into three rounds, so that each
+   round spans the whole run and sees both phases about as often as the
+   run did; the rounds' median mean set-up time is divided by the run's
+   median speed. *)
+let setup_time phase samples =
+  let rounds = Int.min 3 (List.length samples) in
+  let raw =
+    List.init rounds (fun r ->
+        let mine = List.filteri (fun i _ -> i mod rounds = r) samples in
+        sum mine /. float_of_int (List.length mine))
+    |> median
+  in
+  raw /. median (Array.to_list phase.speed)
