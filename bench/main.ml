@@ -7,12 +7,12 @@
 
    The default scale preserves every figure's shape while finishing in
    minutes; --paper matches the paper's parameters (1800 messages,
-   k = 2000, 10 seeds) and takes correspondingly longer. The `parallel`
-   section times the multi-seed runner sequentially vs fanned over
-   domains and records the comparison to BENCH_parallel.json; the
-   `serve` section measures the online server (ingest throughput,
-   query latency, memory cap, adaptive routing under faults) and
-   records BENCH_serve.json. *)
+   k = 2000, 10 seeds) and takes correspondingly longer. The `serve`
+   section measures the online server (ingest throughput, query
+   latency, memory cap, adaptive routing under faults) and records
+   BENCH_serve.json. Runner speed across --jobs and store replay are
+   measured, with repeats and bounds, by psnbench's sim-fig9 and
+   store-replay workloads. *)
 
 module E = Core.Experiments
 module R = Core.Report
@@ -330,10 +330,11 @@ let () =
         ]
       in
       let rows =
-        List.map
-          (fun (label, factory) ->
-            (label, Core.Runner.run_algorithm ~jobs:options.jobs ~trace ~spec ~factory ()))
+        List.map2
+          (fun (label, _) outcomes -> (label, Core.Metrics.pool outcomes))
           contenders
+          (Core.Runner.outcomes_many ~jobs:options.jobs ~trace ~spec
+             ~factories:(List.map snd contenders) ())
       in
       R.render_metrics ~title:"A01: replication budget vs delivery (Conext am)" rows);
   section options "abl-ttl" (fun () ->
@@ -436,114 +437,6 @@ let () =
       ^ "\n\
          (TE grows mildly with k: more paths must arrive; the paper's 2000 is\n\
          far past the knee, so the quadrant structure is insensitive to it)");
-  section options "parallel" (fun () ->
-      (* Sequential vs domain-parallel runner on the paper's six
-         algorithms: same seeds, same workloads, so the metrics must be
-         identical — only wall time may differ.
-
-         The comparison is honest about the hardware: the headline pits
-         jobs = 1 against jobs = cores as detected, never oversubscribed
-         beyond it (running 4 domains on 1 core measures scheduling
-         overhead, not parallelism — which is exactly the bug this bench
-         used to have). A per-jobs ladder up to the core count records
-         how the pool scales; on a single-core box the ladder collapses
-         to jobs = 1 and the "speedup" is annotated as timing noise. *)
-      let trace = Core.Dataset.(generate infocom06_am) in
-      let n_seeds = Int.max 4 scale.E.seeds in
-      let spec =
-        {
-          Core.Runner.workload = Core.Workload.paper_spec ~n_nodes:(Core.Trace.n_nodes trace);
-          seeds = Core.Runner.default_seeds n_seeds;
-        }
-      in
-      let entries = Core.Registry.paper_six in
-      let factories = List.map (fun e -> e.Core.Registry.factory) entries in
-      let run jobs = Core.Runner.run_many ~jobs ~trace ~spec ~factories () in
-      let time jobs =
-        let t0 = Core.Clock.now_s () in
-        let metrics = run jobs in
-        (Core.Clock.now_s () -. t0, metrics)
-      in
-      let cores = Core.Parallel.default_jobs () in
-      (* Powers of two up to the core count, plus the core count: the
-         requested --jobs is honoured only up to what the box has. *)
-      let ladder =
-        let rec doubling j = if j >= cores then [ cores ] else j :: doubling (2 * j) in
-        doubling 1
-      in
-      let jobs_par = Int.min (Int.max 1 options.jobs) cores in
-      ignore (run 1) (* warm-up: page in the code and size the heap *);
-      let wall_seq, metrics_seq = time 1 in
-      let scaling =
-        List.map
-          (fun jobs ->
-            let wall, metrics = time jobs in
-            (jobs, wall, wall_seq /. wall, List.for_all2 Core.Metrics.equal metrics_seq metrics))
-          ladder
-      in
-      let wall_par, speedup =
-        let _, w, s, _ = List.find (fun (j, _, _, _) -> j = cores) scaling in
-        (w, s)
-      in
-      let identical = List.for_all (fun (_, _, _, id) -> id) scaling in
-      let json =
-        Printf.sprintf
-          "{\n\
-          \  \"benchmark\": \"parallel_runner\",\n\
-          \  \"dataset\": \"infocom06_am\",\n\
-          \  \"algorithms\": [%s],\n\
-          \  \"seeds\": %d,\n\
-          \  \"cores\": %d,\n\
-          \  \"jobs\": %d,\n\
-          \  \"jobs_requested\": %d,\n\
-          \  \"wall_s_sequential\": %.3f,\n\
-          \  \"wall_s_parallel\": %.3f,\n\
-          \  \"speedup\": %.3f,\n\
-          \  \"speedup_is_noise\": %b,\n\
-          \  \"metrics_identical\": %b,\n\
-          \  \"scaling\": [\n\
-           %s\n\
-          \  ]\n\
-           }\n"
-          (String.concat ", "
-             (List.map (fun e -> Printf.sprintf "%S" e.Core.Registry.label) entries))
-          n_seeds cores cores jobs_par wall_seq wall_par speedup (cores = 1) identical
-          (String.concat ",\n"
-             (List.map
-                (fun (jobs, wall, speedup, id) ->
-                  Printf.sprintf
-                    "    { \"jobs\": %d, \"wall_s\": %.3f, \"speedup\": %.3f, \
-                     \"metrics_identical\": %b }"
-                    jobs wall speedup id)
-                scaling))
-      in
-      let oc = open_out "BENCH_parallel.json" in
-      output_string oc json;
-      close_out oc;
-      let table =
-        String.concat "\n"
-          (List.map
-             (fun (jobs, wall, speedup, id) ->
-               Printf.sprintf "  jobs=%-3d %8.3f s   %5.2fx   identical: %b" jobs wall speedup
-                 id)
-             scaling)
-      in
-      Printf.sprintf
-        "== Parallel runner: %d algorithms x %d seeds (Infocom am) ==\n\
-         sequential (jobs=1):     %.3f s\n\
-         parallel   (jobs=cores=%d): %.3f s\n\
-         %s    metrics identical (all jobs): %b\n\
-         scaling:\n\
-         %s\n\
-         (written to BENCH_parallel.json)"
-        (List.length entries) n_seeds wall_seq cores wall_par
-        (if cores = 1 then
-           Printf.sprintf
-             "speedup: %.2fx — single-core box, jobs=cores=1: this is run-to-run noise, not \
-              parallelism."
-             speedup
-         else Printf.sprintf "speedup: %.2fx" speedup)
-        identical table);
   section options "serve" (fun () ->
       (* Online serving: ingest throughput into the sliding window,
          per-query latency against the live window, the hard memory
@@ -719,78 +612,6 @@ let () =
         drop_peak slide_peak (drop_ok && slide_ok) adaptive
         (String.concat ", " (List.map (fun (name, r) -> Printf.sprintf "%s %.3f" name r) static))
         (adaptive -. best_static));
-  section options "store" (fun () ->
-      (* The algorithm-comparison sweep, cold (store just emptied, every
-         outcome simulated and written) vs warm (every outcome replayed
-         from disk). Warm must be bit-identical — a store hit is the
-         canonical encoding of exactly the run it replaces — and much
-         faster, since it never constructs an algorithm or steps the
-         engine. Results land in BENCH_store.json. *)
-      let trace = Core.Dataset.(generate infocom06_am) in
-      let n_seeds = Int.max 4 scale.E.seeds in
-      let workload = Core.Workload.paper_spec ~n_nodes:(Core.Trace.n_nodes trace) in
-      let spec = { Core.Runner.workload; seeds = Core.Runner.default_seeds n_seeds } in
-      let entries = Core.Registry.paper_six in
-      let factories = List.map (fun e -> e.Core.Registry.factory) entries in
-      let st = Core.Store.open_ ~dir:options.store_dir () in
-      ignore (Core.Store.gc st ~max_bytes:0);
-      let caches =
-        let trace_hash = Core.Store_key.trace_hash trace in
-        List.map
-          (fun (e : Core.Registry.entry) ->
-            Core.Store_memo.runner_cache ~store:st ~trace_hash ~workload
-              ~algo:e.Core.Registry.name ())
-          entries
-      in
-      let time jobs =
-        let t0 = Core.Clock.now_s () in
-        let metrics = Core.Runner.run_many ~jobs ~stores:caches ~trace ~spec ~factories () in
-        (Core.Clock.now_s () -. t0, metrics)
-      in
-      let wall_cold, metrics_cold = time options.jobs in
-      let wall_warm, metrics_warm = time options.jobs in
-      (* A warm replay must also be independent of --jobs. *)
-      let _, metrics_warm_seq = time 1 in
-      let identical =
-        List.for_all2 Core.Metrics.equal metrics_cold metrics_warm
-        && List.for_all2 Core.Metrics.equal metrics_cold metrics_warm_seq
-      in
-      let speedup = wall_cold /. wall_warm in
-      let s = Core.Store.stats st in
-      let json =
-        Printf.sprintf
-          "{\n\
-          \  \"benchmark\": \"result_store\",\n\
-          \  \"dataset\": \"infocom06_am\",\n\
-          \  \"algorithms\": [%s],\n\
-          \  \"seeds\": %d,\n\
-          \  \"jobs\": %d,\n\
-          \  \"wall_s_cold\": %.3f,\n\
-          \  \"wall_s_warm\": %.3f,\n\
-          \  \"speedup\": %.3f,\n\
-          \  \"metrics_identical\": %b,\n\
-          \  \"entries\": %d,\n\
-          \  \"bytes\": %d,\n\
-          \  \"hits\": %Ld,\n\
-          \  \"misses\": %Ld\n\
-           }\n"
-          (String.concat ", "
-             (List.map (fun e -> Printf.sprintf "%S" e.Core.Registry.label) entries))
-          n_seeds options.jobs wall_cold wall_warm speedup identical s.Core.Store.entries
-          s.Core.Store.bytes s.Core.Store.hits s.Core.Store.misses
-      in
-      let oc = open_out "BENCH_store.json" in
-      output_string oc json;
-      close_out oc;
-      Printf.sprintf
-        "== Result store: %d algorithms x %d seeds, cold vs warm (Infocom am) ==\n\
-         cold (compute + store): %.3f s\n\
-         warm (replay from %s): %.3f s\n\
-         speedup: %.2fx    metrics bit-identical (incl. across --jobs): %b\n\
-         store: %d entries, %d bytes\n\
-         (written to BENCH_store.json)"
-        (List.length entries) n_seeds wall_cold options.store_dir wall_warm speedup identical
-        s.Core.Store.entries s.Core.Store.bytes);
   section options "resilience" (fun () ->
       (* The robustness claim, quantified: sweep fault intensity over
          the six algorithms and record delivery, attempts-vs-copies
@@ -819,13 +640,11 @@ let () =
           }
         in
         let factories = List.map (fun e -> e.Core.Registry.factory) Core.Registry.paper_six in
-        let seq = Core.Runner.run_many ~jobs:1 ~faults:plan ~trace ~spec ~factories () in
-        let par =
-          Core.Runner.run_many
-            ~jobs:(Int.max 4 options.jobs)
-            ~faults:plan ~trace ~spec ~factories ()
+        let pooled jobs =
+          List.map Core.Metrics.pool
+            (Core.Runner.outcomes_many ~jobs ~faults:plan ~trace ~spec ~factories ())
         in
-        List.for_all2 Core.Metrics.equal seq par
+        List.for_all2 Core.Metrics.equal (pooled 1) (pooled (Int.max 4 options.jobs))
       in
       let level_json (l : E.resilience_level) =
         let algo_json (entry, (m : Core.Metrics.t)) =
@@ -916,7 +735,10 @@ let () =
       let disabled_ns = (Core.Clock.now_s () -. t0) /. float_of_int reps *. 1e9 in
       let time_sweep () =
         let t0 = Core.Clock.now_s () in
-        let m = Core.Runner.run_many ~jobs:options.jobs ~trace ~spec ~factories () in
+        let m =
+          List.map Core.Metrics.pool
+            (Core.Runner.outcomes_many ~jobs:options.jobs ~trace ~spec ~factories ())
+        in
         (Core.Clock.now_s () -. t0, m)
       in
       let wall_off, m_off = time_sweep () in
@@ -940,8 +762,9 @@ let () =
         ignore (Core.Store.gc st ~max_bytes:0);
         let t0 = Core.Clock.now_s () in
         let m =
-          Core.Runner.run_many ~jobs:options.jobs ~stores:caches ~checkpoint ~trace ~spec
-            ~factories ()
+          List.map Core.Metrics.pool
+            (Core.Runner.outcomes_many ~jobs:options.jobs ~stores:caches ~checkpoint ~trace
+               ~spec ~factories ())
         in
         (Core.Clock.now_s () -. t0, m)
       in

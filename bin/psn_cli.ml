@@ -83,10 +83,13 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let resolve_jobs = function
-  | None -> Core.Parallel.default_jobs ()
-  | Some j when j >= 1 -> j
-  | Some _ -> exit_usage "--jobs must be at least 1"
+let jobs_term =
+  let resolve = function
+    | None -> Core.Parallel.default_jobs ()
+    | Some j when j >= 1 -> j
+    | Some _ -> exit_usage "--jobs must be at least 1"
+  in
+  Term.(const resolve $ jobs_arg)
 
 let chunk_arg =
   let doc =
@@ -95,10 +98,13 @@ let chunk_arg =
   in
   Arg.(value & opt (some int) None & info [ "chunk" ] ~docv:"N" ~doc)
 
-let resolve_chunk = function
-  | None -> None
-  | Some c when c >= 1 -> Some c
-  | Some _ -> exit_usage "--chunk must be at least 1"
+let chunk_term =
+  let resolve = function
+    | None -> None
+    | Some c when c >= 1 -> Some c
+    | Some _ -> exit_usage "--chunk must be at least 1"
+  in
+  Term.(const resolve $ chunk_arg)
 
 let store_arg =
   let doc =
@@ -142,13 +148,18 @@ let failpoint_seed_arg =
   let doc = "Seed of probabilistic ($(i,%P)) failpoint verdicts." in
   Arg.(value & opt int64 0L & info [ "failpoint-seed" ] ~docv:"SEED" ~doc)
 
-let install_failpoints spec fp_seed =
-  match spec with
-  | None -> ()
-  | Some s -> (
-    match Core.Failpoint.parse ~seed:fp_seed s with
-    | Ok plan -> Core.Failpoint.install plan
-    | Error msg -> exit_usage msg)
+(* The parsed plan, not yet installed: commands install it once their
+   own flags have been checked. *)
+let failpoints_term =
+  let parse spec fp_seed =
+    Option.map
+      (fun s ->
+        match Core.Failpoint.parse ~seed:fp_seed s with
+        | Ok plan -> plan
+        | Error msg -> exit_usage msg)
+      spec
+  in
+  Term.(const parse $ failpoints_arg $ failpoint_seed_arg)
 
 let retries_arg =
   let doc =
@@ -157,7 +168,9 @@ let retries_arg =
   in
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
-let resolve_retries r = if r >= 0 then r else exit_usage "--retries must be non-negative"
+let retries_term =
+  let resolve r = if r >= 0 then r else exit_usage "--retries must be non-negative" in
+  Term.(const resolve $ retries_arg)
 
 let checkpoint_arg =
   let doc =
@@ -179,10 +192,6 @@ let resume_flag =
      combined output equals an uninterrupted run's."
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
-
-let check_resume ~store resume =
-  if resume && Option.is_none store then
-    exit_usage "--resume requires --store DIR (checkpoints live in the store)"
 
 (* Sweep subcommands: catch the cooperative-interrupt exception raised
    at checkpoint boundaries, flush telemetry (so --trace/--profile
@@ -281,6 +290,47 @@ let telemetry_ctx ~command ~trace_out ~profile ~metrics =
     { sink; finish }
   end
 
+(* --trace (or --trace-out), --profile and --metrics, as one value for
+   [sweep_term]. *)
+let telemetry_flags trace_names =
+  Term.(
+    const (fun trace_out profile metrics -> (trace_out, profile, metrics))
+    $ trace_out_arg trace_names $ profile_flag $ metrics_arg)
+
+(* --- sweeps --- *)
+
+(* The flags every sweep subcommand shares — --jobs --chunk --store
+   --failpoints --failpoint-seed --retries --checkpoint --resume plus
+   the command's [telemetry] flags — validated as cmdliner evaluates
+   them. The term's value runs one sweep: it installs the failpoints,
+   opens the store, runs [compute] with the resolved settings, reports
+   what the store contributed, then hands the result to [render] and
+   flushes telemetry. [compute] and [render] run under [or_die] and
+   [run_sweep], so injected and I/O errors exit 1 and signals exit
+   128+n on every sweep alike. *)
+let sweep_term telemetry =
+  let make jobs chunk store failpoints retries checkpoint resume (trace_out, profile, metrics)
+      =
+    if resume && Option.is_none store then
+      exit_usage "--resume requires --store DIR (checkpoints live in the store)";
+    let checkpoint = resolve_checkpoint ~store checkpoint in
+    fun ~command compute render ->
+      Option.iter Core.Failpoint.install failpoints;
+      let ctx = telemetry_ctx ~command ~trace_out ~profile ~metrics in
+      let store = resolve_store ~telemetry:ctx.sink store in
+      run_sweep
+        ~finish:(fun () -> ctx.finish ~store)
+        (fun () ->
+          or_die (fun () ->
+              render
+                (with_store_report store
+                   (compute ~jobs ~chunk ~retries ~checkpoint ~telemetry:ctx.sink)));
+          ctx.finish ~store)
+  in
+  Term.(
+    const make $ jobs_term $ chunk_term $ store_arg $ failpoints_term $ retries_term
+    $ checkpoint_arg $ resume_flag $ telemetry)
+
 (* --- generate --- *)
 
 let generate_cmd =
@@ -375,11 +425,9 @@ let explosion_cmd =
   let messages =
     Arg.(value & opt int 60 & info [ "messages" ] ~docv:"N" ~doc:"Messages to sample.")
   in
-  let run dataset seed messages k jobs chunk store trace_out profile metrics failpoints fp_seed
-      retries checkpoint resume =
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
+  let run dataset seed messages k sweep =
+    if messages < 1 then exit_usage "--messages must be at least 1";
+    if k < 1 then exit_usage "-k must be at least 1";
     match Core.Dataset.find dataset with
     | Error msg -> exit_usage msg
     | Ok d ->
@@ -392,18 +440,11 @@ let explosion_cmd =
           rng_seed = Option.value seed ~default:17L;
         }
       in
-      install_failpoints failpoints fp_seed;
-      let ctx = telemetry_ctx ~command:"explosion" ~trace_out ~profile ~metrics in
-      let store = resolve_store ~telemetry:ctx.sink store in
-      run_sweep
-        ~finish:(fun () -> ctx.finish ~store)
-        (fun () ->
-          let study =
-            with_store_report store (fun store ->
-                Core.Experiments.enumeration_study ~jobs:(resolve_jobs jobs)
-                  ?chunk:(resolve_chunk chunk) ?store ~retries ~checkpoint ~scale
-                  ~telemetry:ctx.sink d)
-          in
+      sweep ~command:"explosion"
+        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
+          Core.Experiments.enumeration_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale
+            ~telemetry d)
+        (fun study ->
           print_endline
             (Core.Report.render_cdfs ~title:"CDF of optimal path duration (s)"
                (Core.Experiments.fig4a [ study ]));
@@ -412,14 +453,12 @@ let explosion_cmd =
                (Core.Experiments.fig4b [ study ]));
           print_endline
             (Core.Report.render_scatter_by_pair ~title:"T1 vs TE by pair type"
-               (Core.Experiments.fig8 study));
-          ctx.finish ~store)
+               (Core.Experiments.fig8 study)))
   in
   let term =
     Term.(
-      const run $ dataset_arg $ seed_arg $ messages $ k_arg $ jobs_arg $ chunk_arg $ store_arg
-      $ trace_out_arg [ "trace" ] $ profile_flag $ metrics_arg $ failpoints_arg
-      $ failpoint_seed_arg $ retries_arg $ checkpoint_arg $ resume_flag)
+      const run $ dataset_arg $ seed_arg $ messages $ k_arg
+      $ sweep_term (telemetry_flags [ "trace" ]))
   in
   Cmd.v
     (Cmd.info "explosion" ~doc:"Measure path-explosion statistics over random messages.")
@@ -437,14 +476,8 @@ let simulate_cmd =
     Arg.(value & opt (some string) None & info [ "a"; "algorithms" ] ~docv:"NAMES" ~doc)
   in
   let seeds = Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Runs to average.") in
-  let run dataset seed trace_path algorithms seeds jobs chunk store trace_out profile metrics
-      failpoints fp_seed retries checkpoint resume =
-    let jobs = resolve_jobs jobs in
-    let chunk = resolve_chunk chunk in
+  let run dataset seed trace_path algorithms seeds sweep =
     if seeds < 1 then exit_usage "--seeds must be at least 1";
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
     let entries =
       match algorithms with
       | None -> Core.Registry.paper_six
@@ -456,37 +489,20 @@ let simulate_cmd =
                | Error msg -> exit_usage msg)
     in
     let label, trace = resolve_trace dataset seed trace_path in
-    install_failpoints failpoints fp_seed;
-    let ctx = telemetry_ctx ~command:"simulate" ~trace_out ~profile ~metrics in
     let workload = Core.Workload.paper_spec ~n_nodes:(Core.Trace.n_nodes trace) in
     let spec = { Core.Runner.workload; seeds = Core.Runner.default_seeds seeds } in
-    (* One batch over the whole algorithm × seed grid. *)
-    let store = resolve_store ~telemetry:ctx.sink store in
-    run_sweep
-      ~finish:(fun () -> ctx.finish ~store)
-      (fun () ->
-        let cells =
-          with_store_report store (fun store ->
-              let stores =
-                Option.map
-                  (fun st ->
-                    let trace_hash = Core.Store_key.trace_hash trace in
-                    List.map
-                      (fun (e : Core.Registry.entry) ->
-                        Core.Store_memo.runner_cache ~store:st ~trace_hash ~workload
-                          ~algo:e.Core.Registry.name ())
-                      entries)
-                  store
-              in
-              or_die (fun () ->
-                  Core.Runner.outcomes_many_result ~jobs ?chunk ?stores ~retries
-                    ~checkpoint ~telemetry:ctx.sink ~trace ~spec
-                    ~factories:
-                      (List.map
-                         (fun (e : Core.Registry.entry) -> e.Core.Registry.factory)
-                         entries)
-                    ()))
+    sweep ~command:"simulate"
+      (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
+        (* One batch over the whole algorithm × seed grid. *)
+        let stores =
+          Option.map (fun st -> Core.Experiments.entry_caches st ~trace ~workload entries) store
         in
+        Core.Runner.outcomes_many_result ~jobs ?chunk ?stores ~retries ~checkpoint ~telemetry
+          ~trace ~spec
+          ~factories:
+            (List.map (fun (e : Core.Registry.entry) -> e.Core.Registry.factory) entries)
+          ())
+      (fun cells ->
         (* A failed (algorithm, seed) cell costs one FAILED line, never
            the table; an algorithm whose every seed failed has nothing
            to pool and is honestly absent from it. *)
@@ -499,32 +515,17 @@ let simulate_cmd =
                  | outs -> [ (e.Core.Registry.label, Core.Metrics.pool outs) ])
                entries cells)
         in
-        let failed =
-          List.concat
-            (List.map2
-               (fun (e : Core.Registry.entry) cell_list ->
-                 List.concat
-                   (List.map2
-                      (fun seed cell ->
-                        match cell with
-                        | Ok (_ : Core.Engine.outcome) -> []
-                        | Error ex ->
-                          [ (e.Core.Registry.label, seed, Core.Failpoint.describe ex) ])
-                      spec.Core.Runner.seeds cell_list))
-               entries cells)
-        in
         print_endline
           (Core.Report.render_metrics
              ~title:(Printf.sprintf "Forwarding performance (%s, %d seeds)" label seeds)
              rows
-          ^ Core.Report.render_failed_cells ~title:"Failed simulation cells" failed);
-        ctx.finish ~store)
+          ^ Core.Report.render_failed_cells ~title:"Failed simulation cells"
+              (Core.Experiments.failed_cells entries spec.Core.Runner.seeds cells)))
   in
   let term =
     Term.(
-      const run $ dataset_arg $ seed_arg $ trace_arg $ algorithms $ seeds $ jobs_arg $ chunk_arg
-      $ store_arg $ trace_out_arg [ "trace-out" ] $ profile_flag $ metrics_arg $ failpoints_arg
-      $ failpoint_seed_arg $ retries_arg $ checkpoint_arg $ resume_flag)
+      const run $ dataset_arg $ seed_arg $ trace_arg $ algorithms $ seeds
+      $ sweep_term (telemetry_flags [ "trace-out" ]))
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run forwarding algorithms over a trace and report S and D.")
@@ -576,15 +577,10 @@ let resilience_cmd =
       & info [ "probes" ] ~docv:"N"
           ~doc:"Messages whose path survival is enumerated per level.")
   in
-  let run dataset seed loss crash_rate down_time jitter intensities fault_seed seeds probes jobs
-      chunk store trace_out profile metrics failpoints fp_seed retries checkpoint resume =
-    let jobs = resolve_jobs jobs in
-    let chunk = resolve_chunk chunk in
+  let run dataset seed loss crash_rate down_time jitter intensities fault_seed seeds probes
+      sweep =
     if seeds < 1 then exit_usage "--seeds must be at least 1";
     if probes < 1 then exit_usage "--probes must be at least 1";
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
     let base =
       {
         Core.Faults.loss;
@@ -615,33 +611,24 @@ let resilience_cmd =
           rng_seed = Option.value seed ~default:17L;
         }
       in
-      install_failpoints failpoints fp_seed;
-      let ctx = telemetry_ctx ~command:"resilience" ~trace_out ~profile ~metrics in
-      let store = resolve_store ~telemetry:ctx.sink store in
-      run_sweep
-        ~finish:(fun () -> ctx.finish ~store)
-        (fun () ->
-          let study =
-            with_store_report store (fun store ->
-                or_die (fun () ->
-                    Core.Experiments.resilience_study ~jobs ?chunk ?store ~retries ~checkpoint
-                      ~scale ~base ~intensities ~path_messages:probes ~telemetry:ctx.sink d))
-          in
+      sweep ~command:"resilience"
+        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
+          Core.Experiments.resilience_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale
+            ~base ~intensities ~path_messages:probes ~telemetry d)
+        (fun study ->
           print_endline
             (Core.Report.render_resilience
                ~title:
                  (Printf.sprintf
                     "Resilience: the paper's six algorithms under injected faults (%s)"
                     d.Core.Dataset.label)
-               study);
-          ctx.finish ~store)
+               study))
   in
   let term =
     Term.(
       const run $ dataset_arg $ seed_arg $ loss $ crash_rate $ down_time $ jitter $ intensities
-      $ fault_seed $ seeds $ probes $ jobs_arg $ chunk_arg $ store_arg
-      $ trace_out_arg [ "trace" ] $ profile_flag $ metrics_arg $ failpoints_arg
-      $ failpoint_seed_arg $ retries_arg $ checkpoint_arg $ resume_flag)
+      $ fault_seed $ seeds $ probes
+      $ sweep_term (telemetry_flags [ "trace" ]))
   in
   Cmd.v
     (Cmd.info "resilience"
@@ -802,9 +789,8 @@ let serve_cmd =
   in
   let run script span budget policy nodes delta k strategies alpha explore loss crash_rate
       down_time jitter fault_seed store session snapshot_every resume jobs chunk trace_out
-      profile metrics_out metrics_every flight_out failpoints fp_seed =
+      profile metrics_out metrics_every flight_out failpoints =
     if jobs < 1 then exit_usage "--jobs must be at least 1";
-    let chunk = resolve_chunk chunk in
     if metrics_every < 0 then exit_usage "--metrics-every must be non-negative";
     if metrics_every > 0 && Option.is_none metrics_out then
       exit_usage "--metrics-every requires --metrics-out FILE";
@@ -843,7 +829,7 @@ let serve_cmd =
         faults;
       }
     in
-    install_failpoints failpoints fp_seed;
+    Option.iter Core.Failpoint.install failpoints;
     (* Arm before the failpoints can trip: an injected crash dumps the
        recorder from inside the failpoint site itself. *)
     Option.iter (fun path -> Core.Flight.arm path) flight_out;
@@ -942,9 +928,8 @@ let serve_cmd =
     Term.(
       const run $ script $ span $ budget $ policy $ nodes $ delta $ k $ strategies $ alpha
       $ explore $ loss $ crash_rate $ down_time $ jitter $ fault_seed $ store_arg $ session
-      $ snapshot_every $ serve_resume $ serve_jobs $ chunk_arg $ trace_out_arg [ "trace" ]
-      $ profile_flag $ metrics_out $ metrics_every $ flight_out $ failpoints_arg
-      $ failpoint_seed_arg)
+      $ snapshot_every $ serve_resume $ serve_jobs $ chunk_term $ trace_out_arg [ "trace" ]
+      $ profile_flag $ metrics_out $ metrics_every $ flight_out $ failpoints_term)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -979,13 +964,8 @@ let experiment_cmd =
       & info [ "dump" ] ~docv:"DIR"
           ~doc:"Also write the figure's data series as gnuplot-ready .dat files into $(docv).")
   in
-  let run figure dataset seed messages dump_dir jobs chunk store failpoints fp_seed retries
-      checkpoint resume =
-    let jobs = resolve_jobs jobs in
-    let chunk = resolve_chunk chunk in
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
+  let run figure dataset seed messages dump_dir sweep =
+    if messages < 1 then exit_usage "--messages must be at least 1";
     match Core.Dataset.find dataset with
     | Error msg -> exit_usage msg
     | Ok d ->
@@ -1014,64 +994,67 @@ let experiment_cmd =
           rng_seed = Option.value seed ~default:17L;
         }
       in
-      install_failpoints failpoints fp_seed;
-      run_sweep ~finish:(fun () -> ()) (fun () ->
-      let text =
-        with_store_report (resolve_store store) (fun store ->
-        let study =
-          lazy (E.enumeration_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale d)
-        in
-        let sim = lazy (E.sim_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale d) in
-        match figure with
-        | "fig1" -> R.render_timeseries ~title:"Fig 1: contacts over time" (E.fig1 [ d ])
-        | "fig2" -> "== Fig 2: example space-time graph ==\n" ^ E.fig2 ()
-        | "fig4" ->
-          let a = E.fig4a [ Lazy.force study ] and b = E.fig4b [ Lazy.force study ] in
-          dump_cdfs "fig4a" a;
-          dump_cdfs "fig4b" b;
-          R.render_cdfs ~title:"Fig 4a: optimal path duration" a
-          ^ "\n"
-          ^ R.render_cdfs ~title:"Fig 4b: time to explosion" b
-        | "fig5" ->
-          let points = E.fig5 (Lazy.force study) in
-          dump_scatter "fig5" points;
-          R.render_scatter ~title:"Fig 5: T1 vs TE" points
-        | "fig6" -> R.render_histogram ~title:"Fig 6: arrivals after T1" (E.fig6 (Lazy.force study))
-        | "fig7" ->
-          let cdfs = E.fig7 [ d ] in
-          dump_cdfs "fig7" cdfs;
-          R.render_cdfs ~title:"Fig 7: per-node contact counts" cdfs
-        | "fig8" ->
-          R.render_scatter_by_pair ~title:"Fig 8: T1 vs TE by pair type" (E.fig8 (Lazy.force study))
-        | "fig9" ->
-          let sim = Lazy.force sim in
-          R.render_metrics ~title:"Fig 9: delay vs success" (E.fig9 sim)
-          ^ R.render_failed_cells ~title:"Failed simulation cells"
-              sim.E.sim_failed
-        | "fig10" ->
-          let cdfs = E.fig10 (Lazy.force sim) in
-          dump_cdfs "fig10" cdfs;
-          R.render_cdfs ~title:"Fig 10: delay distributions" cdfs
-        | "fig11" ->
-          R.render_cumulative ~title:"Fig 11: cumulative deliveries" (E.fig11 (Lazy.force study))
-        | "fig12" ->
-          R.render_fig12 ~title:"Fig 12: algorithm paths within bursts"
-            (E.fig12 (Lazy.force study) ~n_examples:2)
-        | "fig13" ->
-          let sim = Lazy.force sim in
-          R.render_metrics_by_pair ~title:"Fig 13: performance by pair type" (E.fig13 sim)
-          ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
-        | "fig14" -> R.render_hop_rates ~title:"Fig 14: hop rates" (E.fig14 (Lazy.force study))
-        | "fig15" -> R.render_hop_ratios ~title:"Fig 15: hop rate ratios" (E.fig15 (Lazy.force study))
-        | other -> exit_usage (Printf.sprintf "unknown experiment %S" other))
-      in
-      print_endline text)
+      sweep ~command:"experiment"
+        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
+          let study =
+            lazy
+              (E.enumeration_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale ~telemetry d)
+          in
+          let sim =
+            lazy (E.sim_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale ~telemetry d)
+          in
+          match figure with
+          | "fig1" -> R.render_timeseries ~title:"Fig 1: contacts over time" (E.fig1 [ d ])
+          | "fig2" -> "== Fig 2: example space-time graph ==\n" ^ E.fig2 ()
+          | "fig4" ->
+            let a = E.fig4a [ Lazy.force study ] and b = E.fig4b [ Lazy.force study ] in
+            dump_cdfs "fig4a" a;
+            dump_cdfs "fig4b" b;
+            R.render_cdfs ~title:"Fig 4a: optimal path duration" a
+            ^ "\n"
+            ^ R.render_cdfs ~title:"Fig 4b: time to explosion" b
+          | "fig5" ->
+            let points = E.fig5 (Lazy.force study) in
+            dump_scatter "fig5" points;
+            R.render_scatter ~title:"Fig 5: T1 vs TE" points
+          | "fig6" ->
+            R.render_histogram ~title:"Fig 6: arrivals after T1" (E.fig6 (Lazy.force study))
+          | "fig7" ->
+            let cdfs = E.fig7 [ d ] in
+            dump_cdfs "fig7" cdfs;
+            R.render_cdfs ~title:"Fig 7: per-node contact counts" cdfs
+          | "fig8" ->
+            R.render_scatter_by_pair ~title:"Fig 8: T1 vs TE by pair type"
+              (E.fig8 (Lazy.force study))
+          | "fig9" ->
+            let sim = Lazy.force sim in
+            R.render_metrics ~title:"Fig 9: delay vs success" (E.fig9 sim)
+            ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
+          | "fig10" ->
+            let cdfs = E.fig10 (Lazy.force sim) in
+            dump_cdfs "fig10" cdfs;
+            R.render_cdfs ~title:"Fig 10: delay distributions" cdfs
+          | "fig11" ->
+            R.render_cumulative ~title:"Fig 11: cumulative deliveries"
+              (E.fig11 (Lazy.force study))
+          | "fig12" ->
+            R.render_fig12 ~title:"Fig 12: algorithm paths within bursts"
+              (E.fig12 (Lazy.force study) ~n_examples:2)
+          | "fig13" ->
+            let sim = Lazy.force sim in
+            R.render_metrics_by_pair ~title:"Fig 13: performance by pair type" (E.fig13 sim)
+            ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
+          | "fig14" ->
+            R.render_hop_rates ~title:"Fig 14: hop rates" (E.fig14 (Lazy.force study))
+          | "fig15" ->
+            R.render_hop_ratios ~title:"Fig 15: hop rate ratios" (E.fig15 (Lazy.force study))
+          | other -> exit_usage (Printf.sprintf "unknown experiment %S" other))
+        print_endline
   in
   let term =
     Term.(
-      const run $ figure $ dataset_arg $ seed_arg $ messages $ dump $ jobs_arg $ chunk_arg
-      $ store_arg $ failpoints_arg $ failpoint_seed_arg $ retries_arg $ checkpoint_arg
-      $ resume_flag)
+      const run $ figure $ dataset_arg $ seed_arg $ messages $ dump
+      $ sweep_term (const (None, false, None)))
   in
   Cmd.v (Cmd.info "experiment" ~doc:"Reproduce one figure of the paper on one dataset.") term
 
@@ -1185,9 +1168,9 @@ let store_cmd =
             "For gc: keep at most this many bytes of entry data (default 0, which \
              empties the store).")
   in
-  let run action dir max_bytes failpoints fp_seed =
+  let run action dir max_bytes failpoints =
     if max_bytes < 0 then exit_usage "--max-bytes must be non-negative";
-    install_failpoints failpoints fp_seed;
+    Option.iter Core.Failpoint.install failpoints;
     let st = or_die (fun () -> Core.Store.open_ ~dir ()) in
     match action with
     | `Stats ->
@@ -1218,7 +1201,7 @@ let store_cmd =
         (List.length r.Core.Store.fsck_errors);
       if not (List.is_empty r.Core.Store.fsck_errors) then exit exit_corrupt
   in
-  let term = Term.(const run $ action $ dir $ max_bytes $ failpoints_arg $ failpoint_seed_arg) in
+  let term = Term.(const run $ action $ dir $ max_bytes $ failpoints_term) in
   Cmd.v
     (Cmd.info "store"
        ~doc:
@@ -1238,15 +1221,9 @@ let profile_cmd =
   let seeds =
     Arg.(value & opt int 2 & info [ "seeds" ] ~docv:"N" ~doc:"Simulation runs per algorithm.")
   in
-  let run dataset seed messages seeds jobs chunk store trace_out metrics failpoints fp_seed
-      retries checkpoint resume =
-    let jobs = resolve_jobs jobs in
-    let chunk = resolve_chunk chunk in
+  let run dataset seed messages seeds sweep =
     if seeds < 1 then exit_usage "--seeds must be at least 1";
     if messages < 1 then exit_usage "--messages must be at least 1";
-    let retries = resolve_retries retries in
-    check_resume ~store resume;
-    let checkpoint = resolve_checkpoint ~store checkpoint in
     match Core.Dataset.find dataset with
     | Error msg -> exit_usage msg
     | Ok d ->
@@ -1258,37 +1235,32 @@ let profile_cmd =
           rng_seed = Option.value seed ~default:17L;
         }
       in
-      install_failpoints failpoints fp_seed;
-      let ctx = telemetry_ctx ~command:"profile" ~trace_out ~profile:true ~metrics in
-      let store = resolve_store ~telemetry:ctx.sink store in
-      run_sweep
-        ~finish:(fun () -> ctx.finish ~store)
-        (fun () ->
-          let study, sim =
-            with_store_report store (fun store ->
-                or_die (fun () ->
-                    let study =
-                      Core.Experiments.enumeration_study ~jobs ?chunk ?store ~retries
-                        ~checkpoint ~scale ~telemetry:ctx.sink d
-                    in
-                    let sim =
-                      Core.Experiments.sim_study ~jobs ?chunk ?store ~retries ~checkpoint
-                        ~scale ~telemetry:ctx.sink d
-                    in
-                    (study, sim)))
+      sweep ~command:"profile"
+        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
+          let study =
+            Core.Experiments.enumeration_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale
+              ~telemetry d
           in
+          let sim =
+            Core.Experiments.sim_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale
+              ~telemetry d
+          in
+          (study, sim))
+        (fun (study, sim) ->
           Format.printf "profiled %s: %d enumeration(s), %d algorithm(s) x %d seed(s)@."
             d.Core.Dataset.label
             (List.length study.Core.Experiments.messages)
             (List.length sim.Core.Experiments.runs)
-            seeds;
-          ctx.finish ~store)
+            seeds)
+  in
+  (* Always profiled: no --profile flag, the report is the output. *)
+  let telemetry =
+    Term.(
+      const (fun trace_out metrics -> (trace_out, true, metrics))
+      $ trace_out_arg [ "trace" ] $ metrics_arg)
   in
   let term =
-    Term.(
-      const run $ dataset_arg $ seed_arg $ messages $ seeds $ jobs_arg $ chunk_arg $ store_arg
-      $ trace_out_arg [ "trace" ] $ metrics_arg $ failpoints_arg $ failpoint_seed_arg
-      $ retries_arg $ checkpoint_arg $ resume_flag)
+    Term.(const run $ dataset_arg $ seed_arg $ messages $ seeds $ sweep_term telemetry)
   in
   Cmd.v
     (Cmd.info "profile"

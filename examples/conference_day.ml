@@ -56,12 +56,13 @@ let () =
     ]
   in
   Format.printf "%-28s %9s %12s %10s@." "algorithm" "success" "mean delay" "copies";
-  List.iter
-    (fun (label, factory) ->
-      let m = Core.Runner.run_algorithm ~trace ~spec ~factory () in
+  List.iter2
+    (fun (label, _) outcomes ->
+      let m = Core.Metrics.pool outcomes in
       Format.printf "%-28s %9.3f %10.0f s %10d@." label m.Core.Metrics.success_rate
         m.Core.Metrics.mean_delay m.Core.Metrics.copies)
-    contenders;
+    contenders
+    (Core.Runner.outcomes_many ~trace ~spec ~factories:(List.map snd contenders) ());
 
   (* The paper's intuition check: even with a tiny copy budget, spray
      and wait rides the same path explosion that epidemic does — the

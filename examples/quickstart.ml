@@ -51,9 +51,11 @@ let () =
     }
   in
   Format.printf "@.";
-  List.iter
-    (fun (label, factory) ->
-      let m = Core.Runner.run_algorithm ~trace ~spec ~factory () in
+  let contenders = [ ("Epidemic", Core.Epidemic.factory); ("FRESH", Core.Fresh.factory) ] in
+  List.iter2
+    (fun (label, _) outcomes ->
+      let m = Core.Metrics.pool outcomes in
       Format.printf "%-10s success %.3f, mean delay %.0f s@." label m.Core.Metrics.success_rate
         m.Core.Metrics.mean_delay)
-    [ ("Epidemic", Core.Epidemic.factory); ("FRESH", Core.Fresh.factory) ]
+    contenders
+    (Core.Runner.outcomes_many ~trace ~spec ~factories:(List.map snd contenders) ())

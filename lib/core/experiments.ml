@@ -69,37 +69,33 @@ let random_message rng trace =
   (src, dst, Rng.float rng (generation_window trace))
 
 (* Memoized enumeration fan-out, sharing the runner's generic
-   checkpoint/resume machinery ({!Runner.cached_map}): the store is
-   touched only from the calling domain — finds before, puts between
+   checkpoint/resume machinery ({!Runner.cached_map_result}): the store
+   is touched only from the calling domain — finds before, puts between
    and after the parallel rounds — so a warm store changes wall time,
    never results, and a killed sweep resumes from its last completed
    round. *)
 let enumerate_specs ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null)
     ~trace ~config snap specs =
-  let compute sink (src, dst, t_create) =
+  let compute () sink (src, dst, t_create) =
     T.with_span sink "paths.enumerate"
       ~args:[ ("src", T.Int src); ("dst", T.Int dst) ]
       (fun () -> Enumerate.run ~config snap ~src ~dst ~t_create)
   in
   T.count telemetry "paths.enumerations" (Array.length specs);
-  match store with
-  | None ->
-    Parallel.join_results
-      (Parallel.map_result ?jobs ?chunk ~telemetry ?retries
-         ~env:(fun () -> ())
-         (fun () sink s -> compute sink s)
-         specs)
-  | Some st ->
-    let trace_hash = Store_key.trace_hash trace in
-    let key (src, dst, t_create) =
-      Store_key.enumeration ~trace_hash ~config ~src ~dst ~t_create
-    in
-    Runner.cached_map ?jobs ?chunk ~telemetry ?retries ?checkpoint ~prefix:"paths"
-      ~env:(fun () -> ())
-      ~find:(fun s -> Store.find_enumeration st (key s))
-      ~store:(fun s v -> Store.put_enumeration st (key s) v)
-      ~compute:(fun () sink s -> compute sink s)
-      specs
+  Parallel.join_results
+    (match store with
+    | None ->
+      Parallel.map_result ?jobs ?chunk ~telemetry ?retries ~env:(fun () -> ()) compute specs
+    | Some st ->
+      let trace_hash = Store_key.trace_hash trace in
+      let key (src, dst, t_create) =
+        Store_key.enumeration ~trace_hash ~config ~src ~dst ~t_create
+      in
+      Runner.cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~prefix:"paths"
+        ~env:(fun () -> ())
+        ~find:(fun s -> Store.find_enumeration st (key s))
+        ~store:(fun s v -> Store.put_enumeration st (key s) v)
+        ~compute specs)
 
 let enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
     ?(telemetry = T.Sink.null) dataset

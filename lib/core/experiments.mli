@@ -152,6 +152,30 @@ val sim_study :
     the study in phase spans and threads through to the runner and
     engine. *)
 
+val entry_caches :
+  Psn_store.Store.t ->
+  trace:Psn_trace.Trace.t ->
+  ?faults:Psn_sim.Faults.spec ->
+  workload:Psn_sim.Workload.spec ->
+  Psn_forwarding.Registry.entry list ->
+  Psn_sim.Cache.t list
+(** One store-backed outcome cache per entry, in entry order — the
+    [stores] argument of {!Psn_sim.Runner.outcomes_many_result} for a
+    simulation of [trace] under [workload] (and [faults], when the runs
+    are faulted). Keys use each entry's stable registry name, so a warm
+    store answers without constructing the algorithm. *)
+
+val failed_cells :
+  Psn_forwarding.Registry.entry list ->
+  int64 list ->
+  (Psn_sim.Engine.outcome, exn) result list list ->
+  (string * int64 * string) list
+(** [failed_cells entries seeds cells] flattens the [Error] cells of a
+    {!Psn_sim.Runner.outcomes_many_result} grid into (algorithm label,
+    seed, reason) triples, in (algorithm, seed) order — the
+    [sim_failed] view, and the input of
+    {!Report.render_failed_cells}. *)
+
 val fig9 : sim_study -> (string * Psn_sim.Metrics.t) list
 (** Average delay and success rate per algorithm — one Fig. 9 panel.
     Algorithms whose every seed failed are omitted (see

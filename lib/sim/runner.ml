@@ -64,7 +64,7 @@ let run_seed ?faults ~scratch ?(telemetry = T.Sink.null) ~trace ~spec ~factory s
    track. *)
 let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0)
     ?(checkpoint = 0) ?(prefix = "runner") ~env ~find ~store ~compute tasks =
-  if checkpoint < 0 then invalid_arg "Runner.cached_map: checkpoint must be >= 0";
+  if checkpoint < 0 then invalid_arg "Runner.cached_map_result: checkpoint must be >= 0";
   let n = Array.length tasks in
   let cached =
     T.with_span telemetry (prefix ^ ".cache_lookup") (fun () -> Array.map find tasks)
@@ -101,49 +101,7 @@ let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0)
   done;
   Array.map (function Some r -> r | None -> assert false) results
 
-let cached_map ?jobs ?chunk ?telemetry ?retries ?checkpoint ?prefix ~env ~find ~store
-    ~compute tasks =
-  Parallel.join_results
-    (cached_map_result ?jobs ?chunk ?telemetry ?retries ?checkpoint ?prefix ~env ~find
-       ~store ~compute tasks)
-
-let outcome_cells ?jobs ?chunk ?faults ?store ?retries ?checkpoint
-    ?(telemetry = T.Sink.null) ~trace ~spec ~factory () =
-  if List.is_empty spec.seeds then invalid_arg "Runner: need at least one seed";
-  let seeds = Array.of_list spec.seeds in
-  let compute scratch sink seed =
-    run_seed ?faults ~scratch ~telemetry:sink ~trace ~spec ~factory seed
-  in
-  match store with
-  | None -> Parallel.map_result ?jobs ?chunk ~telemetry ?retries ~env:Engine.scratch compute seeds
-  | Some cache ->
-    cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~env:Engine.scratch
-      ~find:(fun seed -> cache.Cache.find ~seed)
-      ~store:(fun seed outcome -> cache.Cache.store ~seed outcome)
-      ~compute seeds
-
-let outcomes_result ?jobs ?chunk ?faults ?store ?retries ?checkpoint ?telemetry ~trace
-    ~spec ~factory () =
-  Array.to_list
-    (outcome_cells ?jobs ?chunk ?faults ?store ?retries ?checkpoint ?telemetry ~trace
-       ~spec ~factory ())
-
-let outcomes ?jobs ?chunk ?faults ?store ?retries ?checkpoint ?telemetry ~trace ~spec
-    ~factory () =
-  Array.to_list
-    (Parallel.join_results
-       (outcome_cells ?jobs ?chunk ?faults ?store ?retries ?checkpoint ?telemetry ~trace
-          ~spec ~factory ()))
-
-let run_algorithm ?jobs ?chunk ?faults ?store ?retries ?checkpoint
-    ?(telemetry = T.Sink.null) ~trace ~spec ~factory () =
-  let outs =
-    outcomes ?jobs ?chunk ?faults ?store ?retries ?checkpoint ~telemetry ~trace ~spec
-      ~factory ()
-  in
-  T.with_span telemetry "runner.metrics" (fun () -> Metrics.pool outs)
-
-let outcome_cells_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
+let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
     ?(telemetry = T.Sink.null) ~trace ~spec ~factories () =
   if List.is_empty spec.seeds then invalid_arg "Runner: need at least one seed";
   let seeds = Array.of_list spec.seeds in
@@ -178,31 +136,17 @@ let outcome_cells_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
         ~store:(fun (fi, seed) outcome -> caches.(fi).Cache.store ~seed outcome)
         ~compute tasks
   in
-  (cells, Array.length facs, n_seeds)
+  List.init (Array.length facs) (fun fi ->
+      List.init n_seeds (fun si -> cells.((fi * n_seeds) + si)))
 
-let regroup arr ~n_facs ~n_seeds =
-  List.init n_facs (fun fi -> List.init n_seeds (fun si -> arr.((fi * n_seeds) + si)))
-
-let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry
-    ~trace ~spec ~factories () =
-  let cells, n_facs, n_seeds =
-    outcome_cells_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry
-      ~trace ~spec ~factories ()
-  in
-  regroup cells ~n_facs ~n_seeds
-
+(* Factory-major, seed-minor is the flat task order, so the first
+   [Error] met walking the grid is the lowest-index failure that
+   {!Parallel.join_results} would re-raise. *)
 let outcomes_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry ~trace
     ~spec ~factories () =
-  let cells, n_facs, n_seeds =
-    outcome_cells_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry
-      ~trace ~spec ~factories ()
-  in
-  regroup (Parallel.join_results cells) ~n_facs ~n_seeds
-
-let run_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?(telemetry = T.Sink.null)
-    ~trace ~spec ~factories () =
-  let outs =
-    outcomes_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ~telemetry ~trace
+  let grid =
+    outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry ~trace
       ~spec ~factories ()
   in
-  T.with_span telemetry "runner.metrics" (fun () -> List.map Metrics.pool outs)
+  List.iter (List.iter (function Error e -> raise e | Ok _ -> ())) grid;
+  List.map (List.map Result.get_ok) grid

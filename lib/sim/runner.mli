@@ -1,58 +1,62 @@
 (** Multi-seed experiment runner.
 
     The paper averages every forwarding result over 10 simulation runs;
-    this module regenerates the workload (and optionally the trace) per
-    seed and aggregates over the pooled records.
+    this module regenerates the workload per seed and runs a grid of
+    algorithms over those seeds. It has three entry points:
+    {!outcomes_many} returns the per-seed outcomes of every algorithm
+    and re-raises a failed run, {!outcomes_many_result} isolates each
+    failed run in its own cell, and {!cached_map_result} is the
+    memoized, checkpointed fan-out both are built on, exported for other
+    sweep layers. Callers that want one algorithm pass a one-element
+    factory list; callers that want the paper's averaged numbers pool
+    the outcomes with {!Metrics.pool}.
 
-    Every entry point takes [?jobs] and [?chunk]: the seeds (and, for
-    the [_many] variants, the whole algorithm × seed grid) are fanned
-    across that many domains through {!Parallel}, claimed in index
-    ranges of [chunk] tasks. Each run owns its RNG and algorithm state
-    and results are keyed by input index, so any [jobs] × [chunk]
-    combination produces bit-identical output — scheduling only
-    changes wall time. Defaults to {!Parallel.default_jobs} and
-    {!Parallel}'s chunk heuristic. Each worker domain also owns one
-    {!Engine.scratch}, reused across the consecutive runs it executes,
-    which cuts the per-seed O(n²) allocation without coupling the runs
-    (see {!Engine.type-scratch} for why reuse cannot leak state).
+    The grid entry points take [?jobs] and [?chunk]: the whole
+    algorithm × seed grid is fanned across that many domains through
+    {!Parallel}, claimed in index ranges of [chunk] tasks. Each run owns
+    its RNG and algorithm state and results are keyed by input index,
+    so any [jobs] × [chunk] combination produces bit-identical output —
+    scheduling only changes wall time. Defaults to
+    {!Parallel.default_jobs} and {!Parallel}'s chunk heuristic. Each
+    worker domain also owns one {!Engine.scratch}, reused across the
+    consecutive runs it executes, which cuts the per-seed O(n²)
+    allocation without coupling the runs (see {!Engine.type-scratch}
+    for why reuse cannot leak state).
 
-    Every entry point also takes [?faults]: a compiled {!Faults.plan}
-    applied identically to every run of the batch. Fault verdicts are
-    pure functions of the plan and the faulted entity, so faulted
-    sweeps keep the bit-identical [jobs] contract.
+    They also take [?faults]: a compiled {!Faults.plan} applied
+    identically to every run of the batch. Fault verdicts are pure
+    functions of the plan and the faulted entity, so faulted sweeps keep
+    the bit-identical [jobs] contract.
 
-    Every entry point also takes an optional outcome cache ([?store] /
-    [?stores], see {!Cache}): per-seed outcomes found in the cache are
-    not recomputed, and freshly computed ones are offered back. The
-    cache is consulted strictly before and updated strictly after the
-    parallel sections, from the calling domain, so caching composes
-    with any [jobs] value and — because a hit is byte-for-byte the
-    outcome that the same inputs would recompute — cannot change
-    results, only wall time.
+    They also take optional outcome caches ([?stores], one {!Cache} per
+    factory): per-seed outcomes found in the cache are not recomputed,
+    and freshly computed ones are offered back. The caches are consulted
+    strictly before and updated strictly after the parallel sections,
+    from the calling domain, so caching composes with any [jobs] value
+    and — because a hit is byte-for-byte the outcome that the same
+    inputs would recompute — cannot change results, only wall time.
 
-    Every entry point also takes [?retries] and [?checkpoint] (both
-    default 0). [retries] bounds deterministic in-place re-attempts of
-    transient task failures ({!Parallel.map_result}). [checkpoint]
-    (with a cache) splits the misses into rounds of that many tasks:
-    each round's successes reach the cache before the next round runs,
-    so a sweep killed mid-way resumes from its last completed round —
-    re-running the same command with the same store replays the stored
-    outcomes as hits, and because every task is a pure function of its
-    inputs the resumed output is bit-identical to an uninterrupted
-    run. Between rounds the runner also polls
-    {!Psn_robust.Interrupt.check}, making round boundaries the
-    cooperative SIGINT/SIGTERM points of a sweep. Without a cache,
-    [checkpoint] is ignored (there is nowhere durable to put a
-    round).
+    They also take [?retries] and [?checkpoint] (both default 0).
+    [retries] bounds deterministic in-place re-attempts of transient
+    task failures ({!Parallel.map_result}). [checkpoint] (with caches)
+    splits the misses into rounds of that many tasks: each round's
+    successes reach the cache before the next round runs, so a sweep
+    killed mid-way resumes from its last completed round — re-running
+    the same command with the same store replays the stored outcomes as
+    hits, and because every task is a pure function of its inputs the
+    resumed output is bit-identical to an uninterrupted run. Between
+    rounds the runner also polls {!Psn_robust.Interrupt.check}, making
+    round boundaries the cooperative SIGINT/SIGTERM points of a sweep.
+    Without caches, [checkpoint] is ignored (there is nowhere durable to
+    put a round).
 
-    Every entry point also takes [?telemetry] (default null): each run
-    records a ["runner.task"] span tagged with its seed (on the track
-    of the domain that executed it), nesting a ["runner.factory"] span
-    for algorithm construction and the ["engine.run"] span (which
-    carries the algorithm name), cached batches record hit/miss counters
-    and lookup/store spans, and the pooled aggregation records a
-    ["runner.metrics"] span. Instrumentation never affects outcomes —
-    results are bit-identical whether the sink is null or active. *)
+    They also take [?telemetry] (default null): each run records a
+    ["runner.task"] span tagged with its seed (on the track of the
+    domain that executed it), nesting a ["runner.factory"] span for
+    algorithm construction and the ["engine.run"] span (which carries
+    the algorithm name), and cached batches record hit/miss counters and
+    lookup/store spans. Instrumentation never affects outcomes — results
+    are bit-identical whether the sink is null or active. *)
 
 type run_spec = {
   workload : Workload.spec;
@@ -62,57 +66,6 @@ type run_spec = {
 val default_seeds : int -> int64 list
 (** [default_seeds k] is a fixed, documented seed sequence of length
     [k] (1000, 1001, …) so published numbers are reproducible. *)
-
-val run_algorithm :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?faults:Faults.plan ->
-  ?store:Cache.t ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  trace:Psn_trace.Trace.t ->
-  spec:run_spec ->
-  factory:Algorithm.factory ->
-  unit ->
-  Metrics.t
-(** Run one algorithm over every seed (fresh workload and fresh
-    algorithm state per seed; the trace is shared) and pool the
-    per-seed records ({!Metrics.pool}). *)
-
-val run_many :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?faults:Faults.plan ->
-  ?stores:Cache.t list ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  trace:Psn_trace.Trace.t ->
-  spec:run_spec ->
-  factories:Algorithm.factory list ->
-  unit ->
-  Metrics.t list
-(** {!run_algorithm} for each factory, same seeds — so algorithms face
-    identical workloads, as in a paired comparison. [stores], when
-    given, must supply one cache per factory (in factory order);
-    raises [Invalid_argument] otherwise. *)
-
-val outcomes :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?faults:Faults.plan ->
-  ?store:Cache.t ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  trace:Psn_trace.Trace.t ->
-  spec:run_spec ->
-  factory:Algorithm.factory ->
-  unit ->
-  Engine.outcome list
-(** The raw per-seed outcomes, in seed order, for analyses needing full
-    records (Fig. 10 delay distributions, Fig. 13 groupings). *)
 
 val outcomes_many :
   ?jobs:int ->
@@ -127,35 +80,23 @@ val outcomes_many :
   factories:Algorithm.factory list ->
   unit ->
   Engine.outcome list list
-(** {!outcomes} for each factory over the same seeds; the whole
-    factory × seed grid is one parallel batch, so stragglers in one
-    algorithm overlap with the others' work. Results are grouped per
-    factory, seeds in order. *)
+(** Run every factory over every seed (fresh workload and fresh
+    algorithm state per run; the trace is shared), so algorithms face
+    identical workloads, as in a paired comparison. The whole factory ×
+    seed grid is one parallel batch, so stragglers in one algorithm
+    overlap with the others' work. Results are grouped per factory,
+    seeds in order. [stores], when given, must supply one cache per
+    factory (in factory order); raises [Invalid_argument] otherwise. *)
 
 (** {1 Graceful degradation}
 
-    The [_result] variants isolate per-task failures into [result]
+    {!outcomes_many_result} isolates per-task failures into [result]
     cells instead of aborting the sweep: one failed (algorithm, seed)
     run costs one cell, and study layers can report the failed cell
-    while still aggregating the rest. The raising entry points above
-    are these followed by {!Parallel.join_results} (lowest failing
-    index re-raised) — either way every successful round still reaches
-    the cache first, so even an aborting sweep checkpoints what it
-    completed. *)
-
-val outcomes_result :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?faults:Faults.plan ->
-  ?store:Cache.t ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  trace:Psn_trace.Trace.t ->
-  spec:run_spec ->
-  factory:Algorithm.factory ->
-  unit ->
-  (Engine.outcome, exn) result list
+    while still aggregating the rest. {!outcomes_many} is this followed
+    by {!Parallel.join_results} (lowest failing index re-raised) —
+    either way every successful round still reaches the cache first, so
+    even an aborting sweep checkpoints what it completed. *)
 
 val outcomes_many_result :
   ?jobs:int ->
@@ -175,7 +116,8 @@ val outcomes_many_result :
 
     The machinery under the entry points above, exported so other
     sweep layers (the experiment module's enumeration fan-out) share
-    one checkpoint/resume and failure-isolation implementation. *)
+    one checkpoint/resume and failure-isolation implementation. Wrap it
+    in {!Parallel.join_results} for the raising view. *)
 
 val cached_map_result :
   ?jobs:int ->
@@ -202,20 +144,3 @@ val cached_map_result :
     spans, [<prefix>.cache_hits] / [<prefix>.cache_misses] /
     [<prefix>.checkpoints] counters. Raises [Invalid_argument] when
     [checkpoint < 0]. *)
-
-val cached_map :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?prefix:string ->
-  env:(unit -> 'env) ->
-  find:('a -> 'b option) ->
-  store:('a -> 'b -> unit) ->
-  compute:('env -> Psn_telemetry.Telemetry.sink -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** {!cached_map_result} followed by {!Parallel.join_results}: all
-    rounds run and checkpoint their successes, then the lowest-index
-    failure (if any) is re-raised. *)

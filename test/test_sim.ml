@@ -531,14 +531,17 @@ let runner_spec seeds =
     seeds = Runner.default_seeds seeds;
   }
 
+(* A one-factory grid, unwrapped to that factory's per-seed row. *)
+let one = function [ row ] -> row | _ -> Alcotest.fail "expected one factory's row"
+
 let test_runner_deterministic () =
   let trace = runner_trace () in
   let spec = runner_spec 2 in
-  let factory _ = epidemic in
-  let a = Runner.run_algorithm ~trace ~spec ~factory () in
-  let b = Runner.run_algorithm ~trace ~spec ~factory () in
+  let run () = one (Runner.outcomes_many ~trace ~spec ~factories:[ (fun _ -> epidemic) ] ()) in
+  let a = Metrics.pool (run ()) in
+  let b = Metrics.pool (run ()) in
   Alcotest.check feps "same success" a.Metrics.success_rate b.Metrics.success_rate;
-  Alcotest.(check int) "two outcomes" 2 (List.length (Runner.outcomes ~trace ~spec ~factory ()))
+  Alcotest.(check int) "two outcomes" 2 (List.length (run ()))
 
 (* The determinism contract of the parallel layer: any jobs value gives
    bit-identical results, because each run owns its RNG and results are
@@ -547,8 +550,8 @@ let test_runner_parallel_deterministic () =
   let trace = runner_trace () in
   let spec = runner_spec 3 in
   let check_factory name factory =
-    let seq = Runner.outcomes ~jobs:1 ~trace ~spec ~factory () in
-    let par = Runner.outcomes ~jobs:4 ~trace ~spec ~factory () in
+    let seq = one (Runner.outcomes_many ~jobs:1 ~trace ~spec ~factories:[ factory ] ()) in
+    let par = one (Runner.outcomes_many ~jobs:4 ~trace ~spec ~factories:[ factory ] ()) in
     Alcotest.(check bool) (name ^ ": outcomes identical") true (Stdlib.compare seq par = 0);
     Alcotest.(check bool) (name ^ ": pooled metrics identical") true
       (Stdlib.compare (Metrics.pool seq) (Metrics.pool par) = 0)
@@ -556,9 +559,9 @@ let test_runner_parallel_deterministic () =
   check_factory "epidemic" (fun _ -> epidemic);
   check_factory "never" (fun _ -> never);
   let factories = [ (fun _ -> epidemic); (fun _ -> never) ] in
-  let seq = Runner.run_many ~jobs:1 ~trace ~spec ~factories () in
-  let par = Runner.run_many ~jobs:4 ~trace ~spec ~factories () in
-  Alcotest.(check bool) "run_many identical across jobs" true (Stdlib.compare seq par = 0)
+  let pooled jobs = List.map Metrics.pool (Runner.outcomes_many ~jobs ~trace ~spec ~factories ()) in
+  Alcotest.(check bool) "pooled grid identical across jobs" true
+    (Stdlib.compare (pooled 1) (pooled 4) = 0)
 
 let test_parallel_map () =
   let input = Array.init 100 (fun i -> i) in
@@ -705,16 +708,17 @@ let test_cached_map_checkpoint_resume () =
       Alcotest.(check int) "one failed cell" 1 (List.length failed));
   Alcotest.(check int) "successes checkpointed" 19 (Hashtbl.length tbl);
   let resumed =
-    Core.Runner.cached_map ~jobs:4 ~chunk:3 ~checkpoint:4 ~env:(fun () -> ()) ~find ~store
-      ~compute input
+    Core.Parallel.join_results
+      (Core.Runner.cached_map_result ~jobs:4 ~chunk:3 ~checkpoint:4 ~env:(fun () -> ())
+         ~find ~store ~compute input)
   in
   Alcotest.(check (array int)) "resumed = uninterrupted" (Array.map (fun i -> i * i) input)
     resumed;
   Alcotest.check_raises "negative checkpoint rejected"
-    (Invalid_argument "Runner.cached_map: checkpoint must be >= 0") (fun () ->
+    (Invalid_argument "Runner.cached_map_result: checkpoint must be >= 0") (fun () ->
       ignore
-        (Core.Runner.cached_map ~checkpoint:(-1) ~env:(fun () -> ()) ~find ~store ~compute
-           input))
+        (Core.Runner.cached_map_result ~checkpoint:(-1) ~env:(fun () -> ()) ~find ~store
+           ~compute input))
 
 (* Scratch reuse is invisible: the same scratch replayed across runs —
    different seeds, a smaller population, even straight after an
@@ -802,10 +806,13 @@ let qcheck_tests =
           n = 0
           ||
           let spec = runner_spec n in
-          let factory _ = epidemic in
-          let a = Runner.run_algorithm ~jobs:1 ~chunk:1 ~trace ~spec ~factory () in
-          let b = Runner.run_algorithm ~jobs ~chunk ~trace ~spec ~factory () in
-          Metrics.equal a b
+          let pooled ~jobs ~chunk =
+            Metrics.pool
+              (one
+                 (Runner.outcomes_many ~jobs ~chunk ~trace ~spec
+                    ~factories:[ (fun _ -> epidemic) ] ()))
+          in
+          Metrics.equal (pooled ~jobs:1 ~chunk:1) (pooled ~jobs ~chunk)
         in
         arrays_ok && metrics_ok);
     (* An injected failure schedule is part of the determinism
@@ -840,8 +847,8 @@ let qcheck_tests =
       (Gen.pair (Gen.oneofl [ 1; 2; 4; 7 ]) (Gen.oneofl [ 1; 2; 5 ]))
       (fun (jobs, kill_at) ->
         let spec = runner_spec 6 in
-        let factory _ = epidemic in
-        let baseline = Runner.run_algorithm ~jobs:1 ~trace ~spec ~factory () in
+        let factories = [ (fun _ -> epidemic) ] in
+        let baseline = Metrics.pool (one (Runner.outcomes_many ~jobs:1 ~trace ~spec ~factories ())) in
         let tbl = Hashtbl.create 8 in
         let cache =
           {
@@ -855,10 +862,13 @@ let qcheck_tests =
           Core.Failpoint.install plan;
           Fun.protect ~finally:Core.Failpoint.uninstall (fun () ->
               ignore
-                (Runner.outcomes_result ~jobs:1 ~chunk:1 ~checkpoint:1 ~store:cache ~trace
-                   ~spec ~factory ())));
+                (Runner.outcomes_many_result ~jobs:1 ~chunk:1 ~checkpoint:1 ~stores:[ cache ]
+                   ~trace ~spec ~factories ())));
         let resumed =
-          Runner.run_algorithm ~jobs ~checkpoint:2 ~store:cache ~trace ~spec ~factory ()
+          Metrics.pool
+            (one
+               (Runner.outcomes_many ~jobs ~checkpoint:2 ~stores:[ cache ] ~trace ~spec
+                  ~factories ()))
         in
         Metrics.equal baseline resumed);
   ]
@@ -1024,16 +1034,20 @@ let test_faulted_runner_deterministic () =
     Faults.compile ~n_nodes:(Trace.n_nodes trace) ~horizon:(Trace.horizon trace) fault_spec
   in
   let factories = [ (fun _ -> epidemic); (fun _ -> never) ] in
-  let seq = Runner.run_many ~jobs:1 ~faults:plan ~trace ~spec ~factories () in
-  let par = Runner.run_many ~jobs:4 ~faults:plan ~trace ~spec ~factories () in
-  Alcotest.(check bool) "faulted run_many identical across jobs" true
-    (Stdlib.compare seq par = 0);
-  let seq_o = Runner.outcomes ~jobs:1 ~faults:plan ~trace ~spec ~factory:(fun _ -> epidemic) () in
-  let par_o = Runner.outcomes ~jobs:4 ~faults:plan ~trace ~spec ~factory:(fun _ -> epidemic) () in
+  let pooled jobs =
+    List.map Metrics.pool (Runner.outcomes_many ~jobs ~faults:plan ~trace ~spec ~factories ())
+  in
+  Alcotest.(check bool) "faulted pooled grid identical across jobs" true
+    (Stdlib.compare (pooled 1) (pooled 4) = 0);
+  let epidemic_row faults jobs =
+    one (Runner.outcomes_many ~jobs ?faults ~trace ~spec ~factories:[ (fun _ -> epidemic) ] ())
+  in
+  let seq_o = epidemic_row (Some plan) 1 in
+  let par_o = epidemic_row (Some plan) 4 in
   Alcotest.(check bool) "faulted outcomes identical across jobs" true
     (Stdlib.compare seq_o par_o = 0);
   (* faults change results (the plan is actually consulted) *)
-  let clean = Runner.outcomes ~jobs:1 ~trace ~spec ~factory:(fun _ -> epidemic) () in
+  let clean = epidemic_row None 1 in
   Alcotest.(check bool) "faults alter the outcome" true (Stdlib.compare clean seq_o <> 0)
 
 let () =

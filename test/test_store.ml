@@ -448,12 +448,16 @@ let test_runner_warm_bit_identical () =
           ())
       entries
   in
-  let baseline = Core.Runner.run_many ~jobs:2 ~trace ~spec ~factories () in
-  let cold = Core.Runner.run_many ~jobs:2 ~stores:caches ~trace ~spec ~factories () in
+  let pooled stores jobs =
+    List.map Core.Metrics.pool
+      (Core.Runner.outcomes_many ~jobs ?stores ~trace ~spec ~factories ())
+  in
+  let baseline = pooled None 2 in
+  let cold = pooled (Some caches) 2 in
   let misses = (Store.stats st).Store.misses in
   Alcotest.(check int64) "cold misses = grid size" (Int64.of_int (3 * 2)) misses;
   (* warm, at a different jobs count, must be bit-identical *)
-  let warm = Core.Runner.run_many ~jobs:1 ~stores:caches ~trace ~spec ~factories () in
+  let warm = pooled (Some caches) 1 in
   Alcotest.(check int64) "warm hits = grid size" (Int64.of_int (3 * 2))
     (Store.stats st).Store.hits;
   List.iteri
@@ -552,7 +556,7 @@ let test_runner_stores_arity () =
   Alcotest.check_raises "one cache for two factories"
     (Invalid_argument "Runner: need one cache per factory") (fun () ->
       ignore
-        (Core.Runner.run_many ~jobs:1 ~stores:[ cache ] ~trace ~spec
+        (Core.Runner.outcomes_many ~jobs:1 ~stores:[ cache ] ~trace ~spec
            ~factories:[ Core.Direct.factory; Core.Epidemic.factory ]
            ()))
 

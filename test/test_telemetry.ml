@@ -138,11 +138,12 @@ let test_results_unaffected () =
   in
   let spec = { Core.Runner.workload; seeds = Core.Runner.default_seeds 3 } in
   let run ?telemetry ~jobs () =
-    List.map
-      (fun (e : Core.Registry.entry) ->
-        Core.Runner.run_algorithm ~jobs ?telemetry ~trace ~spec
-          ~factory:e.Core.Registry.factory ())
-      Core.Registry.paper_six
+    List.map Core.Metrics.pool
+      (Core.Runner.outcomes_many ~jobs ?telemetry ~trace ~spec
+         ~factories:
+           (List.map (fun (e : Core.Registry.entry) -> e.Core.Registry.factory)
+              Core.Registry.paper_six)
+         ())
   in
   let plain = run ~jobs:1 () in
   let c = T.create () in
