@@ -234,7 +234,7 @@ let trace_out_arg names =
 let profile_flag =
   let doc =
     "After the results, print a profile report: span tree with per-phase total/self \
-     times, counters, gauge digests and the store hit rate."
+     times, counters, histogram digests and the store hit rate."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
@@ -330,6 +330,49 @@ let sweep_term telemetry =
   Term.(
     const make $ jobs_term $ chunk_term $ store_arg $ failpoints_term $ retries_term
     $ checkpoint_arg $ resume_flag $ telemetry)
+
+(* --- fault flags --- *)
+
+(* --loss --crash-rate --down-time --jitter --fault-seed as one
+   validated spec, shared by resilience and serve. [defaults] gives each
+   flag's default; [at] names, in the docs, the intensity the values
+   apply at. The crash rate is read per hour and stored per second. An
+   out-of-range spec exits 2. *)
+let faults_term ~(defaults : Core.Faults.spec) ~at =
+  let loss =
+    Arg.(
+      value & opt float defaults.loss
+      & info [ "loss" ] ~docv:"P"
+          ~doc:(Printf.sprintf "Per-transfer loss probability%s (in [0, 1))." at))
+  in
+  let crash_rate =
+    Arg.(
+      value
+      & opt float (defaults.crash_rate *. 3600.)
+      & info [ "crash-rate" ] ~docv:"PER_HOUR" ~doc:(Printf.sprintf "Node crashes per hour%s." at))
+  in
+  let down_time =
+    Arg.(
+      value & opt float defaults.down_time
+      & info [ "down-time" ] ~docv:"SECONDS" ~doc:"Mean downtime per crash, seconds.")
+  in
+  let jitter =
+    Arg.(
+      value & opt float defaults.jitter
+      & info [ "jitter" ] ~docv:"FRAC"
+          ~doc:
+            (Printf.sprintf "Maximum fraction of each contact truncated%s (in [0, 1])." at))
+  in
+  let fault_seed =
+    Arg.(
+      value & opt int64 defaults.seed
+      & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Seed of every fault decision.")
+  in
+  let make loss crash_rate down_time jitter seed =
+    let spec = { Core.Faults.loss; crash_rate = crash_rate /. 3600.; down_time; jitter; seed } in
+    match Core.Faults.validate spec with Error msg -> exit_usage msg | Ok () -> spec
+  in
+  Term.(const make $ loss $ crash_rate $ down_time $ jitter $ fault_seed)
 
 (* --- generate --- *)
 
@@ -534,39 +577,11 @@ let simulate_cmd =
 (* --- resilience --- *)
 
 let resilience_cmd =
-  let loss =
-    Arg.(
-      value & opt float 0.2
-      & info [ "loss" ] ~docv:"P"
-          ~doc:"Per-transfer loss probability at intensity 1 (in [0, 1)).")
-  in
-  let crash_rate =
-    Arg.(
-      value & opt float 2.
-      & info [ "crash-rate" ] ~docv:"PER_HOUR"
-          ~doc:"Node crashes per hour at intensity 1.")
-  in
-  let down_time =
-    Arg.(
-      value & opt float 300.
-      & info [ "down-time" ] ~docv:"SECONDS" ~doc:"Mean downtime per crash, seconds.")
-  in
-  let jitter =
-    Arg.(
-      value & opt float 0.3
-      & info [ "jitter" ] ~docv:"FRAC"
-          ~doc:"Maximum fraction of each contact truncated at intensity 1 (in [0, 1]).")
-  in
   let intensities =
     Arg.(
       value & opt string "0,0.5,1,2"
       & info [ "intensities" ] ~docv:"X,Y,..."
           ~doc:"Comma-separated intensity multipliers applied to the fault spec.")
-  in
-  let fault_seed =
-    Arg.(
-      value & opt int64 99L
-      & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Seed of every fault decision.")
   in
   let seeds =
     Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Workload runs to average per level.")
@@ -577,22 +592,9 @@ let resilience_cmd =
       & info [ "probes" ] ~docv:"N"
           ~doc:"Messages whose path survival is enumerated per level.")
   in
-  let run dataset seed loss crash_rate down_time jitter intensities fault_seed seeds probes
-      sweep =
+  let run dataset seed base intensities seeds probes sweep =
     if seeds < 1 then exit_usage "--seeds must be at least 1";
     if probes < 1 then exit_usage "--probes must be at least 1";
-    let base =
-      {
-        Core.Faults.loss;
-        crash_rate = crash_rate /. 3600.;
-        down_time;
-        jitter;
-        seed = fault_seed;
-      }
-    in
-    (match Core.Faults.validate base with
-    | Error msg -> exit_usage msg
-    | Ok () -> ());
     let intensities =
       String.split_on_char ',' intensities
       |> List.map (fun s ->
@@ -626,8 +628,9 @@ let resilience_cmd =
   in
   let term =
     Term.(
-      const run $ dataset_arg $ seed_arg $ loss $ crash_rate $ down_time $ jitter $ intensities
-      $ fault_seed $ seeds $ probes
+      const run $ dataset_arg $ seed_arg
+      $ faults_term ~defaults:Core.Experiments.default_fault_spec ~at:" at intensity 1"
+      $ intensities $ seeds $ probes
       $ sweep_term (telemetry_flags [ "trace" ]))
   in
   Cmd.v
@@ -708,32 +711,6 @@ let serve_cmd =
       & info [ "explore" ] ~docv:"N"
           ~doc:"Observations below which a strategy scores as optimistic (forced sampling).")
   in
-  let loss =
-    Arg.(
-      value & opt float 0.
-      & info [ "loss" ] ~docv:"P" ~doc:"Per-transfer loss probability (in [0, 1)).")
-  in
-  let crash_rate =
-    Arg.(
-      value & opt float 0.
-      & info [ "crash-rate" ] ~docv:"PER_HOUR" ~doc:"Node crashes per hour.")
-  in
-  let down_time =
-    Arg.(
-      value & opt float 300.
-      & info [ "down-time" ] ~docv:"SECONDS" ~doc:"Mean downtime per crash, seconds.")
-  in
-  let jitter =
-    Arg.(
-      value & opt float 0.
-      & info [ "jitter" ] ~docv:"FRAC"
-          ~doc:"Maximum fraction of each contact truncated (in [0, 1]).")
-  in
-  let fault_seed =
-    Arg.(
-      value & opt int64 99L
-      & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Seed of every fault decision.")
-  in
   let session =
     Arg.(
       value & opt string "default"
@@ -787,9 +764,9 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"FILE" ~doc)
   in
-  let run script span budget policy nodes delta k strategies alpha explore loss crash_rate
-      down_time jitter fault_seed store session snapshot_every resume jobs chunk trace_out
-      profile metrics_out metrics_every flight_out failpoints =
+  let run script span budget policy nodes delta k strategies alpha explore faults store session
+      snapshot_every resume jobs chunk trace_out profile metrics_out metrics_every flight_out
+      failpoints =
     if jobs < 1 then exit_usage "--jobs must be at least 1";
     if metrics_every < 0 then exit_usage "--metrics-every must be non-negative";
     if metrics_every > 0 && Option.is_none metrics_out then
@@ -799,23 +776,6 @@ let serve_cmd =
       exit_usage "--snapshot-every requires --store DIR (snapshots live in the store)";
     if resume && Option.is_none store then
       exit_usage "--resume requires --store DIR (snapshots live in the store)";
-    let faults =
-      if Float.equal loss 0. && Float.equal crash_rate 0. && Float.equal jitter 0. then None
-      else begin
-        let spec =
-          {
-            Core.Faults.loss;
-            crash_rate = crash_rate /. 3600.;
-            down_time;
-            jitter;
-            seed = fault_seed;
-          }
-        in
-        match Core.Faults.validate spec with
-        | Error msg -> exit_usage msg
-        | Ok () -> Some spec
-      end
-    in
     let config =
       {
         Core.Serve.window = { Core.Serve_window.span; budget; policy; nodes };
@@ -826,7 +786,7 @@ let serve_cmd =
           | None -> []
           | Some spec -> String.split_on_char ',' spec |> List.map String.trim);
         router = { Core.Multipath.alpha; explore };
-        faults;
+        faults = (if Core.Faults.is_null faults then None else Some faults);
       }
     in
     Option.iter Core.Failpoint.install failpoints;
@@ -927,7 +887,9 @@ let serve_cmd =
   let term =
     Term.(
       const run $ script $ span $ budget $ policy $ nodes $ delta $ k $ strategies $ alpha
-      $ explore $ loss $ crash_rate $ down_time $ jitter $ fault_seed $ store_arg $ session
+      $ explore
+      $ faults_term ~defaults:{ Core.Faults.none with down_time = 300.; seed = 99L } ~at:""
+      $ store_arg $ session
       $ snapshot_every $ serve_resume $ serve_jobs $ chunk_term $ trace_out_arg [ "trace" ]
       $ profile_flag $ metrics_out $ metrics_every $ flight_out $ failpoints_term)
   in

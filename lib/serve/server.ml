@@ -285,8 +285,8 @@ let advance t target =
       Flight.note "serve.evict"
         [ ("evicted", string_of_int evicted); ("now", g (Window.now t.window)) ];
     let lines = evaluate_live t in
-    T.gauge t.telemetry "serve.window_size" (float_of_int (Window.size t.window));
-    T.gauge t.telemetry "serve.live_messages" (float_of_int (List.length t.live));
+    T.hist t.telemetry "serve.window_size" (float_of_int (Window.size t.window));
+    T.hist t.telemetry "serve.live_messages" (float_of_int (List.length t.live));
     Printf.sprintf "advance now=%s t0=%s contacts=%d evicted=%d"
       (g (Window.now t.window))
       (g (Window.start t.window))

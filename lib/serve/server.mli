@@ -111,7 +111,7 @@ type summary = {
   s_now : float;
   s_start : float;
   s_contacts : int;  (** Live contacts in the window. *)
-  s_peak : int;  (** Window high-water mark (bench memory-cap check). *)
+  s_peak : int;  (** Window high-water mark. *)
   s_nodes : int;
   s_live : int;  (** Live injected messages. *)
   s_ingested : int;

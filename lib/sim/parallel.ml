@@ -27,9 +27,7 @@ let backoff attempt =
    Telemetry: worker [k] records into child sink [k]. Children are
    forked for the *requested* [jobs] — also on the [jobs = 1] and
    [n < jobs] paths — so the Chrome-trace track layout is a function
-   of [jobs] alone, never of how many tasks there happened to be. The
-   queue gauge samples how much of the range is still unclaimed after
-   each chunk grab, which is the pool's backlog over time.
+   of [jobs] alone, never of how many tasks there happened to be.
 
    [env] runs once per worker, on that worker's domain, before it
    claims work: whatever it allocates (scratch buffers, arenas) is
@@ -89,7 +87,6 @@ let map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0) ~env f tas
       let start = Atomic.fetch_and_add next chunk in
       if start < n then begin
         let stop = Int.min n (start + chunk) in
-        T.gauge sink "parallel.queue" (float_of_int (Int.max 0 (n - stop)));
         for i = start to stop - 1 do
           run_task i
         done;

@@ -78,8 +78,7 @@ val map_traced :
     enumerations) attribute their spans to the right track. [jobs]
     child sinks are {!Psn_telemetry.Telemetry.fork}ed up front —
     uniformly, whatever the task count — and worker [k] records into
-    child [k] (including a ["parallel.queue"] backlog gauge sampled at
-    each chunk grab); the children are joined after the domains are.
+    child [k]; the children are joined after the domains are.
     The default sink is null, under which this is exactly {!map}. *)
 
 val map_env :

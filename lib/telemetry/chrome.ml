@@ -1,7 +1,7 @@
 (* Chrome trace-event JSON (the "JSON Array Format" that
    chrome://tracing and Perfetto load): one complete ("X") event per
-   span, one counter ("C") event per gauge sample, one metadata ("M")
-   thread-name row per track so domains show as separate tracks.
+   span, one counter ("C") event per histogram digest, one metadata
+   ("M") thread-name row per track so domains show as separate tracks.
 
    Output is canonical: fixed field order, integer microseconds,
    events in (track, recording) order — so with a deterministic clock
@@ -82,9 +82,6 @@ let rec add_span b ~first (s : Telemetry.span) =
 let tracks_of (summary : Telemetry.summary) =
   let tracks = Hashtbl.create 8 in
   List.iter (fun (s : Telemetry.span) -> Hashtbl.replace tracks s.Telemetry.s_track ()) summary.Telemetry.roots;
-  List.iter
-    (fun (g : Telemetry.sample) -> Hashtbl.replace tracks g.Telemetry.g_track ())
-    summary.Telemetry.samples;
   Psn_det.Det_tbl.keys ~cmp:Int.compare tracks
 
 let to_json (summary : Telemetry.summary) =
@@ -111,18 +108,6 @@ let to_json (summary : Telemetry.summary) =
         ])
     (tracks_of summary);
   List.iter (add_span b ~first) summary.Telemetry.roots;
-  List.iter
-    (fun (g : Telemetry.sample) ->
-      add_event b ~first
-        [
-          str_field "name" g.Telemetry.g_name;
-          str_field "ph" "C";
-          int_field "ts" (micros g.Telemetry.g_ts);
-          int_field "pid" 1;
-          int_field "tid" g.Telemetry.g_track;
-          args_field [ ("value", Telemetry.Float g.Telemetry.g_value) ];
-        ])
-    summary.Telemetry.samples;
   (* Histogram digests as counter tracks: one "C" event per histogram
      at the close instant, its quantiles as parallel series. Value and
      span-duration histograms keep distinct name prefixes so the two

@@ -2,8 +2,8 @@
 
     Serialises a {!Telemetry.summary} into the trace-event "JSON Array
     Format" understood by [chrome://tracing] and Perfetto
-    ([ui.perfetto.dev]): spans become complete ("X") events, gauge
-    samples become counter ("C") events, and each telemetry track gets
+    ([ui.perfetto.dev]): spans become complete ("X") events, histogram
+    digests become counter ("C") events, and each telemetry track gets
     a thread-name metadata row so domain-parallel sections render as
     one horizontal track per worker domain.
 

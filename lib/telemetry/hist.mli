@@ -68,10 +68,6 @@ val digest : t -> digest
 val equal : t -> t -> bool
 (** Bit-exact state equality (bucket counts, quantized sum, extremes). *)
 
-val buckets : t -> (float * int) list
-(** Sparse non-empty buckets as [(upper_boundary, count)] in ascending
-    order; the zero bucket reports boundary [0.], overflow [+inf]. *)
-
 val cumulative : t -> (float * int) list
 (** OpenMetrics-shaped cumulative [(le, count)] pairs over non-empty
     buckets, always ending with [(+inf, count h)]. *)

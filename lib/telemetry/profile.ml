@@ -1,7 +1,7 @@
 (* Human profile report: the span forest aggregated by name path
    (every "runner.task" under the same parent is one row — calls,
-   total wall, self wall), the merged counter table, and a gauge
-   digest. Aggregation spans all tracks, so a domain-parallel
+   total wall, self wall), the merged counter table, and histogram
+   digests. Aggregation spans all tracks, so a domain-parallel
    section's total can exceed the run's wall time; coverage is judged
    against the main track only, where roots nest the whole run. *)
 
@@ -60,25 +60,8 @@ let coverage (summary : Telemetry.summary) =
   if summary.Telemetry.elapsed > 0. then main_total /. summary.Telemetry.elapsed *. 100.
   else 0.
 
-let gauge_rows (summary : Telemetry.summary) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (g : Telemetry.sample) ->
-      let n, lo, hi, sum =
-        match Hashtbl.find_opt tbl g.Telemetry.g_name with
-        | Some row -> row
-        | None -> (0, Float.max_float, -.Float.max_float, 0.)
-      in
-      Hashtbl.replace tbl g.Telemetry.g_name
-        ( n + 1,
-          Float.min lo g.Telemetry.g_value,
-          Float.max hi g.Telemetry.g_value,
-          sum +. g.Telemetry.g_value ))
-    summary.Telemetry.samples;
-  Psn_det.Det_tbl.bindings ~cmp:String.compare tbl
-
 (* Histogram digests, one row per name. %g keeps tiny durations
-   readable where the fixed-point gauge columns would round to 0.0. *)
+   readable where fixed-point columns would round to 0.0. *)
 let hist_rows b ~header rows =
   match rows with
   | [] -> ()
@@ -118,18 +101,6 @@ let render ?(title = "profile") (summary : Telemetry.summary) =
     List.iter
       (fun (name, v) -> Buffer.add_string b (Printf.sprintf "  %-40s %12d\n" name v))
       counters);
-  (match gauge_rows summary with
-  | [] -> ()
-  | rows ->
-    Buffer.add_string b
-      (Printf.sprintf "  %-40s %6s %9s %9s %9s\n" "gauge" "n" "min" "mean" "max");
-    List.iter
-      (fun (name, (n, lo, hi, sum)) ->
-        Buffer.add_string b
-          (Printf.sprintf "  %-40s %6d %9.1f %9.1f %9.1f\n" name n lo
-             (sum /. float_of_int n)
-             hi))
-      rows);
   hist_rows b ~header:"histogram (values)" summary.Telemetry.hists;
   hist_rows b ~header:"histogram (span durations, s)" summary.Telemetry.span_hists;
   Buffer.contents b

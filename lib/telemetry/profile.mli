@@ -4,7 +4,8 @@
     of the run's wall time the main track's root spans account for), a
     span tree aggregated by name path — calls, total wall seconds and
     self seconds (total minus children) per row, heaviest first — the
-    merged counter table, and per-gauge min/mean/max digests.
+    merged counter table, and quantile digests of the value and
+    span-duration histograms.
 
     Spans from all tracks aggregate into one tree, so a section fanned
     over [N] domains reports the {e sum} of the domains' busy time

@@ -5,7 +5,6 @@ type value = Int of int | Float of float | Str of string
 type event =
   | Begin of { name : string; args : (string * value) list; ts : float }
   | End of { ts : float }
-  | Sample of { name : string; ts : float; value : float }
 
 (* One track's recording. Events are consed newest-first and reversed
    once at [close]; a buffer is only ever touched by the one domain
@@ -71,11 +70,6 @@ let count t name n =
     let prev = Option.value ~default:0 (Hashtbl.find_opt buf.counters name) in
     Hashtbl.replace buf.counters name (prev + n)
 
-let gauge t name value =
-  match t with
-  | Null -> ()
-  | Active { c; buf } -> buf.events <- Sample { name; ts = now c; value } :: buf.events
-
 let hist t name value =
   match t with
   | Null -> ()
@@ -122,12 +116,9 @@ type span = {
   s_children : span list;
 }
 
-type sample = { g_name : string; g_track : int; g_ts : float; g_value : float }
-
 type summary = {
   roots : span list;
   counters : (string * int) list;
-  samples : sample list;
   hists : (string * Hist.t) list;
   span_hists : (string * Hist.t) list;
   elapsed : float;
@@ -140,7 +131,6 @@ type summary = {
    still shows the time it covered. *)
 let forest_of ~elapsed buf =
   let dropped = ref 0 in
-  let samples = ref [] in
   (* Stack frames: (name, args, start, reversed children). *)
   let stack = ref [] in
   let roots = ref [] in
@@ -168,9 +158,7 @@ let forest_of ~elapsed buf =
         | [] -> incr dropped
         | frame :: rest ->
           stack := rest;
-          push (close_frame frame ~until:ts))
-      | Sample { name; ts; value } ->
-        samples := { g_name = name; g_track = buf.track; g_ts = ts; g_value = value } :: !samples)
+          push (close_frame frame ~until:ts)))
     (List.rev buf.events);
   let rec drain () =
     match !stack with
@@ -181,7 +169,7 @@ let forest_of ~elapsed buf =
       drain ()
   in
   drain ();
-  (List.rev !roots, List.rev !samples, !dropped)
+  (List.rev !roots, !dropped)
 
 let close c =
   let elapsed = now c in
@@ -209,7 +197,7 @@ let close c =
       Det_tbl.iter ~cmp:String.compare (fun name h -> hist_into name h) buf.hists)
     buffers;
   let per_track = List.map (forest_of ~elapsed) buffers in
-  let roots = List.concat_map (fun (roots, _, _) -> roots) per_track in
+  let roots = List.concat_map fst per_track in
   (* Wall-time distributions derived from span durations: one histogram
      per span name, merged across tracks. Bucket-sum merging makes the
      result independent of track order; the durations themselves are
@@ -232,11 +220,10 @@ let close c =
   {
     roots;
     counters = Det_tbl.bindings ~cmp:String.compare counters;
-    samples = List.concat_map (fun (_, samples, _) -> samples) per_track;
     hists = Det_tbl.bindings ~cmp:String.compare hists;
     span_hists = Det_tbl.bindings ~cmp:String.compare span_hists;
     elapsed;
-    dropped_ends = List.fold_left (fun acc (_, _, d) -> acc + d) 0 per_track;
+    dropped_ends = List.fold_left (fun acc (_, d) -> acc + d) 0 per_track;
   }
 
 (* ---- rendering helpers ------------------------------------------------ *)

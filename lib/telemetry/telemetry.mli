@@ -1,4 +1,4 @@
-(** Deterministic-by-construction telemetry: spans, counters, gauges.
+(** Deterministic-by-construction telemetry: spans, counters, histograms.
 
     Instrumented code receives a {!sink} and records into it; a sink is
     either {!Sink.null} — every recording call is a single pattern
@@ -16,7 +16,7 @@
     {!join}s them (from the owning domain, after [Domain.join]) — so
     recording is lock-free, and merged output depends only on the fork
     order, never on scheduling. Counters merge by summation
-    (monotonically); spans and gauge samples keep their track.
+    (monotonically), histograms bucket-wise; spans keep their track.
 
     Timestamps come from {!Clock.now_s} relative to the collector's
     epoch; tests inject a fake [?clock] to make output byte-stable. *)
@@ -67,10 +67,6 @@ val count : sink -> string -> int -> unit
 (** [count t name n] adds [n] to the named counter on this track;
     {!close} merges tracks by summation. *)
 
-val gauge : sink -> string -> float -> unit
-(** Record one timestamped sample of a named quantity (queue depth,
-    cache size, ...) on this track. *)
-
 val hist : sink -> string -> float -> unit
 (** [hist t name v] records [v] into the named {!Hist.t} on this track.
     {!close} merges tracks by bucket-wise summation, so the merged
@@ -104,12 +100,9 @@ type span = {
   s_children : span list;  (** In start order. *)
 }
 
-type sample = { g_name : string; g_track : int; g_ts : float; g_value : float }
-
 type summary = {
   roots : span list;  (** Top-level spans, grouped by ascending track. *)
   counters : (string * int) list;  (** Merged across tracks, name-sorted. *)
-  samples : sample list;  (** Gauge samples, per track in time order. *)
   hists : (string * Hist.t) list;
       (** Value histograms from {!hist}, merged across tracks,
           name-sorted. Schedule-independent: safe to golden and to diff

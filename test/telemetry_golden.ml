@@ -23,7 +23,6 @@ let summary () =
           T.hist s "runner.delivery_delay_s" 12.5;
           T.hist s "runner.delivery_delay_s" 340.);
       let kids = T.fork s 2 in
-      T.gauge kids.(0) "parallel.queue" 3.;
       (* Histograms recorded on forked sinks merge by bucket sum at
          join — the goldens pin the merged digest's rendering. *)
       T.hist kids.(0) "runner.delivery_delay_s" 48.;

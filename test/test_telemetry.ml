@@ -110,7 +110,7 @@ let test_null_fork () =
   Array.iter (fun k -> Alcotest.(check bool) "child is null" true (T.Sink.is_null k)) kids;
   (* all recording calls must be no-ops *)
   T.count kids.(0) "x" 1;
-  T.gauge kids.(1) "y" 2.;
+  T.hist kids.(1) "y" 2.;
   T.with_span kids.(2) "z" (fun () -> ());
   T.join T.Sink.null kids
 
@@ -126,25 +126,21 @@ let sample_trace () =
       Core.Contact.make ~a:0 ~b:4 ~t_start:1200. ~t_end:1900.;
     ]
 
-let test_results_unaffected () =
+(* The paper's six algorithms over [sample_trace], 3 seeds: the sweep
+   both contract tests run. *)
+let sweep ?telemetry ?chunk ~jobs () =
   let trace = sample_trace () in
   let workload =
-    {
-      Core.Workload.rate = 0.02;
-      t_start = 0.;
-      t_end = 1000.;
-      n_nodes = Core.Trace.n_nodes trace;
-    }
+    { Core.Workload.rate = 0.02; t_start = 0.; t_end = 1000.; n_nodes = Core.Trace.n_nodes trace }
   in
   let spec = { Core.Runner.workload; seeds = Core.Runner.default_seeds 3 } in
-  let run ?telemetry ~jobs () =
-    List.map Core.Metrics.pool
-      (Core.Runner.outcomes_many ~jobs ?telemetry ~trace ~spec
-         ~factories:
-           (List.map (fun (e : Core.Registry.entry) -> e.Core.Registry.factory)
-              Core.Registry.paper_six)
-         ())
-  in
+  Core.Runner.outcomes_many ~jobs ?chunk ?telemetry ~trace ~spec
+    ~factories:
+      (List.map (fun (e : Core.Registry.entry) -> e.Core.Registry.factory) Core.Registry.paper_six)
+    ()
+
+let test_results_unaffected () =
+  let run ?telemetry ~jobs () = List.map Core.Metrics.pool (sweep ?telemetry ~jobs ()) in
   let plain = run ~jobs:1 () in
   let c = T.create () in
   let traced = run ~telemetry:(T.sink c) ~jobs:4 () in
@@ -156,6 +152,23 @@ let test_results_unaffected () =
   (* and the instrumentation did record the work *)
   Alcotest.(check bool) "tasks counted" true
     (List.mem_assoc "runner.tasks" sum.T.counters)
+
+(* The --metrics promise for sweeps: the value families (counters and
+   value histograms) of a traced sweep are bit-identical for any
+   --jobs and --chunk. *)
+let test_sweep_values_schedule_free () =
+  let exposition ?chunk ~jobs () =
+    let c = T.create () in
+    ignore (sweep ~telemetry:(T.sink c) ?chunk ~jobs ());
+    Core.Openmetrics.render ~values_only:true (Core.Openmetrics.of_summary (T.close c))
+  in
+  let sequential = exposition ~jobs:1 () in
+  Alcotest.(check bool) "delay histogram exported" true
+    (List.exists
+       (String.starts_with ~prefix:"psn_runner_delivery_delay_s_count")
+       (String.split_on_char '\n' sequential));
+  Alcotest.(check string) "jobs 4" sequential (exposition ~jobs:4 ());
+  Alcotest.(check string) "jobs 2, chunk 1" sequential (exposition ~jobs:2 ~chunk:1 ())
 
 let () =
   Alcotest.run "telemetry"
@@ -173,5 +186,8 @@ let () =
           Alcotest.test_case "null fork" `Quick test_null_fork;
         ] );
       ( "contract",
-        [ Alcotest.test_case "results unaffected" `Quick test_results_unaffected ] );
+        [
+          Alcotest.test_case "results unaffected" `Quick test_results_unaffected;
+          Alcotest.test_case "sweep values schedule-free" `Quick test_sweep_values_schedule_free;
+        ] );
     ]
