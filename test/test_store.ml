@@ -102,6 +102,151 @@ let test_codec_truncated () =
       | Error _ -> ())
     [ 0; 3; 10; String.length enc - 1 ]
 
+(* --- codec pins: the bytes existing stores hold, and the errors that
+   [store verify] reports on them --- *)
+
+(* Bit-at-a-time CRC-32 (IEEE 802.3, reflected), independent of the
+   codec's tables. *)
+let ref_crc32 s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let frame_crc frame =
+  Int32.to_int (String.get_int32_le frame (String.length frame - 4)) land 0xFFFFFFFF
+
+let frame_payload frame = String.sub frame 11 (String.length frame - 15)
+
+(* A frame with [payload] in place of its own, length and CRC made
+   consistent again, so only the payload decode can reject it. *)
+let reseal frame payload =
+  let b = Buffer.create (String.length payload + 15) in
+  Buffer.add_string b (String.sub frame 0 7);
+  Buffer.add_int32_le b (Int32.of_int (String.length payload));
+  Buffer.add_string b payload;
+  let body = Buffer.contents b in
+  Buffer.add_int32_le b (Int32.of_int (ref_crc32 body ~pos:4 ~len:(String.length body - 4)));
+  Buffer.contents b
+
+(* 41 records, every third undelivered: the payload starts with the
+   10-byte algorithm string and the 4-byte record count, and record [i]
+   is 29 bytes, plus 8 when delivered. *)
+let pin_outcome =
+  let record i =
+    let message =
+      Core.Message.make ~id:i ~src:(i mod 7) ~dst:(7 + (i mod 5))
+        ~t_create:((float_of_int i *. 13.) +. 0.25)
+    in
+    let delivered = if i mod 3 = 0 then None else Some ((float_of_int i *. 17.) +. 1000.5) in
+    { Core.Engine.message; delivered; copies = i mod 4; attempts = (i mod 4) + (i mod 2) }
+  in
+  let records = Array.init 41 record in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 records in
+  {
+    Core.Engine.algorithm = "pinned";
+    records;
+    copies = sum (fun r -> r.Core.Engine.copies);
+    attempts = sum (fun r -> r.Core.Engine.attempts);
+  }
+
+let pin_manifest =
+  let entry e_key e_kind e_size e_last_access = { Codec.e_key; e_kind; e_size; e_last_access } in
+  {
+    Codec.m_clock = 42L;
+    m_hits = 7L;
+    m_misses = 3L;
+    m_entries =
+      [
+        entry "0123456789abcdef" Codec.Outcome 1234 40L;
+        entry "fedcba9876543210" Codec.Enumeration 77 41L;
+        entry "00000000deadbeef" Codec.Blob 15 2L;
+      ];
+  }
+
+let pin_enumeration =
+  let arrival hops step =
+    let time = float_of_int step *. 2.5 in
+    {
+      Core.Enumerate.path =
+        Core.Path.of_hops (List.map (fun (node, step) -> { Core.Path.node; step }) hops);
+      step;
+      time;
+      duration = time -. 3.;
+    }
+  in
+  {
+    Core.Enumerate.arrivals =
+      [| arrival [ (0, 2); (5, 4) ] 4; arrival [ (0, 2); (3, 3); (5, 6) ] 6; arrival [ (0, 7) ] 7 |];
+    stopped_early = true;
+    steps_processed = 9;
+    src = 0;
+    dst = 5;
+    t_create = 3.;
+  }
+
+let test_codec_version_pinned () = Alcotest.(check int) "format version" 1 Codec.version
+
+let test_codec_frames_pinned () =
+  let check name frame len digest =
+    Alcotest.(check int) (name ^ " frame length") len (String.length frame);
+    Alcotest.(check string) (name ^ " frame digest") digest (Fnv.to_hex (Fnv.of_string frame))
+  in
+  check "outcome" (Codec.encode_outcome pin_outcome) 1442 "c2daa621775085dc";
+  check "manifest" (Codec.encode_manifest pin_manifest) 142 "fdf94e78872c5d9b";
+  check "enumeration" (Codec.encode_enumeration pin_enumeration) 160 "eefe115b32c6d642"
+
+let test_codec_crc_reference () =
+  Alcotest.(check int) "reference CRC check value" 0xCBF43926 (ref_crc32 "123456789" ~pos:0 ~len:9);
+  (* Every payload length from 0 to 40 bytes, so every tail a
+     multi-byte CRC step can leave is covered. *)
+  for n = 0 to 40 do
+    let frame = Codec.encode_blob (String.init n (fun i -> Char.chr (((i * 37) + n) land 0xFF))) in
+    Alcotest.(check int)
+      (Printf.sprintf "blob of %d bytes" n)
+      (ref_crc32 frame ~pos:4 ~len:(String.length frame - 8))
+      (frame_crc frame)
+  done
+
+(* The exact offset and reason of an outcome payload rejection. *)
+let check_outcome_error name frame offset reason =
+  match Codec.decode_outcome frame with
+  | Ok _ -> Alcotest.failf "%s: decoded" name
+  | Error e ->
+    Alcotest.(check string) (name ^ " reason") reason e.Codec.reason;
+    Alcotest.(check int) (name ^ " offset") offset e.Codec.offset
+
+let test_codec_errors_pinned () =
+  let frame = Codec.encode_outcome pin_outcome in
+  let payload = frame_payload frame in
+  let with_byte pos v =
+    let b = Bytes.of_string payload in
+    Bytes.set b pos (Char.chr v);
+    reseal frame (Bytes.to_string b)
+  in
+  (* Record 1 starts at payload byte 43; its option tag follows the
+     20 message bytes. *)
+  check_outcome_error "bad option tag" (with_byte 63 2) 74 "bad option tag 2";
+  (* Record 1's destination set to its source (1). *)
+  check_outcome_error "src = dst" (with_byte 51 1) 11
+    "payload violates invariants: Message.make: src = dst";
+  (* Records 0..34 fill payload bytes 14..1212; record 35 is delivered. *)
+  let cut n = reseal frame (String.sub payload 0 n) in
+  check_outcome_error "truncated in the message fields" (cut 1223) 1232
+    "truncated payload (need 4 more bytes)";
+  check_outcome_error "truncated in the delivery time" (cut 1237) 1245
+    "truncated payload (need 8 more bytes)";
+  check_outcome_error "truncated in the counters" (cut 1246) 1257
+    "truncated payload (need 4 more bytes)";
+  check_outcome_error "truncated in the totals" (cut (String.length payload - 3)) 1434
+    "truncated payload (need 4 more bytes)";
+  check_outcome_error "trailing bytes" (reseal frame (payload ^ "\000")) 1438
+    "trailing bytes after payload"
+
 (* --- codec qcheck properties --- *)
 
 let gen_trace =
@@ -577,6 +722,10 @@ let () =
           Alcotest.test_case "metrics nan round-trip" `Quick test_codec_metrics_nan_roundtrip;
           Alcotest.test_case "kind mismatch" `Quick test_codec_kind_mismatch;
           Alcotest.test_case "truncation" `Quick test_codec_truncated;
+          Alcotest.test_case "format version pinned" `Quick test_codec_version_pinned;
+          Alcotest.test_case "frame bytes pinned" `Quick test_codec_frames_pinned;
+          Alcotest.test_case "CRC matches a bitwise reference" `Quick test_codec_crc_reference;
+          Alcotest.test_case "outcome errors pinned" `Quick test_codec_errors_pinned;
         ] );
       ("codec-properties", qcheck_codec);
       ("key", [ Alcotest.test_case "sensitivity" `Quick test_key_sensitivity ]);
