@@ -18,23 +18,31 @@ let delays (outcome : Engine.outcome) =
   Array.sort Float.compare out;
   out
 
-let of_records algorithm records =
+(* One pass over the records: delays packed into a float array (no
+   option or list per record), their sum in record order, and the
+   counters. *)
+let of_records algorithm (records : Engine.record array) =
   let messages = Array.length records in
-  let delay_list = Array.to_list records |> List.filter_map Engine.delay in
-  let delivered = List.length delay_list in
-  let copies =
-    Array.fold_left (fun acc (r : Engine.record) -> acc + r.Engine.copies) 0 records
-  in
-  let attempts =
-    Array.fold_left (fun acc (r : Engine.record) -> acc + r.Engine.attempts) 0 records
-  in
-  let mean_delay =
-    if delivered = 0 then Float.nan
-    else List.fold_left ( +. ) 0. delay_list /. float_of_int delivered
-  in
-  let median_delay =
-    if delivered = 0 then Float.nan
-    else Psn_stats.Quantile.median (Array.of_list delay_list)
+  let delays = Array.create_float messages in
+  let delivered = ref 0 and sum = ref 0. and copies = ref 0 and attempts = ref 0 in
+  for i = 0 to messages - 1 do
+    let r = records.(i) in
+    copies := !copies + r.Engine.copies;
+    attempts := !attempts + r.Engine.attempts;
+    match r.Engine.delivered with
+    | None -> ()
+    | Some t ->
+      let d = t -. r.Engine.message.Message.t_create in
+      delays.(!delivered) <- d;
+      sum := !sum +. d;
+      incr delivered
+  done;
+  let delivered = !delivered in
+  let mean_delay, median_delay =
+    if delivered = 0 then (Float.nan, Float.nan)
+    else
+      ( !sum /. float_of_int delivered,
+        Psn_stats.Quantile.median (Array.sub delays 0 delivered) )
   in
   {
     algorithm;
@@ -43,8 +51,8 @@ let of_records algorithm records =
     success_rate = (if messages = 0 then 0. else float_of_int delivered /. float_of_int messages);
     mean_delay;
     median_delay;
-    copies;
-    attempts;
+    copies = !copies;
+    attempts = !attempts;
   }
 
 (* Attempted transfers per successful transmission — 1.0 in a fault-free
@@ -68,11 +76,8 @@ let pool = function
         if not (String.equal o.Engine.algorithm first.Engine.algorithm) then
           invalid_arg "Metrics.pool: mixed algorithms")
       outcomes;
-    let records =
-      List.concat_map (fun (o : Engine.outcome) -> Array.to_list o.Engine.records) outcomes
-      |> Array.of_list
-    in
-    of_records first.Engine.algorithm records
+    of_records first.Engine.algorithm
+      (Array.concat (List.map (fun (o : Engine.outcome) -> o.Engine.records) outcomes))
 
 (* The determinism contract is "same bits", not numeric equality:
    comparing the IEEE payloads keeps NaN delays (no deliveries) equal

@@ -48,20 +48,54 @@ let pp_error ppf e = Format.fprintf ppf "offset %d: %s" e.offset e.reason
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)              *)
 
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
-
-let crc32 s ~pos ~len =
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := crc_table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+(* Sliced tables, slice [k] at [k * 256]: entry [n] of slice [k] is the
+   register after byte [n] followed by [k] zero bytes. Slice 0 is the
+   classic byte-at-a-time table; all eight together advance the CRC by
+   eight bytes per step (slicing-by-8). Same polynomial, same values. *)
+let crc_byte n =
+  let c = ref n in
+  for _ = 0 to 7 do
+    c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
   done;
-  !c lxor 0xFFFFFFFF
+  !c
+
+(* Built once, at module load: the kernels below only read it. *)
+let crc_table =
+  (Array.init 2048 (fun i ->
+       let c = ref (crc_byte (i land 0xFF)) in
+       for _ = 1 to i lsr 8 do
+         c := (!c lsr 8) lxor crc_byte (!c land 0xFF)
+       done;
+       !c))
+  [@lint.allow "hot-path-alloc"]
+
+(* Little-endian field reads at a byte position, for callers that have
+   checked the bounds of the whole span. *)
+let u32_at s i = Int32.to_int (String.get_int32_le s i) land 0xFFFFFFFF
+let f64_at s i = Int64.float_of_bits (String.get_int64_le s i)
+
+let[@psn.hot] rec crc_bytes s i stop c =
+  if i >= stop then c
+  else crc_bytes s (i + 1) stop (crc_table.((c lxor Char.code s.[i]) land 0xFF) lxor (c lsr 8))
+
+let[@psn.hot] rec crc_words s i stop c =
+  if i + 8 > stop then crc_bytes s i stop c
+  else begin
+    let t = crc_table in
+    let lo = c lxor u32_at s i in
+    let hi = u32_at s (i + 4) in
+    crc_words s (i + 8) stop
+      (t.(1792 + (lo land 0xFF))
+      lxor t.(1536 + ((lo lsr 8) land 0xFF))
+      lxor t.(1280 + ((lo lsr 16) land 0xFF))
+      lxor t.(1024 + (lo lsr 24))
+      lxor t.(768 + (hi land 0xFF))
+      lxor t.(512 + ((hi lsr 8) land 0xFF))
+      lxor t.(256 + ((hi lsr 16) land 0xFF))
+      lxor t.(hi lsr 24))
+  end
+
+let[@psn.hot] crc32 s ~pos ~len = crc_words s pos (pos + len) 0xFFFFFFFF lxor 0xFFFFFFFF
 
 (* ------------------------------------------------------------------ *)
 (* Primitive writers (little-endian, fixed width)                      *)
@@ -91,9 +125,23 @@ exception Bad of int * string
 
 type reader = { data : string; mutable pos : int }
 
-let need r n =
-  if n < 0 || r.pos + n > String.length r.data then
-    raise (Bad (r.pos, Printf.sprintf "truncated payload (need %d more bytes)" n))
+let truncated n = Printf.sprintf "truncated payload (need %d more bytes)" n
+
+let need r n = if n < 0 || r.pos + n > String.length r.data then raise (Bad (r.pos, truncated n))
+
+(* One bounds check for a fixed-size part of [len] bytes made of fields
+   [widths] bytes wide. If the part does not fit, the error names the
+   first field that does not, at the offset and with the reason that
+   reading the fields one at a time would give. *)
+let need_part r len widths =
+  if r.pos + len > String.length r.data then begin
+    let rec first_short pos = function
+      | w :: rest when pos + w <= String.length r.data -> first_short (pos + w) rest
+      | w :: _ -> raise (Bad (pos, truncated w))
+      | [] -> need r len
+    in
+    first_short r.pos widths
+  end
 
 let r_u8 r =
   need r 1;
@@ -103,7 +151,7 @@ let r_u8 r =
 
 let r_u32 r =
   need r 4;
-  let v = Int32.to_int (String.get_int32_le r.data r.pos) land 0xFFFFFFFF in
+  let v = u32_at r.data r.pos in
   r.pos <- r.pos + 4;
   v
 
@@ -120,12 +168,6 @@ let r_bool r =
   | 0 -> false
   | 1 -> true
   | v -> raise (Bad (r.pos - 1, Printf.sprintf "bad boolean byte %d" v))
-
-let r_opt_f64 r =
-  match r_u8 r with
-  | 0 -> None
-  | 1 -> Some (r_f64 r)
-  | v -> raise (Bad (r.pos - 1, Printf.sprintf "bad option tag %d" v))
 
 let r_str r =
   let len = r_u32 r in
@@ -295,21 +337,31 @@ let outcome_payload b (o : Engine.outcome) =
   w_u32 b o.Engine.copies;
   w_u32 b o.Engine.attempts
 
+(* A record is read as three fixed-size parts, one bounds check each:
+   the message fields with the delivery option tag (21 bytes), the
+   delivery time when the tag is 1 (8), and the two counters (8). *)
+let read_record r =
+  need_part r 21 [ 4; 4; 4; 8; 1 ];
+  let d = r.data and p = r.pos in
+  let id = u32_at d p and src = u32_at d (p + 4) and dst = u32_at d (p + 8) in
+  let t_create = f64_at d (p + 12) in
+  r.pos <- p + 21;
+  let delivered =
+    match Char.code d.[p + 20] with
+    | 0 -> None
+    | 1 -> Some (r_f64 r)
+    | v -> raise (Bad (p + 20, Printf.sprintf "bad option tag %d" v))
+  in
+  need_part r 8 [ 4; 4 ];
+  let copies = u32_at d r.pos and attempts = u32_at d (r.pos + 4) in
+  r.pos <- r.pos + 8;
+  { Engine.message = Message.make ~id ~src ~dst ~t_create; delivered; copies; attempts }
+
 let read_outcome r =
   let algorithm = r_str r in
   let n = r_u32 r in
   need r (n * 29) (* 20 message bytes + >=1 option byte + 8 counter bytes *);
-  let records =
-    Array.init n (fun _ ->
-        let id = r_u32 r in
-        let src = r_u32 r in
-        let dst = r_u32 r in
-        let t_create = r_f64 r in
-        let delivered = r_opt_f64 r in
-        let copies = r_u32 r in
-        let attempts = r_u32 r in
-        { Engine.message = Message.make ~id ~src ~dst ~t_create; delivered; copies; attempts })
-  in
+  let records = Array.init n (fun _ -> read_record r) in
   let copies = r_u32 r in
   let attempts = r_u32 r in
   { Engine.algorithm; records; copies; attempts }

@@ -779,6 +779,84 @@ let test_engine_scratch_dirty () =
   let fresh = Engine.run ~trace ~messages epidemic in
   Alcotest.(check bool) "dirty scratch rebuilt" true (Stdlib.compare after fresh = 0)
 
+(* [Metrics.of_records] before its one-pass rewrite: delays through an
+   option list, summed left to right, and a median by sorting and
+   interpolating. Kept as the oracle the rewrite must match bit for
+   bit. *)
+let list_metrics algorithm (records : Engine.record array) =
+  let messages = Array.length records in
+  let delay_list = Array.to_list records |> List.filter_map Engine.delay in
+  let delivered = List.length delay_list in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 records in
+  let median () =
+    let sorted = Array.of_list delay_list in
+    Array.sort Float.compare sorted;
+    let pos = 0.5 *. float_of_int (delivered - 1) in
+    let lo = int_of_float (Float.floor pos) in
+    let hi = Int.min (lo + 1) (delivered - 1) in
+    if delivered = 1 then sorted.(0)
+    else sorted.(lo) +. ((pos -. float_of_int lo) *. (sorted.(hi) -. sorted.(lo)))
+  in
+  {
+    Metrics.algorithm;
+    messages;
+    delivered;
+    success_rate = (if messages = 0 then 0. else float_of_int delivered /. float_of_int messages);
+    mean_delay =
+      (if delivered = 0 then Float.nan
+       else List.fold_left ( +. ) 0. delay_list /. float_of_int delivered);
+    median_delay = (if delivered = 0 then Float.nan else median ());
+    copies = sum (fun r -> r.Engine.copies);
+    attempts = sum (fun r -> r.Engine.attempts);
+  }
+
+(* Outcomes of one algorithm: 0 to 60 records each, with a delivery
+   ratio drawn per outcome so that some deliver nothing (NaN delays). *)
+let gen_outcome =
+  let open QCheck2.Gen in
+  let* n = int_range 0 60 in
+  let* p_delivered = oneofl [ 0.; 0.3; 0.9; 1. ] in
+  let gen_record id =
+    let* src = int_range 0 40 in
+    let* dst_off = int_range 1 40 in
+    let* t_create = float_range 0. 7200. in
+    let* delivered = float_range 0. 1. in
+    let* delay = float_range 0. 5000. in
+    let* copies = int_range 0 30 in
+    let* lost = int_range 0 3 in
+    pure
+      {
+        Engine.message = Message.make ~id ~src ~dst:(src + dst_off) ~t_create;
+        delivered = (if delivered < p_delivered then Some (t_create +. delay) else None);
+        copies;
+        attempts = copies + lost;
+      }
+  in
+  let rec records id = if id = n then pure [] else map2 List.cons (gen_record id) (records (id + 1)) in
+  let* records = records 0 in
+  let records = Array.of_list records in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 records in
+  pure
+    {
+      Engine.algorithm = "Pooled";
+      records;
+      copies = sum (fun r -> r.Engine.copies);
+      attempts = sum (fun r -> r.Engine.attempts);
+    }
+
+let metrics_oracle_tests =
+  let open QCheck2 in
+  [
+    Test.make ~count:200 ~name:"of_outcome equals the list-based oracle" gen_outcome (fun o ->
+        Metrics.equal (Metrics.of_outcome o) (list_metrics o.Engine.algorithm o.Engine.records));
+    Test.make ~count:200 ~name:"pool of 1 to 40 outcomes equals the list-based oracle"
+      Gen.(list_size (int_range 1 40) gen_outcome)
+      (fun outs ->
+        let records = Array.concat (List.map (fun (o : Engine.outcome) -> o.Engine.records) outs) in
+        Metrics.equal (Metrics.pool outs) (list_metrics "Pooled" records));
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 (* The issue's qcheck property: pooled metrics of a chunked parallel
    run are bit-identical (Metrics.equal — IEEE payload equality) to
    the jobs = 1 run, across jobs × chunk × task-count combinations
@@ -1102,7 +1180,8 @@ let () =
             test_metrics_pool_singleton_and_errors;
           Alcotest.test_case "grouped" `Quick test_metrics_grouped;
           Alcotest.test_case "grouped NaN key" `Quick test_metrics_grouped_nan_key;
-        ] );
+        ]
+        @ metrics_oracle_tests );
       ( "runner",
         [
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;

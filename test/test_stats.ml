@@ -81,6 +81,74 @@ let test_percentile () =
   Alcotest.check feps "p25" 25. (Quantile.percentile xs 25);
   Alcotest.check feps "p99" 99. (Quantile.percentile xs 99)
 
+(* Quantiles as computed before selection: sort a copy under
+   [Float.compare], then interpolate (type 7). The selection-based
+   [Quantile.quantile] must agree with it under [Float.equal]. *)
+let sorted_quantile xs q =
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  let n = Array.length sorted in
+  if n = 1 then sorted.(0)
+  else begin
+    let pos = q *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor pos) in
+    let hi = Int.min (lo + 1) (n - 1) in
+    let frac = pos -. float_of_int lo in
+    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+  end
+
+(* A median-of-three killer for the selection kernel. A partition of
+   [lo..hi] sorts the keys at [lo], the midpoint and [hi], parks the
+   middle one at [hi - 1] as the pivot, and ends with the pivot at its
+   final place. When [lo] and the midpoint hold the range's two smallest
+   keys, that place is [lo + 1]: the round peels off two keys, and the
+   pivot's old slot takes the key from [lo + 1]. Replaying those moves on
+   positions, and handing out ranks in that order, yields an input on
+   which every round is this bad one, so selecting the median runs out
+   of its 2 log2 n rounds and finishes on the heapsort fallback. *)
+let median_of_three_killer n =
+  let slot = Array.init n Fun.id in
+  let rank = Array.make n (-1) in
+  let next = ref 0 in
+  let assign pos =
+    rank.(slot.(pos)) <- !next;
+    incr next
+  in
+  let swap i j =
+    let t = slot.(i) in
+    slot.(i) <- slot.(j);
+    slot.(j) <- t
+  in
+  let hi = n - 1 in
+  let lo = ref 0 in
+  while hi - !lo >= 16 do
+    let mid = !lo + ((hi - !lo) / 2) in
+    assign !lo;
+    assign mid;
+    swap mid (hi - 1);
+    swap (!lo + 1) (hi - 1);
+    lo := !lo + 2
+  done;
+  Array.iteri
+    (fun i r ->
+      if r < 0 then begin
+        rank.(i) <- !next;
+        incr next
+      end)
+    rank;
+  Array.map float_of_int rank
+
+let test_quantile_selection_fallback () =
+  List.iter
+    (fun n ->
+      let xs = median_of_three_killer n in
+      List.iter
+        (fun q ->
+          Alcotest.(check (float 0.)) (Printf.sprintf "n=%d q=%g" n q) (sorted_quantile xs q)
+            (Quantile.quantile xs q))
+        [ 0.; 0.25; 0.5; 0.75; 1. ])
+    [ 17; 100; 1000; 3000 ]
+
 (* --- Cdf --- *)
 
 let test_cdf_eval () =
@@ -246,6 +314,35 @@ let test_table_ragged_rows () =
 
 (* --- qcheck properties --- *)
 
+(* Samples of 1 to 3000 keys in the shapes selection handles
+   differently: random, heavy duplicates, all equal, sorted, reversed,
+   organ pipe, and sprinkled with NaN, infinities and signed zeros. *)
+let gen_sample =
+  let open QCheck2.Gen in
+  let* n = int_range 1 3000 in
+  let floats = array_size (pure n) (float_range (-1e6) 1e6) in
+  let sorted cmp =
+    map
+      (fun a ->
+        let a = Array.copy a in
+        Array.sort cmp a;
+        a)
+      floats
+  in
+  let special =
+    oneofl [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; 1.; -1. ]
+  in
+  oneof
+    [
+      floats;
+      array_size (pure n) (map float_of_int (int_range 0 5));
+      map (Array.make n) (float_range (-10.) 10.);
+      sorted Float.compare;
+      sorted (fun a b -> Float.compare b a);
+      pure (Array.init n (fun i -> float_of_int (Int.min i (n - 1 - i))));
+      array_size (pure n) (frequency [ (3, float_range (-100.) 100.); (1, special) ]);
+    ]
+
 let qcheck_tests =
   let open QCheck2 in
   let float_list = Gen.(list_size (int_range 1 200) (float_range (-1e6) 1e6)) in
@@ -266,6 +363,20 @@ let qcheck_tests =
         let lo = List.fold_left Float.min Float.infinity xs in
         let hi = List.fold_left Float.max Float.neg_infinity xs in
         q >= lo && q <= hi);
+    Test.make ~name:"selection quantile equals sort-then-interpolate" ~count:300
+      ~print:(fun (xs, q) ->
+        Printf.sprintf "n=%d q=%h head=[%s]" (Array.length xs) q
+          (String.concat "; "
+             (List.map (Printf.sprintf "%h")
+                (Array.to_list (Array.sub xs 0 (Int.min 8 (Array.length xs)))))))
+      Gen.(pair gen_sample (oneof [ float_range 0. 1.; oneofl [ 0.; 0.5; 1. ] ]))
+      (fun (xs, q) ->
+        let before = Array.copy xs in
+        let got = Quantile.quantile xs q in
+        Float.equal got (sorted_quantile xs q)
+        && Array.for_all2
+             (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+             before xs);
     Test.make ~name:"summary merge equals pooled summary" ~count:200
       Gen.(pair float_list float_list)
       (fun (xs, ys) ->
@@ -303,6 +414,8 @@ let () =
           Alcotest.test_case "unsorted input" `Quick test_quantile_unsorted_input;
           Alcotest.test_case "errors" `Quick test_quantile_errors;
           Alcotest.test_case "percentile" `Quick test_percentile;
+          Alcotest.test_case "selection fallback on a median-of-three killer" `Quick
+            test_quantile_selection_fallback;
         ] );
       ( "cdf",
         [
