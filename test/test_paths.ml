@@ -225,6 +225,72 @@ let test_enumerate_errors () =
   Alcotest.check_raises "src=dst" (Invalid_argument "Enumerate.run: src = dst") (fun () ->
       ignore (run snap ~src:1 ~dst:1 ~t_create:0.))
 
+(* --- Enumeration pins on the Fig. 4 study ---
+
+   The kernel's exact output on real workloads: FNV digests of the
+   encoded results for messages of the Fig. 4 study on infocom06_am
+   (the study's own sampler: uniform source, distinct uniform
+   destination, creation time in the first two thirds of the trace).
+   Any change to the DP's data structures must leave every byte, step
+   count and stop flag as pinned here. *)
+
+let fig4_pins =
+  lazy
+    (let dataset = Core.Dataset.infocom06_am in
+     let trace = Core.Dataset.generate dataset in
+     let rng =
+       Rng.create
+         ~seed:
+           (Int64.logxor Core.Experiments.default_scale.Core.Experiments.rng_seed
+              dataset.Core.Dataset.seed)
+         ()
+     in
+     let n = Trace.n_nodes trace in
+     let messages =
+       Array.init 6 (fun _ ->
+           let src = Rng.int rng n in
+           let dst =
+             let r = Rng.int rng (n - 1) in
+             if r >= src then r + 1 else r
+           in
+           (src, dst, Rng.float rng (Trace.horizon trace *. 2. /. 3.)))
+     in
+     (Snapshot.of_trace trace, messages))
+
+let check_pin name config i ~steps ~stopped ~arrivals ~digest =
+  let snap, messages = Lazy.force fig4_pins in
+  let src, dst, t_create = messages.(i) in
+  let r = Enumerate.run ~config snap ~src ~dst ~t_create in
+  Alcotest.(check int) (name ^ " steps") steps r.Enumerate.steps_processed;
+  Alcotest.(check bool) (name ^ " stopped early") stopped r.Enumerate.stopped_early;
+  Alcotest.(check int) (name ^ " arrivals") arrivals (Array.length r.Enumerate.arrivals);
+  Alcotest.(check string) (name ^ " digest") digest
+    (Core.Fnv.to_hex (Core.Fnv.of_string (Core.Store_codec.encode_enumeration r)))
+
+let fig4_config = { Enumerate.k = 2000; max_hops = None; stop_at_total = Some 2000; exhaustive = false }
+
+(* The three cheapest messages of the psnbench enum-fig4 panel. *)
+let test_pin_fig4 () =
+  check_pin "msg 2" fig4_config 2 ~steps:27 ~stopped:true ~arrivals:2000 ~digest:"ebb5554cb9d304c2";
+  check_pin "msg 3" fig4_config 3 ~steps:120 ~stopped:true ~arrivals:2000 ~digest:"cceee730b7c3405b";
+  check_pin "msg 5" fig4_config 5 ~steps:114 ~stopped:true ~arrivals:2000 ~digest:"b486567752f301b0"
+
+let test_pin_exhaustive () =
+  check_pin "exhaustive k=200"
+    { fig4_config with Enumerate.k = 200; stop_at_total = Some 200; exhaustive = true }
+    3 ~steps:120 ~stopped:true ~arrivals:200 ~digest:"a4ac9ffef8f3ce8f"
+
+(* The hop cap leaves this message short of its budget at trace end. *)
+let test_pin_max_hops () =
+  check_pin "max_hops 4" { fig4_config with Enumerate.max_hops = Some 4 } 5 ~steps:411 ~stopped:false
+    ~arrivals:1974 ~digest:"188394ead0fbd371"
+
+(* The shape serve's [paths] queries use. *)
+let test_pin_serve_shape () =
+  check_pin "serve k=64"
+    { Enumerate.k = 64; max_hops = None; stop_at_total = None; exhaustive = false }
+    2 ~steps:27 ~stopped:true ~arrivals:64 ~digest:"0e2f6a2005c0f285"
+
 (* --- Enumeration properties on random traces --- *)
 
 let random_trace rng =
@@ -441,6 +507,13 @@ let () =
           Alcotest.test_case "total-arrivals stop" `Quick test_enumerate_stop_at_total;
           Alcotest.test_case "no delivery" `Quick test_enumerate_no_delivery;
           Alcotest.test_case "errors" `Quick test_enumerate_errors;
+        ] );
+      ( "enumerate-pins",
+        [
+          Alcotest.test_case "fig4 panel, k=2000" `Slow test_pin_fig4;
+          Alcotest.test_case "exhaustive, k=200" `Slow test_pin_exhaustive;
+          Alcotest.test_case "max_hops 4" `Slow test_pin_max_hops;
+          Alcotest.test_case "serve shape, k=64" `Slow test_pin_serve_shape;
         ] );
       ( "enumerate-properties",
         [
