@@ -21,106 +21,343 @@ type result = {
   t_create : float;
 }
 
-(* Compact per-copy state. [hops_rev] shares its tail across extensions,
-   so an extension costs one cons; [visited] is a private bitset copied
-   on extension (n/8 bytes). *)
-type ipath = {
-  last : int;
-  hops_rev : (int * int) list;
-  nhops : int;
-  visited : Bytes.t;
-  born : int;  (* step at which this copy was created *)
-}
-
 let bitset_create n = Bytes.make ((n + 7) / 8) '\000'
 
-let[@psn.hot] bitset_mem bs i = Char.code (Bytes.get bs (i lsr 3)) land (1 lsl (i land 7)) <> 0
+(* Bitsets are [stride]-byte rows; [base] is the row's first byte. *)
+let[@psn.hot] bitset_mem_at bs base i =
+  Char.code (Bytes.get bs (base + (i lsr 3))) land (1 lsl (i land 7)) <> 0
 
-let[@psn.hot] bitset_add bs i =
-  let byte = i lsr 3 in
+let[@psn.hot] bitset_add_at bs base i =
+  let byte = base + (i lsr 3) in
   Bytes.set bs byte (Char.chr (Char.code (Bytes.get bs byte) lor (1 lsl (i land 7))))
+
+let[@psn.hot] bitset_mem bs i = bitset_mem_at bs 0 i
+let[@psn.hot] bitset_add bs i = bitset_add_at bs 0 i
 
 let[@psn.hot] bitset_remove bs i =
   let byte = i lsr 3 in
   Bytes.set bs byte (Char.chr (Char.code (Bytes.get bs byte) land lnot (1 lsl (i land 7)) land 0xff))
 
-let bitset_with bs i =
-  let copy = Bytes.copy bs in
-  bitset_add copy i;
-  copy
+(* Whether the row at [base] holds any of [nodes]. *)
+let[@psn.hot] rec bitset_meets bs base nodes =
+  match nodes with
+  | [] -> false
+  | v :: rest -> bitset_mem_at bs base v || bitset_meets bs base rest
 
-let[@psn.hot] bitset_intersects a b =
-  let len = Bytes.length a in
-  let rec scan i =
-    if i >= len then false
-    else if Char.code (Bytes.get a i) land Char.code (Bytes.get b i) <> 0 then true
-    else scan (i + 1)
-  in
-  scan 0
+(* Per-run DP state, allocated once per run.
 
-(* Merge two nhops-ascending path lists, keeping the first [k]. *)
-let merge_k k xs ys =
-  let rec go n xs ys acc =
-    if n = 0 then List.rev acc
-    else
-      match (xs, ys) with
-      | [], [] -> List.rev acc
-      | x :: xs', [] -> go (n - 1) xs' [] (x :: acc)
-      | [], y :: ys' -> go (n - 1) [] ys' (y :: acc)
-      | x :: xs', y :: ys' ->
-        if x.nhops <= y.nhops then go (n - 1) xs' ys (x :: acc) else go (n - 1) xs ys' (y :: acc)
-  in
-  go k xs ys []
+   The table is a set of parallel slices: the paths node [u] retains
+   with [h] hops sit at positions [0, counts.(u).(h)) of
+   - [hops.(u).(h)]: the path's hops, newest first, each packed
+     [step * n + node]; extensions share their parent's tail, so an
+     extension costs one cons;
+   - [born.(u).(h)]: the step that created it;
+   - [marks.(u).(h)]: its visited set, [stride] bytes per path.
+   Level order is the nhops-ascending order the pruning needs, and a
+   level only ever appends this step's new paths after its retained
+   ones, so within a level paths are in creation order ([born]
+   non-decreasing) and nothing is re-sorted or rebuilt. A node's levels
+   are allocated when it first receives a path, a level's slices when it
+   first fills; slices only grow. [top.(u)] is the highest non-empty
+   level (0 when empty).
 
-let to_path ip ~dst ~step =
-  let hops = List.rev_map (fun (node, step) -> { Path.node; step }) ((dst, step) :: ip.hops_rev) in
-  Path.of_hops hops
+   The per-hop worklists [buckets.(h)] are stacks, [heights.(h)] deep,
+   with the LIFO order of cons lists. An entry [i * n + u] names the path
+   at position [i] of node [u]'s level [h]: positions only move in the
+   kill and the trim, after the worklists have drained. *)
+type state = {
+  snap : Snapshot.t;
+  n : int;
+  k : int;
+  dst : int;
+  hop_cap : int;
+  budget : int;
+  stride : int;
+  hops : int list array array array;
+  born : int array array array;
+  marks : Bytes.t array array;
+  counts : int array array;
+  size : int array;
+  top : int array;
+  mutable live : int;
+  buckets : int array array;
+  heights : int array;
+  new_count : int array;  (* paths this step added to each node *)
+  touched : int array;  (* nodes with [new_count > 0], first [n_touched] *)
+  mutable n_touched : int;
+  kth_old : int array;
+  reach : int array;  (* per node, [reach_of] its neighbours this step *)
+  fresh_edges : int list array;
+  in_dst_component : bool array;
+  mutable step : int;
+  mutable step_time : float;
+  mutable step_duration : float;
+  mutable found : arrival list;  (* newest first *)
+  mutable n_arrivals : int;
+  mutable step_arrivals : int;
+}
+
+let grown slice len fill =
+  let bigger = Array.make (Int.max 4 (2 * len)) fill in
+  Array.blit slice 0 bigger 0 len;
+  bigger
+
+let[@psn.hot] rec lower_top counts h = if h > 0 && counts.(h) = 0 then lower_top counts (h - 1) else h
+
+(* Appends an unset path to node [u]'s level [h] — after the node's
+   retained paths of that level and this step's earlier ones — and
+   returns its position. *)
+let claim st u h =
+  if Array.length st.counts.(u) = 0 then begin
+    st.hops.(u) <- Array.make (st.hop_cap + 1) [||];
+    st.born.(u) <- Array.make (st.hop_cap + 1) [||];
+    st.marks.(u) <- Array.make (st.hop_cap + 1) Bytes.empty;
+    st.counts.(u) <- Array.make (st.hop_cap + 1) 0
+  end;
+  let i = st.counts.(u).(h) in
+  if i = Array.length st.born.(u).(h) then begin
+    st.hops.(u).(h) <- grown st.hops.(u).(h) i [];
+    st.born.(u).(h) <- grown st.born.(u).(h) i 0;
+    let marks = Bytes.create (Array.length st.born.(u).(h) * st.stride) in
+    Bytes.blit st.marks.(u).(h) 0 marks 0 (i * st.stride);
+    st.marks.(u).(h) <- marks
+  end;
+  st.counts.(u).(h) <- i + 1;
+  st.size.(u) <- st.size.(u) + 1;
+  if h > st.top.(u) then st.top.(u) <- h;
+  st.live <- st.live + 1;
+  i
+
+let push st h entry =
+  let height = st.heights.(h) in
+  if height = Array.length st.buckets.(h) then st.buckets.(h) <- grown st.buckets.(h) height 0;
+  st.buckets.(h).(height) <- entry;
+  st.heights.(h) <- height + 1
+
+(* The highest level from which a path extending along [targets] can
+   still deliver or enter a table this step: above it every target is
+   past the hop cap or the target's [kth_old]. Popping such a path would
+   do nothing, so it is never pushed — which leaves every other path's
+   turn, and the output, as they were. *)
+let[@psn.hot] rec reach_of st targets acc =
+  match targets with
+  | [] -> acc
+  | v :: rest ->
+    if v = st.dst then max_int
+    else reach_of st rest (Int.max acc (Int.min (st.hop_cap - 1) (st.kth_old.(v) - 1)))
+
+(* Whether node [u] holds a path born at or after [since] on a level up
+   to [h]: the last path of some level, as levels are in creation
+   order. *)
+let[@psn.hot] rec has_recent st u since h =
+  h > 0
+  && ((st.counts.(u).(h) > 0 && st.born.(u).(h).(st.counts.(u).(h) - 1) >= since)
+     || has_recent st u since (h - 1))
+
+(* Start of the run of paths born at or after [since] that ends a
+   level's live prefix [0, i). *)
+let[@psn.hot] rec recent_from born i since =
+  if i > 0 && born.(i - 1) >= since then recent_from born (i - 1) since else i
+
+(* Pushes node [u]'s retained paths, in table order, that can still
+   produce novel extensions or deliveries this step: those born last
+   step or later (a suffix of each level) on levels up to [recent], and
+   all paths on levels up to [all] ([all <= recent]). *)
+let[@psn.hot] seed st u ~all ~recent =
+  for h = 1 to Int.min recent st.top.(u) do
+    let len = st.counts.(u).(h) in
+    let first = if h <= all then 0 else recent_from st.born.(u).(h) len (st.step - 1) in
+    for i = first to len - 1 do
+      (push st h ((i * st.n) + u)) [@lint.allow "hot-path-alloc"]
+      (* a stack only grows until it holds a step's peak worklist *)
+    done
+  done
+
+let to_path ~n hops_rev ~dst ~step =
+  Path.of_hops
+    (List.fold_left
+       (fun acc h -> { Path.node = h mod n; step = h / n } :: acc)
+       [ { Path.node = dst; step } ]
+       hops_rev)
+
+let deliver st u h i =
+  if st.step_arrivals < st.k && st.n_arrivals < st.budget then begin
+    st.found <-
+      {
+        path = to_path ~n:st.n st.hops.(u).(h).(i) ~dst:st.dst ~step:st.step;
+        step = st.step;
+        time = st.step_time;
+        duration = st.step_duration;
+      }
+      :: st.found;
+    st.step_arrivals <- st.step_arrivals + 1;
+    st.n_arrivals <- st.n_arrivals + 1
+  end;
+  if st.step_arrivals >= st.k || st.n_arrivals >= st.budget then raise Exit
+
+(* Copies the path at position [i] of node [u]'s level [h] into node
+   [v]'s table, one hop longer and ending at [v]. *)
+let extend st u h i v =
+  if st.new_count.(v) = 0 then begin
+    st.touched.(st.n_touched) <- v;
+    st.n_touched <- st.n_touched + 1
+  end;
+  st.new_count.(v) <- st.new_count.(v) + 1;
+  let h' = h + 1 in
+  let j = claim st v h' in
+  st.hops.(v).(h').(j) <- ((st.step * st.n) + v) :: st.hops.(u).(h).(i);
+  st.born.(v).(h').(j) <- st.step;
+  let marks = st.marks.(v).(h') in
+  Bytes.blit st.marks.(u).(h) (i * st.stride) marks (j * st.stride) st.stride;
+  bitset_add_at marks (j * st.stride) v;
+  if h' <= st.reach.(v) then push st h' ((j * st.n) + v)
+
+(* [marks] and [base] locate the path's visited set: extending writes
+   only to level [h + 1], so they stay valid throughout. *)
+let rec expand st u h i marks base = function
+  | [] -> ()
+  | v :: rest ->
+    if v = st.dst then deliver st u h i
+    else if
+      h < st.hop_cap
+      && h + 1 <= st.kth_old.(v)
+      && st.new_count.(v) < st.k
+      && not (bitset_mem_at marks base v)
+    then extend st u h i v;
+    expand st u h i marks base rest
+
+let rec drain st h =
+  let height = st.heights.(h) in
+  if height > 0 then begin
+    let entry = st.buckets.(h).(height - 1) in
+    st.heights.(h) <- height - 1;
+    let u = entry mod st.n and i = entry / st.n in
+    let targets =
+      if st.born.(u).(h).(i) >= st.step - 1 || st.in_dst_component.(u) then
+        Snapshot.neighbours st.snap ~step:st.step u
+      else st.fresh_edges.(u)
+    in
+    expand st u h i st.marks.(u).(h) (i * st.stride) targets;
+    drain st h
+  end
+
+(* Moves a level's paths that visited none of [nodes] to its front, in
+   order; returns how many there are. *)
+let[@psn.hot] rec compact hops born marks stride nodes i len kept =
+  if i = len then kept
+  else if bitset_meets marks (i * stride) nodes then
+    compact hops born marks stride nodes (i + 1) len kept
+  else begin
+    if kept < i then begin
+      hops.(kept) <- hops.(i);
+      born.(kept) <- born.(i);
+      Bytes.blit marks (i * stride) marks (kept * stride) stride
+    end;
+    compact hops born marks stride nodes (i + 1) len (kept + 1)
+  end
+
+(* Compacts node [w]'s levels [1, h]; returns how many paths they keep. *)
+let[@psn.hot] rec kill_levels st w nodes h kept_below =
+  if h = 0 then kept_below
+  else begin
+    let len = st.counts.(w).(h) in
+    let hops = st.hops.(w).(h) in
+    let kept = compact hops st.born.(w).(h) st.marks.(w).(h) st.stride nodes 0 len 0 in
+    Array.fill hops kept (len - kept) [];
+    st.counts.(w).(h) <- kept;
+    kill_levels st w nodes (h - 1) (kept_below + kept)
+  end
+
+(* Drops every path node [w] holds that visited one of [nodes]. *)
+let[@psn.hot] kill st w nodes =
+  let size = kill_levels st w nodes st.top.(w) 0 in
+  st.live <- st.live - st.size.(w) + size;
+  st.size.(w) <- size;
+  st.top.(w) <- lower_top st.counts.(w) st.top.(w)
+
+(* Keeps node [u]'s first [k] paths in level order, dropping from the
+   tail of the highest levels — the paths a stable merge of old (first)
+   and new paths by hop count would cut. *)
+let[@psn.hot] rec trim st u =
+  let excess = st.size.(u) - st.k in
+  if excess > 0 then begin
+    let h = st.top.(u) in
+    let counts = st.counts.(u) in
+    let len = counts.(h) in
+    let cut = Int.min excess len in
+    Array.fill st.hops.(u).(h) (len - cut) cut [];
+    counts.(h) <- len - cut;
+    st.size.(u) <- st.size.(u) - cut;
+    st.live <- st.live - cut;
+    st.top.(u) <- lower_top counts h;
+    trim st u
+  end
 
 let run ?(config = default_config) snap ~src ~dst ~t_create =
   let n = Snapshot.n_nodes snap in
   if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Enumerate.run: node out of range";
   if src = dst then invalid_arg "Enumerate.run: src = dst";
   if config.k <= 0 then invalid_arg "Enumerate.run: k must be positive";
+  (match config.max_hops with
+  | Some h when h < 1 -> invalid_arg "Enumerate.run: max_hops must be positive"
+  | Some _ | None -> ());
+  (match config.stop_at_total with
+  | Some t when t < 1 -> invalid_arg "Enumerate.run: stop_at_total must be positive"
+  | Some _ | None -> ());
   let grid = Snapshot.grid snap in
   let c0 = Timegrid.step_of_time grid t_create in
   let k = config.k in
-  let hop_cap = match config.max_hops with None -> n | Some h -> Int.min h n in
-  (* DP table: per node, the retained paths, nhops-ascending. *)
-  let table = Array.make n [] in
-  let table_size = Array.make n 0 in
-  table.(src) <-
-    [
-      {
-        last = src;
-        hops_rev = [ (src, c0) ];
-        nhops = 1;
-        visited = bitset_with (bitset_create n) src;
-        born = c0;
-      };
-    ];
-  table_size.(src) <- 1;
-  let live_paths = ref 1 in
-  let arrivals = ref [] in
-  let n_arrivals = ref 0 in
+  let st =
+    {
+      snap;
+      n;
+      k;
+      dst;
+      hop_cap = (match config.max_hops with None -> n | Some h -> Int.min h n);
+      budget = (match config.stop_at_total with None -> max_int | Some t -> t);
+      stride = Bytes.length (bitset_create n);
+      hops = Array.make n [||];
+      born = Array.make n [||];
+      marks = Array.make n [||];
+      counts = Array.make n [||];
+      size = Array.make n 0;
+      top = Array.make n 0;
+      live = 0;
+      (* Dijkstra-style bucket queue over nhops keeps intra-step
+         expansion in ascending hop order, making the per-node
+         k-shortest pruning exact. *)
+      buckets = Array.make (n + 2) [||];
+      heights = Array.make (n + 2) 0;
+      new_count = Array.make n 0;
+      touched = Array.make n 0;
+      n_touched = 0;
+      kth_old = Array.make n max_int;
+      reach = Array.make n 0;
+      fresh_edges = Array.make n [];
+      in_dst_component = Array.make n false;
+      step = c0;
+      step_time = 0.;
+      step_duration = 0.;
+      found = [];
+      n_arrivals = 0;
+      step_arrivals = 0;
+    }
+  in
+  let i = claim st src 1 in
+  st.hops.(src).(1).(i) <- [ (c0 * n) + src ];
+  st.born.(src).(1).(i) <- c0;
+  Bytes.fill st.marks.(src).(1) (i * st.stride) st.stride '\000';
+  bitset_add_at st.marks.(src).(1) (i * st.stride) src;
   let stopped_early = ref false in
   let steps_processed = ref 0 in
-  (* Dijkstra-style bucket queue over nhops keeps intra-step expansion in
-     ascending hop order, making the per-node k-shortest pruning exact. *)
-  let buckets = Array.make (n + 2) [] in
   (* Scratch bitset for the fresh-edge computation, reused (and cleared
      back to zero) every node of every step. *)
   let prev_mask = bitset_create n in
-  let new_at = Array.make n [] in
-  let new_count = Array.make n 0 in
-  let touched = ref [] in
-  let total_budget () =
-    match config.stop_at_total with None -> max_int | Some t -> t
-  in
-  let step = ref (c0 + 1) in
+  let has_fresh = Array.make n false in
   let n_steps = Timegrid.n_steps grid in
   (try
-     while !step <= n_steps do
-       let step_now = !step in
+     for step_now = c0 + 1 to n_steps do
+       st.step <- step_now;
        incr steps_processed;
        let neighbours = Snapshot.neighbours snap ~step:step_now in
        let dst_contacts = neighbours dst in
@@ -133,8 +370,6 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
        let prev_neighbours u =
          if step_now = 1 then [] else Snapshot.neighbours snap ~step:(step_now - 1) u
        in
-       let fresh_edges = Array.make n [] in
-       let has_fresh = Array.make n false in
        for u = 0 to n - 1 do
          let fresh =
            if config.exhaustive then neighbours u
@@ -153,161 +388,90 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
                fresh
            end
          in
-         fresh_edges.(u) <- fresh;
+         st.fresh_edges.(u) <- fresh;
          has_fresh.(u) <- not (List.is_empty fresh)
        done;
        (* Deliveries are different: every chain reaching the destination
           this step is a distinct counted path even along static edges
           (each step's traversal has its own timestamps), so inside the
           destination's contact component everything must extend. *)
-       let in_dst_component = Array.make n false in
+       Array.fill st.in_dst_component 0 n false;
        if not (List.is_empty dst_contacts) then
          List.iter
-           (fun u -> in_dst_component.(u) <- true)
+           (fun u -> st.in_dst_component.(u) <- true)
            (Snapshot.component_of snap ~step:step_now dst);
-       (* Seed the buckets with retained paths that can still produce
-          novel extensions or deliveries this step. *)
+       (* A retained path is active — it can still produce novel
+          extensions or deliveries this step — when it was born last
+          step or later, or its node has a fresh edge or sits in the
+          destination's component. *)
        let any_active = ref false in
        for u = 0 to n - 1 do
-         if u <> dst && (not (List.is_empty table.(u))) && not (List.is_empty (neighbours u)) then
-           List.iter
-             (fun p ->
-               if p.born >= step_now - 1 || has_fresh.(u) || in_dst_component.(u) then begin
-                 any_active := true;
-                 buckets.(p.nhops) <- p :: buckets.(p.nhops)
-               end)
-             table.(u)
+         if
+           u <> dst
+           && st.size.(u) > 0
+           && (not (List.is_empty (neighbours u)))
+           && (has_fresh.(u) || st.in_dst_component.(u) || has_recent st u (step_now - 1) st.top.(u))
+         then any_active := true
        done;
        if !any_active then begin
          let step_time = Timegrid.time_of_step grid step_now in
-         let arrivals_this_step = ref 0 in
+         st.step_time <- step_time;
+         st.step_duration <- step_time -. t_create;
+         st.step_arrivals <- 0;
          (* Threshold beyond which a candidate at node v cannot rank in
-            v's top k once merged with the old paths. *)
-         let kth_old = Array.make n max_int in
+            v's top k once merged with the old paths: a full table's
+            k-th path sits on its highest level. *)
          for v = 0 to n - 1 do
-           if table_size.(v) >= k then begin
-             let rec nth i = function
-               | x :: _ when i = k - 1 -> x.nhops
-               | _ :: rest -> nth (i + 1) rest
-               | [] -> max_int
-             in
-             kth_old.(v) <- nth 0 table.(v)
-           end
+           st.kth_old.(v) <- (if st.size.(v) >= k then st.top.(v) else max_int)
          done;
+         for u = 0 to n - 1 do
+           st.reach.(u) <- reach_of st (neighbours u) 0
+         done;
+         (* Seed the buckets with the active paths. *)
+         for u = 0 to n - 1 do
+           if u <> dst && st.size.(u) > 0 then
+             seed st u
+               ~all:(if st.in_dst_component.(u) then st.reach.(u) else reach_of st st.fresh_edges.(u) 0)
+               ~recent:st.reach.(u)
+         done;
+         (* This step's new paths go straight into the table, after the
+            retained ones of their level; [kth_old] and [new_count] keep
+            the admission test on the pre-step table. *)
          (try
             for h = 1 to n do
-              let rec drain () =
-                match buckets.(h) with
-                | [] -> ()
-                | p :: rest ->
-                  buckets.(h) <- rest;
-                  let u = p.last in
-                  let targets =
-                    if p.born >= step_now - 1 || in_dst_component.(u) then neighbours u
-                    else fresh_edges.(u)
-                  in
-                  List.iter
-                    (fun v ->
-                      if v = dst then begin
-                        if !arrivals_this_step < k && !n_arrivals < total_budget () then begin
-                          arrivals :=
-                            {
-                              path = to_path p ~dst ~step:step_now;
-                              step = step_now;
-                              time = step_time;
-                              duration = step_time -. t_create;
-                            }
-                            :: !arrivals;
-                          incr arrivals_this_step;
-                          incr n_arrivals
-                        end;
-                        if !arrivals_this_step >= k || !n_arrivals >= total_budget () then
-                          raise Exit
-                      end
-                      else if
-                        (not (bitset_mem p.visited v))
-                        && p.nhops < hop_cap
-                        && new_count.(v) < k
-                        && p.nhops + 1 <= kth_old.(v)
-                      then begin
-                        let q =
-                          {
-                            last = v;
-                            hops_rev = (v, step_now) :: p.hops_rev;
-                            nhops = p.nhops + 1;
-                            visited = bitset_with p.visited v;
-                            born = step_now;
-                          }
-                        in
-                        if new_count.(v) = 0 then touched := v :: !touched;
-                        new_at.(v) <- q :: new_at.(v);
-                        new_count.(v) <- new_count.(v) + 1;
-                        buckets.(q.nhops) <- q :: buckets.(q.nhops)
-                      end)
-                    targets;
-                  drain ()
-              in
-              drain ()
+              drain st h
             done
           with Exit ->
             (* A stop threshold fired mid-step; clear leftover buckets. *)
-            Array.fill buckets 0 (Array.length buckets) []);
+            Array.fill st.heights 0 (n + 2) 0);
          (* First preference is retrospective: once a node meets the
             destination, every path that ever passed through it (and was
             thus deliverable at this step at the latest) may not produce
-            later deliveries. Build a mask of this step's destination
-            contacts and drop every path whose visited set intersects
-            it — both retained paths and this step's fresh ones. Their
-            same-step deliveries were already emitted above. *)
-         let d_mask =
-           if List.is_empty dst_contacts then None
-           else begin
-             let mask = bitset_create n in
-             List.iter (fun u -> bitset_add mask u) dst_contacts;
-             Some mask
-           end
-         in
-         let surviving paths =
-           match d_mask with
-           | None -> paths
-           | Some mask -> List.filter (fun p -> not (bitset_intersects p.visited mask)) paths
-         in
-         (match d_mask with
-         | None -> ()
-         | Some _ ->
+            later deliveries. Drop every path that visited one of this
+            step's destination contacts — both retained paths and this
+            step's fresh ones. Their same-step deliveries were already
+            emitted above. *)
+         if not (List.is_empty dst_contacts) then
            for w = 0 to n - 1 do
-             if not (List.is_empty table.(w)) then begin
-               let kept = surviving table.(w) in
-               let sz = List.length kept in
-               live_paths := !live_paths - table_size.(w) + sz;
-               table.(w) <- kept;
-               table_size.(w) <- sz
-             end
-           done);
-         (* Merge this step's surviving new paths into the table. *)
-         List.iter
-           (fun v ->
-             let fresh = surviving (List.rev new_at.(v)) in
-             let before = table_size.(v) in
-             let merged = merge_k k table.(v) fresh in
-             table.(v) <- merged;
-             table_size.(v) <- List.length merged;
-             live_paths := !live_paths - before + table_size.(v);
-             new_at.(v) <- [];
-             new_count.(v) <- 0)
-           !touched;
-         touched := [];
-         if !arrivals_this_step >= k || !n_arrivals >= total_budget () then begin
+             if st.size.(w) > 0 then kill st w dst_contacts
+           done;
+         (* Cut each grown table back to its k fewest-hop paths. *)
+         for i = 0 to st.n_touched - 1 do
+           let v = st.touched.(i) in
+           trim st v;
+           st.new_count.(v) <- 0
+         done;
+         st.n_touched <- 0;
+         if st.step_arrivals >= k || st.n_arrivals >= st.budget then begin
            stopped_early := true;
            raise Exit
          end
        end;
-       if !live_paths = 0 then raise Exit;
-       incr step
+       if st.live = 0 then raise Exit
      done
    with Exit -> ());
   {
-    arrivals = Array.of_list (List.rev !arrivals);
+    arrivals = Array.of_list (List.rev st.found);
     stopped_early = !stopped_early;
     steps_processed = !steps_processed;
     src;

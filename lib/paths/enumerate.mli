@@ -62,7 +62,8 @@ val run :
   result
 (** Enumerate all valid paths for the message [(src, dst, t_create)].
     Raises [Invalid_argument] on out-of-range nodes, [src = dst],
-    [t_create] outside the trace window, or a non-positive [k]. *)
+    [t_create] outside the trace window, a non-positive [k], or a
+    [max_hops] or [stop_at_total] below 1. *)
 
 val first_arrival : result -> arrival option
 (** The optimal path, when one was found. *)

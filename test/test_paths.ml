@@ -223,7 +223,27 @@ let test_enumerate_errors () =
   in
   let snap = Snapshot.of_trace t in
   Alcotest.check_raises "src=dst" (Invalid_argument "Enumerate.run: src = dst") (fun () ->
-      ignore (run snap ~src:1 ~dst:1 ~t_create:0.))
+      ignore (run snap ~src:1 ~dst:1 ~t_create:0.));
+  let config = { Enumerate.k = 10; max_hops = None; stop_at_total = None; exhaustive = false } in
+  let run_with config = ignore (Enumerate.run ~config snap ~src:0 ~dst:2 ~t_create:0.) in
+  Alcotest.check_raises "k=0" (Invalid_argument "Enumerate.run: k must be positive") (fun () ->
+      run_with { config with Enumerate.k = 0 });
+  List.iter
+    (fun h ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_hops=%d" h)
+        (Invalid_argument "Enumerate.run: max_hops must be positive")
+        (fun () -> run_with { config with Enumerate.max_hops = Some h }))
+    [ 0; -1 ];
+  List.iter
+    (fun t ->
+      Alcotest.check_raises
+        (Printf.sprintf "stop_at_total=%d" t)
+        (Invalid_argument "Enumerate.run: stop_at_total must be positive")
+        (fun () -> run_with { config with Enumerate.stop_at_total = Some t }))
+    [ 0; -3 ];
+  (* The smallest legal values run. *)
+  run_with { config with Enumerate.max_hops = Some 1; stop_at_total = Some 1 }
 
 (* --- Enumeration pins on the Fig. 4 study ---
 
