@@ -23,8 +23,10 @@
      arbitrary patterns);
    - referencing a function taints like calling it: a function value
      passed around is assumed to be eventually applied;
-   - named local functions are assumed allocation-free to build
-     (hoisted); anonymous [fun]s count as closure allocations. *)
+   - anonymous [fun]s and named local functions both count as closure
+     allocations (without flambda a local function that captures
+     variables is built on every run of its enclosing body); only
+     structure-level functions are free to reference. *)
 
 (* ------------------------------------------------------------------ *)
 (* Facts collected per file                                           *)
@@ -311,6 +313,14 @@ let record_alloc ctx what loc =
   | Some d ->
     d.d_allocs <- { a_what = what; a_loc = loc; a_allows = current_allows ctx } :: d.d_allocs
 
+(* Whether a binding's right-hand side is a function: a [fun] spine,
+   possibly under type constraints and locally abstract types. *)
+let rec is_function (e : Parsetree.expression) =
+  match e.Parsetree.pexp_desc with
+  | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ -> true
+  | Parsetree.Pexp_constraint (inner, _) | Parsetree.Pexp_newtype (_, inner) -> is_function inner
+  | _ -> false
+
 let module_path_of_mod_expr (me : Parsetree.module_expr) =
   match me.Parsetree.pmod_desc with
   | Parsetree.Pmod_ident { Location.txt = lid; _ } -> Some (Longident.flatten lid)
@@ -398,12 +408,16 @@ let make_iterator ctx =
     ctx.allows <- saved_allows
   in
   (* A nested [let f x = ...] is a named local function: its fun spine
-     is not an anonymous closure (assumed hoisted), and its attributes
-     scope over its body. *)
+     is not an anonymous closure, and its attributes scope over its
+     body. It is not hoisted either: without flambda, a local function
+     that captures anything is a closure built on every run of the
+     enclosing body, so it counts as one allocation at the binding. *)
   let value_binding it (vb : Parsetree.value_binding) =
     let allows = attr_allows vb.Parsetree.pvb_attributes in
     let saved_allows = ctx.allows in
     if not (List.is_empty allows) then ctx.allows <- allows :: ctx.allows;
+    if is_function vb.Parsetree.pvb_expr then
+      record_alloc ctx "local function (closure)" vb.Parsetree.pvb_loc;
     it.pat it vb.Parsetree.pvb_pat;
     let saved_named = ctx.named in
     ctx.named <- true;

@@ -12,8 +12,8 @@
      reach an allocation, at the call site, with the witness chain
      down to the allocation in the message.
 
-   Allocations tracked: anonymous closures (a named [let f x = ...]
-   — local or top-level — is assumed hoisted and free to reference),
+   Allocations tracked: closures, anonymous or named local [let f x =
+   ...] alike (only a structure-level function is free to reference),
    list conses and appends, tuples, records, arrays, boxed
    constructors, lazy blocks, string building, a small table of
    known-allocating stdlib entry points, and polymorphic
