@@ -104,6 +104,20 @@ let grown slice len fill =
 
 let[@psn.hot] rec lower_top counts h = if h > 0 && counts.(h) = 0 then lower_top counts (h - 1) else h
 
+(* Empties node [u]'s level [h] for good, or cuts its live prefix to
+   [len] and clears the slots past it: either way, dropped paths are
+   garbage at once. Levels come and go as paths move up the hop counts,
+   so an emptied level gives its slices back. *)
+let[@psn.hot] truncate st u h len =
+  let live = st.counts.(u).(h) in
+  if len = 0 then begin
+    st.hops.(u).(h) <- [||];
+    st.born.(u).(h) <- [||];
+    st.marks.(u).(h) <- Bytes.empty
+  end
+  else Array.fill st.hops.(u).(h) len (live - len) [];
+  st.counts.(u).(h) <- len
+
 (* Appends an unset path to node [u]'s level [h] — after the node's
    retained paths of that level and this step's earlier ones — and
    returns its position. *)
@@ -261,10 +275,8 @@ let[@psn.hot] rec kill_levels st w nodes h kept_below =
   if h = 0 then kept_below
   else begin
     let len = st.counts.(w).(h) in
-    let hops = st.hops.(w).(h) in
-    let kept = compact hops st.born.(w).(h) st.marks.(w).(h) st.stride nodes 0 len 0 in
-    Array.fill hops kept (len - kept) [];
-    st.counts.(w).(h) <- kept;
+    let kept = compact st.hops.(w).(h) st.born.(w).(h) st.marks.(w).(h) st.stride nodes 0 len 0 in
+    if kept < len then truncate st w h kept;
     kill_levels st w nodes (h - 1) (kept_below + kept)
   end
 
@@ -282,14 +294,11 @@ let[@psn.hot] rec trim st u =
   let excess = st.size.(u) - st.k in
   if excess > 0 then begin
     let h = st.top.(u) in
-    let counts = st.counts.(u) in
-    let len = counts.(h) in
-    let cut = Int.min excess len in
-    Array.fill st.hops.(u).(h) (len - cut) cut [];
-    counts.(h) <- len - cut;
+    let cut = Int.min excess st.counts.(u).(h) in
+    truncate st u h (st.counts.(u).(h) - cut);
     st.size.(u) <- st.size.(u) - cut;
     st.live <- st.live - cut;
-    st.top.(u) <- lower_top counts h;
+    st.top.(u) <- lower_top st.counts.(u) h;
     trim st u
   end
 
