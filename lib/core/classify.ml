@@ -44,6 +44,3 @@ let pair_type_name = function
   | In_out -> "in-out"
   | Out_in -> "out-in"
   | Out_out -> "out-out"
-
-let pp_node_class ppf c = Format.pp_print_string ppf (match c with In -> "in" | Out -> "out")
-let pp_pair_type ppf p = Format.pp_print_string ppf (pair_type_name p)

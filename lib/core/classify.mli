@@ -38,8 +38,5 @@ val compare_pair_type : pair_type -> pair_type -> int
 val all_pair_types : pair_type list
 (** In the paper's order: in-in, in-out, out-in, out-out. *)
 
-val pp_node_class : Format.formatter -> node_class -> unit
-val pp_pair_type : Format.formatter -> pair_type -> unit
-
 val pair_type_name : pair_type -> string
 (** ["in-in"], ["in-out"], ["out-in"], ["out-out"]. *)

@@ -37,21 +37,6 @@ let write_scatter ~dir ~name points =
     ~file:(slug name ^ ".dat")
     (List.map (fun (x, y) -> Printf.sprintf "%g %g" x y) points)
 
-let write_histogram ~dir ~name hist =
-  let counts = Psn_stats.Histogram.counts hist in
-  let lines =
-    Array.to_list
-      (Array.mapi
-         (fun i c -> Printf.sprintf "%g %d" (Psn_stats.Histogram.bin_center hist i) c)
-         counts)
-  in
-  write_lines ~dir ~file:(slug name ^ ".dat") lines
-
-let write_series ~dir ~name points =
-  write_lines ~dir
-    ~file:(slug name ^ ".dat")
-    (List.map (fun (x, y) -> Printf.sprintf "%g %g" x y) points)
-
 let style_of = function `Lines -> "lines" | `Points -> "points" | `Boxes -> "boxes"
 
 let write_gnuplot_script ~dir plots =

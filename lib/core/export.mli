@@ -18,12 +18,6 @@ val write_cdfs :
 val write_scatter : dir:string -> name:string -> (float * float) list -> string
 (** Two-column scatter file; returns the path. *)
 
-val write_histogram : dir:string -> name:string -> Psn_stats.Histogram.t -> string
-(** Columns [bin_center count]. *)
-
-val write_series : dir:string -> name:string -> (float * float) list -> string
-(** Generic two-column series. *)
-
 val write_gnuplot_script :
   dir:string -> (string * [ `Lines | `Points | `Boxes ] * string list) list -> string
 (** [write_gnuplot_script ~dir plots] writes [plot_all.gp]; each entry

@@ -90,10 +90,6 @@ let detect ?(max_rounds = 50) ?(min_weight = 0.) trace =
 let check t node =
   if node < 0 || node >= Array.length t.labels then invalid_arg "Community: node out of range"
 
-let community_of t node =
-  check t node;
-  t.labels.(node)
-
 let n_communities t = t.count
 
 let members t label =

@@ -17,11 +17,9 @@ val detect : ?max_rounds:int -> ?min_weight:float -> Psn_trace.Trace.t -> t
     [max_rounds] bounds the sweeps (default 50; propagation almost
     always stabilises within a handful). *)
 
-val community_of : t -> Psn_trace.Node.id -> int
-(** Community label of a node (labels are arbitrary but dense in
-    [\[0, n_communities)]). Isolated nodes get singleton communities. *)
-
 val n_communities : t -> int
+(** Community labels are arbitrary but dense in [\[0, n_communities)];
+    isolated nodes get singleton communities. *)
 
 val members : t -> int -> Psn_trace.Node.id list
 (** Ascending members of one community. Raises [Invalid_argument] for

@@ -27,19 +27,6 @@ let expected_from_gaps window times_rev =
     let sum_sq = go (tail *. tail) times_rev in
     sum_sq /. (2. *. window)
 
-let pair_delay trace a b =
-  let n = Trace.n_nodes trace in
-  if a < 0 || b < 0 || a >= n || b >= n then invalid_arg "Meed.pair_delay: node out of range";
-  if a = b then 0.
-  else begin
-    let lo, hi = if a < b then (a, b) else (b, a) in
-    let starts =
-      Trace.fold_contacts trace ~init:[] ~f:(fun acc (c : Contact.t) ->
-          if c.Contact.a = lo && c.Contact.b = hi then c.Contact.t_start :: acc else acc)
-    in
-    expected_from_gaps (Trace.horizon trace) starts
-  end
-
 let delay_matrix trace =
   let n = Trace.n_nodes trace in
   let window = Trace.horizon trace in

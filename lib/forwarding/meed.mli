@@ -9,12 +9,10 @@
     shortest path over these edge delays (Floyd-Warshall), i.e. the
     minimum expected end-to-end delay through any relay chain. *)
 
-val pair_delay : Psn_trace.Trace.t -> Psn_trace.Node.id -> Psn_trace.Node.id -> float
-(** Expected wait for the pair's next meeting; [infinity] if they never
-    meet. The diagonal is 0 by convention. *)
-
 val delay_matrix : Psn_trace.Trace.t -> float array array
-(** All pairwise {!pair_delay}s, O(n² + contacts). *)
+(** [d.(a).(b)]: expected wait for the pair's next meeting, [infinity]
+    if they never meet; the diagonal is 0 by convention.
+    O(n² + contacts). *)
 
 val routing_costs : Psn_trace.Trace.t -> float array array
 (** [costs.(i).(j)]: minimum expected delay from [i] to [j] over any

@@ -23,6 +23,9 @@
      arbitrary patterns);
    - referencing a function taints like calling it: a function value
      passed around is assumed to be eventually applied;
+   - a module the resolver cannot see through (a functor and its
+     arguments, an [include]d or packed module) references every
+     definition under it;
    - anonymous [fun]s and named local functions both count as closure
      allocations (without flambda a local function that captures
      variables is built on every run of its enclosing body); only
@@ -37,6 +40,7 @@ type call = {
   c_opens : string list list;  (* opens in scope, innermost first *)
   c_loc : Location.t;
   c_allows : string list;  (* lint.allow rules in scope at the site *)
+  c_whole : bool;  (* a module used opaquely: every definition under it is referenced *)
 }
 
 type source = { s_kind : string; s_what : string; s_loc : Location.t }
@@ -44,7 +48,7 @@ type source = { s_kind : string; s_what : string; s_loc : Location.t }
 type alloc = { a_what : string; a_loc : Location.t; a_allows : string list }
 
 type psite = {
-  p_fn : string;  (* map | map_list | map_traced | map_env | map_result *)
+  p_fn : string;  (* map_traced | map_env | map_result *)
   p_loc : Location.t;
   p_allows : string list;
   p_refs : (string list * string list list) list;  (* (path, opens) from task + env args *)
@@ -57,6 +61,7 @@ type def = {
   d_loc : Location.t;
   d_hot : bool;
   d_mutable : string option;  (* Some kind when the RHS creates shared mutable state *)
+  d_allows : string list;  (* lint.allow rules in scope at the binding *)
   mutable d_calls : call list;
   mutable d_sources : source list;
   mutable d_allocs : alloc list;
@@ -68,6 +73,7 @@ type file_facts = {
   ff_module : string;
   mutable ff_defs : def list;  (* reversed during collection, source order after *)
   mutable ff_aliases : (string * string list) list;  (* module alias -> target path *)
+  mutable ff_top_uses : call list;  (* opaque module uses outside any definition *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -187,7 +193,7 @@ let mutable_kind_of rhs =
     | _ -> None)
   | _ -> None
 
-let parallel_fns = [ "map"; "map_list"; "map_traced"; "map_env"; "map_result" ]
+let parallel_fns = [ "map_traced"; "map_env"; "map_result" ]
 
 let parallel_fn_of parts =
   match List.rev parts with
@@ -288,19 +294,45 @@ let with_def ctx def f =
   ctx.cur <- Some def;
   Fun.protect ~finally:(fun () -> ctx.cur <- saved) f
 
+let make_call ctx ~whole parts loc =
+  {
+    c_path = parts;
+    c_mpath = ctx.mpath;
+    c_opens = ctx.opens;
+    c_loc = loc;
+    c_allows = current_allows ctx;
+    c_whole = whole;
+  }
+
 let record_call ctx parts loc =
   match ctx.cur with
   | None -> ()
-  | Some d ->
-    d.d_calls <-
-      {
-        c_path = parts;
-        c_mpath = ctx.mpath;
-        c_opens = ctx.opens;
-        c_loc = loc;
-        c_allows = current_allows ctx;
-      }
-      :: d.d_calls
+  | Some d -> d.d_calls <- make_call ctx ~whole:false parts loc :: d.d_calls
+
+(* The module paths a module expression names without the resolver
+   seeing which of their values it uses: a functor and its arguments,
+   an [include]d or packed module. Every definition under such a path
+   counts as referenced. *)
+let rec opaque_module_paths (me : Parsetree.module_expr) =
+  match me.Parsetree.pmod_desc with
+  | Parsetree.Pmod_ident { Location.txt = lid; loc } -> [ (Longident.flatten lid, loc) ]
+  | Parsetree.Pmod_apply (f, arg) -> opaque_module_paths f @ opaque_module_paths arg
+  | Parsetree.Pmod_apply_unit inner
+  | Parsetree.Pmod_constraint (inner, _)
+  | Parsetree.Pmod_functor (_, inner) ->
+    opaque_module_paths inner
+  | Parsetree.Pmod_structure _ | Parsetree.Pmod_unpack _ | Parsetree.Pmod_extension _ -> []
+
+(* Inside a definition the uses are its references; outside any, they
+   belong to the module's own top level. *)
+let record_module_uses ctx me =
+  List.iter
+    (fun (parts, loc) ->
+      let c = make_call ctx ~whole:true parts loc in
+      match ctx.cur with
+      | Some d -> d.d_calls <- c :: d.d_calls
+      | None -> ctx.facts.ff_top_uses <- c :: ctx.facts.ff_top_uses)
+    (opaque_module_paths me)
 
 let record_source ctx kind what loc =
   match ctx.cur with
@@ -393,10 +425,11 @@ let make_iterator ctx =
       match module_path_of_mod_expr od.Parsetree.popen_expr with
       | Some path -> ctx.opens <- path :: ctx.opens
       | None -> ())
-    | Parsetree.Pexp_letmodule ({ Location.txt = Some name; _ }, me, _) -> (
-      match module_path_of_mod_expr me with
-      | Some path -> ctx.facts.ff_aliases <- (name, path) :: ctx.facts.ff_aliases
-      | None -> ())
+    | Parsetree.Pexp_letmodule ({ Location.txt = name; _ }, me, _) -> (
+      match (name, module_path_of_mod_expr me) with
+      | Some name, Some path -> ctx.facts.ff_aliases <- (name, path) :: ctx.facts.ff_aliases
+      | _ -> record_module_uses ctx me)
+    | Parsetree.Pexp_pack me -> record_module_uses ctx me
     | _ -> ());
     (match e.Parsetree.pexp_desc with
     | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ | Parsetree.Pexp_newtype _ ->
@@ -442,6 +475,9 @@ let collect_binding ctx it (vb : Parsetree.value_binding) =
     has_hot_attr vb.Parsetree.pvb_attributes
     || has_hot_attr vb.Parsetree.pvb_expr.Parsetree.pexp_attributes
   in
+  let allows = attr_allows vb.Parsetree.pvb_attributes in
+  let saved_allows = ctx.allows in
+  if not (List.is_empty allows) then ctx.allows <- allows :: ctx.allows;
   let def =
     {
       d_names = names;
@@ -449,6 +485,7 @@ let collect_binding ctx it (vb : Parsetree.value_binding) =
       d_loc = loc;
       d_hot = hot;
       d_mutable = mutable_kind_of vb.Parsetree.pvb_expr;
+      d_allows = current_allows ctx;
       d_calls = [];
       d_sources = [];
       d_allocs = [];
@@ -456,9 +493,6 @@ let collect_binding ctx it (vb : Parsetree.value_binding) =
     }
   in
   ctx.facts.ff_defs <- def :: ctx.facts.ff_defs;
-  let allows = attr_allows vb.Parsetree.pvb_attributes in
-  let saved_allows = ctx.allows in
-  if not (List.is_empty allows) then ctx.allows <- allows :: ctx.allows;
   with_def ctx def (fun () ->
       ctx.named <- true;
       it.Ast_iterator.expr it vb.Parsetree.pvb_expr;
@@ -480,6 +514,7 @@ and collect_structure_item ctx it (si : Parsetree.structure_item) =
         d_loc = loc;
         d_hot = has_hot_attr attrs;
         d_mutable = None;
+        d_allows = current_allows ctx;
         d_calls = [];
         d_sources = [];
         d_allocs = [];
@@ -496,31 +531,54 @@ and collect_structure_item ctx it (si : Parsetree.structure_item) =
     | None -> ())
   | Parsetree.Pstr_include { Parsetree.pincl_mod = me; _ } -> (
     (* [include M] re-exports M's bindings: treat as an open so
-       unqualified references resolve through it. *)
-    match module_path_of_mod_expr me with
-    | Some path -> ctx.opens <- path :: ctx.opens
-    | None -> ())
+       unqualified references resolve through it, and as an opaque
+       use of all of them. *)
+    record_module_uses ctx me;
+    match me.Parsetree.pmod_desc with
+    | Parsetree.Pmod_ident { Location.txt = lid; _ } ->
+      ctx.opens <- Longident.flatten lid :: ctx.opens
+    | Parsetree.Pmod_structure str -> collect_structure ctx it str
+    | _ -> ())
   | _ -> ()
 
 and collect_module_binding ctx it (mb : Parsetree.module_binding) =
   match mb.Parsetree.pmb_name.Location.txt with
-  | None -> ()
-  | Some name -> (
-    let rec peel (me : Parsetree.module_expr) =
+  | None -> record_module_uses ctx mb.Parsetree.pmb_expr
+  | Some name -> collect_module_expr ctx it name mb.Parsetree.pmb_expr
+
+(* A functor's body is walked like a submodule of its name. A functor
+   application is an opaque use of the functor and its arguments; a
+   structure passed as an argument is walked as a submodule too, and
+   counts as used by the functor. *)
+and collect_module_expr ctx it name (me : Parsetree.module_expr) =
+  let as_submodule str =
+    let saved = ctx.mpath in
+    ctx.mpath <- ctx.mpath @ [ name ];
+    collect_structure ctx it str;
+    ctx.mpath <- saved
+  in
+  match me.Parsetree.pmod_desc with
+  | Parsetree.Pmod_constraint (inner, _) | Parsetree.Pmod_functor (_, inner) ->
+    collect_module_expr ctx it name inner
+  | Parsetree.Pmod_ident { Location.txt = lid; _ } ->
+    ctx.facts.ff_aliases <- (name, Longident.flatten lid) :: ctx.facts.ff_aliases
+  | Parsetree.Pmod_structure str -> as_submodule str
+  | Parsetree.Pmod_apply _ | Parsetree.Pmod_apply_unit _ -> (
+    record_module_uses ctx me;
+    let rec structure_args (me : Parsetree.module_expr) =
       match me.Parsetree.pmod_desc with
-      | Parsetree.Pmod_constraint (inner, _) -> peel inner
-      | _ -> me
+      | Parsetree.Pmod_apply (f, arg) -> structure_args f @ structure_args arg
+      | Parsetree.Pmod_apply_unit inner | Parsetree.Pmod_constraint (inner, _) ->
+        structure_args inner
+      | Parsetree.Pmod_structure str -> [ str ]
+      | _ -> []
     in
-    let me = peel mb.Parsetree.pmb_expr in
-    match me.Parsetree.pmod_desc with
-    | Parsetree.Pmod_ident { Location.txt = lid; _ } ->
-      ctx.facts.ff_aliases <- (name, Longident.flatten lid) :: ctx.facts.ff_aliases
-    | Parsetree.Pmod_structure str ->
-      let saved = ctx.mpath in
-      ctx.mpath <- ctx.mpath @ [ name ];
-      collect_structure ctx it str;
-      ctx.mpath <- saved
-    | _ -> ())
+    let args = structure_args me in
+    List.iter as_submodule args;
+    if not (List.is_empty args) then
+      ctx.facts.ff_top_uses <-
+        make_call ctx ~whole:true [ name ] me.Parsetree.pmod_loc :: ctx.facts.ff_top_uses)
+  | Parsetree.Pmod_unpack _ | Parsetree.Pmod_extension _ -> ()
 
 (* The floating [@@@lint.allow] attributes apply file-wide. *)
 let file_allows (str : Parsetree.structure) =
@@ -532,7 +590,15 @@ let file_allows (str : Parsetree.structure) =
     str
 
 let collect_file ~path (str : Parsetree.structure) =
-  let facts = { ff_path = path; ff_module = module_name_of_path path; ff_defs = []; ff_aliases = [] } in
+  let facts =
+    {
+      ff_path = path;
+      ff_module = module_name_of_path path;
+      ff_defs = [];
+      ff_aliases = [];
+      ff_top_uses = [];
+    }
+  in
   let ctx =
     {
       mpath = [];
@@ -560,6 +626,7 @@ type node = {
   n_col : int;
   n_hot : bool;
   n_mutable : string option;
+  n_allows : string list;
   n_sources : source list;
   n_allocs : alloc list;
 }
@@ -579,37 +646,50 @@ type t = {
   nodes : node array;
   edges : edge list;  (* sorted by (file, line, col, callee) *)
   sites : rsite list;
+  top_uses : (string * int) list;  (* (file, definition) used opaquely outside any definition *)
   n_files : int;
 }
 
 type resolver = {
   by_module : (string, file_facts list) Hashtbl.t;
   index : (string * string, int) Hashtbl.t;  (* (file path, local dotted name) -> node id *)
+  members : (string * string, int list) Hashtbl.t;
+      (* (file path, dotted submodule path, "" for the file) -> node ids under it *)
   alias_of : (string, (string * string list) list) Hashtbl.t;  (* file path -> aliases *)
   file_dir : (string, string) Hashtbl.t;
 }
 
 let dotted mpath name = String.concat "." (mpath @ [ name ])
 
+(* Module initialisers ([let () = ...], bare expressions) are named
+   "(entry:<line>)" by [collect_binding] and [collect_structure_item]. *)
+let is_entry n = String.starts_with ~prefix:"(entry:" n.n_local
+
 let lowercase_head = function
   | part :: _ -> String.length part > 0 && part.[0] >= 'a' && part.[0] <= 'z'
   | [] -> false
 
+(* What a path names inside one file: a value (one node) or a module
+   (every node under it). *)
+let find_value r ff_path parts = Hashtbl.find_opt r.index (ff_path, String.concat "." parts)
+
+let find_module r ff_path parts = Hashtbl.find_opt r.members (ff_path, String.concat "." parts)
+
 (* Resolve [parts] as a local path within file [ff_path], expanding
    that file's module aliases ([module T = Psn_telemetry.Telemetry])
    into global paths. Depth-bounded: alias chains cannot loop. *)
-let rec resolve_in_file r ~depth ~from_dir ff_path parts =
-  match parts with
-  | [] -> None
-  | head :: tl -> (
-    match Hashtbl.find_opt r.index (ff_path, String.concat "." parts) with
-    | Some id -> Some id
-    | None ->
+let rec resolve_in_file r ~find ~depth ~from_dir ff_path parts =
+  match find ff_path parts with
+  | Some found -> Some found
+  | None -> (
+    match parts with
+    | [] -> None
+    | head :: tl ->
       if depth > 6 then None
       else
         let aliases = Option.value ~default:[] (Hashtbl.find_opt r.alias_of ff_path) in
         (match List.assoc_opt head aliases with
-        | Some target -> resolve_global r ~depth:(depth + 1) ~from_dir (target @ tl)
+        | Some target -> resolve_global r ~find ~depth:(depth + 1) ~from_dir (target @ tl)
         | None -> None))
 
 (* Resolve a fully-qualified path against the tree: find the leftmost
@@ -617,7 +697,7 @@ let rec resolve_in_file r ~depth ~from_dir ff_path parts =
    resolves inside that file. Umbrella modules (Core, Psn_sim) fall
    through naturally: their segment either is not a file module or
    carries a module alias that expands to the real location. *)
-and resolve_global r ~depth ~from_dir parts =
+and resolve_global r ~find ~depth ~from_dir parts =
   if depth > 6 then None
   else
     let n = List.length parts in
@@ -642,7 +722,7 @@ and resolve_global r ~depth ~from_dir parts =
           in
           let resolved =
             List.find_map
-              (fun ff -> resolve_in_file r ~depth:(depth + 1) ~from_dir ff.ff_path tl)
+              (fun ff -> resolve_in_file r ~find ~depth:(depth + 1) ~from_dir ff.ff_path tl)
               candidates
           in
           match resolved with Some id -> Some id | None -> try_at (i + 1) tl)
@@ -652,17 +732,26 @@ and resolve_global r ~depth ~from_dir parts =
 (* A reference at a call site: same file first (submodule context,
    then top level, then the file's aliases), then the opens in scope,
    then the bare path against the whole tree. *)
-let resolve_ref r ~ff ~mpath ~opens parts =
+let resolve_ref r ~find ~ff ~mpath ~opens parts =
   let from_dir = Filename.dirname ff.ff_path in
   let local_candidates = if List.is_empty mpath then [ parts ] else [ mpath @ parts; parts ] in
   let in_file =
-    List.find_map (fun cand -> resolve_in_file r ~depth:0 ~from_dir ff.ff_path cand) local_candidates
+    List.find_map
+      (fun cand -> resolve_in_file r ~find ~depth:0 ~from_dir ff.ff_path cand)
+      local_candidates
   in
   match in_file with
-  | Some id -> Some id
+  | Some found -> Some found
   | None ->
     let candidates = parts :: List.map (fun o -> o @ parts) opens in
-    List.find_map (fun cand -> resolve_global r ~depth:0 ~from_dir cand) candidates
+    List.find_map (fun cand -> resolve_global r ~find ~depth:0 ~from_dir cand) candidates
+
+(* The definitions a call references: the callee, or for an opaque
+   module use every definition under the module. *)
+let resolve_call r ~ff c =
+  let resolve find = resolve_ref r ~find ~ff ~mpath:c.c_mpath ~opens:c.c_opens c.c_path in
+  if c.c_whole then Option.value ~default:[] (resolve (find_module r))
+  else Option.to_list (resolve (find_value r))
 
 let compare_loc (a : Location.t) (b : Location.t) =
   let la = a.Location.loc_start.Lexing.pos_lnum and lb = b.Location.loc_start.Lexing.pos_lnum in
@@ -680,6 +769,7 @@ let build (files : file_facts list) =
     {
       by_module = Hashtbl.create 64;
       index = Hashtbl.create 512;
+      members = Hashtbl.create 128;
       alias_of = Hashtbl.create 64;
       file_dir = Hashtbl.create 64;
     }
@@ -712,6 +802,7 @@ let build (files : file_facts list) =
                 - d.d_loc.Location.loc_start.Lexing.pos_bol;
               n_hot = d.d_hot;
               n_mutable = d.d_mutable;
+              n_allows = d.d_allows;
               n_sources = List.rev d.d_sources;
               n_allocs = List.rev d.d_allocs;
             }
@@ -719,7 +810,15 @@ let build (files : file_facts list) =
           nodes := node :: !nodes;
           List.iter
             (fun name -> Hashtbl.replace r.index (ff.ff_path, dotted d.d_mpath name) id)
-            d.d_names)
+            d.d_names;
+          (* A member of the file's module and of every enclosing submodule. *)
+          let rec register prefix rest =
+            let key = (ff.ff_path, String.concat "." prefix) in
+            Hashtbl.replace r.members key
+              (id :: Option.value ~default:[] (Hashtbl.find_opt r.members key));
+            match rest with [] -> () | m :: rest -> register (prefix @ [ m ]) rest
+          in
+          register [] d.d_mpath)
         ff.ff_defs)
     files;
   let nodes = Array.of_list (List.rev !nodes) in
@@ -734,10 +833,13 @@ let build (files : file_facts list) =
           incr id;
           List.iter
             (fun c ->
-              match resolve_ref r ~ff ~mpath:c.c_mpath ~opens:c.c_opens c.c_path with
-              | Some callee when callee <> self ->
-                edges := { e_from = self; e_to = callee; e_loc = c.c_loc; e_allows = c.c_allows } :: !edges
-              | _ -> ())
+              List.iter
+                (fun callee ->
+                  if callee <> self then
+                    edges :=
+                      { e_from = self; e_to = callee; e_loc = c.c_loc; e_allows = c.c_allows }
+                      :: !edges)
+                (resolve_call r ~ff c))
             (List.rev d.d_calls);
           List.iter
             (fun p ->
@@ -745,7 +847,7 @@ let build (files : file_facts list) =
               let fallback = ref p.p_fallback in
               List.iter
                 (fun (parts, opens) ->
-                  match resolve_ref r ~ff ~mpath:d.d_mpath ~opens parts with
+                  match resolve_ref r ~find:(find_value r) ~ff ~mpath:d.d_mpath ~opens parts with
                   | Some root -> roots := root :: !roots
                   | None ->
                     (* A single lowercase name we cannot resolve is a
@@ -788,7 +890,18 @@ let build (files : file_facts list) =
         if c <> 0 then c else compare_loc a.r_loc b.r_loc)
       !sites
   in
-  { nodes; edges; sites; n_files = List.length files }
+  let top_uses =
+    List.concat_map
+      (fun ff ->
+        List.concat_map
+          (fun c -> List.map (fun id -> (ff.ff_path, id)) (resolve_call r ~ff c))
+          ff.ff_top_uses)
+      files
+    |> List.sort_uniq (fun (fa, a) (fb, b) ->
+           let c = String.compare fa fb in
+           if c <> 0 then c else Int.compare a b)
+  in
+  { nodes; edges; sites; top_uses; n_files = List.length files }
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                             *)

@@ -2,7 +2,8 @@
 
     Built in two stages: {!collect_file} walks one parse tree into
     per-file facts (definitions, references, effect sources,
-    allocations, [Parallel.map*] sites, module aliases, opens);
+    allocations, [Parallel.map*] sites, module aliases, opens, opaque
+    module uses);
     {!build} resolves the references of every file against the whole
     set into a graph with stable, deterministic node numbering (files
     in the order given, definitions in source order).
@@ -38,6 +39,7 @@ type node = {
   n_mutable : string option;
       (** [Some kind] when the binding creates shared mutable state
           (ref, Hashtbl.t, Buffer.t, array, ...) at top level *)
+  n_allows : string list;  (** [lint.allow] rules in scope at the binding *)
   n_sources : source list;
   n_allocs : alloc list;
 }
@@ -51,7 +53,7 @@ type edge = {
 
 type rsite = {
   r_node : int;  (** definition enclosing the [Parallel.map*] call *)
-  r_fn : string;  (** [map], [map_list], [map_traced], [map_env], [map_result] *)
+  r_fn : string;  (** [map_traced], [map_env], [map_result] *)
   r_loc : Location.t;
   r_allows : string list;
   r_roots : int list;  (** resolved task/env references, sorted *)
@@ -64,8 +66,16 @@ type t = {
   nodes : node array;
   edges : edge list;  (** sorted by (caller file, line, col, callee) *)
   sites : rsite list;  (** sorted by (file, line, col) *)
+  top_uses : (string * int) list;
+      (** definitions a module expression outside any definition uses
+          opaquely (a functor application or argument, an [include]),
+          with the using file; sorted *)
   n_files : int;
 }
+
+val is_entry : node -> bool
+(** A module initialiser ([let () = ...] or a bare top-level
+    expression) rather than a named definition. *)
 
 val build : file_facts list -> t
 (** Resolve and number. The input order fixes node ids: pass files

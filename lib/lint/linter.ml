@@ -332,8 +332,6 @@ let analyze_parsed ~config path parsed : Diagnostic.t list * Callgraph.file_fact
   | Broken d -> ([ d ], None)
   | Skipped -> ([], None)
 
-let check_file ~config path = fst (analyze_parsed ~config path (parse_file path))
-
 (* ------------------------------------------------------------------ *)
 (* Tree walking                                                       *)
 
@@ -390,8 +388,9 @@ let analyze ~config ?(jobs = 1) paths =
   let facts = Array.to_list results |> List.filter_map snd in
   let graph = Callgraph.build facts in
   let inter =
-    Effects.run ~config graph @ Domain_safety.run ~config graph @ Hotpath.run ~config graph
+    Effects.run ~config graph
+    @ Domain_safety.run ~config graph
+    @ Hotpath.run ~config graph
+    @ Dead_export.run ~config graph
   in
   (List.sort Diagnostic.compare (per_file @ inter), graph)
-
-let run ~config paths = fst (analyze ~config ~jobs:1 paths)

@@ -9,25 +9,16 @@
     file's path. Several rules may share one attribute, separated by
     commas or spaces. *)
 
-val check_file : config:Config.t -> string -> Diagnostic.t list
-(** Lint one [.ml] or [.mli] file with the per-file syntactic rules
-    only (other extensions yield no findings). Unparseable files
-    produce a single [syntax-error] finding rather than an
-    exception. *)
-
 val analyze :
   config:Config.t -> ?jobs:int -> string list -> Diagnostic.t list * Callgraph.t
 (** Lint every [.ml]/[.mli] under the given files and directories
     (recursively; entries starting with ['.'] or ['_'] are skipped):
     the per-file syntactic rules, then the whole-program passes over
-    the call graph — {!Effects}, {!Domain_safety}, {!Hotpath}.
+    the call graph — {!Effects}, {!Domain_safety}, {!Hotpath},
+    {!Dead_export}. Findings are sorted by (file, line, col, rule).
 
     [jobs] fans the per-file walks over that many domains; parsing
     stays sequential (compiler-libs keeps lexer state in globals).
     Findings, and the returned graph, are byte-identical for every
     [jobs] value: files are pre-sorted, results are slotted by file
     index, and everything downstream is sorted. *)
-
-val run : config:Config.t -> string list -> Diagnostic.t list
-(** [analyze] with the graph dropped: all findings sorted by
-    (file, line, col, rule). *)

@@ -96,6 +96,11 @@ let all =
       summary = "allocation or polymorphic call reachable from a [@psn.hot] function";
       rationale = "Functions annotated [@psn.hot] (engine drain kernels, enumeration inner loops) are checked transitively for closure/list/tuple/record allocation and polymorphic comparison: a helper that conses in a loop three modules away still costs the hot path. Suppressing at the allocation site sanctions it for every hot caller; suppressing at the call site sanctions one edge.";
     };
+    {
+      name = "dead-export";
+      summary = "lib/ definition reached from no walked file outside lib/ (interprocedural)";
+      rationale = "Code nothing calls still has to be read, documented and kept compiling, and its comments drift out of date unchecked. The roots are the walked files outside lib/; the repository's lint run walks the executables, benchmark, examples and tools but not test/, so test-only code counts as dead. A lib-only walk reports nothing. Delete the definition, or keep it with an in-file [@lint.allow \"dead-export\"] and a reason: a reference implementation tests compare against, a test hook that resets process-global state, or a named input of an open ROADMAP item.";
+    };
   ]
 
 (* Effect kinds the interprocedural taint pass propagates. Boundary

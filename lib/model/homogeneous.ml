@@ -29,7 +29,6 @@ let density_at p ~k_max ~t ?(steps = 1000) () =
   let y0 = initial_density p ~k_max in
   if Float.equal t 0. then y0 else Ode.rk4 ~f:(derivative p.lambda) ~y0 ~t0:0. ~t1:t ~steps
 
-let mass u = Array.fold_left ( +. ) 0. u
 
 let mean_of_density u =
   let acc = ref 0. in

@@ -31,11 +31,8 @@ val initial_density : params -> k_max:int -> float array
 val density_at : params -> k_max:int -> t:float -> ?steps:int -> unit -> float array
 (** Numeric solution [u(t)] of the ODE truncated at [k_max] (mass
     flowing beyond [k_max] leaks out, so [Σ u] drops below 1 once the
-    truncation binds — callers can monitor this with {!mass}).
+    truncation binds).
     [steps] defaults to 1000 RK4 steps. *)
-
-val mass : float array -> float
-(** [Σ_k u_k] of a density vector. *)
 
 val mean_of_density : float array -> float
 (** [Σ_k k u_k] — mean paths per node under a density vector. *)

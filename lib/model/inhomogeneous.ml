@@ -25,17 +25,14 @@ let predict = function
   | Out_in -> { t1_small = false; te_small = true }
   | Out_out -> { t1_small = false; te_small = false }
 
-let first_path_scale c q =
+(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
+   code left in lib/"). *)
+let[@lint.allow "dead-export"] first_path_scale c q =
   check c;
   let base = Float.log (float_of_int c.n) /. c.rate_high in
   match q with
   | In_in | In_out -> base
   | Out_in | Out_out -> base +. (1. /. c.rate_low)
-
-let subset_explosion_rate c ~src_rate =
-  check c;
-  if not (src_rate > 0.) then invalid_arg "Inhomogeneous.subset_explosion_rate: src_rate <= 0";
-  src_rate
 
 type quadrant_stats = {
   quadrant : quadrant;

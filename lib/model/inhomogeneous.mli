@@ -42,11 +42,6 @@ val first_path_scale : classes -> quadrant -> float
     source is high-rate, plus an extra [1 / λ_low] escape term when it
     is low-rate. *)
 
-val subset_explosion_rate : classes -> src_rate:float -> float
-(** The rate of the subset path explosion started by a node of rate
-    [src_rate]: explosion proceeds at least at [src_rate] among nodes of
-    rate ≥ [src_rate] (the paper's lower-bound argument). *)
-
 type quadrant_stats = {
   quadrant : quadrant;
   mean_t1 : float;  (** Mean first-arrival time over delivered messages. *)

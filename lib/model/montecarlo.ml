@@ -21,19 +21,6 @@ let population_sample states time =
     frac_reached = float_of_int reached /. n;
   }
 
-(* One contact opportunity: uniform source fires, uniform distinct peer
-   receives all of the source's paths. The aggregate event rate is Nλ. *)
-let step p rng states time =
-  let n = Array.length states in
-  let time = time +. Rng.exponential rng ~rate:(float_of_int n *. p.Homogeneous.lambda) in
-  let source = Rng.int rng n in
-  let peer =
-    let r = Rng.int rng (n - 1) in
-    if r >= source then r + 1 else r
-  in
-  states.(peer) <- states.(peer) +. states.(source);
-  (time, source, peer)
-
 let run p ~rng ~sample_times =
   Homogeneous.check p;
   let sample_times = List.sort Float.compare sample_times in
@@ -81,27 +68,3 @@ let average_runs p ~rng ~runs ~sample_times =
     (fun (time, m, q, v, f) ->
       { time; mean = m /. k; second_moment = q /. k; variance = v /. k; frac_reached = f /. k })
     !totals
-
-type delivery = { t1 : float option; tn : float option }
-
-let deliveries p ~rng ~n_explosion ~t_end =
-  Homogeneous.check p;
-  if n_explosion <= 0 then invalid_arg "Montecarlo.deliveries: n_explosion must be positive";
-  let n = p.Homogeneous.n in
-  let states = Array.make n 0. in
-  states.(0) <- 1.;
-  let dst = n - 1 in
-  let t1 = ref None in
-  let tn = ref None in
-  let received = ref 0. in
-  let time = ref 0. in
-  while Option.is_none !tn && !time < t_end do
-    let t', source, peer = step p rng states !time in
-    time := t';
-    if t' < t_end && peer = dst && states.(source) > 0. then begin
-      received := !received +. states.(source);
-      if Option.is_none !t1 then t1 := Some t';
-      if !received >= float_of_int n_explosion && Option.is_none !tn then tn := Some t'
-    end
-  done;
-  { t1 = !t1; tn = !tn }

@@ -4,7 +4,7 @@
     Kurtz limit is the ODE of {!Homogeneous}: N nodes, per-node Poisson
     contact opportunities of intensity λ, uniformly chosen peer, and the
     transition [S_peer += S_node]. Used to validate the closed forms at
-    finite N and to measure the model's T1/TE analogues. *)
+    finite N. *)
 
 type sample = {
   time : float;
@@ -38,18 +38,3 @@ val average_runs :
   sample list
 (** Average {!run} over several independent realisations (sample
     fields averaged pointwise). *)
-
-type delivery = {
-  t1 : float option;  (** First time the destination holds a path. *)
-  tn : float option;  (** First time [n_explosion] paths have reached it. *)
-}
-
-val deliveries :
-  Homogeneous.params ->
-  rng:Psn_prng.Rng.t ->
-  n_explosion:int ->
-  t_end:float ->
-  delivery
-(** Track one message from node 0 to node [N - 1]: the model analogue of
-    the empirical T1 and Tn (cumulative path arrivals at the
-    destination, counted as the sum of [S] increments it receives). *)

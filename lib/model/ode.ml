@@ -31,7 +31,9 @@ let rk4 ~f ~y0 ~t0 ~t1 ~steps =
   done;
   !y
 
-let trajectory ~f ~y0 ~t0 ~t1 ~steps =
+(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
+   code left in lib/"). *)
+let[@lint.allow "dead-export"] trajectory ~f ~y0 ~t0 ~t1 ~steps =
   validate ~t0 ~t1 ~steps;
   let h = (t1 -. t0) /. float_of_int steps in
   let y = ref (Array.copy y0) in

@@ -29,7 +29,9 @@ let analyze ?(n_explosion = 2000) (result : Enumerate.result) =
     }
   end
 
-let cumulative (result : Enumerate.result) =
+(* Test-only, like every dead-export waiver in this file: to be deleted
+   with its unit tests (ROADMAP, "The test-only code left in lib/"). *)
+let[@lint.allow "dead-export"] cumulative (result : Enumerate.result) =
   let points = ref [] in
   Array.iteri
     (fun i (a : Enumerate.arrival) ->
@@ -40,7 +42,7 @@ let cumulative (result : Enumerate.result) =
     result.Enumerate.arrivals;
   List.rev !points
 
-let arrivals_relative_to_t1 (result : Enumerate.result) =
+let[@lint.allow "dead-export"] arrivals_relative_to_t1 (result : Enumerate.result) =
   match Array.length result.Enumerate.arrivals with
   | 0 -> []
   | _ ->
@@ -74,7 +76,7 @@ let survival ~baseline ~degraded =
       | _, _ -> None);
   }
 
-let growth_rate result =
+let[@lint.allow "dead-export"] growth_rate result =
   match cumulative result with
   | [] | [ _ ] -> None
   | ((t1, _) :: _ : (float * int) list) as staircase ->

@@ -18,23 +18,18 @@ let of_hops hops =
 
 let hops t = t
 
-let source = function { node; _ } :: _ -> node | [] -> assert false
-
-let rec last_hop = function
-  | [ h ] -> h
-  | _ :: rest -> last_hop rest
-  | [] -> assert false
-
-let last_node t = (last_hop t).node
 let length = List.length
 let transfers t = length t - 1
-let first_step = function { step; _ } :: _ -> step | [] -> assert false
-let last_step t = (last_hop t).step
 let nodes t = List.map (fun h -> h.node) t
 
-let duration grid t ~t_create = Timegrid.time_of_step grid (last_step t) -. t_create
+(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
+   code left in lib/"). *)
+let[@lint.allow "dead-export"] duration grid t ~t_create =
+  Timegrid.time_of_step grid (List.nth t (length t - 1)).step -. t_create
 
-let is_loop_free t =
+(* The §4.1 validity conditions are reference predicates: the enumerator
+   never calls them; its property tests check every arrival against them. *)
+let[@lint.allow "dead-export"] is_loop_free t =
   let seen = Hashtbl.create 16 in
   List.for_all
     (fun h ->
@@ -45,7 +40,7 @@ let is_loop_free t =
       end)
     t
 
-let respects_minimal_progress t ~dst =
+let[@lint.allow "dead-export"] respects_minimal_progress t ~dst =
   let rec check = function
     | [ _ ] -> true
     | h :: rest -> h.node <> dst && check rest
@@ -53,10 +48,11 @@ let respects_minimal_progress t ~dst =
   in
   check t
 
-let respects_first_preference snap t ~dst =
-  if last_node t <> dst then true
+let[@lint.allow "dead-export"] respects_first_preference snap t ~dst =
+  let last = List.nth t (length t - 1) in
+  if last.node <> dst then true
   else begin
-    let delivery = last_step t in
+    let delivery = last.step in
     (* Each intermediate node holds the message from its receipt step
        until the end (infinite buffers), so scan every step before the
        delivery for a premature direct contact with the destination.
@@ -76,10 +72,10 @@ let respects_first_preference snap t ~dst =
     check ~is_source:true t
   end
 
-let is_valid snap t ~dst =
+let[@lint.allow "dead-export"] is_valid snap t ~dst =
   is_loop_free t && respects_minimal_progress t ~dst && respects_first_preference snap t ~dst
 
-let is_feasible snap t =
+let[@lint.allow "dead-export"] is_feasible snap t =
   let rec check = function
     | a :: (b :: _ as rest) ->
       let ok =
@@ -93,17 +89,6 @@ let is_feasible snap t =
     | [ _ ] | [] -> true
   in
   check t
-
-let equal a b =
-  List.length a = List.length b
-  && List.for_all2 (fun x y -> x.node = y.node && x.step = y.step) a b
-
-let compare a b =
-  let hop_compare x y =
-    let c = Int.compare x.step y.step in
-    if c <> 0 then c else Int.compare x.node y.node
-  in
-  List.compare hop_compare a b
 
 let pp ppf t =
   Format.pp_print_list

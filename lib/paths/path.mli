@@ -27,17 +27,11 @@ val of_hops : hop list -> t
 val hops : t -> hop list
 (** Hops in travel order. *)
 
-val source : t -> Psn_trace.Node.id
-val last_node : t -> Psn_trace.Node.id
-
 val length : t -> int
 (** Number of hops (tuples), the paper's path length. *)
 
 val transfers : t -> int
 (** [length - 1]: number of node-to-node hand-offs. *)
-
-val first_step : t -> int
-val last_step : t -> int
 
 val nodes : t -> Psn_trace.Node.id list
 (** Visited nodes in travel order. *)
@@ -65,9 +59,6 @@ val is_feasible : Psn_spacetime.Snapshot.t -> t -> bool
 (** Every hand-off happens over an actual contact edge of its step, and
     waiting only moves forward in time — i.e. the path exists in the
     space-time graph at all. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 (** ["n0@3 -> n4@3 -> n9@7"]. *)

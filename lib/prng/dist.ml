@@ -29,11 +29,3 @@ let rec mean = function
     if alpha <= 1. then Float.infinity else alpha *. x_min /. (alpha -. 1.)
   | Gaussian { mu; _ } -> mu
   | Truncated { dist; lo; hi } -> Float.max lo (Float.min hi (mean dist))
-
-let rec pp ppf = function
-  | Constant v -> Format.fprintf ppf "Const(%g)" v
-  | Uniform { lo; hi } -> Format.fprintf ppf "Uniform[%g,%g)" lo hi
-  | Exponential { rate } -> Format.fprintf ppf "Exp(rate=%g)" rate
-  | Pareto { alpha; x_min } -> Format.fprintf ppf "Pareto(alpha=%g,xmin=%g)" alpha x_min
-  | Gaussian { mu; sigma } -> Format.fprintf ppf "Normal(mu=%g,sigma=%g)" mu sigma
-  | Truncated { dist; lo; hi } -> Format.fprintf ppf "Trunc(%a,[%g,%g])" pp dist lo hi

@@ -21,6 +21,3 @@ val mean : t -> float
 (** Analytic mean where defined. For [Truncated] the underlying mean
     clamped into the interval is returned (an approximation, documented
     as such). For [Pareto] with [alpha <= 1] the mean is [infinity]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering, e.g. ["Exp(rate=0.016667)"]. *)

@@ -2,8 +2,9 @@ type t = { gen : Xoshiro.t }
 
 let of_xoshiro gen = { gen }
 let create ?(seed = 42L) () = of_xoshiro (Xoshiro.of_seed seed)
-let split t = { gen = Xoshiro.split t.gen }
-let copy t = { gen = Xoshiro.copy t.gen }
+(* Test-only, like every dead-export waiver in this file: to be deleted
+   with its unit tests (ROADMAP, "The test-only code left in lib/"). *)
+let[@lint.allow "dead-export"] split t = { gen = Xoshiro.split t.gen }
 let bits64 t = Xoshiro.next t.gen
 
 (* Top 53 bits give a uniform float in [0, 1). *)
@@ -33,8 +34,6 @@ let int_in_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.int_in_range: lo > hi";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
-
 let bernoulli t p =
   let p = Float.max 0. (Float.min 1. p) in
   unit_float t < p
@@ -49,7 +48,7 @@ let gaussian t ~mu ~sigma =
   let u2 = unit_float t in
   mu +. (sigma *. Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2))
 
-let poisson t ~mean =
+let[@lint.allow "dead-export"] poisson t ~mean =
   if mean < 0. then invalid_arg "Rng.poisson: mean must be non-negative";
   if Float.equal mean 0. then 0
   else if mean < 60. then begin
@@ -75,10 +74,6 @@ let uniform_in t ~lo ~hi =
   if not (lo < hi) then invalid_arg "Rng.uniform_in: lo must be < hi";
   lo +. (unit_float t *. (hi -. lo))
 
-let choice t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
-  arr.(int t (Array.length arr))
-
 let choice_weighted t ~weights =
   let total = Array.fold_left ( +. ) 0. weights in
   if not (total > 0.) then invalid_arg "Rng.choice_weighted: weights must sum to > 0";
@@ -92,7 +87,7 @@ let choice_weighted t ~weights =
   in
   scan 0 0.
 
-let shuffle_in_place t arr =
+let[@lint.allow "dead-export"] shuffle_in_place t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = arr.(i) in
@@ -100,7 +95,7 @@ let shuffle_in_place t arr =
     arr.(j) <- tmp
   done
 
-let sample_without_replacement t ~k ~n =
+let[@lint.allow "dead-export"] sample_without_replacement t ~k ~n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement: need 0 <= k <= n";
   (* Partial Fisher-Yates over an index array: O(n) setup, O(k) draws. *)
   let idx = Array.init n Fun.id in

@@ -18,9 +18,6 @@ val split : t -> t
 (** [split t] returns a new source whose stream does not overlap [t]'s
     (a 2^128 jump separates them). *)
 
-val copy : t -> t
-(** Independent duplicate of the current state. *)
-
 val bits64 : t -> int64
 (** 64 uniform pseudo-random bits. *)
 
@@ -37,9 +34,6 @@ val int : t -> int -> int
 
 val int_in_range : t -> lo:int -> hi:int -> int
 (** Uniform on the inclusive range [\[lo, hi\]]. Requires [lo <= hi]. *)
-
-val bool : t -> bool
-(** Fair coin flip. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. [p] outside
@@ -65,9 +59,6 @@ val pareto : t -> alpha:float -> x_min:float -> float
 
 val uniform_in : t -> lo:float -> hi:float -> float
 (** Uniform on [\[lo, hi)]. Requires [lo < hi]. *)
-
-val choice : t -> 'a array -> 'a
-(** Uniformly random element. The array must be non-empty. *)
 
 val choice_weighted : t -> weights:float array -> int
 (** [choice_weighted t ~weights] returns index [i] with probability

@@ -102,17 +102,14 @@ let parse ?(seed = 0L) spec =
     build [] clauses
   end
 
-let sites plan = List.map (fun s -> s.name) plan.plan_sites
-
 (* ---- the installed plan ---------------------------------------------- *)
 
 let current : plan option Atomic.t = Atomic.make None
 
 let install plan = Atomic.set current (Some plan)
 
-let uninstall () = Atomic.set current None
-
-let installed () = Atomic.get current
+(* Test hook: resets the process-global plan between tests. *)
+let[@lint.allow "dead-export"] uninstall () = Atomic.set current None
 
 (* ---- verdicts -------------------------------------------------------- *)
 

@@ -59,9 +59,6 @@ val parse : ?seed:int64 -> string -> (plan, string) result
 (** Compile a plan from the syntax above. [seed] (default 0) roots
     every probabilistic verdict. Errors name the offending clause. *)
 
-val sites : plan -> string list
-(** The site names the plan covers, in clause order. *)
-
 val install : plan -> unit
 (** Make the plan current for the whole process (replacing any
     previous one). Call before the work under test; triggers hit from
@@ -69,8 +66,6 @@ val install : plan -> unit
 
 val uninstall : unit -> unit
 (** Remove the current plan; every site is a no-op again. *)
-
-val installed : unit -> plan option
 
 val trigger : ?key:int64 -> string -> unit
 (** [trigger ~key site] asks the current plan for a verdict. With no

@@ -33,9 +33,8 @@ let arm ?(cap = default_cap) path =
   Atomic.set current
     (Some { path; cap; ring = Array.make cap None; next_seq = 0; lock = Mutex.create () })
 
-let disarm () = Atomic.set current None
-
-let armed () = Option.is_some (Atomic.get current)
+(* Test hook: resets the process-global recorder between tests. *)
+let[@lint.allow "dead-export"] disarm () = Atomic.set current None
 
 let note label fields =
   match Atomic.get current with

@@ -31,8 +31,6 @@ val arm : ?cap:int -> string -> unit
 
 val disarm : unit -> unit
 
-val armed : unit -> bool
-
 val note : string -> (string * string) list -> unit
 (** [note label fields] appends one event. No-op unless {!arm}ed. *)
 

@@ -18,11 +18,10 @@ let handler s =
 let install () =
   List.iter (fun s -> Sys.set_signal s (Sys.Signal_handle handler)) handled
 
-let uninstall () =
+(* Test hook: restores the process-global signal handlers between tests. *)
+let[@lint.allow "dead-export"] uninstall () =
   List.iter (fun s -> Sys.set_signal s Sys.Signal_default) handled;
   Atomic.set flag None
-
-let pending () = Atomic.get flag
 
 let check () =
   match Atomic.get flag with None -> () | Some n -> raise (Interrupted n)

@@ -27,9 +27,6 @@ val install : unit -> unit
 val uninstall : unit -> unit
 (** Restore default signal behaviour and clear any pending flag. *)
 
-val pending : unit -> int option
-(** The OS signal number received since {!install}, if any. *)
-
 val check : unit -> unit
 (** Raise [Interrupted n] if a signal is pending; otherwise a no-op
     (one atomic load). Safe to call without {!install}. *)

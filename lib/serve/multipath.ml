@@ -35,8 +35,6 @@ let create cfg ~names:name_list =
         }
   end
 
-let names r = Array.to_list r.s_names
-
 let index r name =
   let rec find i =
     if i >= Array.length r.s_names then

@@ -34,8 +34,6 @@ val create : config -> names:string list -> (t, string) result
     tie-break order). [Error] on an invalid config, an empty list or a
     duplicate name. *)
 
-val names : t -> string list
-
 val observe : t -> string -> delivered:bool -> delay:float option -> loss:float -> unit
 (** Fold one delivery observation into the named strategy's EWMAs:
     [delivered] updates the success average, [delay] (when delivered)

@@ -94,32 +94,6 @@ let scratch () =
     s_clean = true;
   }
 
-(* Drop every buffer back to empty. Capacity only ever ratchets up
-   (high-water-mark retention), which is right for batch sweeps but
-   wrong for an indefinitely-lived server whose window population or
-   event volume can shrink permanently; [psn serve] calls this when it
-   wants the high-water memory back. Equivalent to replacing the
-   scratch with [scratch ()] — the next [run] rebuilds from scratch. *)
-let reset s =
-  s.s_nodes <- 0;
-  s.s_adj <- [||];
-  s.s_peers <- [||];
-  s.s_n_peers <- [||];
-  s.s_peer_pos <- [||];
-  s.s_held <- [||];
-  s.s_held_len <- [||];
-  s.s_msgs <- 0;
-  s.s_message_of <- [||];
-  s.s_stride <- 0;
-  s.s_holders <- Bytes.empty;
-  s.s_delivered <- [||];
-  s.s_copies_of <- [||];
-  s.s_attempts_of <- [||];
-  s.s_ev_cap <- 0;
-  s.s_ev_time <- [||];
-  s.s_ev_code <- [||];
-  s.s_clean <- true
-
 (* Windowed-reuse audit (the serve layer reuses one scratch across
    runs whose populations, message counts and event volumes all vary
    as the window slides; each re-entry invariant below is what makes

@@ -62,17 +62,6 @@ val scratch : unit -> scratch
 (** A fresh, empty scratch. Buffers grow on first use and are retained
     at high-water-mark size across runs. *)
 
-val reset : scratch -> unit
-(** Drop every buffer back to empty, releasing the high-water-mark
-    memory. Capacity only ever ratchets up across runs — fine for a
-    batch sweep, but a long-running [psn serve] session whose window
-    population or event volume shrinks permanently would otherwise pin
-    peak-sized buffers forever; the serve layer resets between windows
-    when it wants the memory back. Observationally identical to
-    replacing the scratch with a fresh [scratch ()]: outcomes are
-    bit-identical either way (reuse-vs-fresh is pinned by the
-    determinism tests). *)
-
 val run :
   ?ttl:float ->
   ?faults:Faults.plan ->

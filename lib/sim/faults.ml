@@ -86,17 +86,12 @@ let compile ~n_nodes ~horizon spec =
     invalid_arg "Faults.compile: horizon must be finite and positive";
   { spec; horizon; down = Array.init n_nodes (node_downtime spec ~horizon) }
 
-let spec_of plan = plan.spec
-
-let downtime plan node =
+(* Reference intervals: the degrade tests check every degraded contact
+   against them. *)
+let[@lint.allow "dead-export"] downtime plan node =
   if node < 0 || node >= Array.length plan.down then
     invalid_arg "Faults.downtime: node out of range";
   Array.to_list plan.down.(node)
-
-let node_down plan node time =
-  if node < 0 || node >= Array.length plan.down then
-    invalid_arg "Faults.node_down: node out of range";
-  Array.exists (fun (d, r) -> time >= d && time < r) plan.down.(node)
 
 (* Subtract a node's down intervals from [intervals] (both ascending). *)
 let clip_against intervals downs =

@@ -71,14 +71,9 @@ val compile : n_nodes:int -> horizon:float -> spec -> plan
     [\[0, horizon)]. Raises [Invalid_argument] if the spec does not
     {!validate} or the dimensions are non-positive. *)
 
-val spec_of : plan -> spec
-
 val downtime : plan -> Psn_trace.Node.id -> (float * float) list
 (** The node's down intervals, disjoint and ascending, clipped to the
     horizon. Raises [Invalid_argument] on an out-of-range node. *)
-
-val node_down : plan -> Psn_trace.Node.id -> float -> bool
-(** Is the node inside one of its down intervals at this time? *)
 
 val degrade : plan -> Psn_trace.Trace.t -> Psn_trace.Trace.t
 (** Apply the contact-set channels: truncate each contact by its jitter

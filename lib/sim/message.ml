@@ -6,7 +6,3 @@ let make ~id ~src ~dst ~t_create =
   if not (Float.is_finite t_create && t_create >= 0.) then
     invalid_arg "Message.make: bad creation time";
   { id; src; dst; t_create }
-
-let pp ppf m =
-  Format.fprintf ppf "msg %d: %a -> %a @@ %.1fs" m.id Psn_trace.Node.pp m.src Psn_trace.Node.pp
-    m.dst m.t_create

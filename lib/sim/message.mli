@@ -10,6 +10,3 @@ type t = {
 val make : id:int -> src:Psn_trace.Node.id -> dst:Psn_trace.Node.id -> t_create:float -> t
 (** Raises [Invalid_argument] if [src = dst], an id is negative, or the
     creation time is negative or not finite. *)
-
-val pp : Format.formatter -> t -> unit
-(** ["msg 12: n3 -> n47 @ 512.0s"]. *)

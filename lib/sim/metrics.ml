@@ -81,10 +81,12 @@ let pool = function
 
 (* The determinism contract is "same bits", not numeric equality:
    comparing the IEEE payloads keeps NaN delays (no deliveries) equal
-   to themselves and distinguishes -0. from 0. *)
-let float_identical a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+   to themselves and distinguishes -0. from 0. Reference equality: the
+   --jobs × --chunk bit-identity tests compare results with it. *)
+let[@lint.allow "dead-export"] float_identical a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let equal a b =
+let[@lint.allow "dead-export"] equal a b =
   String.equal a.algorithm b.algorithm
   && a.messages = b.messages && a.delivered = b.delivered
   && float_identical a.success_rate b.success_rate

@@ -119,8 +119,3 @@ let map_env ?jobs ?chunk ?telemetry ~env f tasks =
 
 let map_traced ?jobs ?chunk ?telemetry f tasks =
   map_env ?jobs ?chunk ?telemetry ~env:(fun () -> ()) (fun () sink task -> f sink task) tasks
-
-let map ?jobs ?chunk f tasks =
-  map_env ?jobs ?chunk ~env:(fun () -> ()) (fun () (_ : T.sink) task -> f task) tasks
-
-let map_list ?jobs ?chunk f tasks = Array.to_list (map ?jobs ?chunk f (Array.of_list tasks))

@@ -52,20 +52,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the pool size used when
     [?jobs] is omitted. *)
 
-val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~jobs ~chunk f tasks] is [Array.map f tasks] computed by up
-    to [jobs] domains (the calling domain works too, and no more
-    domains are spawned than there are chunks to claim). [jobs]
-    defaults to {!default_jobs}; [jobs = 1] runs entirely on the
-    calling domain with no spawning. [chunk] is the number of task
-    indices a worker claims per grab; it defaults to a heuristic
-    aiming at ~4 chunks per worker (clamped to [1, 64]) and must be
-    [>= 1]. Raises [Invalid_argument] when [jobs < 1] or
-    [chunk < 1]. *)
-
-val map_list : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over a list, preserving order. *)
-
 val map_traced :
   ?jobs:int ->
   ?chunk:int ->
@@ -73,13 +59,23 @@ val map_traced :
   (Psn_telemetry.Telemetry.sink -> 'a -> 'b) ->
   'a array ->
   'b array
-(** {!map} where each task also receives the sink of the domain
-    executing it, so instrumented tasks (runner simulations, path
-    enumerations) attribute their spans to the right track. [jobs]
-    child sinks are {!Psn_telemetry.Telemetry.fork}ed up front —
-    uniformly, whatever the task count — and worker [k] records into
-    child [k]; the children are joined after the domains are.
-    The default sink is null, under which this is exactly {!map}. *)
+(** [map_traced ~jobs ~chunk f tasks] is [Array.map (f sink) tasks]
+    computed by up to [jobs] domains (the calling domain works too,
+    and no more domains are spawned than there are chunks to claim).
+    [jobs] defaults to {!default_jobs}; [jobs = 1] runs entirely on
+    the calling domain with no spawning. [chunk] is the number of task
+    indices a worker claims per grab; it defaults to a heuristic
+    aiming at ~4 chunks per worker (clamped to [1, 64]) and must be
+    [>= 1]. Raises [Invalid_argument] when [jobs < 1] or
+    [chunk < 1].
+
+    Each task receives the sink of the domain executing it, so
+    instrumented tasks (runner simulations, path enumerations)
+    attribute their spans to the right track. [jobs] child sinks are
+    {!Psn_telemetry.Telemetry.fork}ed up front — uniformly, whatever
+    the task count — and worker [k] records into child [k]; the
+    children are joined after the domains are. The default sink is
+    null. *)
 
 val map_env :
   ?jobs:int ->

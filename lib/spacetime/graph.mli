@@ -15,7 +15,6 @@ type edge =
 
 type t
 
-val of_snapshot : Snapshot.t -> t
 val of_trace : ?delta:float -> Psn_trace.Trace.t -> t
 
 val n_vertices : t -> int

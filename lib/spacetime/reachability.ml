@@ -41,12 +41,12 @@ let arrival_time t node =
 
 let delivery_delay t ~dst = Option.map (fun time -> time -. t.t_create) (arrival_time t dst)
 
-let reached t = Array.fold_left (fun acc a -> if a >= 0 then acc + 1 else acc) 0 t.arrival
+(* Summaries of the flooding oracle, the reference the spacetime tests
+   check reachability against. *)
+let[@lint.allow "dead-export"] reached t =
+  Array.fold_left (fun acc a -> if a >= 0 then acc + 1 else acc) 0 t.arrival
 
-let all_arrival_times t =
-  Array.map (fun step -> if step < 0 then None else Some (Timegrid.time_of_step t.grid step)) t.arrival
-
-let reachability_ratio snap ~t_create =
+let[@lint.allow "dead-export"] reachability_ratio snap ~t_create =
   let n = Snapshot.n_nodes snap in
   let reached_pairs = ref 0 in
   for src = 0 to n - 1 do

@@ -29,9 +29,6 @@ val delivery_delay : arrivals -> dst:Psn_trace.Node.id -> float option
 val reached : arrivals -> int
 (** Number of nodes reached, including the source. *)
 
-val all_arrival_times : arrivals -> float option array
-(** Per-node copy of arrival times. *)
-
 val reachability_ratio : Snapshot.t -> t_create:float -> float
 (** Fraction of ordered node pairs [(src, dst)] for which a message
     created at [t_create] can reach [dst] from [src] before the trace

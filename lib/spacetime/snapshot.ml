@@ -39,7 +39,9 @@ let neighbours t ~step node =
   check t ~step node;
   t.adj.(step - 1).(node)
 
-let in_contact t ~step a b =
+(* Reference lookup: the Path validity predicates and the adjacency
+   property tests are stated with it. *)
+let[@lint.allow "dead-export"] in_contact t ~step a b =
   check t ~step a;
   check t ~step b;
   List.mem b t.adj.(step - 1).(a)

@@ -20,7 +20,9 @@ let time_of_step t c =
   check_step t c;
   float_of_int c *. t.delta
 
-let interval_of_step t c =
+(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
+   code left in lib/"). *)
+let[@lint.allow "dead-export"] interval_of_step t c =
   check_step t c;
   (float_of_int (c - 1) *. t.delta, float_of_int c *. t.delta)
 

@@ -33,7 +33,3 @@ let of_samples xs =
   { q1; median; q3; whisker_lo; whisker_hi; outliers; count = Array.length xs }
 
 let iqr t = t.q3 -. t.q1
-
-let pp ppf t =
-  Format.fprintf ppf "[%.3g |%.3g %.3g %.3g| %.3g] (n=%d, %d outliers)" t.whisker_lo t.q1
-    t.median t.q3 t.whisker_hi t.count (Array.length t.outliers)

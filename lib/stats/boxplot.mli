@@ -19,7 +19,3 @@ val of_samples : float array -> t
 
 val iqr : t -> float
 (** Interquartile range [q3 - q1]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line rendering used by the bench harness, e.g.
-    ["[0.82 |1.20 1.71 2.40| 4.52] (n=312, 7 outliers)"]. *)

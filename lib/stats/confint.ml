@@ -11,5 +11,3 @@ let of_summary summary level =
   let h = halfwidth summary level in
   let m = Summary.mean summary in
   (m -. h, m +. h)
-
-let of_samples xs level = of_summary (Summary.of_array xs) level

@@ -14,8 +14,5 @@ val of_summary : Summary.t -> level -> float * float
 (** [(lo, hi)] interval for the mean. Degenerates to [(mean, mean)] for
     samples of size < 2. Raises [Invalid_argument] on an empty summary. *)
 
-val of_samples : float array -> level -> float * float
-(** Convenience over {!of_summary}. *)
-
 val halfwidth : Summary.t -> level -> float
 (** Half the interval width: [z * sd / sqrt n]. *)

@@ -14,9 +14,6 @@ val create : lo:float -> hi:float -> bins:int -> float Seq.t -> t
 val counts : t -> int array
 (** Per-bin counts, length [bins]. *)
 
-val bin_edges : t -> float array
-(** [bins + 1] edges; bin [i] covers [\[edges.(i), edges.(i+1))]. *)
-
 val bin_center : t -> int -> float
 (** Midpoint of bin [i]. *)
 

@@ -141,4 +141,6 @@ let quantiles_sorted sorted qs =
     qs
 
 let median xs = quantile xs 0.5
-let percentile xs p = quantile xs (float_of_int p /. 100.)
+(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
+   code left in lib/"). *)
+let[@lint.allow "dead-export"] percentile xs p = quantile xs (float_of_int p /. 100.)

@@ -2,44 +2,30 @@ type t = {
   mutable n : int;
   mutable mean : float;
   mutable m2 : float;  (* sum of squared deviations from the running mean *)
-  mutable minv : float;
-  mutable maxv : float;
-  mutable sum : float;
 }
 
-let create () = { n = 0; mean = 0.; m2 = 0.; minv = Float.nan; maxv = Float.nan; sum = 0. }
+let create () = { n = 0; mean = 0.; m2 = 0. }
 
 let add t x =
   if not (Float.is_finite x) then invalid_arg "Summary.add: non-finite observation";
   t.n <- t.n + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  t.sum <- t.sum +. x;
-  if t.n = 1 then begin
-    t.minv <- x;
-    t.maxv <- x
-  end
-  else begin
-    if x < t.minv then t.minv <- x;
-    if x > t.maxv then t.maxv <- x
-  end
+  t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-let add_seq t seq = Seq.iter (add t) seq
 let count t = t.n
 let mean t = if t.n = 0 then Float.nan else t.mean
 let variance t = if t.n < 2 then Float.nan else t.m2 /. float_of_int (t.n - 1)
 let stddev t = Float.sqrt (variance t)
-let min t = t.minv
-let max t = t.maxv
-let total t = t.sum
 
 let of_array arr =
   let t = create () in
   Array.iter (add t) arr;
   t
 
-let merge a b =
+(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
+   code left in lib/"). *)
+let[@lint.allow "dead-export"] merge a b =
   if a.n = 0 then { b with n = b.n }
   else if b.n = 0 then { a with n = a.n }
   else begin
@@ -48,16 +34,5 @@ let merge a b =
     let delta = b.mean -. a.mean in
     let mean = a.mean +. (delta *. fb /. float_of_int n) in
     let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n) in
-    {
-      n;
-      mean;
-      m2;
-      minv = Float.min a.minv b.minv;
-      maxv = Float.max a.maxv b.maxv;
-      sum = a.sum +. b.sum;
-    }
+    { n; mean; m2 }
   end
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.n (mean t) (stddev t) t.minv
-    t.maxv

@@ -1,7 +1,7 @@
 (** Streaming summary statistics.
 
     Welford's online algorithm: numerically stable single-pass mean and
-    variance, plus min/max and count. Used everywhere an experiment
+    variance, plus the count. Used everywhere an experiment
     aggregates per-message or per-node values. *)
 
 type t
@@ -13,9 +13,6 @@ val create : unit -> t
 val add : t -> float -> unit
 (** Feed one observation. Non-finite values raise [Invalid_argument]
     (silently absorbing a NaN would corrupt every downstream figure). *)
-
-val add_seq : t -> float Seq.t -> unit
-(** Feed many observations. *)
 
 val count : t -> int
 (** Number of observations so far. *)
@@ -30,21 +27,9 @@ val variance : t -> float
 val stddev : t -> float
 (** Square root of {!variance}. *)
 
-val min : t -> float
-(** Smallest observation. [nan] when empty. *)
-
-val max : t -> float
-(** Largest observation. [nan] when empty. *)
-
-val total : t -> float
-(** Sum of observations. *)
-
 val of_array : float array -> t
 (** Summarise an array in one pass. *)
 
 val merge : t -> t -> t
 (** [merge a b] summarises the union of both observation streams
     (Chan's parallel-variance combination). Inputs are unchanged. *)
-
-val pp : Format.formatter -> t -> unit
-(** ["n=… mean=… sd=… min=… max=…"]. *)

@@ -40,8 +40,3 @@ let render ?align ~header rows =
   in
   let rule = Array.to_list widths |> List.map (fun w -> String.make w '-') |> String.concat "  " in
   String.concat "\n" (line header :: rule :: List.map line rows)
-
-let render_floats ?(precision = 4) ~header rows =
-  let cells = List.map (List.map (Printf.sprintf "%.*g" precision)) rows in
-  let aligns = List.init (List.length header) (fun _ -> Right) in
-  render ~align:aligns ~header cells

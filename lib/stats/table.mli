@@ -14,13 +14,3 @@ val render :
     to content, a separator rule under the header, and two spaces
     between columns. Ragged rows are padded with empty cells. [align]
     defaults to [Left] for every column. *)
-
-val render_floats :
-  ?precision:int ->
-  header:string list ->
-  float list list ->
-  string
-(** Numeric convenience: formats every cell with [%.*g] (default
-    precision 4) and right-aligns all columns. Callers print the
-    rendered string themselves: library code never writes to stdout
-    (see the determinism linter's [stdout-print] rule). *)

@@ -15,7 +15,6 @@ let bin_events ~t0 ~t1 ~bin events =
   { t0; bin; counts }
 
 let counts t = Array.copy t.counts
-let times t = Array.init (Array.length t.counts) (fun i -> t.t0 +. (float_of_int i *. t.bin))
 
 let cumulative t =
   let acc = ref 0 in

@@ -14,9 +14,6 @@ val bin_events : t0:float -> t1:float -> bin:float -> float Seq.t -> t
 val counts : t -> int array
 (** Per-bin event counts. *)
 
-val times : t -> float array
-(** Left edge of each bin (same length as {!counts}). *)
-
 val cumulative : t -> (float * int) array
 (** [(bin_right_edge, events so far)] — the Fig. 11 staircase. *)
 

@@ -43,8 +43,6 @@ let kind_name = function
 
 type error = { offset : int; reason : string }
 
-let pp_error ppf e = Format.fprintf ppf "offset %d: %s" e.offset e.reason
-
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)              *)
 
@@ -315,7 +313,9 @@ let encode_trace t =
   trace_payload b t;
   frame ~kind:Trace (Buffer.contents b)
 
-let decode_trace s = decode_as Trace read_trace s
+(* Reference decoder: the round-trip and corruption tests pin
+   [encode_trace] (the store key hash) against it. *)
+let[@lint.allow "dead-export"] decode_trace s = decode_as Trace read_trace s
 
 (* ------------------------------------------------------------------ *)
 (* Engine outcome                                                     *)
@@ -411,7 +411,9 @@ let encode_metrics m =
   metrics_payload b m;
   frame ~kind:Metrics (Buffer.contents b)
 
-let decode_metrics s = decode_as Metrics read_metrics s
+(* Reference decoder: the round-trip and corruption tests pin
+   [encode_metrics] against it. *)
+let[@lint.allow "dead-export"] decode_metrics s = decode_as Metrics read_metrics s
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration result                                                 *)

@@ -50,9 +50,6 @@ type error = {
   reason : string;
 }
 
-val pp_error : Format.formatter -> error -> unit
-(** ["offset 11: CRC mismatch (stored deadbeef, computed 0000cafe)"]. *)
-
 (** {1 Artifact frames}
 
     Each [encode_x] returns a complete frame; each [decode_x] accepts

@@ -56,7 +56,6 @@ let copy h =
 
 let count h = h.total
 let skipped h = h.skipped
-let is_empty h = h.total = 0
 
 (* Quantize to millionths before summing: Int64 addition is associative
    where float addition is not, so the merged sum cannot depend on the
@@ -104,12 +103,9 @@ let merge_into ~into src =
   if src.minv < into.minv then into.minv <- src.minv;
   if src.maxv > into.maxv then into.maxv <- src.maxv
 
-let merge a b =
-  let h = copy a in
-  merge_into ~into:h b;
-  h
-
-let equal a b =
+(* Reference equality: the merge-algebra, copy and codec properties
+   compare histograms with it. *)
+let[@lint.allow "dead-export"] equal a b =
   Array.length a.counts = Array.length b.counts
   && (let same = ref true in
       for i = 0 to n_buckets - 1 do

@@ -8,7 +8,7 @@
     bucket, and non-finite samples are skipped (and counted).
 
     All merged state is integral — bucket counts and a sum quantized to
-    Int64 millionths — so {!merge} is associative and commutative:
+    Int64 millionths — so {!merge_into} is associative and commutative:
     folding forked per-domain histograms in {e any} order yields
     bit-identical state, the property that keeps digests
     schedule-independent under [--jobs]×[--chunk]. *)
@@ -23,19 +23,13 @@ val add : t -> float -> unit
     only counted in {!skipped}. *)
 
 val merge_into : into:t -> t -> unit
-(** Fold [src] into [into] by bucket-wise addition; associative and
-    commutative together with {!merge}. *)
-
-val merge : t -> t -> t
-(** Pure merge of two histograms. *)
+(** Fold [src] into [into] by bucket-wise addition. *)
 
 val count : t -> int
 (** Recorded (finite) samples. *)
 
 val skipped : t -> int
 (** Non-finite samples dropped by {!add}. *)
-
-val is_empty : t -> bool
 
 val sum : t -> float
 (** Sum of samples, via the Int64 millionths accumulator — so equal

@@ -120,8 +120,6 @@ let render ?(values_only = false) t =
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
 
-let equal_values a b = String.equal (render ~values_only:true a) (render ~values_only:true b)
-
 (* Registry view of a closed telemetry summary: merged counters and
    value histograms as value families; span-duration histograms and
    elapsed wall time flagged [time_based], since their contents are

@@ -36,10 +36,6 @@ val render : ?values_only:bool -> t -> string
 (** The OpenMetrics text exposition, terminated by [# EOF].
     [~values_only:true] omits every [time_based] family. *)
 
-val equal_values : t -> t -> bool
-(** Byte equality of the two registries' values-only expositions — the
-    bit-identity predicate pinned by the jobs×chunk grid test. *)
-
 val of_summary : Telemetry.summary -> t
 (** Registry view of a closed collector: counters and value histograms
     as value families ([psn_] prefix), span-duration histograms

@@ -31,7 +31,6 @@ module Sink = struct
   type t = sink
 
   let null = Null
-  let is_null = function Null -> true | Active _ -> false
 end
 
 let make_buffer track =
@@ -225,10 +224,3 @@ let close c =
     elapsed;
     dropped_ends = List.fold_left (fun acc (_, d) -> acc + d) 0 per_track;
   }
-
-(* ---- rendering helpers ------------------------------------------------ *)
-
-let string_of_value = function
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%.6g" f
-  | Str s -> s

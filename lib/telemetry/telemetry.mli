@@ -35,8 +35,6 @@ module Sink : sig
 
   val null : t
   (** The disabled sink: all recording calls are no-ops. *)
-
-  val is_null : t -> bool
 end
 
 val create : ?clock:(unit -> float) -> unit -> collector
@@ -119,5 +117,3 @@ val close : collector -> summary
 (** Read the clock once more, close any still-open spans at that time,
     and merge every joined track. Call after all forked children are
     joined; buffers are not consumed (closing twice re-summarises). *)
-
-val string_of_value : value -> string

@@ -10,15 +10,7 @@ let make ~a ~b ~t_start ~t_end =
   { a; b; t_start; t_end }
 
 let duration c = c.t_end -. c.t_start
-let involves c n = c.a = n || c.b = n
-
-let peer c n =
-  if n = c.a then c.b
-  else if n = c.b then c.a
-  else invalid_arg "Contact.peer: node is not an endpoint"
-
 let overlaps c ~t0 ~t1 = c.t_start < t1 && c.t_end > t0
-let active_at c time = time >= c.t_start && time < c.t_end
 
 let compare_by_start x y =
   let c = Float.compare x.t_start y.t_start in
@@ -29,7 +21,5 @@ let compare_by_start x y =
     else
       let c = Int.compare x.a y.a in
       if c <> 0 then c else Int.compare x.b y.b
-
-let equal x y = compare_by_start x y = 0 && x.a = y.a && x.b = y.b
 
 let pp ppf c = Format.fprintf ppf "%a<->%a [%.1f, %.1f)" Node.pp c.a Node.pp c.b c.t_start c.t_end

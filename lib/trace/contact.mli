@@ -20,24 +20,12 @@ val make : a:Node.id -> b:Node.id -> t_start:float -> t_end:float -> t
 val duration : t -> float
 (** [t_end -. t_start]. *)
 
-val involves : t -> Node.id -> bool
-(** Whether the node is one of the endpoints. *)
-
-val peer : t -> Node.id -> Node.id
-(** [peer c n] is the other endpoint. Raises [Invalid_argument] if [n]
-    is not an endpoint. *)
-
 val overlaps : t -> t0:float -> t1:float -> bool
 (** Whether the contact interval intersects [\[t0, t1)]. *)
-
-val active_at : t -> float -> bool
-(** Whether [time] falls in [\[t_start, t_end)]. *)
 
 val compare_by_start : t -> t -> int
 (** Chronological order by start time, tie-broken by end time then
     endpoints, so sorting is deterministic. *)
-
-val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** ["n3<->n17 [120.0, 310.5)"]. *)

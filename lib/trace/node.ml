@@ -5,13 +5,4 @@ type kind = Mobile | Stationary
 let equal_kind a b =
   match (a, b) with Mobile, Mobile | Stationary, Stationary -> true | _, _ -> false
 
-let pp_kind ppf = function
-  | Mobile -> Format.pp_print_string ppf "mobile"
-  | Stationary -> Format.pp_print_string ppf "stationary"
-
-let kind_of_string = function
-  | "mobile" -> Ok Mobile
-  | "stationary" -> Ok Stationary
-  | s -> Error (Printf.sprintf "unknown node kind %S (expected mobile|stationary)" s)
-
 let pp ppf id = Format.fprintf ppf "n%d" id

@@ -14,11 +14,5 @@ type kind =
 
 val equal_kind : kind -> kind -> bool
 
-val pp_kind : Format.formatter -> kind -> unit
-(** ["mobile"] or ["stationary"]. *)
-
-val kind_of_string : string -> (kind, string) result
-(** Inverse of {!pp_kind}; [Error] describes the bad input. *)
-
 val pp : Format.formatter -> id -> unit
 (** ["n<id>"], e.g. ["n42"]. *)

@@ -34,17 +34,9 @@ let n_nodes t = t.n_nodes
 let horizon t = t.horizon
 let kinds t = Array.copy t.kinds
 
-let kind t id =
-  if id < 0 || id >= t.n_nodes then invalid_arg "Trace.kind: node out of range";
-  t.kinds.(id)
-
 let contacts t = Array.copy t.contacts
 let n_contacts t = Array.length t.contacts
 let iter_contacts t f = Array.iter f t.contacts
-let fold_contacts t ~init ~f = Array.fold_left f init t.contacts
-
-let contacts_in_window t ~t0 ~t1 =
-  Array.to_list t.contacts |> List.filter (fun c -> Contact.overlaps c ~t0 ~t1)
 
 let contact_counts t =
   let counts = Array.make t.n_nodes 0 in
@@ -55,25 +47,13 @@ let contact_counts t =
     t.contacts;
   counts
 
-let contact_rate t id =
-  if id < 0 || id >= t.n_nodes then invalid_arg "Trace.contact_rate: node out of range";
-  let count = ref 0 in
-  Array.iter (fun c -> if Contact.involves c id then incr count) t.contacts;
-  float_of_int !count /. t.horizon
-
 let contact_rates t =
   let counts = contact_counts t in
   Array.map (fun c -> float_of_int c /. t.horizon) counts
 
-let median_rate t = Psn_stats.Quantile.median (contact_rates t)
-
-let degree t id =
-  if id < 0 || id >= t.n_nodes then invalid_arg "Trace.degree: node out of range";
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun c -> if Contact.involves c id then Hashtbl.replace seen (Contact.peer c id) ())
-    t.contacts;
-  Hashtbl.length seen
+(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
+   code left in lib/"). *)
+let[@lint.allow "dead-export"] median_rate t = Psn_stats.Quantile.median (contact_rates t)
 
 let contact_time_series t ~bin =
   let starts = Array.to_seq t.contacts |> Seq.map (fun (c : Contact.t) -> c.Contact.t_start) in
@@ -93,27 +73,6 @@ let restrict t ~t0 ~t1 =
              else None)
   in
   create ~n_nodes:t.n_nodes ~horizon:(t1 -. t0) ~kinds:t.kinds clipped
-
-let shift_contact offset (c : Contact.t) =
-  Contact.make ~a:c.Contact.a ~b:c.Contact.b ~t_start:(c.Contact.t_start +. offset)
-    ~t_end:(c.Contact.t_end +. offset)
-
-let require_same_population a b ~what =
-  if a.n_nodes <> b.n_nodes then
-    invalid_arg (Printf.sprintf "Trace.%s: traces have different populations" what)
-
-let concat a b =
-  require_same_population a b ~what:"concat";
-  let shifted = Array.to_list b.contacts |> List.map (shift_contact a.horizon) in
-  create ~n_nodes:a.n_nodes ~horizon:(a.horizon +. b.horizon) ~kinds:a.kinds
-    (Array.to_list a.contacts @ shifted)
-
-let merge a b =
-  require_same_population a b ~what:"merge";
-  create ~n_nodes:a.n_nodes
-    ~horizon:(Float.max a.horizon b.horizon)
-    ~kinds:a.kinds
-    (Array.to_list a.contacts @ Array.to_list b.contacts)
 
 let validate t =
   let problem = ref None in

@@ -22,8 +22,6 @@ val horizon : t -> float
 val kinds : t -> Node.kind array
 (** Fresh copy of per-node kinds. *)
 
-val kind : t -> Node.id -> Node.kind
-
 val contacts : t -> Contact.t array
 (** Fresh copy of all contacts, sorted by {!Contact.compare_by_start}. *)
 
@@ -32,26 +30,16 @@ val n_contacts : t -> int
 val iter_contacts : t -> (Contact.t -> unit) -> unit
 (** Chronological iteration without copying. *)
 
-val fold_contacts : t -> init:'acc -> f:('acc -> Contact.t -> 'acc) -> 'acc
-
-val contacts_in_window : t -> t0:float -> t1:float -> Contact.t list
-(** Contacts whose interval intersects [\[t0, t1)], chronological. *)
-
 val contact_counts : t -> int array
 (** Per-node number of contacts over the whole trace — the x-axis of
     the paper's Fig. 7. Each contact counts once for each endpoint. *)
 
-val contact_rate : t -> Node.id -> float
-(** Contacts per second for one node: count / horizon. This is the
-    λ_i of §5.2. *)
-
 val contact_rates : t -> float array
+(** Contacts per second for each node: count / horizon. This is the
+    λ_i of §5.2. *)
 
 val median_rate : t -> float
 (** Median of {!contact_rates} — the paper's in/out split point. *)
-
-val degree : t -> Node.id -> int
-(** Number of distinct peers the node ever contacts. *)
 
 val contact_time_series : t -> bin:float -> Psn_stats.Timeseries.t
 (** Contact start events binned over the horizon (Fig. 1 uses 60 s
@@ -61,19 +49,6 @@ val restrict : t -> t0:float -> t1:float -> t
 (** Sub-trace of contacts intersecting [\[t0, t1)], clipped to the
     window and re-based so the new trace starts at time 0. Node
     population is preserved. *)
-
-val concat : t -> t -> t
-(** [concat morning afternoon] appends the second trace after the first
-    in time (its timestamps shifted by the first's horizon) — e.g. to
-    build a full conference day from session windows. Both traces must
-    have the same population; raises [Invalid_argument] otherwise.
-    Kinds are taken from the first trace. *)
-
-val merge : t -> t -> t
-(** [merge a b] overlays two traces on the same population and time
-    axis (e.g. observed contacts from two sensor modalities). The
-    horizon is the larger of the two. Raises [Invalid_argument] when
-    populations differ. *)
 
 val validate : t -> (unit, string) result
 (** Re-checks every invariant (sortedness, bounds, id ranges); used by

@@ -1,2 +1,2 @@
 (* Clean fan-out: the task only touches an atomic. *)
-let go xs = Parallel.map Owned.touch xs
+let go xs = Parallel.map_traced Owned.touch xs

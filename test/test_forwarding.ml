@@ -123,8 +123,9 @@ let test_meed_pair_delay_formula () =
   let trace =
     Trace.create ~n_nodes:2 ~horizon:100. [ Contact.make ~a:0 ~b:1 ~t_start:40. ~t_end:50. ]
   in
-  Alcotest.check feps "expected delay" 26. (Meed.pair_delay trace 0 1);
-  Alcotest.check feps "diagonal" 0. (Meed.pair_delay trace 0 0)
+  let d = Meed.delay_matrix trace in
+  Alcotest.check feps "expected delay" 26. d.(0).(1);
+  Alcotest.check feps "diagonal" 0. d.(0).(0)
 
 let test_meed_more_meetings_lower_delay () =
   let trace1 =
@@ -137,14 +138,13 @@ let test_meed_more_meetings_lower_delay () =
          [ 20.; 40.; 60.; 80. ])
   in
   Alcotest.(check bool) "frequent meetings mean lower expected delay" true
-    (Meed.pair_delay trace4 0 1 < Meed.pair_delay trace1 0 1)
+    ((Meed.delay_matrix trace4).(0).(1) < (Meed.delay_matrix trace1).(0).(1))
 
 let test_meed_never_meet () =
   let trace =
     Trace.create ~n_nodes:3 ~horizon:100. [ Contact.make ~a:0 ~b:1 ~t_start:40. ~t_end:50. ]
   in
-  Alcotest.(check bool) "infinite" true (Meed.pair_delay trace 0 2 = Float.infinity);
-  Alcotest.check feps "matrix agrees" (Meed.pair_delay trace 0 2) (Meed.delay_matrix trace).(0).(2)
+  Alcotest.(check bool) "infinite" true ((Meed.delay_matrix trace).(0).(2) = Float.infinity)
 
 let test_meed_routing_relays () =
   (* 0 never meets 2 directly, but meets 1 often and 1 meets 2 often:
@@ -162,7 +162,7 @@ let test_meed_routing_relays () =
   let costs = Meed.routing_costs trace in
   Alcotest.(check bool) "relayed cost finite" true (Float.is_finite costs.(0).(2));
   Alcotest.(check bool) "relay no worse than direct" true
-    (costs.(0).(2) <= Meed.pair_delay trace 0 2)
+    (costs.(0).(2) <= (Meed.delay_matrix trace).(0).(2))
 
 let test_dynprog_decision () =
   let contacts =
@@ -325,8 +325,10 @@ let test_community_detection () =
     (Core.Community.same_community c 3 4 && Core.Community.same_community c 4 5);
   Alcotest.(check bool) "groups separated" false (Core.Community.same_community c 0 3);
   Alcotest.(check int) "two communities" 2 (Core.Community.n_communities c);
-  Alcotest.(check (list int)) "members listed" [ 0; 1; 2 ]
-    (Core.Community.members c (Core.Community.community_of c 0))
+  Alcotest.(check bool) "members listed" true
+    (List.exists
+       (fun label -> List.equal Int.equal (Core.Community.members c label) [ 0; 1; 2 ])
+       (List.init (Core.Community.n_communities c) Fun.id))
 
 let test_community_min_weight_filters_bridge () =
   let trace = community_trace () in

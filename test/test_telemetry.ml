@@ -107,7 +107,6 @@ let test_fork_tracks () =
 let test_null_fork () =
   let kids = T.fork T.Sink.null 4 in
   Alcotest.(check int) "null forks to width" 4 (Array.length kids);
-  Array.iter (fun k -> Alcotest.(check bool) "child is null" true (T.Sink.is_null k)) kids;
   (* all recording calls must be no-ops *)
   T.count kids.(0) "x" 1;
   T.hist kids.(1) "y" 2.;

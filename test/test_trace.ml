@@ -40,13 +40,8 @@ let test_contact_errors () =
 let test_contact_queries () =
   let c = Contact.make ~a:0 ~b:3 ~t_start:10. ~t_end:25. in
   Alcotest.check feps "duration" 15. (Contact.duration c);
-  Alcotest.(check bool) "involves 3" true (Contact.involves c 3);
-  Alcotest.(check bool) "involves 1" false (Contact.involves c 1);
-  Alcotest.(check int) "peer" 0 (Contact.peer c 3);
   Alcotest.(check bool) "overlaps" true (Contact.overlaps c ~t0:0. ~t1:11.);
-  Alcotest.(check bool) "no overlap" false (Contact.overlaps c ~t0:25. ~t1:30.);
-  Alcotest.(check bool) "active" true (Contact.active_at c 10.);
-  Alcotest.(check bool) "inactive at end" false (Contact.active_at c 25.)
+  Alcotest.(check bool) "no overlap" false (Contact.overlaps c ~t0:25. ~t1:30.)
 
 (* --- Trace --- *)
 
@@ -54,9 +49,7 @@ let test_trace_counts_and_rates () =
   let t = small_trace () in
   Alcotest.(check int) "n contacts" 4 (Trace.n_contacts t);
   Alcotest.(check (array int)) "per-node counts" [| 2; 3; 2; 1 |] (Trace.contact_counts t);
-  Alcotest.check feps "rate node 1" 0.03 (Trace.contact_rate t 1);
-  Alcotest.(check int) "degree node 1" 2 (Trace.degree t 1);
-  Alcotest.(check int) "degree node 3" 1 (Trace.degree t 3)
+  Alcotest.check feps "rate node 1" 0.03 (Trace.contact_rates t).(1)
 
 let test_trace_sorted_and_valid () =
   let t = small_trace () in
@@ -101,31 +94,6 @@ let test_median_rate () =
   (* counts 2,3,2,1 over 100 s -> rates 0.02,0.03,0.02,0.01; median 0.02 *)
   Alcotest.check feps "median rate" 0.02 (Trace.median_rate t)
 
-let test_trace_concat () =
-  let t = small_trace () in
-  let day = Trace.concat t t in
-  Alcotest.check feps "horizon doubled" 200. (Trace.horizon day);
-  Alcotest.(check int) "contacts doubled" 8 (Trace.n_contacts day);
-  (* the second copy's first contact is shifted by the first horizon *)
-  let c = (Trace.contacts day).(4) in
-  Alcotest.check feps "shifted start" 110. c.Contact.t_start;
-  (match Trace.validate day with Ok () -> () | Error m -> Alcotest.failf "invalid: %s" m);
-  Alcotest.check_raises "population mismatch"
-    (Invalid_argument "Trace.concat: traces have different populations") (fun () ->
-      ignore (Trace.concat t (Trace.create ~n_nodes:2 ~horizon:10. [])))
-
-let test_trace_merge () =
-  let a =
-    Trace.create ~n_nodes:3 ~horizon:50. [ Contact.make ~a:0 ~b:1 ~t_start:5. ~t_end:10. ]
-  in
-  let b =
-    Trace.create ~n_nodes:3 ~horizon:80. [ Contact.make ~a:1 ~b:2 ~t_start:60. ~t_end:70. ]
-  in
-  let m = Trace.merge a b in
-  Alcotest.check feps "max horizon" 80. (Trace.horizon m);
-  Alcotest.(check int) "contacts pooled" 2 (Trace.n_contacts m);
-  match Trace.validate m with Ok () -> () | Error msg -> Alcotest.failf "invalid: %s" msg
-
 (* --- Trace_io --- *)
 
 let test_io_roundtrip () =
@@ -143,9 +111,9 @@ let test_io_roundtrip () =
     Alcotest.(check int) "nodes" 4 (Trace.n_nodes t');
     Alcotest.check feps "horizon" 100. (Trace.horizon t');
     Alcotest.(check int) "contacts" 2 (Trace.n_contacts t');
-    Alcotest.(check bool) "kind 1 stationary" true
-      (Node.equal_kind (Trace.kind t' 1) Node.Stationary);
-    Alcotest.(check bool) "kind 0 mobile" true (Node.equal_kind (Trace.kind t' 0) Node.Mobile);
+    let kinds = Trace.kinds t' in
+    Alcotest.(check bool) "kind 1 stationary" true (Node.equal_kind kinds.(1) Node.Stationary);
+    Alcotest.(check bool) "kind 0 mobile" true (Node.equal_kind kinds.(0) Node.Mobile);
     let c = (Trace.contacts t').(1) in
     Alcotest.check feps "contact end survives" 45.25 c.Contact.t_end
 
@@ -293,8 +261,8 @@ let test_generator_dropoff () =
   let t = Generator.generate ~rng:(Rng.create ~seed:5L ()) quick_config in
   let td = Generator.generate ~rng:(Rng.create ~seed:5L ()) cfg in
   let late trace =
-    Trace.contacts_in_window trace ~t0:(Trace.horizon trace /. 2.) ~t1:(Trace.horizon trace)
-    |> List.length
+    Trace.n_contacts
+      (Trace.restrict trace ~t0:(Trace.horizon trace /. 2.) ~t1:(Trace.horizon trace))
   in
   (* Calibration rebalances totals, so compare the late-window share. *)
   let share trace = float_of_int (late trace) /. float_of_int (Trace.n_contacts trace) in
@@ -589,8 +557,6 @@ let () =
           Alcotest.test_case "create errors" `Quick test_trace_create_errors;
           Alcotest.test_case "time series" `Quick test_trace_time_series;
           Alcotest.test_case "median rate" `Quick test_median_rate;
-          Alcotest.test_case "concat" `Quick test_trace_concat;
-          Alcotest.test_case "merge" `Quick test_trace_merge;
         ] );
       ( "io",
         [
