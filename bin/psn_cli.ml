@@ -1,19 +1,30 @@
 (* psn: command-line interface to the PSN path-diversity library.
 
    Subcommands: generate, info, paths, explosion, simulate, resilience,
-   serve, experiment, store, profile, metrics, model. Run `psn --help`
-   or `psn <cmd> --help` for details. *)
+   serve, experiment, intercontact, communities, store, profile, metrics.
+   Run `psn --help` or `psn <cmd> --help` for details. *)
 
 open Cmdliner
 
-(* Exit codes (documented in the README): 0 success, 1 runtime
-   failure, 2 usage error (bad flag or flag value, also cmdliner's
-   own parse errors), 3 store corruption found by `store verify`,
-   128+n terminated by signal n (130 SIGINT, 143 SIGTERM), 170 an
-   injected --failpoints crash. *)
+(* Exit codes, listed by [exits] under EXIT STATUS on every help page
+   and in the README. Usage errors include cmdliner's own parse errors
+   (see [term_err] at the end of this file). *)
 let exit_runtime = 1
 let exit_usage_code = 2
 let exit_corrupt = 3
+
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success.";
+      info exit_runtime ~doc:"on a runtime failure (bad input file, I/O or injected error).";
+      info exit_usage_code ~doc:"on a usage error (bad flag, flag value or section id).";
+      info exit_corrupt ~doc:"when $(b,store verify) finds a corrupt stored frame.";
+      info (Core.Interrupt.exit_code 2) ~doc:"on SIGINT (128 + the signal number).";
+      info (Core.Interrupt.exit_code 15) ~doc:"on SIGTERM (128 + the signal number).";
+      info Core.Failpoint.crash_exit_code ~doc:"on a crash injected with $(b,--failpoints).";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
 
 let exit_err msg =
   Printf.eprintf "psn: %s\n" msg;
@@ -48,6 +59,11 @@ let dataset_arg =
 
 let seed_arg =
   let doc = "Override the preset's random seed." in
+  Arg.(value & opt (some int64) None & info [ "seed" ] ~docv:"SEED" ~doc)
+
+(* On the sweep commands --seed draws the message sample, not the trace. *)
+let sample_seed_arg =
+  let doc = "Seed of the sampled messages, not of the trace (default 17)." in
   Arg.(value & opt (some int64) None & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let trace_arg =
@@ -391,7 +407,8 @@ let generate_cmd =
   in
   let term = Term.(const run $ dataset_arg $ seed_arg $ output) in
   Cmd.v
-    (Cmd.info "generate" ~doc:"Generate a synthetic iMote-style contact trace and save it.")
+    (Cmd.info "generate" ~exits
+       ~doc:"Generate a synthetic iMote-style contact trace and save it.")
     term
 
 (* --- info --- *)
@@ -410,7 +427,7 @@ let info_cmd =
       (Core.Timeseries.stability ts)
   in
   let term = Term.(const run $ dataset_arg $ seed_arg $ trace_arg) in
-  Cmd.v (Cmd.info "info" ~doc:"Print summary statistics of a trace.") term
+  Cmd.v (Cmd.info "info" ~exits ~doc:"Print summary statistics of a trace.") term
 
 (* --- paths --- *)
 
@@ -459,7 +476,8 @@ let paths_cmd =
     Term.(const run $ dataset_arg $ seed_arg $ trace_arg $ k_arg $ src $ dst $ time $ limit)
   in
   Cmd.v
-    (Cmd.info "paths" ~doc:"Enumerate valid forwarding paths for one message (Fig. 3 algorithm).")
+    (Cmd.info "paths" ~exits
+       ~doc:"Enumerate valid forwarding paths for one message (Fig. 3 algorithm).")
     term
 
 (* --- explosion --- *)
@@ -500,11 +518,11 @@ let explosion_cmd =
   in
   let term =
     Term.(
-      const run $ dataset_arg $ seed_arg $ messages $ k_arg
+      const run $ dataset_arg $ sample_seed_arg $ messages $ k_arg
       $ sweep_term (telemetry_flags [ "trace" ]))
   in
   Cmd.v
-    (Cmd.info "explosion" ~doc:"Measure path-explosion statistics over random messages.")
+    (Cmd.info "explosion" ~exits ~doc:"Measure path-explosion statistics over random messages.")
     term
 
 (* --- simulate --- *)
@@ -571,7 +589,7 @@ let simulate_cmd =
       $ sweep_term (telemetry_flags [ "trace-out" ]))
   in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"Run forwarding algorithms over a trace and report S and D.")
+    (Cmd.info "simulate" ~exits ~doc:"Run forwarding algorithms over a trace and report S and D.")
     term
 
 (* --- resilience --- *)
@@ -628,13 +646,13 @@ let resilience_cmd =
   in
   let term =
     Term.(
-      const run $ dataset_arg $ seed_arg
+      const run $ dataset_arg $ sample_seed_arg
       $ faults_term ~defaults:Core.Experiments.default_fault_spec ~at:" at intensity 1"
       $ intensities $ seeds $ probes
       $ sweep_term (telemetry_flags [ "trace" ]))
   in
   Cmd.v
-    (Cmd.info "resilience"
+    (Cmd.info "resilience" ~exits
        ~doc:
          "Stress-test the path-explosion robustness claim: sweep deterministic fault intensity \
           (transfer loss, node crashes, contact truncation) over all six paper algorithms and \
@@ -894,7 +912,7 @@ let serve_cmd =
       $ profile_flag $ metrics_out $ metrics_every $ flight_out $ failpoints_term)
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:
          "Serve forwarding queries over a live contact stream: a sliding bounded window of \
           recent contacts, an adaptive multipath router balancing online strategies by \
@@ -907,118 +925,58 @@ let serve_cmd =
 (* --- experiment --- *)
 
 let experiment_cmd =
-  let figure =
-    let doc =
-      "Experiment id: fig1, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, \
-       fig13, fig14, fig15."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
+  let module E = Core.Experiments in
+  let ids =
+    let doc = "Section ids to print, in the order given; none prints every section." in
+    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
+  in
+  let paper =
+    let doc = "Use the paper's scale: 1800 messages, k = 2000, 10 seeds." in
+    Arg.(value & flag & info [ "paper" ] ~doc)
   in
   let messages =
-    Arg.(
-      value
-      & opt int Core.Experiments.default_scale.Core.Experiments.n_messages
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages for enumeration experiments.")
+    let doc = "Messages per enumeration study, overriding the scale's." in
+    Arg.(value & opt (some int) None & info [ "messages" ] ~docv:"N" ~doc)
   in
   let dump =
-    Arg.(
-      value & opt (some string) None
-      & info [ "dump" ] ~docv:"DIR"
-          ~doc:"Also write the figure's data series as gnuplot-ready .dat files into $(docv).")
+    let doc = "Also write the series of Figs. 4, 5, 7 and 10 as gnuplot files into $(docv)." in
+    Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"DIR" ~doc)
   in
-  let run figure dataset seed messages dump_dir sweep =
-    if messages < 1 then exit_usage "--messages must be at least 1";
+  let run ids dataset seed paper messages dump sweep =
+    (match List.filter (fun id -> not (List.mem id Core.Catalogue.ids)) ids with
+    | [] -> ()
+    | unknown ->
+      exit_usage
+        (Printf.sprintf "unknown section %s; valid ids: %s" (String.concat ", " unknown)
+           (String.concat ", " Core.Catalogue.ids)));
+    let base = if paper then E.paper_scale else E.default_scale in
+    let n_messages = Option.value messages ~default:base.E.n_messages in
+    if n_messages < 1 then exit_usage "--messages must be at least 1";
     match Core.Dataset.find dataset with
     | Error msg -> exit_usage msg
     | Ok d ->
-      let module E = Core.Experiments in
-      let module R = Core.Report in
-      let dump_cdfs name cdfs =
-        match dump_dir with
-        | None -> ()
-        | Some dir ->
-          let files = Core.Export.write_cdfs ~dir ~name cdfs in
-          ignore (Core.Export.write_gnuplot_script ~dir [ (name, `Lines, files) ]);
-          Format.printf "(wrote %d data files under %s)@." (List.length files) dir
-      in
-      let dump_scatter name points =
-        match dump_dir with
-        | None -> ()
-        | Some dir ->
-          let file = Core.Export.write_scatter ~dir ~name points in
-          ignore (Core.Export.write_gnuplot_script ~dir [ (name, `Points, [ file ]) ]);
-          Format.printf "(wrote %s)@." file
-      in
-      let scale =
-        {
-          E.default_scale with
-          E.n_messages = messages;
-          rng_seed = Option.value seed ~default:17L;
-        }
-      in
+      let scale = { base with n_messages; rng_seed = Option.value seed ~default:base.rng_seed } in
       sweep ~command:"experiment"
-        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
-          let study =
-            lazy
-              (E.enumeration_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale ~telemetry d)
+        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry:_ store ->
+          let ctx =
+            Core.Catalogue.context ~jobs ?chunk ?store ~retries ~checkpoint ?dump ~scale d
           in
-          let sim =
-            lazy (E.sim_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale ~telemetry d)
-          in
-          match figure with
-          | "fig1" -> R.render_timeseries ~title:"Fig 1: contacts over time" (E.fig1 [ d ])
-          | "fig2" -> "== Fig 2: example space-time graph ==\n" ^ E.fig2 ()
-          | "fig4" ->
-            let a = E.fig4a [ Lazy.force study ] and b = E.fig4b [ Lazy.force study ] in
-            dump_cdfs "fig4a" a;
-            dump_cdfs "fig4b" b;
-            R.render_cdfs ~title:"Fig 4a: optimal path duration" a
-            ^ "\n"
-            ^ R.render_cdfs ~title:"Fig 4b: time to explosion" b
-          | "fig5" ->
-            let points = E.fig5 (Lazy.force study) in
-            dump_scatter "fig5" points;
-            R.render_scatter ~title:"Fig 5: T1 vs TE" points
-          | "fig6" ->
-            R.render_histogram ~title:"Fig 6: arrivals after T1" (E.fig6 (Lazy.force study))
-          | "fig7" ->
-            let cdfs = E.fig7 [ d ] in
-            dump_cdfs "fig7" cdfs;
-            R.render_cdfs ~title:"Fig 7: per-node contact counts" cdfs
-          | "fig8" ->
-            R.render_scatter_by_pair ~title:"Fig 8: T1 vs TE by pair type"
-              (E.fig8 (Lazy.force study))
-          | "fig9" ->
-            let sim = Lazy.force sim in
-            R.render_metrics ~title:"Fig 9: delay vs success" (E.fig9 sim)
-            ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
-          | "fig10" ->
-            let cdfs = E.fig10 (Lazy.force sim) in
-            dump_cdfs "fig10" cdfs;
-            R.render_cdfs ~title:"Fig 10: delay distributions" cdfs
-          | "fig11" ->
-            R.render_cumulative ~title:"Fig 11: cumulative deliveries"
-              (E.fig11 (Lazy.force study))
-          | "fig12" ->
-            R.render_fig12 ~title:"Fig 12: algorithm paths within bursts"
-              (E.fig12 (Lazy.force study) ~n_examples:2)
-          | "fig13" ->
-            let sim = Lazy.force sim in
-            R.render_metrics_by_pair ~title:"Fig 13: performance by pair type" (E.fig13 sim)
-            ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed
-          | "fig14" ->
-            R.render_hop_rates ~title:"Fig 14: hop rates" (E.fig14 (Lazy.force study))
-          | "fig15" ->
-            R.render_hop_ratios ~title:"Fig 15: hop rate ratios" (E.fig15 (Lazy.force study))
-          | other -> exit_usage (Printf.sprintf "unknown experiment %S" other))
-        print_endline
+          (* Each section prints as soon as it is rendered. *)
+          Printf.printf "%s\n\n%!" (Core.Catalogue.scale_line ctx);
+          List.iter
+            (fun id -> Printf.printf "%s\n\n%!" (Core.Catalogue.render ctx id))
+            (if List.is_empty ids then Core.Catalogue.ids else ids))
+        Fun.id
   in
   let term =
     Term.(
-      const run $ figure $ dataset_arg $ seed_arg $ messages $ dump
+      const run $ ids $ dataset_arg $ sample_seed_arg $ paper $ messages $ dump
       $ sweep_term (const (None, false, None)))
   in
-  Cmd.v (Cmd.info "experiment" ~doc:"Reproduce one figure of the paper on one dataset.") term
+  Cmd.v
+    (Cmd.info "experiment" ~exits
+       ~doc:"Print the paper's figures, models and ablations; --dataset sets single-dataset ones.")
+    term
 
 (* --- intercontact --- *)
 
@@ -1045,7 +1003,7 @@ let intercontact_cmd =
   in
   let term = Term.(const run $ dataset_arg $ seed_arg $ trace_arg) in
   Cmd.v
-    (Cmd.info "intercontact" ~doc:"Analyse inter-contact time distributions of a trace.")
+    (Cmd.info "intercontact" ~exits ~doc:"Analyse inter-contact time distributions of a trace.")
     term
 
 (* --- communities --- *)
@@ -1100,7 +1058,7 @@ let communities_cmd =
     Term.(const run $ dataset_arg $ seed_arg $ trace_arg $ min_weight $ from_arg $ until_arg)
   in
   Cmd.v
-    (Cmd.info "communities" ~doc:"Detect contact communities (label propagation).")
+    (Cmd.info "communities" ~exits ~doc:"Detect contact communities (label propagation).")
     term
 
 (* --- store --- *)
@@ -1165,7 +1123,7 @@ let store_cmd =
   in
   let term = Term.(const run $ action $ dir $ max_bytes $ failpoints_term) in
   Cmd.v
-    (Cmd.info "store"
+    (Cmd.info "store" ~exits
        ~doc:
          "Maintain a content-addressed result store (see --store on simulate, explosion, \
           resilience and experiment): report stats, evict old entries, or fsck every \
@@ -1222,10 +1180,10 @@ let profile_cmd =
       $ trace_out_arg [ "trace" ] $ metrics_arg)
   in
   let term =
-    Term.(const run $ dataset_arg $ seed_arg $ messages $ seeds $ sweep_term telemetry)
+    Term.(const run $ dataset_arg $ sample_seed_arg $ messages $ seeds $ sweep_term telemetry)
   in
   Cmd.v
-    (Cmd.info "profile"
+    (Cmd.info "profile" ~exits
        ~doc:
          "Run a representative workload (a path-enumeration sweep plus the paper's six \
           forwarding algorithms) under full instrumentation and report where the time \
@@ -1268,49 +1226,16 @@ let metrics_cmd =
   in
   let term = Term.(const run $ action $ file $ flight_flag) in
   Cmd.v
-    (Cmd.info "metrics"
+    (Cmd.info "metrics" ~exits
        ~doc:
          "Validate observability artifacts: the OpenMetrics expositions written by \
           --metrics / --metrics-out / the serve 'metrics' verb, and (with --flight) the \
           flight-recorder post-mortem dumps.")
     term
 
-(* --- model --- *)
-
-let model_cmd =
-  let which =
-    Arg.(
-      required
-      & pos 0 (some (enum [ ("mean", `Mean); ("variance", `Variance); ("quadrants", `Quadrants) ])) None
-      & info [] ~docv:"TABLE" ~doc:"One of: mean, variance, quadrants.")
-  in
-  let n = Arg.(value & opt int 200 & info [ "n" ] ~docv:"N" ~doc:"Population size.") in
-  let lambda =
-    Arg.(value & opt float 0.5 & info [ "lambda" ] ~docv:"RATE" ~doc:"Contact intensity.")
-  in
-  let runs = Arg.(value & opt int 60 & info [ "runs" ] ~docv:"N" ~doc:"Monte-Carlo runs.") in
-  let run which n lambda runs =
-    let module E = Core.Experiments in
-    let module R = Core.Report in
-    let times = [ 0.; 2.; 4.; 6.; 8. ] in
-    let text =
-      match which with
-      | `Mean ->
-        R.render_model_rows ~title:"E[S(t)]: closed form vs ODE vs Monte-Carlo"
-          (E.model_mean_table ~n ~lambda ~times ~runs ())
-      | `Variance ->
-        R.render_model_rows ~title:"E[S(t)^2]: closed form vs ODE vs Monte-Carlo"
-          (E.model_second_moment_table ~n ~lambda ~times ~runs ())
-      | `Quadrants -> R.render_quadrants ~title:"Two-class quadrants" (E.model_quadrant_table ())
-    in
-    print_endline text
-  in
-  let term = Term.(const run $ which $ n $ lambda $ runs) in
-  Cmd.v (Cmd.info "model" ~doc:"Evaluate the analytic models of Section 5.") term
-
 let main_cmd =
   let doc = "Path diversity in pocket switched networks: reproduction toolkit." in
-  let info = Cmd.info "psn" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "psn" ~version:"1.0.0" ~exits ~doc in
   Cmd.group info
     [
       generate_cmd;
@@ -1326,7 +1251,6 @@ let main_cmd =
       store_cmd;
       profile_cmd;
       metrics_cmd;
-      model_cmd;
     ]
 
 (* cmdliner's own parse failures (unknown flag, bad positional) exit

@@ -146,3 +146,4 @@ module Hops = Hops
 module Experiments = Experiments
 module Report = Report
 module Export = Export
+module Catalogue = Catalogue

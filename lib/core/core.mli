@@ -130,3 +130,4 @@ module Hops = Hops
 module Experiments = Experiments
 module Report = Report
 module Export = Export
+module Catalogue = Catalogue

@@ -1,7 +1,7 @@
 (** Drivers reproducing every figure of the paper's evaluation.
 
     Each function returns plain data (CDFs, histograms, metric rows)
-    that {!Report} renders and the bench harness prints. Heavy inputs
+    that {!Report} renders and {!Catalogue} prints. Heavy inputs
     are shared through two study values: an {e enumeration study} (one
     path enumeration per sampled message — Figs. 4, 5, 6, 8, 11, 12,
     14, 15) and a {e simulation study} (multi-seed forwarding runs —

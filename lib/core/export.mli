@@ -1,6 +1,6 @@
 (** Plot-ready data export.
 
-    The bench harness prints figures as text tables; this module writes
+    [psn experiment] prints figures as text tables; this module writes
     the same series as whitespace-separated [.dat] files plus a gnuplot
     script, so the paper's figures can be rendered graphically:
 

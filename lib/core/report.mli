@@ -1,8 +1,8 @@
 (** Plain-text rendering of experiment outputs.
 
     One [render_*] per figure; all return a complete multi-line string
-    (title, configuration note, data table) that the bench harness and
-    the CLI print verbatim. *)
+    (title, configuration note, data table) that {!Catalogue} and the
+    CLI print verbatim. *)
 
 val render_timeseries : title:string -> (string * Psn_stats.Timeseries.t) list -> string
 (** Fig. 1-style series: per dataset, summary of the binned counts plus

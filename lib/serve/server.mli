@@ -127,7 +127,7 @@ type summary = {
 }
 
 val summary : t -> summary
-(** The counters behind the [stats] reply, for bench and tests. *)
+(** The counters behind the [stats] reply, for [psn experiment serve] and tests. *)
 
 val registry : t -> Psn_telemetry.Openmetrics.t
 (** The session's metrics registry: protocol counters, window and

@@ -71,7 +71,7 @@ val size : t -> int
 (** Live contacts right now. *)
 
 val peak : t -> int
-(** High-water mark of {!size} — what the bench's memory-bound check
+(** High-water mark of {!size} — what the memory-bound property test
     compares against [budget]. *)
 
 val counters : t -> counters

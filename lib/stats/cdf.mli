@@ -29,8 +29,7 @@ val points : t -> (float * float) list
 
 val tabulate : t -> ?n:int -> unit -> (float * float) list
 (** [tabulate t ~n ()] samples the CDF at [n] evenly spaced abscissae
-    across the support (default 50) — the series printed by the bench
-    harness. *)
+    across the support (default 50). *)
 
 val ks_distance : t -> t -> float
 (** Two-sample Kolmogorov-Smirnov statistic: the maximum absolute gap

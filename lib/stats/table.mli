@@ -1,6 +1,6 @@
 (** Aligned plain-text tables.
 
-    The bench harness prints every reproduced figure as rows; this keeps
+    [psn experiment] prints every reproduced figure as rows; this keeps
     them readable without pulling in any rendering dependency. *)
 
 type align = Left | Right

@@ -3,10 +3,10 @@
     This is the only module in [lib/] (or anywhere outside it) that may
     read the system clock: the [wall-clock] lint rule allowlists exactly
     this file, so every timing in the tree — telemetry span timestamps,
-    bench section durations — is auditable as a call to {!now_s}.
+    benchmark wall times — is auditable as a call to {!now_s}.
 
     Clock readings may only ever {e describe} a computation (spans,
-    profiles, bench output); feeding one into a simulation result would
+    profiles, benchmark output); feeding one into a simulation result would
     break the determinism contract, which is why the allowlist is this
     narrow. *)
 

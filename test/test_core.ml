@@ -220,6 +220,15 @@ let test_fig2_example () =
   Alcotest.(check bool) "step 1 edge" true (contains text "t=1: 0-1");
   Alcotest.(check bool) "step 2 triangle" true (contains text "1-2")
 
+(* Ids select sections on the command line, so each must name one. *)
+let test_catalogue_ids_unique () =
+  let ids = Core.Catalogue.ids in
+  Alcotest.(check int) "no duplicate id" (List.length ids)
+    (List.length (List.sort_uniq String.compare ids));
+  let ctx = Core.Catalogue.context ~scale:tiny_scale Core.Dataset.infocom06_am in
+  Alcotest.check_raises "unknown id" (Invalid_argument "unknown section nosuch") (fun () ->
+      ignore (Core.Catalogue.render ctx "nosuch"))
+
 let sim = lazy (E.sim_study ~scale:tiny_scale Core.Dataset.conext06_am)
 
 let test_fig9_ordering () =
@@ -364,6 +373,7 @@ let () =
           Alcotest.test_case "fig12 examples" `Slow test_fig12_examples;
           Alcotest.test_case "model tables" `Slow test_model_tables;
         ] );
+      ("catalogue", [ Alcotest.test_case "unique ids" `Quick test_catalogue_ids_unique ]);
       ("export", [ Alcotest.test_case "round-trip" `Quick test_export_roundtrip ]);
       ( "report",
         [
