@@ -1,7 +1,7 @@
 (* psn: command-line interface to the PSN path-diversity library.
 
-   Subcommands: generate, info, paths, explosion, simulate, resilience,
-   serve, experiment, intercontact, communities, store, profile, metrics.
+   Subcommands: generate, info, paths, simulate, resilience, serve,
+   experiment, intercontact, communities, store, metrics.
    Run `psn --help` or `psn <cmd> --help` for details. *)
 
 open Cmdliner
@@ -49,13 +49,20 @@ let or_die f =
 
 (* --- shared arguments --- *)
 
-let dataset_arg =
+(* Resolved as cmdliner checks the flags, so an unknown name is a usage
+   error on every command. *)
+let dataset_term =
   let doc =
     "Dataset preset to use. One of: "
     ^ String.concat ", " (List.map (fun d -> d.Core.Dataset.name) Core.Dataset.all)
     ^ "."
   in
-  Arg.(value & opt string "infocom06-9-12" & info [ "d"; "dataset" ] ~docv:"NAME" ~doc)
+  let resolve name =
+    match Core.Dataset.find name with Ok d -> d | Error msg -> exit_usage msg
+  in
+  Term.(
+    const resolve
+    $ Arg.(value & opt string "infocom06-9-12" & info [ "d"; "dataset" ] ~docv:"NAME" ~doc))
 
 let seed_arg =
   let doc = "Override the preset's random seed." in
@@ -70,7 +77,7 @@ let trace_arg =
   let doc = "Read the contact trace from $(docv) instead of generating a preset." in
   Arg.(value & opt (some file) None & info [ "t"; "trace" ] ~docv:"FILE" ~doc)
 
-let resolve_trace dataset_name seed trace_path =
+let resolve_trace dataset seed trace_path =
   match trace_path with
   | Some path -> (
     (* native format first, then the CRAWDAD-style whitespace format *)
@@ -83,14 +90,7 @@ let resolve_trace dataset_name seed trace_path =
         exit_err
           (Printf.sprintf "cannot load %s:\n  as psn-trace: %s\n  as whitespace trace: %s" path
              native_err ws_err)))
-  | None -> (
-    match Core.Dataset.find dataset_name with
-    | Error msg -> exit_err msg
-    | Ok d -> (d.Core.Dataset.label, Core.Dataset.generate ?seed d))
-
-let k_arg =
-  let doc = "Enumeration parameter k (per-node retention and stop threshold)." in
-  Arg.(value & opt int 2000 & info [ "k" ] ~docv:"K" ~doc)
+  | None -> (dataset.Core.Dataset.label, Core.Dataset.generate ?seed dataset)
 
 let jobs_arg =
   let doc =
@@ -306,27 +306,20 @@ let telemetry_ctx ~command ~trace_out ~profile ~metrics =
     { sink; finish }
   end
 
-(* --trace (or --trace-out), --profile and --metrics, as one value for
-   [sweep_term]. *)
-let telemetry_flags trace_names =
-  Term.(
-    const (fun trace_out profile metrics -> (trace_out, profile, metrics))
-    $ trace_out_arg trace_names $ profile_flag $ metrics_arg)
-
 (* --- sweeps --- *)
 
 (* The flags every sweep subcommand shares — --jobs --chunk --store
-   --failpoints --failpoint-seed --retries --checkpoint --resume plus
-   the command's [telemetry] flags — validated as cmdliner evaluates
-   them. The term's value runs one sweep: it installs the failpoints,
-   opens the store, runs [compute] with the resolved settings, reports
-   what the store contributed, then hands the result to [render] and
-   flushes telemetry. [compute] and [render] run under [or_die] and
-   [run_sweep], so injected and I/O errors exit 1 and signals exit
-   128+n on every sweep alike. *)
-let sweep_term telemetry =
-  let make jobs chunk store failpoints retries checkpoint resume (trace_out, profile, metrics)
-      =
+   --failpoints --failpoint-seed --retries --checkpoint --resume
+   --profile --metrics, and the Chrome trace flag named [trace_names]
+   (simulate's -t/--trace is its input trace) — validated as cmdliner
+   evaluates them. The term's value runs one sweep: it installs the
+   failpoints, opens the store, runs [compute] with the resolved
+   settings, reports what the store contributed, then hands the result
+   to [render] and flushes telemetry. [compute] and [render] run under
+   [or_die] and [run_sweep], so injected and I/O errors exit 1 and
+   signals exit 128+n on every sweep alike. *)
+let sweep_term trace_names =
+  let make jobs chunk store failpoints retries checkpoint resume trace_out profile metrics =
     if resume && Option.is_none store then
       exit_usage "--resume requires --store DIR (checkpoints live in the store)";
     let checkpoint = resolve_checkpoint ~store checkpoint in
@@ -345,7 +338,7 @@ let sweep_term telemetry =
   in
   Term.(
     const make $ jobs_term $ chunk_term $ store_arg $ failpoints_term $ retries_term
-    $ checkpoint_arg $ resume_flag $ telemetry)
+    $ checkpoint_arg $ resume_flag $ trace_out_arg trace_names $ profile_flag $ metrics_arg)
 
 (* --- fault flags --- *)
 
@@ -398,14 +391,11 @@ let generate_cmd =
     Arg.(value & opt string "trace.psn" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let run dataset seed output =
-    match Core.Dataset.find dataset with
-    | Error msg -> exit_err msg
-    | Ok d ->
-      let trace = Core.Dataset.generate ?seed d in
-      or_die (fun () -> Core.Trace_io.save trace ~path:output);
-      Format.printf "wrote %s: %a@." output Core.Trace.pp_stats trace
+    let trace = Core.Dataset.generate ?seed dataset in
+    or_die (fun () -> Core.Trace_io.save trace ~path:output);
+    Format.printf "wrote %s: %a@." output Core.Trace.pp_stats trace
   in
-  let term = Term.(const run $ dataset_arg $ seed_arg $ output) in
+  let term = Term.(const run $ dataset_term $ seed_arg $ output) in
   Cmd.v
     (Cmd.info "generate" ~exits
        ~doc:"Generate a synthetic iMote-style contact trace and save it.")
@@ -426,7 +416,7 @@ let info_cmd =
       (Core.Timeseries.mean_rate ts *. 60.)
       (Core.Timeseries.stability ts)
   in
-  let term = Term.(const run $ dataset_arg $ seed_arg $ trace_arg) in
+  let term = Term.(const run $ dataset_term $ seed_arg $ trace_arg) in
   Cmd.v (Cmd.info "info" ~exits ~doc:"Print summary statistics of a trace.") term
 
 (* --- paths --- *)
@@ -443,6 +433,11 @@ let paths_cmd =
   in
   let limit =
     Arg.(value & opt int 10 & info [ "limit" ] ~docv:"N" ~doc:"Paths to print in full.")
+  in
+  let k =
+    let doc = "Enumeration parameter k (per-node retention and stop threshold)." in
+    let resolve k = if k >= 1 then k else exit_usage "-k must be at least 1" in
+    Term.(const resolve $ Arg.(value & opt int 2000 & info [ "k" ] ~docv:"K" ~doc))
   in
   let run dataset seed trace_path k src dst time limit =
     let label, trace = resolve_trace dataset seed trace_path in
@@ -473,56 +468,11 @@ let paths_cmd =
         result.Core.Enumerate.arrivals)
   in
   let term =
-    Term.(const run $ dataset_arg $ seed_arg $ trace_arg $ k_arg $ src $ dst $ time $ limit)
+    Term.(const run $ dataset_term $ seed_arg $ trace_arg $ k $ src $ dst $ time $ limit)
   in
   Cmd.v
     (Cmd.info "paths" ~exits
        ~doc:"Enumerate valid forwarding paths for one message (Fig. 3 algorithm).")
-    term
-
-(* --- explosion --- *)
-
-let explosion_cmd =
-  let messages =
-    Arg.(value & opt int 60 & info [ "messages" ] ~docv:"N" ~doc:"Messages to sample.")
-  in
-  let run dataset seed messages k sweep =
-    if messages < 1 then exit_usage "--messages must be at least 1";
-    if k < 1 then exit_usage "-k must be at least 1";
-    match Core.Dataset.find dataset with
-    | Error msg -> exit_usage msg
-    | Ok d ->
-      let scale =
-        {
-          Core.Experiments.default_scale with
-          Core.Experiments.n_messages = messages;
-          k;
-          n_explosion = k;
-          rng_seed = Option.value seed ~default:17L;
-        }
-      in
-      sweep ~command:"explosion"
-        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
-          Core.Experiments.enumeration_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale
-            ~telemetry d)
-        (fun study ->
-          print_endline
-            (Core.Report.render_cdfs ~title:"CDF of optimal path duration (s)"
-               (Core.Experiments.fig4a [ study ]));
-          print_endline
-            (Core.Report.render_cdfs ~title:"CDF of time to explosion (s)"
-               (Core.Experiments.fig4b [ study ]));
-          print_endline
-            (Core.Report.render_scatter_by_pair ~title:"T1 vs TE by pair type"
-               (Core.Experiments.fig8 study)))
-  in
-  let term =
-    Term.(
-      const run $ dataset_arg $ sample_seed_arg $ messages $ k_arg
-      $ sweep_term (telemetry_flags [ "trace" ]))
-  in
-  Cmd.v
-    (Cmd.info "explosion" ~exits ~doc:"Measure path-explosion statistics over random messages.")
     term
 
 (* --- simulate --- *)
@@ -585,8 +535,8 @@ let simulate_cmd =
   in
   let term =
     Term.(
-      const run $ dataset_arg $ seed_arg $ trace_arg $ algorithms $ seeds
-      $ sweep_term (telemetry_flags [ "trace-out" ]))
+      const run $ dataset_term $ seed_arg $ trace_arg $ algorithms $ seeds
+      $ sweep_term [ "trace-out" ])
   in
   Cmd.v
     (Cmd.info "simulate" ~exits ~doc:"Run forwarding algorithms over a trace and report S and D.")
@@ -621,35 +571,31 @@ let resilience_cmd =
              | Some _ | None -> exit_usage (Printf.sprintf "bad intensity %S" (String.trim s)))
     in
     if List.is_empty intensities then exit_usage "--intensities must name at least one level";
-    match Core.Dataset.find dataset with
-    | Error msg -> exit_usage msg
-    | Ok d ->
-      let scale =
-        {
-          Core.Experiments.default_scale with
-          Core.Experiments.seeds;
-          rng_seed = Option.value seed ~default:17L;
-        }
-      in
-      sweep ~command:"resilience"
-        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
-          Core.Experiments.resilience_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale
-            ~base ~intensities ~path_messages:probes ~telemetry d)
-        (fun study ->
-          print_endline
-            (Core.Report.render_resilience
-               ~title:
-                 (Printf.sprintf
-                    "Resilience: the paper's six algorithms under injected faults (%s)"
-                    d.Core.Dataset.label)
-               study))
+    let scale =
+      {
+        Core.Experiments.default_scale with
+        Core.Experiments.seeds;
+        rng_seed = Option.value seed ~default:17L;
+      }
+    in
+    sweep ~command:"resilience"
+      (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
+        Core.Experiments.resilience_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale ~base
+          ~intensities ~path_messages:probes ~telemetry dataset)
+      (fun study ->
+        print_endline
+          (Core.Report.render_resilience
+             ~title:
+               (Printf.sprintf "Resilience: the paper's six algorithms under injected faults (%s)"
+                  dataset.Core.Dataset.label)
+             study))
   in
   let term =
     Term.(
-      const run $ dataset_arg $ sample_seed_arg
+      const run $ dataset_term $ sample_seed_arg
       $ faults_term ~defaults:Core.Experiments.default_fault_spec ~at:" at intensity 1"
       $ intensities $ seeds $ probes
-      $ sweep_term (telemetry_flags [ "trace" ]))
+      $ sweep_term [ "trace" ])
   in
   Cmd.v
     (Cmd.info "resilience" ~exits
@@ -952,26 +898,24 @@ let experiment_cmd =
     let base = if paper then E.paper_scale else E.default_scale in
     let n_messages = Option.value messages ~default:base.E.n_messages in
     if n_messages < 1 then exit_usage "--messages must be at least 1";
-    match Core.Dataset.find dataset with
-    | Error msg -> exit_usage msg
-    | Ok d ->
-      let scale = { base with n_messages; rng_seed = Option.value seed ~default:base.rng_seed } in
-      sweep ~command:"experiment"
-        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry:_ store ->
-          let ctx =
-            Core.Catalogue.context ~jobs ?chunk ?store ~retries ~checkpoint ?dump ~scale d
-          in
-          (* Each section prints as soon as it is rendered. *)
-          Printf.printf "%s\n\n%!" (Core.Catalogue.scale_line ctx);
-          List.iter
-            (fun id -> Printf.printf "%s\n\n%!" (Core.Catalogue.render ctx id))
-            (if List.is_empty ids then Core.Catalogue.ids else ids))
-        Fun.id
+    let scale = { base with n_messages; rng_seed = Option.value seed ~default:base.rng_seed } in
+    sweep ~command:"experiment"
+      (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
+        let ctx =
+          Core.Catalogue.context ~jobs ?chunk ?store ~retries ~checkpoint ~telemetry ?dump ~scale
+            dataset
+        in
+        (* Each section prints as soon as it is rendered. *)
+        Printf.printf "%s\n\n%!" (Core.Catalogue.scale_line ctx);
+        List.iter
+          (fun id -> Printf.printf "%s\n\n%!" (Core.Catalogue.render ctx id))
+          (if List.is_empty ids then Core.Catalogue.ids else ids))
+      Fun.id
   in
   let term =
     Term.(
-      const run $ ids $ dataset_arg $ sample_seed_arg $ paper $ messages $ dump
-      $ sweep_term (const (None, false, None)))
+      const run $ ids $ dataset_term $ sample_seed_arg $ paper $ messages $ dump
+      $ sweep_term [ "trace" ])
   in
   Cmd.v
     (Cmd.info "experiment" ~exits
@@ -1001,7 +945,7 @@ let intercontact_cmd =
       (fun i (x, p) -> if i mod step = 0 then Format.printf "  %10.0f  %8.5f@." x p)
       points
   in
-  let term = Term.(const run $ dataset_arg $ seed_arg $ trace_arg) in
+  let term = Term.(const run $ dataset_term $ seed_arg $ trace_arg) in
   Cmd.v
     (Cmd.info "intercontact" ~exits ~doc:"Analyse inter-contact time distributions of a trace.")
     term
@@ -1055,7 +999,7 @@ let communities_cmd =
       (Core.Community.sizes c)
   in
   let term =
-    Term.(const run $ dataset_arg $ seed_arg $ trace_arg $ min_weight $ from_arg $ until_arg)
+    Term.(const run $ dataset_term $ seed_arg $ trace_arg $ min_weight $ from_arg $ until_arg)
   in
   Cmd.v
     (Cmd.info "communities" ~exits ~doc:"Detect contact communities (label propagation).")
@@ -1125,69 +1069,8 @@ let store_cmd =
   Cmd.v
     (Cmd.info "store" ~exits
        ~doc:
-         "Maintain a content-addressed result store (see --store on simulate, explosion, \
-          resilience and experiment): report stats, evict old entries, or fsck every \
-          stored frame.")
-    term
-
-(* --- profile --- *)
-
-let profile_cmd =
-  let messages =
-    Arg.(
-      value & opt int 40
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages for the enumeration sweep.")
-  in
-  let seeds =
-    Arg.(value & opt int 2 & info [ "seeds" ] ~docv:"N" ~doc:"Simulation runs per algorithm.")
-  in
-  let run dataset seed messages seeds sweep =
-    if seeds < 1 then exit_usage "--seeds must be at least 1";
-    if messages < 1 then exit_usage "--messages must be at least 1";
-    match Core.Dataset.find dataset with
-    | Error msg -> exit_usage msg
-    | Ok d ->
-      let scale =
-        {
-          Core.Experiments.default_scale with
-          Core.Experiments.n_messages = messages;
-          seeds;
-          rng_seed = Option.value seed ~default:17L;
-        }
-      in
-      sweep ~command:"profile"
-        (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
-          let study =
-            Core.Experiments.enumeration_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale
-              ~telemetry d
-          in
-          let sim =
-            Core.Experiments.sim_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale
-              ~telemetry d
-          in
-          (study, sim))
-        (fun (study, sim) ->
-          Format.printf "profiled %s: %d enumeration(s), %d algorithm(s) x %d seed(s)@."
-            d.Core.Dataset.label
-            (List.length study.Core.Experiments.messages)
-            (List.length sim.Core.Experiments.runs)
-            seeds)
-  in
-  (* Always profiled: no --profile flag, the report is the output. *)
-  let telemetry =
-    Term.(
-      const (fun trace_out metrics -> (trace_out, true, metrics))
-      $ trace_out_arg [ "trace" ] $ metrics_arg)
-  in
-  let term =
-    Term.(const run $ dataset_arg $ sample_seed_arg $ messages $ seeds $ sweep_term telemetry)
-  in
-  Cmd.v
-    (Cmd.info "profile" ~exits
-       ~doc:
-         "Run a representative workload (a path-enumeration sweep plus the paper's six \
-          forwarding algorithms) under full instrumentation and report where the time \
-          went; --trace additionally dumps a Chrome trace.")
+         "Maintain a content-addressed result store (see --store on simulate, resilience \
+          and experiment): report stats, evict old entries, or fsck every stored frame.")
     term
 
 (* --- metrics --- *)
@@ -1241,7 +1124,6 @@ let main_cmd =
       generate_cmd;
       info_cmd;
       paths_cmd;
-      explosion_cmd;
       simulate_cmd;
       resilience_cmd;
       serve_cmd;
@@ -1249,7 +1131,6 @@ let main_cmd =
       intercontact_cmd;
       communities_cmd;
       store_cmd;
-      profile_cmd;
       metrics_cmd;
     ]
 

@@ -7,12 +7,14 @@ open Psn_sim
 open Psn_forwarding
 module E = Experiments
 module R = Report
+module T = Psn_telemetry.Telemetry
 module Serve = Psn_serve.Server
 
 type context = {
   dataset : Dataset.t;
   scale : E.scale;
   jobs : int option;
+  telemetry : T.sink;
   studies : (string * E.study Lazy.t) list;
   sims : (string * E.sim_study Lazy.t) list;
   resilience : E.scale -> E.resilience_study;
@@ -20,19 +22,23 @@ type context = {
   mutable plots : (string * [ `Lines | `Points | `Boxes ] * string list) list;
 }
 
-let context ?jobs ?chunk ?store ?retries ?checkpoint ?dump ~scale dataset =
+let context ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null) ?dump ~scale
+    dataset =
   let per_dataset f = List.map (fun (d : Dataset.t) -> (d.name, lazy (f d))) Dataset.all in
   {
     dataset;
     scale;
     jobs;
+    telemetry;
     studies =
-      per_dataset (fun d -> E.enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale d);
-    sims = per_dataset (fun d -> E.sim_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale d);
+      per_dataset (fun d ->
+          E.enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry d);
+    sims =
+      per_dataset (fun d -> E.sim_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry d);
     resilience =
       (fun scale ->
         E.resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale
-          ~intensities:[ 0.; 0.5; 1.; 2. ] ~path_messages:30 dataset);
+          ~intensities:[ 0.; 0.5; 1.; 2. ] ~path_messages:30 ~telemetry dataset);
     dump;
     plots = [];
   }
@@ -250,7 +256,8 @@ let sections =
         List.map2
           (fun (label, _) outcomes -> (label, Metrics.pool outcomes))
           contenders
-          (Runner.outcomes_many ?jobs:ctx.jobs ~trace ~spec ~factories:(List.map snd contenders) ())
+          (Runner.outcomes_many ?jobs:ctx.jobs ~telemetry:ctx.telemetry ~trace ~spec
+             ~factories:(List.map snd contenders) ())
       in
       R.render_metrics
         ~title:(Printf.sprintf "A01: replication budget vs delivery (%s)" Dataset.conext06_am.label)
@@ -263,7 +270,10 @@ let sections =
           (Workload.paper_spec ~n_nodes:(Trace.n_nodes trace))
       in
       let row ttl =
-        let m = Metrics.of_outcome (Engine.run ?ttl ~trace ~messages (Epidemic.factory trace)) in
+        let m =
+          Metrics.of_outcome
+            (Engine.run ?ttl ~telemetry:ctx.telemetry ~trace ~messages (Epidemic.factory trace))
+        in
         [
           (match ttl with None -> "unbounded" | Some t -> Printf.sprintf "%.0f s" t);
           Printf.sprintf "%.3f" m.success_rate;
@@ -396,7 +406,11 @@ let sections =
 
 let ids = List.map fst sections
 
+(* One span per section, so a study shows under the section that
+   forced it. *)
 let render ctx id =
   match List.assoc_opt id sections with
-  | Some render -> render ctx
+  | Some render ->
+    T.with_span ctx.telemetry ~args:[ ("id", T.Str id) ] "catalogue.section" (fun () ->
+        render ctx)
   | None -> invalid_arg (Printf.sprintf "unknown section %s" id)

@@ -15,6 +15,7 @@ val context :
   ?store:Psn_store.Store.t ->
   ?retries:int ->
   ?checkpoint:int ->
+  ?telemetry:Psn_telemetry.Telemetry.sink ->
   ?dump:string ->
   scale:Experiments.scale ->
   Psn_trace.Dataset.t ->
@@ -22,7 +23,9 @@ val context :
 (** Single-dataset sections run on the given dataset and name it in
     their titles. Figs. 1, 7, 9, R01 and A01 keep their fixed datasets;
     Figs. 4 and 10 add the given one to theirs. The sweep settings go
-    to the studies as in {!Experiments.enumeration_study}. With [dump],
+    to the studies as in {!Experiments.enumeration_study}. [telemetry]
+    (default null) reaches every study and the sections that run the
+    simulator directly; it never changes a section's text. With [dump],
     Figs. 4, 5, 7 and 10 also write gnuplot files into that directory. *)
 
 val scale_line : context -> string
@@ -32,5 +35,7 @@ val ids : string list
 (** Every section id, in print order. *)
 
 val render : context -> string -> string
-(** [render ctx id] is section [id]'s text. Raises [Invalid_argument]
-    for an id not in {!ids}, or on a [dump] I/O failure. *)
+(** [render ctx id] is section [id]'s text, recorded as one
+    ["catalogue.section"] span tagged with [id]. Raises
+    [Invalid_argument] for an id not in {!ids}, or on a [dump] I/O
+    failure. *)

@@ -29,27 +29,6 @@ let analyze ?(n_explosion = 2000) (result : Enumerate.result) =
     }
   end
 
-(* Test-only, like every dead-export waiver in this file: to be deleted
-   with its unit tests (ROADMAP, "The test-only code left in lib/"). *)
-let[@lint.allow "dead-export"] cumulative (result : Enumerate.result) =
-  let points = ref [] in
-  Array.iteri
-    (fun i (a : Enumerate.arrival) ->
-      match !points with
-      | (t, _) :: rest when Float.equal t a.Enumerate.time ->
-        points := (t, i + 1) :: rest
-      | _ -> points := (a.Enumerate.time, i + 1) :: !points)
-    result.Enumerate.arrivals;
-  List.rev !points
-
-let[@lint.allow "dead-export"] arrivals_relative_to_t1 (result : Enumerate.result) =
-  match Array.length result.Enumerate.arrivals with
-  | 0 -> []
-  | _ ->
-    let t1 = result.Enumerate.arrivals.(0).Enumerate.time in
-    Array.to_list result.Enumerate.arrivals
-    |> List.map (fun (a : Enumerate.arrival) -> a.Enumerate.time -. t1)
-
 type survival = {
   baseline_paths : int;
   surviving_paths : int;
@@ -75,12 +54,3 @@ let survival ~baseline ~degraded =
       | Some t_b, Some t_d -> Some (t_d -. t_b)
       | _, _ -> None);
   }
-
-let[@lint.allow "dead-export"] growth_rate result =
-  match cumulative result with
-  | [] | [ _ ] -> None
-  | ((t1, _) :: _ : (float * int) list) as staircase ->
-    let points = List.map (fun (t, c) -> (t -. t1, float_of_int c)) staircase in
-    (match Psn_stats.Regression.exponential_rate points with
-    | fit -> Some fit
-    | exception Invalid_argument _ -> None)

@@ -3,8 +3,8 @@
     Given one message's enumeration output, computes the quantities the
     paper defines: [T1] (arrival time of the optimal path), [Tn] (time
     of the n-th path, default n = 2000), and the time to explosion
-    [TE = Tn - T1]. Also provides the cumulative-arrival staircase of
-    Fig. 6 and an exponential growth-rate fit of the explosion. *)
+    [TE = Tn - T1], and compares a message's paths on a pristine and a
+    fault-degraded trace. *)
 
 type summary = {
   n_arrivals : int;  (** Paths recorded before enumeration stopped. *)
@@ -18,14 +18,6 @@ type summary = {
 val analyze : ?n_explosion:int -> Enumerate.result -> summary
 (** [n_explosion] defaults to the paper's 2000. Raises
     [Invalid_argument] if it is not positive. *)
-
-val cumulative : Enumerate.result -> (float * int) list
-(** [(arrival time, total paths so far)] staircase, one point per
-    distinct arrival time. *)
-
-val arrivals_relative_to_t1 : Enumerate.result -> float list
-(** Each arrival's delay after the first arrival — the raw data behind
-    Fig. 6's histogram. Empty when nothing was delivered. *)
 
 type survival = {
   baseline_paths : int;  (** Arrivals enumerated on the pristine trace. *)
@@ -48,9 +40,3 @@ val survival : baseline:Enumerate.result -> degraded:Enumerate.result -> surviva
     path set is needed. Both results are assumed to come from the same
     enumeration config; the ratio can exceed 1 when truncation (e.g.
     [stop_at_total]) binds in the baseline. *)
-
-val growth_rate : Enumerate.result -> Psn_stats.Regression.fit option
-(** Fit [count(t) = A e^{r (t - T1)}] over the cumulative staircase;
-    [None] when fewer than two distinct arrival times exist. The
-    paper's claim is that this growth is approximately exponential with
-    rate set by the contact rates involved. *)

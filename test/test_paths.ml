@@ -467,37 +467,6 @@ let test_explosion_empty () =
   Alcotest.(check bool) "not delivered" false s.Explosion.delivered;
   Alcotest.(check int) "no arrivals" 0 s.Explosion.n_arrivals
 
-let test_explosion_cumulative_monotone () =
-  let result = explosion_fixture () in
-  let staircase = Explosion.cumulative result in
-  let rec check = function
-    | (t1, c1) :: ((t2, c2) :: _ as rest) ->
-      Alcotest.(check bool) "time increasing" true (t1 < t2);
-      Alcotest.(check bool) "count increasing" true (c1 < c2);
-      check rest
-    | _ -> ()
-  in
-  check staircase;
-  match List.rev staircase with
-  | (_, last) :: _ ->
-    Alcotest.(check int) "total matches" (Array.length result.Enumerate.arrivals) last
-  | [] -> Alcotest.fail "empty staircase"
-
-let test_explosion_relative_offsets () =
-  let result = explosion_fixture () in
-  match Explosion.arrivals_relative_to_t1 result with
-  | [] -> Alcotest.fail "no offsets"
-  | first :: _ as offsets ->
-    Alcotest.check feps "first offset zero" 0. first;
-    List.iter (fun o -> if o < 0. then Alcotest.fail "negative offset") offsets
-
-let test_explosion_growth_rate () =
-  (* Synthetic exponential arrivals: count doubles every second. *)
-  let result = explosion_fixture () in
-  match Explosion.growth_rate result with
-  | None -> ()  (* burst arrivals may collapse to one distinct time *)
-  | Some fit -> Alcotest.(check bool) "rate finite" true (Float.is_finite fit.Core.Regression.slope)
-
 let () =
   Alcotest.run "psn_paths"
     [
@@ -544,8 +513,5 @@ let () =
           Alcotest.test_case "analyze" `Quick test_explosion_analyze;
           Alcotest.test_case "threshold not reached" `Quick test_explosion_not_reached;
           Alcotest.test_case "undelivered message" `Quick test_explosion_empty;
-          Alcotest.test_case "cumulative staircase" `Quick test_explosion_cumulative_monotone;
-          Alcotest.test_case "relative offsets" `Quick test_explosion_relative_offsets;
-          Alcotest.test_case "growth rate fit" `Quick test_explosion_growth_rate;
         ] );
     ]
