@@ -14,8 +14,6 @@ let bindings ~cmp tbl =
   |> List.rev
   |> List.stable_sort (fun (a, _) (b, _) -> cmp a b)
 
-let keys ~cmp tbl = List.map fst (bindings ~cmp tbl)
-
 let iter ~cmp f tbl = List.iter (fun (k, v) -> f k v) (bindings ~cmp tbl)
 
 let fold ~cmp f tbl init = List.fold_left (fun acc (k, v) -> f k v acc) init (bindings ~cmp tbl)

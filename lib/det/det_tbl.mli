@@ -16,8 +16,6 @@ val bindings : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** All bindings sorted by key ([cmp]); duplicate keys (from
     [Hashtbl.add]) keep their most-recent-first order stably. *)
 
-val keys : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-
 val iter : cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter ~cmp f tbl] applies [f] to every binding in ascending key
     order. *)

@@ -906,52 +906,38 @@ let build (files : file_facts list) =
 (* ------------------------------------------------------------------ *)
 (* Export                                                             *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Psn_json.Json
 
 let loc_line (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
-let loc_col (loc : Location.t) =
-  loc.Location.loc_start.Lexing.pos_cnum - loc.Location.loc_start.Lexing.pos_bol
-
 let pp_json ppf t =
-  Format.fprintf ppf "{\"schema\":\"psn-lint-callgraph/1\",\"nodes\":[";
-  Array.iteri
-    (fun i n ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "@.  {\"id\":%d,\"name\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d"
-        n.n_id (json_escape n.n_name) (json_escape n.n_file) n.n_line n.n_col;
-      if n.n_hot then Format.fprintf ppf ",\"hot\":true";
-      (match n.n_mutable with
-      | Some kind -> Format.fprintf ppf ",\"mutable\":\"%s\"" (json_escape kind)
-      | None -> ());
-      Format.fprintf ppf "}")
-    t.nodes;
-  Format.fprintf ppf "@.],\"edges\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "@.  {\"from\":%d,\"to\":%d,\"line\":%d,\"col\":%d}" e.e_from e.e_to
-        (loc_line e.e_loc) (loc_col e.e_loc))
-    t.edges;
-  Format.fprintf ppf "@.],\"parallel_sites\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "@.  {\"node\":%d,\"fn\":\"%s\",\"line\":%d,\"col\":%d}" s.r_node
-        (json_escape s.r_fn) (loc_line s.r_loc) (loc_col s.r_loc))
-    t.sites;
-  Format.fprintf ppf "@.]}@."
+  let open Json in
+  let at (loc : Location.t) rest =
+    let col = loc.Location.loc_start.Lexing.pos_cnum - loc.Location.loc_start.Lexing.pos_bol in
+    Obj (rest @ [ ("line", int (loc_line loc)); ("col", int col) ])
+  in
+  let node n =
+    let hot = if n.n_hot then [ ("hot", Bool true) ] else [] in
+    let mut = Option.fold ~none:[] ~some:(fun kind -> [ ("mutable", Str kind) ]) n.n_mutable in
+    let pos = [ ("line", int n.n_line); ("col", int n.n_col) ] in
+    Obj ([ ("id", int n.n_id); ("name", Str n.n_name); ("file", Str n.n_file) ] @ pos @ hot @ mut)
+  in
+  let edge e = at e.e_loc [ ("from", int e.e_from); ("to", int e.e_to) ] in
+  let site s = at s.r_loc [ ("node", int s.r_node); ("fn", Str s.r_fn) ] in
+  let graph =
+    Obj
+      [
+        ("schema", Str "psn-lint-callgraph/1");
+        ("nodes", Rows (Array.to_list (Array.map node t.nodes)));
+        ("edges", Rows (List.map edge t.edges));
+        ("parallel_sites", Rows (List.map site t.sites));
+      ]
+  in
+  Format.fprintf ppf "%s@." (to_string graph)
+
+(* DOT quoted strings take JSON's quote and backslash escapes, and a
+   printed \n is DOT's centred line break. *)
+let dot_label s = Json.to_string (Json.Str s)
 
 let pp_dot ppf t =
   Format.fprintf ppf "digraph psn_callgraph {@.";
@@ -965,16 +951,17 @@ let pp_dot ppf t =
           | Some _ -> ",style=filled,fillcolor=\"#ffcccc\""
           | None -> ""
       in
-      Format.fprintf ppf "  n%d [label=\"%s\\n%s:%d\"%s];@." n.n_id (json_escape n.n_name)
-        (json_escape n.n_file) n.n_line style)
+      Format.fprintf ppf "  n%d [label=%s%s];@." n.n_id
+        (dot_label (Printf.sprintf "%s\n%s:%d" n.n_name n.n_file n.n_line))
+        style)
     t.nodes;
   List.iter (fun e -> Format.fprintf ppf "  n%d -> n%d;@." e.e_from e.e_to) t.edges;
   List.iter
     (fun s ->
       List.iter
         (fun root ->
-          Format.fprintf ppf "  n%d -> n%d [style=dashed,label=\"Parallel.%s\"];@." s.r_node root
-            (json_escape s.r_fn))
+          Format.fprintf ppf "  n%d -> n%d [style=dashed,label=%s];@." s.r_node root
+            (dot_label ("Parallel." ^ s.r_fn)))
         s.r_roots)
     t.sites;
   Format.fprintf ppf "}@."

@@ -83,8 +83,6 @@ val build : file_facts list -> t
 
 val loc_line : Location.t -> int
 
-val loc_col : Location.t -> int
-
 val pp_json : Format.formatter -> t -> unit
 (** Stable machine-readable export ([psn_lint --graph json]). *)
 

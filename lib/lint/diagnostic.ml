@@ -27,21 +27,13 @@ let compare a b =
 let pp ppf t =
   Format.fprintf ppf "%s:%d:%d: [%s] %s" t.file t.line t.col t.rule t.message
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let pp_json ppf t =
-  Format.fprintf ppf {|{"file":"%s","line":%d,"col":%d,"rule":"%s","message":"%s"}|}
-    (json_escape t.file) t.line t.col (json_escape t.rule) (json_escape t.message)
+let to_json t =
+  Psn_json.Json.(
+    Obj
+      [
+        ("file", Str t.file);
+        ("line", int t.line);
+        ("col", int t.col);
+        ("rule", Str t.rule);
+        ("message", Str t.message);
+      ])

@@ -13,5 +13,5 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** Human format: [file:line:col: [rule] message]. *)
 
-val pp_json : Format.formatter -> t -> unit
-(** One finding as a JSON object on a single line. *)
+val to_json : t -> Psn_json.Json.t
+(** One finding as a JSON object. *)

@@ -48,46 +48,27 @@ let note label fields =
 
 (* ---- JSON dump -------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Psn_json.Json
 
 let render ~reason r =
-  let b = Buffer.create 1024 in
   let recorded = Int.min r.next_seq r.cap in
-  Buffer.add_string b
-    (Printf.sprintf "{\"version\":1,\"reason\":\"%s\",\"recorded\":%d,\"dropped\":%d,\"events\":["
-       (escape reason) recorded
-       (Int.max 0 (r.next_seq - r.cap)));
+  let event e =
+    let fields = List.map (fun (k, v) -> (k, Json.Str v)) e.fields in
+    Json.Obj (("seq", Json.int e.seq) :: ("label", Json.Str e.label) :: fields)
+  in
   (* Oldest surviving event first: the ring holds seqs
      [next_seq - recorded, next_seq). *)
-  let first = ref true in
-  for seq = r.next_seq - recorded to r.next_seq - 1 do
-    match r.ring.(seq mod r.cap) with
-    | None -> ()
-    | Some e ->
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_string b (Printf.sprintf "{\"seq\":%d,\"label\":\"%s\"" e.seq (escape e.label));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string b (Printf.sprintf ",\"%s\":\"%s\"" (escape k) (escape v)))
-        e.fields;
-      Buffer.add_char b '}'
-  done;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  let events = List.init recorded (fun i -> r.ring.((r.next_seq - recorded + i) mod r.cap)) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("version", Json.int 1);
+         ("reason", Json.Str reason);
+         ("recorded", Json.int recorded);
+         ("dropped", Json.int (Int.max 0 (r.next_seq - r.cap)));
+         ("events", Json.Arr (List.filter_map (Option.map event) events));
+       ])
+  ^ "\n"
 
 (* Best-effort single write: the dump path runs where raising would
    mask the original death, so write errors are swallowed. No
@@ -109,141 +90,14 @@ let dump ~reason () =
 
 (* ---- post-mortem validation ------------------------------------------- *)
 
-(* A tiny JSON syntax checker (objects/arrays/strings/numbers/atoms)
-   plus the shape the dump promises: top-level object with "version",
-   "reason" and "events". Returns the event count so tests can assert
-   the crash actually left evidence behind. *)
-
-exception Bad of string
-
+(* Strict JSON plus the shape the dump promises: a top-level object
+   with "version", "reason" and an "events" array. Returns the event
+   count so tests can assert the crash actually left evidence behind. *)
 let validate text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some got when Char.equal got c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-        | Some 'u' ->
-          advance ();
-          for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-            | _ -> fail "bad \\u escape"
-          done
-        | _ -> fail "bad escape");
-        go ()
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let events = ref 0 in
-  let rec parse_value ~depth =
-    if depth > 32 then fail "nesting too deep";
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      let keys = ref [] in
-      (match peek () with
-      | Some '}' -> advance ()
-      | _ ->
-        let rec members () =
-          skip_ws ();
-          let k = parse_string () in
-          keys := k :: !keys;
-          skip_ws ();
-          expect ':';
-          parse_value ~depth:(depth + 1) |> ignore;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected , or } in object"
-        in
-        members ());
-      if List.exists (String.equal "seq") !keys then incr events;
-      !keys
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      (match peek () with
-      | Some ']' -> advance ()
-      | _ ->
-        let rec elements () =
-          parse_value ~depth:(depth + 1) |> ignore;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected , or ] in array"
-        in
-        elements ());
-      []
-    | Some '"' ->
-      parse_string () |> ignore;
-      []
-    | Some ('-' | '0' .. '9') ->
-      let rec num () =
-        match peek () with
-        | Some ('-' | '+' | '.' | 'e' | 'E' | '0' .. '9') ->
-          advance ();
-          num ()
-        | _ -> ()
-      in
-      num ();
-      []
-    | Some 't' | Some 'f' | Some 'n' ->
-      let rec word () =
-        match peek () with
-        | Some ('a' .. 'z') ->
-          advance ();
-          word ()
-        | _ -> ()
-      in
-      word ();
-      []
-    | _ -> fail "expected a JSON value"
-  in
-  match
-    let keys = parse_value ~depth:0 in
-    skip_ws ();
-    if !pos <> n then fail "trailing bytes after document";
-    keys
-  with
-  | keys ->
-    let has k = List.exists (String.equal k) keys in
-    if not (has "version" && has "reason" && has "events") then
-      Error "not a flight-recorder dump (missing version/reason/events)"
-    else Ok !events
-  | exception Bad msg -> Error msg
+  match Json.parse text with
+  | Error _ as e -> e
+  | Ok (Json.Obj m) when List.mem_assoc "version" m && List.mem_assoc "reason" m -> (
+    match List.assoc_opt "events" m with
+    | Some (Json.Arr events) -> Ok (List.length events)
+    | _ -> Error "not a flight-recorder dump (no events array)")
+  | Ok _ -> Error "not a flight-recorder dump (missing version/reason/events)"

@@ -18,7 +18,7 @@
     action dumps just before its cleanup-free [Unix._exit 170], the
     serve loop dumps on [Interrupt.Interrupted] and uncaught errors.
 
-    Dump format (version 1):
+    Dump format (version 1), built and checked with {!Psn_json.Json}:
     {v
     {"version":1,"reason":"...","recorded":N,"dropped":D,
      "events":[{"seq":0,"label":"serve.line","raw":"..."}, ...]}
@@ -40,6 +40,6 @@ val dump : reason:string -> unit -> unit
     path runs where raising would mask the original death. *)
 
 val validate : string -> (int, string) result
-(** Check that a dump parses as JSON and has the promised top-level
-    shape; returns the number of ring events found. Used by the
-    crash-matrix test and [psn metrics check --flight]. *)
+(** Check that a dump is strict JSON ({!Psn_json.Json.parse}) with the
+    promised top-level shape; returns the length of [events]. Used by
+    the crash-matrix test and [psn metrics check --flight]. *)

@@ -35,20 +35,3 @@ let underflow t = t.underflow
 let overflow t = t.overflow
 
 let total t = t.underflow + t.overflow + Array.fold_left ( + ) 0 t.counts
-
-(* Test-only, like every dead-export waiver in this file: to be deleted
-   with its unit tests (ROADMAP, "The test-only code left in lib/"). *)
-let[@lint.allow "dead-export"] densities t =
-  let in_range = Array.fold_left ( + ) 0 t.counts in
-  if in_range = 0 then Array.make (bins t) 0.
-  else
-    let norm = float_of_int in_range *. width t in
-    Array.map (fun c -> float_of_int c /. norm) t.counts
-
-let[@lint.allow "dead-export"] cumulative t =
-  let acc = ref 0 in
-  Array.map
-    (fun c ->
-      acc := !acc + c;
-      !acc)
-    t.counts

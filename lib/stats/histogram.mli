@@ -25,11 +25,3 @@ val overflow : t -> int
 
 val total : t -> int
 (** All observations, including under/overflow. *)
-
-val densities : t -> float array
-(** Counts normalised so the in-range mass integrates to 1 (count /
-    (total_in_range * bin_width)). All-zero when no in-range data. *)
-
-val cumulative : t -> int array
-(** Running sum of counts: [cumulative t].(i) is the number of in-range
-    observations in bins [0..i]. *)

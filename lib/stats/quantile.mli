@@ -16,6 +16,3 @@ val quantiles_sorted : float array -> float list -> float list
 
 val median : float array -> float
 (** [median xs = quantile xs 0.5]. *)
-
-val percentile : float array -> int -> float
-(** [percentile xs p] with [p] in [\[0, 100\]]. *)

@@ -22,17 +22,3 @@ let of_array arr =
   let t = create () in
   Array.iter (add t) arr;
   t
-
-(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
-   code left in lib/"). *)
-let[@lint.allow "dead-export"] merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let fa = float_of_int a.n and fb = float_of_int b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. fb /. float_of_int n) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n) in
-    { n; mean; m2 }
-  end

@@ -29,7 +29,3 @@ val stddev : t -> float
 
 val of_array : float array -> t
 (** Summarise an array in one pass. *)
-
-val merge : t -> t -> t
-(** [merge a b] summarises the union of both observation streams
-    (Chan's parallel-variance combination). Inputs are unchanged. *)

@@ -8,8 +8,9 @@
     one horizontal track per worker domain.
 
     The encoding is canonical — fixed field order, integer microsecond
-    timestamps, deterministic event order — so two summaries with equal
-    contents serialise to equal bytes (the golden test relies on it). *)
+    timestamps, deterministic event order, printed by {!Psn_json.Json} —
+    so two summaries with equal contents serialise to equal bytes (the
+    golden test relies on it). *)
 
 val to_json : Telemetry.summary -> string
 (** The complete JSON document, ending in a newline. *)

@@ -37,8 +37,6 @@ let test_det_tbl_sorted_views () =
     "bindings sorted by key"
     [ (0, 0); (1, 10); (3, 30); (5, 50); (7, 70); (8, 80); (9, 90) ]
     (Core.Det_tbl.bindings ~cmp:Int.compare tbl);
-  Alcotest.(check (list int)) "keys" [ 0; 1; 3; 5; 7; 8; 9 ]
-    (Core.Det_tbl.keys ~cmp:Int.compare tbl);
   let seen = ref [] in
   Core.Det_tbl.iter ~cmp:Int.compare (fun k _ -> seen := k :: !seen) tbl;
   Alcotest.(check (list int)) "iter ascending" [ 0; 1; 3; 5; 7; 8; 9 ] (List.rev !seen);

@@ -8,6 +8,7 @@
 module Hist = Core.Hist
 module Openmetrics = Core.Openmetrics
 module Flight = Core.Flight
+module Json = Psn_json.Json
 
 let of_list xs =
   let h = Hist.create () in
@@ -243,18 +244,14 @@ let test_flight_ring_drops_oldest () =
       done;
       Flight.dump ~reason:"overflow" ();
       let text = read_file path in
-      match Flight.validate text with
-      | Error msg -> Alcotest.failf "dump does not validate: %s" msg
-      | Ok n ->
-        Alcotest.(check int) "ring capped at 4" 4 n;
-        (* the survivors are the newest events, oldest dropped *)
-        let has needle =
-          let nl = String.length needle and tl = String.length text in
-          let rec go i = i + nl <= tl && (String.equal (String.sub text i nl) needle || go (i + 1)) in
-          go 0
-        in
-        Alcotest.(check bool) "newest kept" true (has "\"i\":\"10\"");
-        Alcotest.(check bool) "oldest dropped" false (has "\"i\":\"1\"\""))
+      Alcotest.(check (result int string)) "ring capped at 4" (Ok 4) (Flight.validate text);
+      (* the survivors are the newest events, oldest first *)
+      let tick i =
+        Json.Obj [ ("seq", Json.int (i - 1)); ("label", Json.Str "tick"); ("i", Json.Str (string_of_int i)) ]
+      in
+      let events = match Json.parse text with Ok (Json.Obj m) -> List.assoc_opt "events" m | _ -> None in
+      let expected = Some (Json.Arr (List.map tick [ 7; 8; 9; 10 ])) in
+      Alcotest.(check bool) "newest kept, in order" true (events = expected))
 
 let test_flight_escapes_json () =
   with_armed (fun path ->
@@ -269,7 +266,14 @@ let test_flight_validate_rejects () =
   Alcotest.(check bool) "empty" true (invalid "");
   Alcotest.(check bool) "not json" true (invalid "hello");
   Alcotest.(check bool) "truncated" true (invalid "{\"version\":1,\"reason\":\"x\",\"events\":[");
-  Alcotest.(check bool) "missing keys" true (invalid "{\"a\":1}")
+  Alcotest.(check bool) "missing keys" true (invalid "{\"a\":1}");
+  Alcotest.(check bool) "bare words and bad numbers" true
+    (invalid
+       {|{"version":1,"reason":"x","events":[{"seq":0,"label":"a"}],"x":nonsense,"y":1-2e-}|});
+  let dump events = Printf.sprintf {|{"version":1,"reason":"x","events":%s}|} events in
+  Alcotest.(check bool) "minimal dump" false (invalid (dump "[]"));
+  Alcotest.(check bool) "truncated literal" true (invalid (dump "[tru]"));
+  Alcotest.(check bool) "bad number" true (invalid (dump "[1-2]"))
 
 let () =
   Alcotest.run "hist"

@@ -36,21 +36,6 @@ let test_summary_rejects_nan () =
   Alcotest.check_raises "nan" (Invalid_argument "Summary.add: non-finite observation") (fun () ->
       Summary.add s Float.nan)
 
-let test_summary_merge () =
-  let a = Summary.of_array [| 1.; 2.; 3. |] in
-  let b = Summary.of_array [| 10.; 20. |] in
-  let merged = Summary.merge a b in
-  let direct = Summary.of_array [| 1.; 2.; 3.; 10.; 20. |] in
-  Alcotest.check fsmall "mean" (Summary.mean direct) (Summary.mean merged);
-  Alcotest.check fsmall "variance" (Summary.variance direct) (Summary.variance merged);
-  Alcotest.(check int) "count" 5 (Summary.count merged)
-
-let test_summary_merge_empty () =
-  let a = Summary.create () in
-  let b = Summary.of_array [| 5.; 7. |] in
-  Alcotest.check feps "empty-left mean" 6. (Summary.mean (Summary.merge a b));
-  Alcotest.check feps "empty-right mean" 6. (Summary.mean (Summary.merge b a))
-
 (* --- Quantile --- *)
 
 let test_quantile_known () =
@@ -70,11 +55,6 @@ let test_quantile_errors () =
       ignore (Quantile.quantile [||] 0.5));
   Alcotest.check_raises "q out of range" (Invalid_argument "Quantile: q must be in [0, 1]")
     (fun () -> ignore (Quantile.quantile [| 1. |] 1.5))
-
-let test_percentile () =
-  let xs = Array.init 101 float_of_int in
-  Alcotest.check feps "p25" 25. (Quantile.percentile xs 25);
-  Alcotest.check feps "p99" 99. (Quantile.percentile xs 99)
 
 (* Quantiles as computed before selection: sort a copy under
    [Float.compare], then interpolate (type 7). The selection-based
@@ -202,16 +182,6 @@ let test_histogram_edges_centers () =
   let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 Seq.empty in
   Alcotest.check feps "center 0" 1. (Histogram.bin_center h 0);
   Alcotest.check feps "center 4" 9. (Histogram.bin_center h 4)
-
-let test_histogram_densities () =
-  let h = Histogram.create ~lo:0. ~hi:2. ~bins:2 (List.to_seq [ 0.5; 1.5; 1.7 ]) in
-  let d = Histogram.densities h in
-  (* total in-range 3, width 1: densities must integrate to 1 *)
-  Alcotest.check fsmall "integral" 1. (Array.fold_left ( +. ) 0. d)
-
-let test_histogram_cumulative () =
-  let h = Histogram.create ~lo:0. ~hi:3. ~bins:3 (List.to_seq [ 0.1; 1.1; 1.2; 2.9 ]) in
-  Alcotest.(check (array int)) "cumulative" [| 1; 3; 4 |] (Histogram.cumulative h)
 
 (* --- Boxplot --- *)
 
@@ -371,17 +341,6 @@ let qcheck_tests =
         && Array.for_all2
              (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
              before xs);
-    Test.make ~name:"summary merge equals pooled summary" ~count:200
-      Gen.(pair float_list float_list)
-      (fun (xs, ys) ->
-        let merged = Summary.merge (Summary.of_array (Array.of_list xs)) (Summary.of_array (Array.of_list ys)) in
-        let pooled = Summary.of_array (Array.of_list (xs @ ys)) in
-        let close a b =
-          if Float.is_nan a && Float.is_nan b then true
-          else Float.abs (a -. b) <= 1e-6 *. (1. +. Float.abs b)
-        in
-        close (Summary.mean merged) (Summary.mean pooled)
-        && close (Summary.variance merged) (Summary.variance pooled));
     Test.make ~name:"histogram total counts every event" ~count:200
       Gen.(list_size (int_range 0 300) (float_range (-10.) 20.))
       (fun xs ->
@@ -399,15 +358,12 @@ let () =
           Alcotest.test_case "empty" `Quick test_summary_empty;
           Alcotest.test_case "single" `Quick test_summary_single;
           Alcotest.test_case "rejects nan" `Quick test_summary_rejects_nan;
-          Alcotest.test_case "merge" `Quick test_summary_merge;
-          Alcotest.test_case "merge with empty" `Quick test_summary_merge_empty;
         ] );
       ( "quantile",
         [
           Alcotest.test_case "known values" `Quick test_quantile_known;
           Alcotest.test_case "unsorted input" `Quick test_quantile_unsorted_input;
           Alcotest.test_case "errors" `Quick test_quantile_errors;
-          Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "selection fallback on a median-of-three killer" `Quick
             test_quantile_selection_fallback;
         ] );
@@ -424,8 +380,6 @@ let () =
         [
           Alcotest.test_case "counts/under/overflow" `Quick test_histogram_counts;
           Alcotest.test_case "edges and centers" `Quick test_histogram_edges_centers;
-          Alcotest.test_case "densities integrate to 1" `Quick test_histogram_densities;
-          Alcotest.test_case "cumulative" `Quick test_histogram_cumulative;
         ] );
       ( "boxplot",
         [

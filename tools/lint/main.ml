@@ -12,48 +12,36 @@ let usage =
   "psn_lint [--config FILE] [--format human|json|sarif] [--graph json|dot] [--jobs N] [--rules] \
    PATH..."
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Psn_json.Json
 
 (* SARIF 2.1.0, the GitHub code-scanning subset: one run, the full
    rule registry in the driver, one result per finding. Emitted
    sorted (findings already are), so the artifact is deterministic. *)
-let print_sarif findings =
-  Format.printf
-    "{\"version\":\"2.1.0\",\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"runs\":[{";
-  Format.printf "\"tool\":{\"driver\":{\"name\":\"psn_lint\",\"rules\":[";
-  List.iteri
-    (fun i (r : Psn_lint.Rules.t) ->
-      if i > 0 then Format.printf ",";
-      Format.printf
-        "@.  {\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\"fullDescription\":{\"text\":\"%s\"}}"
-        (json_escape r.Psn_lint.Rules.name)
-        (json_escape r.Psn_lint.Rules.summary)
-        (json_escape r.Psn_lint.Rules.rationale))
-    Psn_lint.Rules.all;
-  Format.printf "@.]}},\"results\":[";
-  List.iteri
-    (fun i (d : Psn_lint.Diagnostic.t) ->
-      if i > 0 then Format.printf ",";
-      Format.printf
-        "@.  {\"ruleId\":\"%s\",\"level\":\"error\",\"message\":{\"text\":\"%s\"},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\"},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}"
-        (json_escape d.Psn_lint.Diagnostic.rule)
-        (json_escape d.Psn_lint.Diagnostic.message)
-        (json_escape d.Psn_lint.Diagnostic.file)
-        d.Psn_lint.Diagnostic.line
-        (d.Psn_lint.Diagnostic.col + 1))
-    findings;
-  Format.printf "@.]}]}@."
+let sarif findings =
+  let open Json in
+  let text s = Obj [ ("text", Str s) ] in
+  let rule { Psn_lint.Rules.name; summary; rationale } =
+    Obj [ ("id", Str name); ("shortDescription", text summary); ("fullDescription", text rationale) ]
+  in
+  let result { Psn_lint.Diagnostic.file; line; col; rule; message } =
+    let region = Obj [ ("startLine", int line); ("startColumn", int (col + 1)) ] in
+    let location = Obj [ ("artifactLocation", Obj [ ("uri", Str file) ]); ("region", region) ] in
+    Obj
+      [
+        ("ruleId", Str rule);
+        ("level", Str "error");
+        ("message", text message);
+        ("locations", Arr [ Obj [ ("physicalLocation", location) ] ]);
+      ]
+  in
+  let driver = Obj [ ("name", Str "psn_lint"); ("rules", Rows (List.map rule Psn_lint.Rules.all)) ] in
+  let run = Obj [ ("tool", Obj [ ("driver", driver) ]); ("results", Rows (List.map result findings)) ] in
+  Obj
+    [
+      ("version", Str "2.1.0");
+      ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+      ("runs", Arr [ run ]);
+    ]
 
 let () =
   let format = ref `Human in
@@ -143,13 +131,7 @@ let () =
           "%d finding%s (see --rules for rationale; suppress with [@lint.allow \"<rule>\"])@." n
           (if n = 1 then "" else "s")
     | `Json ->
-      Format.printf "{\"findings\":[";
-      List.iteri
-        (fun i d ->
-          if i > 0 then Format.printf ",";
-          Format.printf "@.  %a" Psn_lint.Diagnostic.pp_json d)
-        findings;
-      if not (List.is_empty findings) then Format.printf "@.";
-      Format.printf "]}@."
-    | `Sarif -> print_sarif findings);
+      let rows = Json.Rows (List.map Psn_lint.Diagnostic.to_json findings) in
+      Format.printf "%s@." (Json.to_string (Json.Obj [ ("findings", rows) ]))
+    | `Sarif -> Format.printf "%s@." (Json.to_string (sarif findings)));
     exit (if List.is_empty findings then 0 else 1)
