@@ -52,7 +52,6 @@ type psite = {
   p_loc : Location.t;
   p_allows : string list;
   p_refs : (string list * string list list) list;  (* (path, opens) from task + env args *)
-  mutable p_fallback : bool;  (* a task/env reference was a local name we cannot see into *)
 }
 
 type def = {
@@ -79,11 +78,11 @@ type file_facts = {
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                     *)
 
-let strip_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | parts -> parts
-
 let module_name_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
+(* [@lint.allow "rule"] / [@@@lint.allow "rule"]; several rules may be
+   given in one string, separated by commas or spaces. *)
 let split_rule_names s =
   String.split_on_char ',' s
   |> List.concat_map (String.split_on_char ' ')
@@ -91,54 +90,36 @@ let split_rule_names s =
          let name = String.trim name in
          if String.equal name "" then None else Some name)
 
-(* lint.allow names on an attribute list. Malformed payloads are the
-   per-file pass's business ([bad-suppression]); here they just yield
-   no names. *)
+let allow_names (a : Parsetree.attribute) =
+  if not (String.equal a.Parsetree.attr_name.Location.txt "lint.allow") then Some []
+  else
+    match a.Parsetree.attr_payload with
+    | Parsetree.PStr
+        [
+          {
+            Parsetree.pstr_desc =
+              Parsetree.Pstr_eval
+                ( {
+                    Parsetree.pexp_desc =
+                      Parsetree.Pexp_constant (Parsetree.Pconst_string (s, _, _));
+                    _;
+                  },
+                  _ );
+            _;
+          };
+        ] ->
+      Some (split_rule_names s)
+    | _ -> None
+
+(* Malformed payloads and unknown names are the per-file pass's
+   business ([bad-suppression]); here they just yield no names. *)
 let attr_allows (attrs : Parsetree.attributes) =
-  List.concat_map
-    (fun (a : Parsetree.attribute) ->
-      if not (String.equal a.Parsetree.attr_name.Location.txt "lint.allow") then []
-      else
-        match a.Parsetree.attr_payload with
-        | Parsetree.PStr
-            [
-              {
-                Parsetree.pstr_desc =
-                  Parsetree.Pstr_eval
-                    ( {
-                        Parsetree.pexp_desc =
-                          Parsetree.Pexp_constant (Parsetree.Pconst_string (s, _, _));
-                        _;
-                      },
-                      _ );
-                _;
-              };
-            ] ->
-          split_rule_names s
-        | _ -> [])
-    attrs
+  List.concat_map (fun a -> Option.value ~default:[] (allow_names a)) attrs
 
 let has_hot_attr (attrs : Parsetree.attributes) =
   List.exists
     (fun (a : Parsetree.attribute) -> String.equal a.Parsetree.attr_name.Location.txt "psn.hot")
     attrs
-
-(* Effect sources: the ambient-nondeterminism reads the taint pass
-   seeds from. Kind names are {!Rules.taint_kinds}. *)
-let source_of parts =
-  match strip_stdlib parts with
-  | "Random" :: _ -> Some "ambient-random"
-  | [ "Unix"; ("gettimeofday" | "time" | "localtime" | "gmtime" | "mktime" | "times") ]
-  | [ "Sys"; "time" ] ->
-    Some "wall-clock"
-  | [ "Hashtbl"; ("iter" | "fold") ] -> Some "hash-order-iteration"
-  | [ "Hashtbl"; ("hash" | "seeded_hash" | "hash_param") ] -> Some "hashtbl-hash"
-  | [ "Sys"; ("getenv" | "getenv_opt" | "getcwd" | "hostname") ]
-  | [ "Unix";
-      ("getenv" | "environment" | "unsafe_environment" | "getpid" | "getppid" | "getcwd"
-      | "gethostname") ] ->
-    Some "ambient-env"
-  | _ -> None
 
 (* Stdlib entry points known to allocate, for the hot-path pass. The
    table is deliberately small and obvious — it exists to catch the
@@ -146,7 +127,7 @@ let source_of parts =
    runtime. *)
 let allocator_of parts =
   let joined = String.concat "." parts in
-  match strip_stdlib parts with
+  match Rules.strip_stdlib parts with
   | [ "ref" ] -> Some "ref cell"
   | [ ("compare" | "min" | "max") ] -> Some ("polymorphic " ^ joined)
   | [ "@" ] -> Some "list append (@)"
@@ -182,7 +163,7 @@ let mutable_kind_of rhs =
   | Parsetree.Pexp_array (_ :: _) -> Some "array literal"
   | Parsetree.Pexp_apply
       ({ Parsetree.pexp_desc = Parsetree.Pexp_ident { Location.txt = lid; _ }; _ }, _) -> (
-    match strip_stdlib (Longident.flatten lid) with
+    match Rules.strip_stdlib (Longident.flatten lid) with
     | [ "ref" ] -> Some "ref"
     | [ "Hashtbl"; "create" ] -> Some "Hashtbl.t"
     | [ "Buffer"; "create" ] -> Some "Buffer.t"
@@ -224,11 +205,9 @@ let pattern_vars pat =
 
 (* All value paths referenced by a task/env argument, with local
    binders (fun parameters, lets, match cases) tracked so a parameter
-   [x] is not mistaken for an opaque local function. Returns the
-   paths plus whether an unresolvable local name was referenced. *)
+   [x] is not mistaken for an opaque local function. *)
 let collect_arg_refs ~opens expr =
   let refs = ref [] in
-  let local = ref false in
   let rec go bound (e : Parsetree.expression) =
     match e.Parsetree.pexp_desc with
     | Parsetree.Pexp_ident { Location.txt = lid; _ } -> (
@@ -273,7 +252,7 @@ let collect_arg_refs ~opens expr =
       Ast_iterator.default_iterator.expr it e
   in
   go Sset.empty expr;
-  (!refs, !local)
+  !refs
 
 (* ------------------------------------------------------------------ *)
 (* Per-file collection                                                *)
@@ -370,7 +349,7 @@ let make_iterator ctx =
     | Parsetree.Pexp_ident { Location.txt = lid; loc } ->
       let parts = Longident.flatten lid in
       record_call ctx parts loc;
-      (match source_of parts with
+      (match Rules.ambient_kind (Rules.strip_stdlib parts) with
       | Some kind -> record_source ctx kind (String.concat "." parts) loc
       | None -> ());
       (match allocator_of parts with
@@ -403,23 +382,13 @@ let make_iterator ctx =
           let env_arg =
             List.find_opt (function Asttypes.Labelled "env", _ -> true | _ -> false) args
           in
-          let refs, local =
+          let refs =
             List.fold_left
-              (fun (refs, local) (_, arg) ->
-                let r, l = collect_arg_refs ~opens:ctx.opens arg in
-                (r @ refs, local || l))
-              ([], false)
+              (fun refs (_, arg) -> collect_arg_refs ~opens:ctx.opens arg @ refs)
+              []
               (List.filter_map Fun.id [ task_arg; env_arg ])
           in
-          let site =
-            {
-              p_fn = fn;
-              p_loc = loc;
-              p_allows = current_allows ctx;
-              p_refs = refs;
-              p_fallback = local;
-            }
-          in
+          let site = { p_fn = fn; p_loc = loc; p_allows = current_allows ctx; p_refs = refs } in
           d.d_psites <- site :: d.d_psites))
     | Parsetree.Pexp_open (od, _) -> (
       match module_path_of_mod_expr od.Parsetree.popen_expr with
@@ -460,15 +429,33 @@ let make_iterator ctx =
   in
   { default_iterator with expr; value_binding }
 
-let names_of_pattern pat =
-  let vars = pattern_vars pat in
-  Sset.elements vars
+let entry_name (loc : Location.t) = Printf.sprintf "(entry:%d)" loc.Location.loc_start.Lexing.pos_lnum
+
+(* Register a structure-level definition and walk its body with it
+   current. *)
+let add_def ctx ~names ~loc ~hot ~mut walk =
+  let def =
+    {
+      d_names = names;
+      d_mpath = ctx.mpath;
+      d_loc = loc;
+      d_hot = hot;
+      d_mutable = mut;
+      d_allows = current_allows ctx;
+      d_calls = [];
+      d_sources = [];
+      d_allocs = [];
+      d_psites = [];
+    }
+  in
+  ctx.facts.ff_defs <- def :: ctx.facts.ff_defs;
+  with_def ctx def walk
 
 let collect_binding ctx it (vb : Parsetree.value_binding) =
   let loc = vb.Parsetree.pvb_loc in
   let names =
-    match names_of_pattern vb.Parsetree.pvb_pat with
-    | [] -> [ Printf.sprintf "(entry:%d)" loc.Location.loc_start.Lexing.pos_lnum ]
+    match Sset.elements (pattern_vars vb.Parsetree.pvb_pat) with
+    | [] -> [ entry_name loc ]
     | names -> names
   in
   let hot =
@@ -478,22 +465,7 @@ let collect_binding ctx it (vb : Parsetree.value_binding) =
   let allows = attr_allows vb.Parsetree.pvb_attributes in
   let saved_allows = ctx.allows in
   if not (List.is_empty allows) then ctx.allows <- allows :: ctx.allows;
-  let def =
-    {
-      d_names = names;
-      d_mpath = ctx.mpath;
-      d_loc = loc;
-      d_hot = hot;
-      d_mutable = mutable_kind_of vb.Parsetree.pvb_expr;
-      d_allows = current_allows ctx;
-      d_calls = [];
-      d_sources = [];
-      d_allocs = [];
-      d_psites = [];
-    }
-  in
-  ctx.facts.ff_defs <- def :: ctx.facts.ff_defs;
-  with_def ctx def (fun () ->
+  add_def ctx ~names ~loc ~hot ~mut:(mutable_kind_of vb.Parsetree.pvb_expr) (fun () ->
       ctx.named <- true;
       it.Ast_iterator.expr it vb.Parsetree.pvb_expr;
       ctx.named <- false);
@@ -507,22 +479,8 @@ and collect_structure_item ctx it (si : Parsetree.structure_item) =
   | Parsetree.Pstr_value (_, vbs) -> List.iter (collect_binding ctx it) vbs
   | Parsetree.Pstr_eval (e, attrs) ->
     let loc = si.Parsetree.pstr_loc in
-    let def =
-      {
-        d_names = [ Printf.sprintf "(entry:%d)" loc.Location.loc_start.Lexing.pos_lnum ];
-        d_mpath = ctx.mpath;
-        d_loc = loc;
-        d_hot = has_hot_attr attrs;
-        d_mutable = None;
-        d_allows = current_allows ctx;
-        d_calls = [];
-        d_sources = [];
-        d_allocs = [];
-        d_psites = [];
-      }
-    in
-    ctx.facts.ff_defs <- def :: ctx.facts.ff_defs;
-    with_def ctx def (fun () -> it.Ast_iterator.expr it e)
+    add_def ctx ~names:[ entry_name loc ] ~loc ~hot:(has_hot_attr attrs) ~mut:None (fun () ->
+        it.Ast_iterator.expr it e)
   | Parsetree.Pstr_module mb -> collect_module_binding ctx it mb
   | Parsetree.Pstr_recmodule mbs -> List.iter (collect_module_binding ctx it) mbs
   | Parsetree.Pstr_open od -> (
@@ -656,7 +614,6 @@ type resolver = {
   members : (string * string, int list) Hashtbl.t;
       (* (file path, dotted submodule path, "" for the file) -> node ids under it *)
   alias_of : (string, (string * string list) list) Hashtbl.t;  (* file path -> aliases *)
-  file_dir : (string, string) Hashtbl.t;
 }
 
 let dotted mpath name = String.concat "." (mpath @ [ name ])
@@ -771,7 +728,6 @@ let build (files : file_facts list) =
       index = Hashtbl.create 512;
       members = Hashtbl.create 128;
       alias_of = Hashtbl.create 64;
-      file_dir = Hashtbl.create 64;
     }
   in
   let nodes = ref [] in
@@ -783,7 +739,6 @@ let build (files : file_facts list) =
         | Some l -> l @ [ ff ]
         | None -> [ ff ]);
       Hashtbl.replace r.alias_of ff.ff_path ff.ff_aliases;
-      Hashtbl.replace r.file_dir ff.ff_path (Filename.dirname ff.ff_path);
       List.iter
         (fun d ->
           let id = !next in
@@ -844,7 +799,7 @@ let build (files : file_facts list) =
           List.iter
             (fun p ->
               let roots = ref [] in
-              let fallback = ref p.p_fallback in
+              let fallback = ref false in
               List.iter
                 (fun (parts, opens) ->
                   match resolve_ref r ~find:(find_value r) ~ff ~mpath:d.d_mpath ~opens parts with
@@ -902,6 +857,53 @@ let build (files : file_facts list) =
            if c <> 0 then c else Int.compare a b)
   in
   { nodes; edges; sites; top_uses; n_files = List.length files }
+
+(* ------------------------------------------------------------------ *)
+(* Witnesses                                                          *)
+
+module Imap = Map.Make (Int)
+
+type 'a witness = Seed of 'a | Via of int * Location.t
+
+(* Sweep the sorted edges until a sweep changes nothing; a worklist
+   could record a different first witness. *)
+let witnesses g ~seeds ~blocked =
+  let table =
+    Array.map
+      (fun n ->
+        List.fold_left
+          (fun m (key, v) -> if Imap.mem key m then m else Imap.add key (Seed v) m)
+          Imap.empty (seeds n))
+      g.nodes
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun e ->
+        Imap.iter
+          (fun key _ ->
+            if not (Imap.mem key table.(e.e_from) || blocked e key) then begin
+              table.(e.e_from) <- Imap.add key (Via (e.e_to, e.e_loc)) table.(e.e_from);
+              changed := true
+            end)
+          table.(e.e_to))
+      g.edges
+  done;
+  table
+
+(* "Mid.stamp -> Clock_src.now -> Unix.gettimeofday" *)
+let chain g table ~seed start key =
+  let rec go id depth =
+    if depth > 16 then [ "..." ]
+    else
+      let name = g.nodes.(id).n_name in
+      match Imap.find_opt key table.(id) with
+      | None -> [ name ]
+      | Some (Seed v) -> name :: Option.to_list (seed v)
+      | Some (Via (next, _)) -> name :: go next (depth + 1)
+  in
+  String.concat " -> " (go start 0)
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                             *)

@@ -81,6 +81,35 @@ val build : file_facts list -> t
 (** Resolve and number. The input order fixes node ids: pass files
     sorted by path. *)
 
+val allow_names : Parsetree.attribute -> string list option
+(** The rule names a [\[@lint.allow "..."\]] attribute lists, as
+    written (commas or spaces separate them); [Some \[\]] for any other
+    attribute, [None] for a malformed payload. *)
+
+(** {2 Witnesses}
+
+    The one fixpoint the {!Effects}, {!Hotpath} and {!Domain_safety}
+    passes share. *)
+
+module Imap : Map.S with type key = int
+
+type 'a witness =
+  | Seed of 'a  (** the node itself holds the key *)
+  | Via of int * Location.t  (** through this callee, called at this site *)
+
+val witnesses :
+  t -> seeds:(node -> (int * 'a) list) -> blocked:(edge -> int -> bool) -> 'a witness Imap.t array
+(** For each node id, the first witness that it holds each int key.
+    [seeds] gives a node's own keys (the first of a key wins). Keys
+    then flow toward callers: every edge, in sorted order, hands the
+    caller each callee key it lacks unless [blocked] says the edge
+    stops that key, and the sweep repeats until it changes nothing. *)
+
+val chain : t -> 'a witness Imap.t array -> seed:('a -> string option) -> int -> int -> string
+(** [chain g table ~seed start key] renders the witness path from
+    [start] as ["A.f -> B.g -> <seed text>"], cut with ["..."] after
+    16 hops. *)
+
 val loc_line : Location.t -> int
 
 val pp_json : Format.formatter -> t -> unit

@@ -11,6 +11,7 @@
     When a task argument references a local value the resolver cannot
     see into, the enclosing definition conservatively stands in as a
     root. Findings land on the fan-out site with the witness chain to
-    the mutable in the message; output is deterministic. *)
+    the mutable in the message. Reachability is {!Callgraph.witnesses}
+    keyed by the mutable's node id, so output is deterministic. *)
 
 val run : config:Config.t -> Callgraph.t -> Diagnostic.t list

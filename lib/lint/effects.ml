@@ -20,63 +20,29 @@
    caller's path is allowlisted. Each witness chain is rendered into
    the message so the reader sees the path down to the raw source.
 
-   Determinism: edges are iterated in their sorted order and the
-   first witness for a (node, kind) pair wins, so messages are stable
-   across runs and across --jobs. *)
+   Determinism: the witnesses come from {!Callgraph.witnesses}, keyed
+   by the kind's index in Rules.taint_kinds: edges are swept in their
+   sorted order and the first witness for a (node, kind) pair wins, so
+   messages are stable across runs and across --jobs. *)
 
-type witness = Direct of Callgraph.source | Via of int * Location.t
+let kinds = Array.of_list Rules.taint_kinds
 
-type taint = (string, witness) Hashtbl.t array  (* kind -> witness, per node *)
-
-let propagate ~config (g : Callgraph.t) : taint =
-  let taint = Array.map (fun _ -> Hashtbl.create 4) g.Callgraph.nodes in
-  Array.iter
-    (fun (node : Callgraph.node) ->
-      List.iter
-        (fun (s : Callgraph.source) ->
-          if
-            (not (Config.boundary config ~path:node.Callgraph.n_file ~kind:s.Callgraph.s_kind))
-            && not (Hashtbl.mem taint.(node.Callgraph.n_id) s.Callgraph.s_kind)
-          then Hashtbl.replace taint.(node.Callgraph.n_id) s.Callgraph.s_kind (Direct s))
-        node.Callgraph.n_sources)
-    g.Callgraph.nodes;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (e : Callgraph.edge) ->
-        let caller = g.Callgraph.nodes.(e.Callgraph.e_from) in
-        List.iter
-          (fun kind ->
-            if
-              Hashtbl.mem taint.(e.Callgraph.e_to) kind
-              && (not (Hashtbl.mem taint.(e.Callgraph.e_from) kind))
-              && not (Config.boundary config ~path:caller.Callgraph.n_file ~kind)
-            then begin
-              Hashtbl.replace taint.(e.Callgraph.e_from) kind
-                (Via (e.Callgraph.e_to, e.Callgraph.e_loc));
-              changed := true
-            end)
-          Rules.taint_kinds)
-      g.Callgraph.edges
-  done;
-  taint
-
-(* "Mid.stamp -> Clock_src.now -> Unix.gettimeofday" *)
-let chain (g : Callgraph.t) (taint : taint) start kind =
-  let rec go id depth =
-    if depth > 16 then [ "..." ]
-    else
-      let name = g.Callgraph.nodes.(id).Callgraph.n_name in
-      match Hashtbl.find_opt taint.(id) kind with
-      | None -> [ name ]
-      | Some (Direct s) -> [ name; s.Callgraph.s_what ]
-      | Some (Via (next, _)) -> name :: go next (depth + 1)
-  in
-  String.concat " -> " (go start 0)
+let key_of kind = Option.get (List.find_index (String.equal kind) Rules.taint_kinds)
 
 let run ~config (g : Callgraph.t) : Diagnostic.t list =
-  let taint = propagate ~config g in
+  let boundary (n : Callgraph.node) key =
+    Config.boundary config ~path:n.Callgraph.n_file ~kind:kinds.(key)
+  in
+  let taint =
+    Callgraph.witnesses g
+      ~seeds:(fun n ->
+        List.filter_map
+          (fun (s : Callgraph.source) ->
+            let key = key_of s.Callgraph.s_kind in
+            if boundary n key then None else Some (key, s.Callgraph.s_what))
+          n.Callgraph.n_sources)
+      ~blocked:(fun e key -> boundary g.Callgraph.nodes.(e.Callgraph.e_from) key)
+  in
   List.concat_map
     (fun (e : Callgraph.edge) ->
       let caller = g.Callgraph.nodes.(e.Callgraph.e_from) in
@@ -85,18 +51,16 @@ let run ~config (g : Callgraph.t) : Diagnostic.t list =
         || Config.allowed config ~path:caller.Callgraph.n_file ~rule:"effect-taint"
       then []
       else
-        List.filter_map
-          (fun kind ->
-            if Config.boundary config ~path:caller.Callgraph.n_file ~kind then None
-            else if not (Hashtbl.mem taint.(e.Callgraph.e_to) kind) then None
-            else
-              let message =
-                Printf.sprintf
-                  "call reaches %s through %s; absorb the effect behind a [boundary] in \
-                   lint.toml or thread it explicitly"
-                  kind
-                  (chain g taint e.Callgraph.e_to kind)
-              in
-              Some (Diagnostic.of_location e.Callgraph.e_loc ~rule:"effect-taint" ~message))
-          Rules.taint_kinds)
+        Callgraph.Imap.bindings taint.(e.Callgraph.e_to)
+        |> List.filter_map (fun (key, _) ->
+               if boundary caller key then None
+               else
+                 let message =
+                   Printf.sprintf
+                     "call reaches %s through %s; absorb the effect behind a [boundary] in \
+                      lint.toml or thread it explicitly"
+                     kinds.(key)
+                     (Callgraph.chain g taint ~seed:Option.some e.Callgraph.e_to key)
+                 in
+                 Some (Diagnostic.of_location e.Callgraph.e_loc ~rule:"effect-taint" ~message)))
     g.Callgraph.edges

@@ -9,7 +9,9 @@
     site but never stop propagation.
 
     Findings land on every call edge into a tainted definition, with
-    the witness chain down to the raw source in the message. Output
-    is deterministic: sorted edge order, first witness wins. *)
+    the witness chain down to the raw source in the message. The
+    witnesses are {!Callgraph.witnesses} keyed by the kind's index in
+    {!Rules.taint_kinds}, so output is deterministic: sorted edge
+    order, first witness wins. *)
 
 val run : config:Config.t -> Callgraph.t -> Diagnostic.t list

@@ -25,8 +25,6 @@
    every hot caller (it stops propagation); the same attribute at a
    call site sanctions that one edge. *)
 
-type witness = Direct of Callgraph.alloc | Via of int * Location.t
-
 let suppressed_alloc ~config ~file (a : Callgraph.alloc) =
   List.exists (String.equal "hot-path-alloc") a.Callgraph.a_allows
   || Config.allowed config ~path:file ~rule:"hot-path-alloc"
@@ -34,55 +32,24 @@ let suppressed_alloc ~config ~file (a : Callgraph.alloc) =
 let suppressed_edge (e : Callgraph.edge) =
   List.exists (String.equal "hot-path-alloc") e.Callgraph.e_allows
 
-(* For each node, the first (deterministic) witness that it can reach
-   an unsanctioned allocation, or None. *)
-let propagate ~config (g : Callgraph.t) : witness option array =
-  let reach = Array.make (Array.length g.Callgraph.nodes) None in
-  Array.iter
-    (fun (n : Callgraph.node) ->
-      if Option.is_none reach.(n.Callgraph.n_id) then
-        match
-          List.find_opt
-            (fun a -> not (suppressed_alloc ~config ~file:n.Callgraph.n_file a))
-            n.Callgraph.n_allocs
-        with
-        | Some a -> reach.(n.Callgraph.n_id) <- Some (Direct a)
-        | None -> ())
-    g.Callgraph.nodes;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (e : Callgraph.edge) ->
-        if
-          (not (suppressed_edge e))
-          && Option.is_some reach.(e.Callgraph.e_to)
-          && Option.is_none reach.(e.Callgraph.e_from)
-        then begin
-          reach.(e.Callgraph.e_from) <- Some (Via (e.Callgraph.e_to, e.Callgraph.e_loc));
-          changed := true
-        end)
-      g.Callgraph.edges
-  done;
-  reach
-
-(* "Helper.step -> tuple (test/.../helper.ml:4)" *)
-let chain (g : Callgraph.t) (reach : witness option array) start =
-  let rec go id depth =
-    if depth > 16 then [ "..." ]
-    else
-      let n = g.Callgraph.nodes.(id) in
-      match reach.(id) with
-      | None -> [ n.Callgraph.n_name ]
-      | Some (Direct a) ->
+(* Key 0 of {!Callgraph.witnesses}: the node can reach an unsanctioned
+   allocation, seeded with "what (file:line)" of its first one. *)
+let propagate ~config (g : Callgraph.t) =
+  Callgraph.witnesses g
+    ~seeds:(fun n ->
+      match
+        List.find_opt
+          (fun a -> not (suppressed_alloc ~config ~file:n.Callgraph.n_file a))
+          n.Callgraph.n_allocs
+      with
+      | Some a ->
         [
-          Printf.sprintf "%s -> %s (%s:%d)" n.Callgraph.n_name a.Callgraph.a_what
-            n.Callgraph.n_file
-            (Callgraph.loc_line a.Callgraph.a_loc);
+          ( 0,
+            Printf.sprintf "%s (%s:%d)" a.Callgraph.a_what n.Callgraph.n_file
+              (Callgraph.loc_line a.Callgraph.a_loc) );
         ]
-      | Some (Via (next, _)) -> n.Callgraph.n_name :: go next (depth + 1)
-  in
-  String.concat " -> " (go start 0)
+      | None -> [])
+    ~blocked:(fun e _ -> suppressed_edge e)
 
 let run ~config (g : Callgraph.t) : Diagnostic.t list =
   let reach = propagate ~config g in
@@ -112,7 +79,7 @@ let run ~config (g : Callgraph.t) : Diagnostic.t list =
           (not caller.Callgraph.n_hot)
           || suppressed_edge e
           || Config.allowed config ~path:caller.Callgraph.n_file ~rule:"hot-path-alloc"
-          || Option.is_none reach.(e.Callgraph.e_to)
+          || Callgraph.Imap.is_empty reach.(e.Callgraph.e_to)
         then None
         else
           let message =
@@ -120,7 +87,7 @@ let run ~config (g : Callgraph.t) : Diagnostic.t list =
               "[@psn.hot] %s calls into an allocating path: %s; make the callee \
                allocation-free or sanction this edge with a justification"
               caller.Callgraph.n_name
-              (chain g reach e.Callgraph.e_to)
+              (Callgraph.chain g reach ~seed:Option.some e.Callgraph.e_to 0)
           in
           Some (Diagnostic.of_location e.Callgraph.e_loc ~rule:"hot-path-alloc" ~message))
       g.Callgraph.edges

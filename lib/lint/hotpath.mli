@@ -9,6 +9,7 @@
 
     Suppression: [\[@lint.allow "hot-path-alloc"\]] at an allocation
     site sanctions it for every hot caller (stops propagation); at a
-    call site it sanctions that one edge. Output is deterministic. *)
+    call site it sanctions that one edge. Reachability is
+    {!Callgraph.witnesses} under key [0], so output is deterministic. *)
 
 val run : config:Config.t -> Callgraph.t -> Diagnostic.t list

@@ -25,49 +25,24 @@ let emit st loc ~rule ~message =
 (* ------------------------------------------------------------------ *)
 (* Suppression attributes                                             *)
 
-let split_rule_names s =
-  String.split_on_char ',' s
-  |> List.concat_map (String.split_on_char ' ')
-  |> List.filter_map (fun name ->
-         let name = String.trim name in
-         if String.equal name "" then None else Some name)
-
-(* [@lint.allow "rule"] / [@@@lint.allow "rule"]; several rules may be
-   given in one string, separated by commas or spaces. Malformed
-   payloads and unknown rule names are themselves findings — a typo in
-   a suppression must never silently widen it. *)
+(* A malformed payload or an unknown rule name is itself a finding — a
+   typo in a suppression must never silently widen it. *)
 let allows_of_attrs st (attrs : Parsetree.attributes) =
   List.concat_map
     (fun (a : Parsetree.attribute) ->
-      if not (String.equal a.Parsetree.attr_name.Location.txt "lint.allow") then []
-      else
-        match a.Parsetree.attr_payload with
-        | Parsetree.PStr
-            [
-              {
-                Parsetree.pstr_desc =
-                  Parsetree.Pstr_eval
-                    ( {
-                        Parsetree.pexp_desc =
-                          Parsetree.Pexp_constant (Parsetree.Pconst_string (s, _, _));
-                        _;
-                      },
-                      _ );
-                _;
-              };
-            ] ->
-          let names = split_rule_names s in
-          List.iter
-            (fun name ->
-              if not (Rules.is_known name) then
-                emit st a.Parsetree.attr_loc ~rule:"bad-suppression"
-                  ~message:(Printf.sprintf "lint.allow names unknown rule %S" name))
-            names;
-          List.filter Rules.is_known names
-        | _ ->
-          emit st a.Parsetree.attr_loc ~rule:"bad-suppression"
-            ~message:"lint.allow expects a string payload, e.g. [@lint.allow \"failwith\"]";
-          [])
+      match Callgraph.allow_names a with
+      | Some names ->
+        List.iter
+          (fun name ->
+            if not (Rules.is_known name) then
+              emit st a.Parsetree.attr_loc ~rule:"bad-suppression"
+                ~message:(Printf.sprintf "lint.allow names unknown rule %S" name))
+          names;
+        List.filter Rules.is_known names
+      | None ->
+        emit st a.Parsetree.attr_loc ~rule:"bad-suppression"
+          ~message:"lint.allow expects a string payload, e.g. [@lint.allow \"failwith\"]";
+        [])
     attrs
 
 let with_scope st allows f =
@@ -82,32 +57,32 @@ let with_scope st allows f =
 (* ------------------------------------------------------------------ *)
 (* Identifier rules                                                   *)
 
-let strip_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | parts -> parts
+(* The syntactic finding for an ambient read whose taint kind is also
+   a rule name; ambient-env is left to the taint pass. *)
+let ambient_rule parts =
+  match Rules.ambient_kind parts with
+  | Some ("ambient-random" as kind) ->
+    Some (kind, "the ambient Random generator is shared global state; use a Psn_prng.Rng stream")
+  | Some ("wall-clock" as kind) -> Some (kind, "results must not depend on when the process ran")
+  | Some ("hash-order-iteration" as kind) ->
+    Some
+      ( kind,
+        Printf.sprintf "%s enumerates bindings in hash order; sort via Psn_det.Det_tbl instead"
+          (String.concat "." parts) )
+  | Some ("hashtbl-hash" as kind) ->
+    Some
+      ( kind,
+        Printf.sprintf "%s walks value representations; only Faults' keyed hashing may use it"
+          (String.concat "." parts) )
+  | Some _ | None -> None
 
 (* Dotted identifier -> (rule, message). *)
 let ident_rule parts =
-  match strip_stdlib parts with
+  match Rules.strip_stdlib parts with
   | [ "Random"; "self_init" ] | [ "Random"; "State"; "make_self_init" ] ->
     Some
       ( "random-self-init",
         "seeding from the environment makes runs unreproducible; thread a Psn_prng.Rng seed" )
-  | "Random" :: _ ->
-    Some
-      ( "ambient-random",
-        "the ambient Random generator is shared global state; use a Psn_prng.Rng stream" )
-  | [ "Unix"; ("gettimeofday" | "time" | "localtime" | "gmtime" | "mktime") ]
-  | [ "Sys"; "time" ] ->
-    Some ("wall-clock", "results must not depend on when the process ran")
-  | [ "Hashtbl"; (("iter" | "fold") as fn) ] ->
-    Some
-      ( "hash-order-iteration",
-        Printf.sprintf
-          "Hashtbl.%s enumerates bindings in hash order; sort via Psn_det.Det_tbl instead" fn )
-  | [ "Hashtbl"; (("hash" | "seeded_hash" | "hash_param") as fn) ] ->
-    Some
-      ( "hashtbl-hash",
-        Printf.sprintf
-          "Hashtbl.%s walks value representations; only Faults' keyed hashing may use it" fn )
   | "Marshal" :: _ ->
     Some
       ( "marshal",
@@ -132,7 +107,7 @@ let ident_rule parts =
       ( "polymorphic-compare",
         Printf.sprintf
           "polymorphic %s: use Float.%s/Int.%s or an explicit comparator" fn fn fn )
-  | _ -> None
+  | parts -> ambient_rule parts
 
 (* ------------------------------------------------------------------ *)
 (* Comparison operators                                               *)
@@ -253,23 +228,16 @@ let make_iterator st =
 
 (* File-wide suppressions apply to the whole file, wherever the
    [@@@lint.allow] line sits, so they are collected before the walk. *)
-let prescan_floating st attrs_list =
-  List.iter (fun attrs -> st.file_allows <- allows_of_attrs st attrs @ st.file_allows) attrs_list
-
 let floating_attrs_of_structure (str : Parsetree.structure) =
   List.filter_map
     (fun (si : Parsetree.structure_item) ->
-      match si.Parsetree.pstr_desc with
-      | Parsetree.Pstr_attribute a -> Some [ a ]
-      | _ -> None)
+      match si.Parsetree.pstr_desc with Parsetree.Pstr_attribute a -> Some a | _ -> None)
     str
 
 let floating_attrs_of_signature (sg : Parsetree.signature) =
   List.filter_map
     (fun (si : Parsetree.signature_item) ->
-      match si.Parsetree.psig_desc with
-      | Parsetree.Psig_attribute a -> Some [ a ]
-      | _ -> None)
+      match si.Parsetree.psig_desc with Parsetree.Psig_attribute a -> Some a | _ -> None)
     sg
 
 (* ------------------------------------------------------------------ *)
@@ -317,7 +285,7 @@ let analyze_parsed ~config path parsed : Diagnostic.t list * Callgraph.file_fact
   let it = make_iterator st in
   match parsed with
   | Impl str ->
-    prescan_floating st (floating_attrs_of_structure str);
+    st.file_allows <- allows_of_attrs st (floating_attrs_of_structure str);
     it.Ast_iterator.structure it str;
     if not (has_mli path || suppressed st "missing-mli") then
       st.diags <-
@@ -326,7 +294,7 @@ let analyze_parsed ~config path parsed : Diagnostic.t list * Callgraph.file_fact
         :: st.diags;
     (st.diags, Some (Callgraph.collect_file ~path str))
   | Intf sg ->
-    prescan_floating st (floating_attrs_of_signature sg);
+    st.file_allows <- allows_of_attrs st (floating_attrs_of_signature sg);
     it.Ast_iterator.signature it sg;
     (st.diags, None)
   | Broken d -> ([ d ], None)

@@ -112,6 +112,24 @@ let taint_kinds =
 
 let is_taint_kind name = List.exists (String.equal name) taint_kinds
 
+let strip_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | parts -> parts
+
+(* The one table of ambient sources: the syntactic pass reports the
+   kinds that are also rule names, the taint pass seeds from all. *)
+let ambient_kind = function
+  | "Random" :: _ -> Some "ambient-random"
+  | [ "Unix"; ("gettimeofday" | "time" | "localtime" | "gmtime" | "mktime" | "times") ]
+  | [ "Sys"; "time" ] ->
+    Some "wall-clock"
+  | [ "Hashtbl"; ("iter" | "fold") ] -> Some "hash-order-iteration"
+  | [ "Hashtbl"; ("hash" | "seeded_hash" | "hash_param") ] -> Some "hashtbl-hash"
+  | [ "Sys"; ("getenv" | "getenv_opt" | "getcwd" | "hostname") ]
+  | [ "Unix";
+      ("getenv" | "environment" | "unsafe_environment" | "getpid" | "getppid" | "getcwd"
+      | "gethostname") ] ->
+    Some "ambient-env"
+  | _ -> None
+
 let find name = List.find_opt (fun r -> String.equal r.name name) all
 
 let is_known name = Option.is_some (find name)

@@ -19,5 +19,13 @@ val taint_kinds : string list
 
 val is_taint_kind : string -> bool
 
+val strip_stdlib : string list -> string list
+(** Drop a leading ["Stdlib"] from a dotted path. *)
+
+val ambient_kind : string list -> string option
+(** The kind from {!taint_kinds} of the ambient source a dotted path
+    (already through {!strip_stdlib}) reads, e.g. ["wall-clock"] for
+    [Unix.times]. *)
+
 val pp_list : Format.formatter -> unit -> unit
 (** Render the registry, one rule per entry, for [--rules]. *)
