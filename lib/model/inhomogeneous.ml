@@ -25,15 +25,6 @@ let predict = function
   | Out_in -> { t1_small = false; te_small = true }
   | Out_out -> { t1_small = false; te_small = false }
 
-(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
-   code left in lib/"). *)
-let[@lint.allow "dead-export"] first_path_scale c q =
-  check c;
-  let base = Float.log (float_of_int c.n) /. c.rate_high in
-  match q with
-  | In_in | In_out -> base
-  | Out_in | Out_out -> base +. (1. /. c.rate_low)
-
 type quadrant_stats = {
   quadrant : quadrant;
   mean_t1 : float;

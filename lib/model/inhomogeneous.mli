@@ -37,11 +37,6 @@ type prediction = { t1_small : bool; te_small : bool }
 val predict : quadrant -> prediction
 (** The §5.2 hypothesis table. *)
 
-val first_path_scale : classes -> quadrant -> float
-(** Order-of-magnitude prediction for T1: [ln N / λ_high] when the
-    source is high-rate, plus an extra [1 / λ_low] escape term when it
-    is low-rate. *)
-
 type quadrant_stats = {
   quadrant : quadrant;
   mean_t1 : float;  (** Mean first-arrival time over delivered messages. *)

@@ -30,17 +30,3 @@ let rk4 ~f ~y0 ~t0 ~t1 ~steps =
     y := step ~f ~t ~h !y
   done;
   !y
-
-(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
-   code left in lib/"). *)
-let[@lint.allow "dead-export"] trajectory ~f ~y0 ~t0 ~t1 ~steps =
-  validate ~t0 ~t1 ~steps;
-  let h = (t1 -. t0) /. float_of_int steps in
-  let y = ref (Array.copy y0) in
-  let points = ref [ (t0, Array.copy y0) ] in
-  for i = 0 to steps - 1 do
-    let t = t0 +. (float_of_int i *. h) in
-    y := step ~f ~t ~h !y;
-    points := (t +. h, Array.copy !y) :: !points
-  done;
-  List.rev !points

@@ -12,13 +12,3 @@ val rk4 : f:derivative -> y0:float array -> t0:float -> t1:float -> steps:int ->
 (** Integrate from [t0] to [t1] in [steps] equal RK4 steps and return
     the final state. [y0] is not mutated. Raises [Invalid_argument] if
     [steps <= 0] or [t1 < t0]. *)
-
-val trajectory :
-  f:derivative ->
-  y0:float array ->
-  t0:float ->
-  t1:float ->
-  steps:int ->
-  (float * float array) list
-(** As {!rk4} but returns every intermediate state, [(t0, y0)] first and
-    [(t1, y(t1))] last — [steps + 1] points. *)

@@ -22,11 +22,6 @@ let length = List.length
 let transfers t = length t - 1
 let nodes t = List.map (fun h -> h.node) t
 
-(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
-   code left in lib/"). *)
-let[@lint.allow "dead-export"] duration grid t ~t_create =
-  Timegrid.time_of_step grid (List.nth t (length t - 1)).step -. t_create
-
 (* The §4.1 validity conditions are reference predicates: the enumerator
    never calls them; its property tests check every arrival against them. *)
 let[@lint.allow "dead-export"] is_loop_free t =

@@ -36,10 +36,6 @@ val transfers : t -> int
 val nodes : t -> Psn_trace.Node.id list
 (** Visited nodes in travel order. *)
 
-val duration : Psn_spacetime.Timegrid.t -> t -> t_create:float -> float
-(** Delivery time minus creation time, using the grid to convert the
-    final step to seconds. *)
-
 val is_loop_free : t -> bool
 
 val respects_minimal_progress : t -> dst:Psn_trace.Node.id -> bool

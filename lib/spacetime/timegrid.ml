@@ -20,12 +20,6 @@ let time_of_step t c =
   check_step t c;
   float_of_int c *. t.delta
 
-(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
-   code left in lib/"). *)
-let[@lint.allow "dead-export"] interval_of_step t c =
-  check_step t c;
-  (float_of_int (c - 1) *. t.delta, float_of_int c *. t.delta)
-
 let steps_overlapping t ~t_start ~t_end =
   if not (t_start < t_end) then invalid_arg "Timegrid.steps_overlapping: empty interval";
   (* Step c intersects [t_start, t_end) iff cΔ > t_start and cΔ - Δ < t_end. *)

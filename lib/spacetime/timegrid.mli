@@ -24,9 +24,6 @@ val time_of_step : t -> int -> float
     events in the step. Raises [Invalid_argument] outside
     [\[1, n_steps\]]. *)
 
-val interval_of_step : t -> int -> float * float
-(** [\[cΔ - Δ, cΔ)] as a pair. *)
-
 val steps_overlapping : t -> t_start:float -> t_end:float -> int * int
 (** Inclusive range of steps whose intervals intersect
     [\[t_start, t_end)], clamped to the grid. Requires

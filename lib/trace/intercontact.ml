@@ -22,16 +22,6 @@ let[@lint.allow "dead-export"] pair_gaps trace a b =
         met := (c.Contact.t_start, c.Contact.t_end) :: !met);
   gaps_of_intervals (List.rev !met)
 
-(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
-   code left in lib/"). *)
-let[@lint.allow "dead-export"] node_gaps trace node =
-  if node < 0 || node >= Trace.n_nodes trace then invalid_arg "Intercontact: node out of range";
-  let met = ref [] in
-  Trace.iter_contacts trace (fun (c : Contact.t) ->
-      if c.Contact.a = node || c.Contact.b = node then
-        met := (c.Contact.t_start, c.Contact.t_end) :: !met);
-  gaps_of_intervals (List.rev !met)
-
 let aggregate_gaps trace =
   let n = Trace.n_nodes trace in
   (* Bucket contacts per pair in one pass, then extract gaps. *)

@@ -13,9 +13,6 @@ val pair_gaps : Trace.t -> Node.id -> Node.id -> float list
     the next, chronological. Empty when the pair met fewer than twice.
     Raises [Invalid_argument] on out-of-range or equal nodes. *)
 
-val node_gaps : Trace.t -> Node.id -> float list
-(** Gaps between successive contacts of one node (with anyone). *)
-
 val aggregate_gaps : Trace.t -> float array
 (** All pairs' inter-contact gaps pooled — the distribution the
     literature plots as a CCDF. *)

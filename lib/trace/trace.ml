@@ -51,10 +51,6 @@ let contact_rates t =
   let counts = contact_counts t in
   Array.map (fun c -> float_of_int c /. t.horizon) counts
 
-(* Test-only: to be deleted with its unit tests (ROADMAP, "The test-only
-   code left in lib/"). *)
-let[@lint.allow "dead-export"] median_rate t = Psn_stats.Quantile.median (contact_rates t)
-
 let contact_time_series t ~bin =
   let starts = Array.to_seq t.contacts |> Seq.map (fun (c : Contact.t) -> c.Contact.t_start) in
   Psn_stats.Timeseries.bin_events ~t0:0. ~t1:t.horizon ~bin starts

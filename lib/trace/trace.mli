@@ -38,9 +38,6 @@ val contact_rates : t -> float array
 (** Contacts per second for each node: count / horizon. This is the
     λ_i of §5.2. *)
 
-val median_rate : t -> float
-(** Median of {!contact_rates} — the paper's in/out split point. *)
-
 val contact_time_series : t -> bin:float -> Psn_stats.Timeseries.t
 (** Contact start events binned over the horizon (Fig. 1 uses 60 s
     bins). *)

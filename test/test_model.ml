@@ -30,13 +30,6 @@ let test_rk4_time_dependent () =
   let y = Ode.rk4 ~f:(fun ~t ~y:_ -> [| 2. *. t |]) ~y0:[| 0. |] ~t0:0. ~t1:2. ~steps:50 in
   Alcotest.(check (float 1e-9)) "t^2" 4. y.(0)
 
-let test_rk4_trajectory () =
-  let points = Ode.trajectory ~f:(fun ~t:_ ~y -> [| y.(0) |]) ~y0:[| 1. |] ~t0:0. ~t1:1. ~steps:10 in
-  Alcotest.(check int) "points" 11 (List.length points);
-  let t0, y0 = List.hd points in
-  Alcotest.check feps "starts at t0" 0. t0;
-  Alcotest.check feps "starts at y0" 1. y0.(0)
-
 let test_rk4_errors () =
   Alcotest.check_raises "zero steps" (Invalid_argument "Ode: steps must be positive") (fun () ->
       ignore (Ode.rk4 ~f:(fun ~t:_ ~y -> y) ~y0:[| 1. |] ~t0:0. ~t1:1. ~steps:0));
@@ -188,12 +181,6 @@ let test_predictions_table () =
   let p = I.predict I.Out_out in
   Alcotest.(check bool) "out-out both large" true ((not p.I.t1_small) && not p.I.te_small)
 
-let test_first_path_scale () =
-  let high = I.first_path_scale classes I.In_in in
-  let low = I.first_path_scale classes I.Out_in in
-  Alcotest.(check bool) "out source slower" true (low > high);
-  Alcotest.(check (float 1e-9)) "escape term" (1. /. 0.05) (low -. high)
-
 let test_inhomogeneous_validation () =
   Alcotest.check_raises "rates inverted"
     (Invalid_argument "Inhomogeneous: need 0 < rate_low <= rate_high") (fun () ->
@@ -233,7 +220,6 @@ let () =
           Alcotest.test_case "exponential" `Quick test_rk4_exponential;
           Alcotest.test_case "rotation system" `Quick test_rk4_linear_system;
           Alcotest.test_case "time dependent" `Quick test_rk4_time_dependent;
-          Alcotest.test_case "trajectory" `Quick test_rk4_trajectory;
           Alcotest.test_case "errors" `Quick test_rk4_errors;
         ] );
       ( "homogeneous",
@@ -259,7 +245,6 @@ let () =
       ( "inhomogeneous",
         [
           Alcotest.test_case "prediction table" `Quick test_predictions_table;
-          Alcotest.test_case "first path scale" `Quick test_first_path_scale;
           Alcotest.test_case "validation" `Quick test_inhomogeneous_validation;
           Alcotest.test_case "quadrant T1 ordering" `Slow test_quadrant_simulation_t1_ordering;
           Alcotest.test_case "quadrant TE variability" `Slow test_quadrant_te_variability;

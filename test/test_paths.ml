@@ -45,11 +45,6 @@ let test_path_accessors () =
   Alcotest.(check int) "transfers" 3 (Path.transfers p);
   Alcotest.(check (list int)) "nodes" [ 0; 1; 2; 3 ] (Path.nodes p)
 
-let test_path_duration () =
-  let grid = Core.Timegrid.create ~horizon:100. () in
-  let p = Path.of_hops [ hop 0 1; hop 1 5 ] in
-  Alcotest.check feps "duration" 47. (Path.duration grid p ~t_create:3.)
-
 let test_loop_free () =
   Alcotest.(check bool) "loop free" true (Path.is_loop_free (Path.of_hops [ hop 0 1; hop 1 2 ]));
   Alcotest.(check bool) "loop" false
@@ -474,7 +469,6 @@ let () =
         [
           Alcotest.test_case "of_hops validation" `Quick test_path_of_hops_validation;
           Alcotest.test_case "accessors" `Quick test_path_accessors;
-          Alcotest.test_case "duration" `Quick test_path_duration;
           Alcotest.test_case "loop freedom" `Quick test_loop_free;
           Alcotest.test_case "minimal progress" `Quick test_minimal_progress;
           Alcotest.test_case "first preference" `Quick test_first_preference;

@@ -22,12 +22,6 @@ let test_grid_basics () =
   Alcotest.(check int) "step of 99.9" 10 (Timegrid.step_of_time g 99.9);
   Alcotest.check feps "time of step" 30. (Timegrid.time_of_step g 3)
 
-let test_grid_intervals () =
-  let g = Timegrid.create ~delta:5. ~horizon:20. () in
-  let lo, hi = Timegrid.interval_of_step g 2 in
-  Alcotest.check feps "lo" 5. lo;
-  Alcotest.check feps "hi" 10. hi
-
 let test_grid_overlap () =
   let g = Timegrid.create ~horizon:100. () in
   let first, last = Timegrid.steps_overlapping g ~t_start:12. ~t_end:31. in
@@ -264,7 +258,6 @@ let () =
       ( "timegrid",
         [
           Alcotest.test_case "basics" `Quick test_grid_basics;
-          Alcotest.test_case "intervals" `Quick test_grid_intervals;
           Alcotest.test_case "overlap ranges" `Quick test_grid_overlap;
           Alcotest.test_case "errors" `Quick test_grid_errors;
         ] );

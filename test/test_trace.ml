@@ -89,11 +89,6 @@ let test_trace_time_series () =
   let ts = Trace.contact_time_series t ~bin:25. in
   Alcotest.(check (array int)) "starts per bin" [| 1; 1; 2; 0 |] (Core.Timeseries.counts ts)
 
-let test_median_rate () =
-  let t = small_trace () in
-  (* counts 2,3,2,1 over 100 s -> rates 0.02,0.03,0.02,0.01; median 0.02 *)
-  Alcotest.check feps "median rate" 0.02 (Trace.median_rate t)
-
 (* --- Trace_io --- *)
 
 let test_io_roundtrip () =
@@ -348,12 +343,6 @@ let test_intercontact_pair_gaps () =
   Alcotest.(check bool) "never-met mean infinite" true
     (Core.Intercontact.mean_intercontact t 1 2 = Float.infinity)
 
-let test_intercontact_node_gaps () =
-  let t = gap_trace () in
-  (* node 0's contacts end at 20, 40, 60, 110 and start at 10, 30, 50, 100 *)
-  Alcotest.(check (list (float 1e-9))) "node gaps" [ 10.; 10.; 40. ]
-    (Core.Intercontact.node_gaps t 0)
-
 let test_intercontact_aggregate_and_ccdf () =
   let t = gap_trace () in
   let gaps = Core.Intercontact.aggregate_gaps t in
@@ -556,7 +545,6 @@ let () =
           Alcotest.test_case "clips to horizon" `Quick test_trace_clips_horizon;
           Alcotest.test_case "create errors" `Quick test_trace_create_errors;
           Alcotest.test_case "time series" `Quick test_trace_time_series;
-          Alcotest.test_case "median rate" `Quick test_median_rate;
         ] );
       ( "io",
         [
@@ -585,7 +573,6 @@ let () =
       ( "intercontact",
         [
           Alcotest.test_case "pair gaps" `Quick test_intercontact_pair_gaps;
-          Alcotest.test_case "node gaps" `Quick test_intercontact_node_gaps;
           Alcotest.test_case "aggregate and ccdf" `Quick test_intercontact_aggregate_and_ccdf;
           Alcotest.test_case "hill tail exponent" `Quick test_intercontact_tail_exponent;
           Alcotest.test_case "tail too small" `Quick test_intercontact_tail_too_small;
