@@ -43,7 +43,7 @@ type call = {
   c_whole : bool;  (* a module used opaquely: every definition under it is referenced *)
 }
 
-type source = { s_kind : string; s_what : string; s_loc : Location.t }
+type source = { s_kind : string; s_what : string }
 
 type alloc = { a_what : string; a_loc : Location.t; a_allows : string list }
 
@@ -268,11 +268,6 @@ type collect_ctx = {
 
 let current_allows ctx = List.concat ctx.allows
 
-let with_def ctx def f =
-  let saved = ctx.cur in
-  ctx.cur <- Some def;
-  Fun.protect ~finally:(fun () -> ctx.cur <- saved) f
-
 let make_call ctx ~whole parts loc =
   {
     c_path = parts;
@@ -313,10 +308,10 @@ let record_module_uses ctx me =
       | None -> ctx.facts.ff_top_uses <- c :: ctx.facts.ff_top_uses)
     (opaque_module_paths me)
 
-let record_source ctx kind what loc =
+let record_source ctx kind what =
   match ctx.cur with
   | None -> ()
-  | Some d -> d.d_sources <- { s_kind = kind; s_what = what; s_loc = loc } :: d.d_sources
+  | Some d -> d.d_sources <- { s_kind = kind; s_what = what } :: d.d_sources
 
 let record_alloc ctx what loc =
   match ctx.cur with
@@ -350,7 +345,7 @@ let make_iterator ctx =
       let parts = Longident.flatten lid in
       record_call ctx parts loc;
       (match Rules.ambient_kind (Rules.strip_stdlib parts) with
-      | Some kind -> record_source ctx kind (String.concat "." parts) loc
+      | Some kind -> record_source ctx kind (String.concat "." parts)
       | None -> ());
       (match allocator_of parts with
       | Some what -> record_alloc ctx what loc
@@ -449,7 +444,9 @@ let add_def ctx ~names ~loc ~hot ~mut walk =
     }
   in
   ctx.facts.ff_defs <- def :: ctx.facts.ff_defs;
-  with_def ctx def walk
+  let saved = ctx.cur in
+  ctx.cur <- Some def;
+  Fun.protect ~finally:(fun () -> ctx.cur <- saved) walk
 
 let collect_binding ctx it (vb : Parsetree.value_binding) =
   let loc = vb.Parsetree.pvb_loc in
@@ -605,7 +602,6 @@ type t = {
   edges : edge list;  (* sorted by (file, line, col, callee) *)
   sites : rsite list;
   top_uses : (string * int) list;  (* (file, definition) used opaquely outside any definition *)
-  n_files : int;
 }
 
 type resolver = {
@@ -856,7 +852,7 @@ let build (files : file_facts list) =
            let c = String.compare fa fb in
            if c <> 0 then c else Int.compare a b)
   in
-  { nodes; edges; sites; top_uses; n_files = List.length files }
+  { nodes; edges; sites; top_uses }
 
 (* ------------------------------------------------------------------ *)
 (* Witnesses                                                          *)

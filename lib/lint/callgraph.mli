@@ -13,7 +13,7 @@
     outputs are fully sorted, so the same tree produces the same
     bytes regardless of how the per-file walks were scheduled. *)
 
-type source = { s_kind : string; s_what : string; s_loc : Location.t }
+type source = { s_kind : string; s_what : string }
 (** An ambient-effect read: [s_kind] is one of {!Rules.taint_kinds},
     [s_what] the path as written (e.g. ["Unix.gettimeofday"]). *)
 
@@ -70,7 +70,6 @@ type t = {
       (** definitions a module expression outside any definition uses
           opaquely (a functor application or argument, an [include]),
           with the using file; sorted *)
-  n_files : int;
 }
 
 val is_entry : node -> bool
