@@ -894,10 +894,9 @@ let chain g table ~seed start key =
     if depth > 16 then [ "..." ]
     else
       let name = g.nodes.(id).n_name in
-      match Imap.find_opt key table.(id) with
-      | None -> [ name ]
-      | Some (Seed v) -> name :: Option.to_list (seed v)
-      | Some (Via (next, _)) -> name :: go next (depth + 1)
+      match Imap.find key table.(id) with
+      | Seed v -> name :: Option.to_list (seed v)
+      | Via (next, _) -> name :: go next (depth + 1)
   in
   String.concat " -> " (go start 0)
 

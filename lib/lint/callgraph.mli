@@ -106,8 +106,8 @@ val witnesses :
 
 val chain : t -> 'a witness Imap.t array -> seed:('a -> string option) -> int -> int -> string
 (** [chain g table ~seed start key] renders the witness path from
-    [start] as ["A.f -> B.g -> <seed text>"], cut with ["..."] after
-    16 hops. *)
+    [start], which must hold [key], as ["A.f -> B.g -> <seed text>"],
+    cut with ["..."] after 16 hops. *)
 
 val loc_line : Location.t -> int
 
