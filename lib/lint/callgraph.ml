@@ -424,7 +424,8 @@ let make_iterator ctx =
   in
   { default_iterator with expr; value_binding }
 
-let entry_name (loc : Location.t) = Printf.sprintf "(entry:%d)" loc.Location.loc_start.Lexing.pos_lnum
+let entry_name (loc : Location.t) =
+  Printf.sprintf "(entry:%d)" loc.Location.loc_start.Lexing.pos_lnum
 
 (* Register a structure-level definition and walk its body with it
    current. *)
