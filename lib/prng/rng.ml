@@ -2,9 +2,6 @@ type t = { gen : Xoshiro.t }
 
 let of_xoshiro gen = { gen }
 let create ?(seed = 42L) () = of_xoshiro (Xoshiro.of_seed seed)
-(* Test-only, like every dead-export waiver in this file: to be deleted
-   with its unit tests (ROADMAP, "The test-only code left in lib/"). *)
-let[@lint.allow "dead-export"] split t = { gen = Xoshiro.split t.gen }
 let bits64 t = Xoshiro.next t.gen
 
 (* Top 53 bits give a uniform float in [0, 1). *)
@@ -48,23 +45,6 @@ let gaussian t ~mu ~sigma =
   let u2 = unit_float t in
   mu +. (sigma *. Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2))
 
-let[@lint.allow "dead-export"] poisson t ~mean =
-  if mean < 0. then invalid_arg "Rng.poisson: mean must be non-negative";
-  if Float.equal mean 0. then 0
-  else if mean < 60. then begin
-    (* Knuth: count uniform draws until their product drops below
-       exp(-mean). *)
-    let limit = Float.exp (-.mean) in
-    let rec count k p =
-      let p = p *. unit_float t in
-      if p <= limit then k else count (k + 1) p
-    in
-    count 0 1.
-  end
-  else
-    let v = gaussian t ~mu:mean ~sigma:(Float.sqrt mean) in
-    Int.max 0 (int_of_float (Float.round v))
-
 let pareto t ~alpha ~x_min =
   if not (alpha > 0. && x_min > 0.) then
     invalid_arg "Rng.pareto: alpha and x_min must be positive";
@@ -86,23 +66,3 @@ let choice_weighted t ~weights =
       if target < acc then i else scan (i + 1) acc
   in
   scan 0 0.
-
-let[@lint.allow "dead-export"] shuffle_in_place t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let[@lint.allow "dead-export"] sample_without_replacement t ~k ~n =
-  if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement: need 0 <= k <= n";
-  (* Partial Fisher-Yates over an index array: O(n) setup, O(k) draws. *)
-  let idx = Array.init n Fun.id in
-  for i = 0 to k - 1 do
-    let j = int_in_range t ~lo:i ~hi:(n - 1) in
-    let tmp = idx.(i) in
-    idx.(i) <- idx.(j);
-    idx.(j) <- tmp
-  done;
-  Array.sub idx 0 k

@@ -14,10 +14,6 @@ val create : ?seed:int64 -> unit -> t
 val of_xoshiro : Xoshiro.t -> t
 (** Wrap an existing generator. *)
 
-val split : t -> t
-(** [split t] returns a new source whose stream does not overlap [t]'s
-    (a 2^128 jump separates them). *)
-
 val bits64 : t -> int64
 (** 64 uniform pseudo-random bits. *)
 
@@ -43,12 +39,6 @@ val exponential : t -> rate:float -> float
 (** [exponential t ~rate] samples Exp(rate): mean [1 /. rate]. [rate]
     must be positive. *)
 
-val poisson : t -> mean:float -> int
-(** [poisson t ~mean] samples a Poisson variate. Uses Knuth's product
-    method for small means and a normal approximation with continuity
-    correction above 60 (adequate for simulation workloads). [mean] must
-    be non-negative. *)
-
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal variate by the Box-Muller transform (one value per call). *)
 
@@ -64,10 +54,3 @@ val choice_weighted : t -> weights:float array -> int
 (** [choice_weighted t ~weights] returns index [i] with probability
     proportional to [weights.(i)]. Weights must be non-negative with a
     positive sum. Linear scan; fine for the array sizes used here. *)
-
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher-Yates shuffle. *)
-
-val sample_without_replacement : t -> k:int -> n:int -> int array
-(** [sample_without_replacement t ~k ~n] draws [k] distinct indices from
-    [\[0, n)], in random order. Requires [0 <= k <= n]. *)

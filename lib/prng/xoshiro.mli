@@ -16,20 +16,6 @@ val of_state : int64 * int64 * int64 * int64 -> t
 (** [of_state (s0, s1, s2, s3)] uses the given state verbatim. The state
     must not be all zeroes. Raises [Invalid_argument] if it is. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator starting from [t]'s current
-    state. Advancing one does not affect the other. *)
-
 val next : t -> int64
 (** [next t] advances the state and returns 64 fresh pseudo-random
     bits. *)
-
-val jump : t -> unit
-(** [jump t] advances [t] by 2^128 steps, equivalent to that many calls
-    to {!next}. Use to split one seed into long non-overlapping
-    subsequences for parallel or per-run streams. *)
-
-val split : t -> t
-(** [split t] returns a copy of [t], then jumps [t] forward by 2^128
-    steps, so the returned generator and [t] produce non-overlapping
-    streams. *)
