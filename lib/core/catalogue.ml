@@ -269,10 +269,12 @@ let sections =
         Workload.generate ~rng:(Rng.create ~seed:1000L ())
           (Workload.paper_spec ~n_nodes:(Trace.n_nodes trace))
       in
+      let schedule = Engine.prepare ~telemetry:ctx.telemetry trace in
       let row ttl =
         let m =
           Metrics.of_outcome
-            (Engine.run ?ttl ~telemetry:ctx.telemetry ~trace ~messages (Epidemic.factory trace))
+            (Engine.run_on ?ttl ~telemetry:ctx.telemetry schedule ~messages
+               (Epidemic.factory trace))
         in
         [
           (match ttl with None -> "unbounded" | Some t -> Printf.sprintf "%.0f s" t);

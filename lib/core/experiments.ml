@@ -411,6 +411,8 @@ let fig12 ?(entries = Registry.paper_six) study ~n_examples =
            match m.summary.Explosion.te with Some te -> te >= 20. | None -> false)
   in
   let chosen = List.filteri (fun i _ -> i < n_examples) candidates in
+  (* Every (example, algorithm) run replays the same trace: sort it once. *)
+  let schedule = Engine.prepare study.trace in
   List.map
     (fun m ->
       let t1 = m.arrival_times.(0) in
@@ -419,8 +421,7 @@ let fig12 ?(entries = Registry.paper_six) study ~n_examples =
         List.map
           (fun (e : Registry.entry) ->
             let outcome =
-              Engine.run ~trace:study.trace ~messages:[ message ]
-                (e.Registry.factory study.trace)
+              Engine.run_on schedule ~messages:[ message ] (e.Registry.factory study.trace)
             in
             let delivered = outcome.Engine.records.(0).Engine.delivered in
             (e.Registry.label, Option.map (fun t -> t -. t1) delivered))

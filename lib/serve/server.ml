@@ -167,12 +167,17 @@ let query_time t = function
       Error (Printf.sprintf "time %s is not before now %s" (g tt) (g (Window.now t.window)))
     else Ok tt
 
+(* One schedule per query: the window trace degraded by the query's
+   plan and sorted once, shared read-only by every task of the fan-out. *)
+let prepare t wtrace = Engine.prepare ?faults:(compile_faults t wtrace) wtrace
+
 (* Run one (message, strategy) evaluation against the window trace.
    Construction happens inside the task so parallel fan-out shares
-   nothing mutable; the outcome is a pure function of the arguments. *)
-let evaluate ~plan ~wtrace scratch (entry : Registry.entry) ~src ~dst ~t_rel =
+   nothing mutable (the schedule is immutable); the outcome is a pure
+   function of the arguments. *)
+let evaluate ~schedule ~wtrace scratch (entry : Registry.entry) ~src ~dst ~t_rel =
   let msg = Message.make ~id:0 ~src ~dst ~t_create:t_rel in
-  Engine.run ?faults:plan ~scratch ~trace:wtrace ~messages:[ msg ] (entry.Registry.factory wtrace)
+  Engine.run_on ~scratch schedule ~messages:[ msg ] (entry.Registry.factory wtrace)
 
 (* Index-keyed fan-out: jobs=1 reuses the server's scratch across
    queries (the windowed-reuse regression surface), jobs>1 gives each
@@ -235,11 +240,11 @@ let evaluate_live t =
     match (ready, Window.trace t.window) with
     | [], _ | _, Error _ -> []
     | ready, Ok wtrace ->
-      let plan = compile_faults t wtrace in
+      let schedule = prepare t wtrace in
       let tasks = Array.of_list ready in
       let outcomes =
         fan_out t tasks (fun scratch l ->
-            evaluate ~plan ~wtrace scratch l.l_entry ~src:l.l_src ~dst:l.l_dst
+            evaluate ~schedule ~wtrace scratch l.l_entry ~src:l.l_src ~dst:l.l_dst
               ~t_rel:(l.l_t -. t0))
       in
       List.mapi (fun i l -> (l, outcomes.(i))) ready
@@ -378,10 +383,10 @@ let delivery t ~src ~dst t_opt =
       | Error reason -> err "delivery" reason
       | Ok t_abs -> (
         let t_rel = t_abs -. Window.start t.window in
-        let plan = compile_faults t wtrace in
         match
+          let schedule = prepare t wtrace in
           fan_out t t.entries (fun scratch entry ->
-              evaluate ~plan ~wtrace scratch entry ~src ~dst ~t_rel)
+              evaluate ~schedule ~wtrace scratch entry ~src ~dst ~t_rel)
         with
         | exception Invalid_argument reason -> err "delivery" reason
         | outcomes ->

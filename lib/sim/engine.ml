@@ -6,7 +6,7 @@ type record = { message : Message.t; delivered : float option; copies : int; att
 
 type outcome = { algorithm : string; records : record array; copies : int; attempts : int }
 
-(* The event schedule is stored as a structure of arrays — a flat
+(* The contact schedule is stored as a structure of arrays — a flat
    unboxed float array of times and a flat int array of packed event
    codes — so building and draining it allocates nothing per event (no
    tuple, no boxed float, no variant).
@@ -15,13 +15,14 @@ type outcome = { algorithm : string; records : record array; copies : int; attem
 
      rank (2 bits) | a (28 bits) | b (28 bits)
 
-   with rank 0 = contact end, 1 = contact start, 2 = message creation
-   (a unused, b = message id). Events at equal times order ends, then
-   starts, then creations — a message created the instant a contact
-   opens may use it — and ties within a kind break on endpoint ids /
-   message id, exactly the lexicographic order of the packed code, so
-   comparing (time, code) pairs reproduces the documented drain order
-   and the sort below is fully deterministic. *)
+   with rank 0 = contact end, 1 = contact start. Message creations
+   (rank 2) live in a second stream of (time, message id) pairs, sorted
+   per run and merged into the contact stream during the drain. Events
+   at equal times order ends, then starts, then creations — a message
+   created the instant a contact opens may use it — and ties within a
+   kind break on endpoint ids / message id, exactly the lexicographic
+   order of the packed code, so comparing (time, code) pairs reproduces
+   the documented drain order and both sorts are fully deterministic. *)
 let id_bits = 28
 
 let id_mask = (1 lsl id_bits) - 1
@@ -30,7 +31,18 @@ let code_end a b = (a lsl id_bits) lor b
 
 let code_start a b = (1 lsl (2 * id_bits)) lor (a lsl id_bits) lor b
 
-let code_create id = (2 lsl (2 * id_bits)) lor id
+(* Everything a run needs that depends on neither the workload nor the
+   algorithm: the degraded trace (the original's population and
+   horizon), the plan, consulted only for its loss channel, and the
+   contact events sorted on (time, code). Built once by [prepare] and
+   never written afterwards, so any number of runs — on one domain or
+   many — may share it. *)
+type schedule = {
+  trace : Trace.t;
+  faults : Faults.plan option;
+  ev_time : float array;
+  ev_code : int array;
+}
 
 (* Reusable per-run buffers. A run needs O(n²) adjacency state and
    O(n + messages) bookkeeping; allocating it anew for every seed
@@ -46,8 +58,8 @@ let code_create id = (2 lsl (2 * id_bits)) lor id
      state — and [s_clean] records whether the previous drain ran to
      completion; an exception mid-drain leaves [s_clean = false] and
      the next acquisition rebuilds the invariant explicitly;
-   - event times/codes beyond the current run's count are never read
-     (the sort and the drain touch exactly [0, n_events)).
+   - creation times/ids beyond the current run's message count are
+     never read (the sort and the drain touch exactly [0, n_msgs)).
 
    A scratch must only ever be used by one domain at a time; [Runner]
    creates one per worker through [Parallel.map_env]. *)
@@ -66,9 +78,8 @@ type scratch = {
   mutable s_delivered : float array;  (* nan = not delivered *)
   mutable s_copies_of : int array;
   mutable s_attempts_of : int array;
-  mutable s_ev_cap : int;
-  mutable s_ev_time : float array;
-  mutable s_ev_code : int array;
+  mutable s_cr_time : float array;  (* creation stream: times ... *)
+  mutable s_cr_id : int array;  (* ... and message ids *)
   mutable s_clean : bool;  (* adjacency state is all-empty *)
 }
 
@@ -88,9 +99,8 @@ let scratch () =
     s_delivered = [||];
     s_copies_of = [||];
     s_attempts_of = [||];
-    s_ev_cap = 0;
-    s_ev_time = [||];
-    s_ev_code = [||];
+    s_cr_time = [||];
+    s_cr_id = [||];
     s_clean = true;
   }
 
@@ -117,9 +127,11 @@ let scratch () =
      [n_msgs * stride] holder-bitset bytes — and [stride] is
      recomputed from the current population, so a population change
      re-strides the bitset consistently;
-   - event-volume changes: the sort and the drain touch exactly
-     [0, n_events); heapsort's swap sequence is a pure function of the
-     key sequence, so garbage beyond the current run's count can never
+   - event-volume changes: the contact events live in the schedule,
+     not the scratch, sized exactly to their window; the creation sort
+     and the drain touch exactly [0, n_msgs) of the scratch's creation
+     stream, and heapsort's swap sequence is a pure function of the key
+     sequence, so garbage beyond the current run's count can never
      influence the order. *)
 let ensure_nodes s n =
   if n > s.s_nodes then begin
@@ -152,6 +164,8 @@ let ensure_msgs s n_msgs ~stride =
     s.s_delivered <- Array.make n_msgs Float.nan;
     s.s_copies_of <- Array.make n_msgs 0;
     s.s_attempts_of <- Array.make n_msgs 0;
+    s.s_cr_time <- Array.make n_msgs 0.;
+    s.s_cr_id <- Array.make n_msgs 0;
     s.s_msgs <- n_msgs
   end
   else begin
@@ -165,18 +179,11 @@ let ensure_msgs s n_msgs ~stride =
   if bytes > Bytes.length s.s_holders then s.s_holders <- Bytes.make bytes '\000'
   else Bytes.fill s.s_holders 0 bytes '\000'
 
-let ensure_events s cap =
-  if cap > s.s_ev_cap then begin
-    let cap = Int.max cap (2 * s.s_ev_cap) in
-    s.s_ev_time <- Array.make cap 0.;
-    s.s_ev_code <- Array.make cap 0;
-    s.s_ev_cap <- cap
-  end
-
 (* In-place heapsort of the first [len] events, co-sorting the time
-   and code arrays on the (time, code) key. Heapsort allocates nothing
-   and its swap sequence is a pure function of the key sequence (equal
-   keys are indistinguishable), so the sorted order is deterministic
+   and code arrays on the (time, code) key (a creation's code is its
+   message id). Heapsort allocates nothing and its swap sequence is a
+   pure function of the key sequence (equal keys are
+   indistinguishable), so the sorted order is deterministic
    whatever buffer contents a previous run left past [len]. The three
    local functions close over the buffers: three closures per sort,
    none per comparison or swap. *)
@@ -213,34 +220,51 @@ let[@psn.hot] sort_events time code len =
     sift_down 0 last
   done
 
-(* The schedule is written into the scratch buffers and sorted in
-   place: no cons cells, no per-event allocation — this is rebuilt
-   once per run and was a measurable share of short runs. *)
-let[@psn.hot] build_events s trace messages n_msgs =
-  let n_events = (2 * Trace.n_contacts trace) + n_msgs in
-  (* The hot contract here is no allocation per *event*; the five
-     suppressed sites below are once per run: the scratch grow path,
-     one cursor cell, the [push] closure and the two walker closures. *)
-  (ensure_events s n_events) [@lint.allow "hot-path-alloc"];
-  let time = s.s_ev_time and code = s.s_ev_code in
+(* The contact stream is sorted once per schedule; [Engine.run] is
+   [run_on] over a fresh one. *)
+let prepare ?faults ?(telemetry = T.Sink.null) trace =
+  T.with_span telemetry "engine.prepare" @@ fun () ->
+  if Trace.n_nodes trace > id_mask then
+    invalid_arg "Engine.prepare: population exceeds the 2^28 packed-event limit";
+  (* The degraded contact set is what every run replays: downtime and
+     jitter faults never touch the event loop itself, so the schedule
+     is a pure function of (trace, faults) — order-independent. *)
+  let trace = match faults with None -> trace | Some plan -> Faults.degrade plan trace in
+  let n_events = 2 * Trace.n_contacts trace in
+  let ev_time = Array.make n_events 0. and ev_code = Array.make n_events 0 in
+  let idx = ref 0 in
+  Trace.iter_contacts trace (fun (c : Contact.t) ->
+      let i = !idx in
+      ev_time.(i) <- c.Contact.t_start;
+      ev_code.(i) <- code_start c.Contact.a c.Contact.b;
+      ev_time.(i + 1) <- c.Contact.t_end;
+      ev_code.(i + 1) <- code_end c.Contact.a c.Contact.b;
+      idx := i + 2);
+  sort_events ev_time ev_code n_events;
+  { trace; faults; ev_time; ev_code }
+
+(* The creation stream is written into the scratch buffers and sorted
+   in place: no cons cells, no per-event allocation — this is rebuilt
+   once per run. *)
+let[@psn.hot] sort_creations s messages n_msgs =
+  let time = s.s_cr_time and id = s.s_cr_id in
+  (* The hot contract here is no allocation per *event*; the two
+     suppressed sites below are once per run: one cursor cell and the
+     walker closure. *)
   let idx = (ref 0) [@lint.allow "hot-path-alloc"] in
-  let[@lint.allow "hot-path-alloc"] push t c =
-    time.(!idx) <- t;
-    code.(!idx) <- c;
-    incr idx
-  in
-  Trace.iter_contacts trace
-    ((fun (c : Contact.t) ->
-       push c.Contact.t_start (code_start c.Contact.a c.Contact.b);
-       push c.Contact.t_end (code_end c.Contact.a c.Contact.b)) [@lint.allow "hot-path-alloc"]);
   List.iter
-    ((fun (m : Message.t) -> push m.Message.t_create (code_create m.Message.id))
+    ((fun (m : Message.t) ->
+       time.(!idx) <- m.Message.t_create;
+       id.(!idx) <- m.Message.id;
+       incr idx)
     [@lint.allow "hot-path-alloc"])
     messages;
-  sort_events time code n_events;
-  n_events
+  sort_events time id n_msgs
 
-let run ?ttl ?faults ?scratch:reuse ?(telemetry = T.Sink.null) ~trace ~messages algorithm =
+(* One run over the schedule [schedule ()] returns. The thunk is forced
+   inside the setup span, so the one-shot [run] attributes its
+   [prepare] to [engine.setup] and [run_on] pays nothing there. *)
+let execute ?ttl ?scratch:reuse ~telemetry ~schedule ~messages algorithm =
   T.with_span telemetry "engine.run"
     ~args:[ ("algorithm", T.Str algorithm.Algorithm.name) ]
   @@ fun () ->
@@ -252,8 +276,9 @@ let run ?ttl ?faults ?scratch:reuse ?(telemetry = T.Sink.null) ~trace ~messages 
   let expired (m : Message.t) time =
     match ttl with None -> false | Some t -> time > m.Message.t_create +. t
   in
-  let n = Trace.n_nodes trace in
-  let horizon = Trace.horizon trace in
+  let sch = schedule () in
+  let n = Trace.n_nodes sch.trace in
+  let horizon = Trace.horizon sch.trace in
   List.iter
     (fun (m : Message.t) ->
       let check_endpoint what id =
@@ -269,13 +294,7 @@ let run ?ttl ?faults ?scratch:reuse ?(telemetry = T.Sink.null) ~trace ~messages 
       if m.Message.t_create < 0. || m.Message.t_create >= horizon then
         invalid_arg "Engine.run: message created outside trace window")
     messages;
-  (* The degraded contact set is what the run replays: downtime and
-     jitter faults never touch the event loop itself, so the schedule
-     stays a pure function of (trace, faults) — order-independent. *)
-  let trace = match faults with None -> trace | Some plan -> Faults.degrade plan trace in
   let n_msgs = List.length messages in
-  if n > id_mask || n_msgs > id_mask then
-    invalid_arg "Engine.run: population or workload exceeds the 2^28 packed-event limit";
   let s = match reuse with Some s -> s | None -> scratch () in
   ensure_nodes s n;
   ensure_msgs s n_msgs ~stride:((n + 7) / 8);
@@ -368,7 +387,7 @@ let run ?ttl ?faults ?scratch:reuse ?(telemetry = T.Sink.null) ~trace ~messages 
     incr attempts
   in
   let lost (m : Message.t) ~holder ~peer time =
-    match faults with
+    match sch.faults with
     | None -> false
     | Some plan -> Faults.transfer_fails plan ~msg:m.Message.id ~holder ~peer ~time
   in
@@ -430,45 +449,56 @@ let run ?ttl ?faults ?scratch:reuse ?(telemetry = T.Sink.null) ~trace ~messages 
       | Some m -> offer m ~holder:a ~peer:b time
     done
   in
-  let n_events = build_events s trace messages n_msgs in
+  sort_creations s messages n_msgs;
+  let ev_time = sch.ev_time and ev_code = sch.ev_code in
+  let n_contact_events = Array.length ev_time in
   T.end_span telemetry;
   T.count telemetry "engine.runs" 1;
-  T.count telemetry "engine.events" n_events;
+  T.count telemetry "engine.events" (n_contact_events + n_msgs);
   (* An algorithm callback may raise out of the drain, leaving the
      adjacency state mid-flight; the flag makes the next acquisition
      rebuild it instead of trusting the self-cleaning invariant. *)
   s.s_clean <- false;
   T.with_span telemetry "engine.drain" (fun () ->
-      let ev_time = s.s_ev_time and ev_code = s.s_ev_code in
-      for i = 0 to n_events - 1 do
-        let time = ev_time.(i) in
-        let c = ev_code.(i) in
-        let rank = c lsr (2 * id_bits) in
-        if rank = 0 then begin
-          let a = (c lsr id_bits) land id_mask and b = c land id_mask in
-          remove_peer a b;
-          remove_peer b a
-        end
-        else if rank = 1 then begin
-          let a = (c lsr id_bits) land id_mask and b = c land id_mask in
-          (* Chaos hook: lets a plan kill or fail a run mid-drain, which
-             is exactly the state the scratch's dirty-rebuild path
-             ([s_clean]) exists to recover from. Keyless on purpose —
-             no per-event allocation on the disabled path; use hit
-             rules ([@N]) to pick a specific contact. *)
-          Psn_robust.Failpoint.trigger "engine.contact";
-          algorithm.Algorithm.observe_contact ~time ~a ~b;
-          add_peer a b;
-          add_peer b a;
-          exchange a b time;
-          exchange b a time
-        end
-        else begin
-          match message_of.(c land id_mask) with
+      let cr_time = s.s_cr_time and cr_id = s.s_cr_id in
+      let i = ref 0 and j = ref 0 in
+      while !i < n_contact_events || !j < n_msgs do
+        (* Merge on the (time, code) order: creations rank above both
+           contact kinds, so creation [j] goes before contact event [i]
+           exactly when its time is smaller (Float.compare, the sort's
+           own comparator). *)
+        if !j < n_msgs && (!i = n_contact_events || Float.compare cr_time.(!j) ev_time.(!i) < 0)
+        then begin
+          let time = cr_time.(!j) in
+          (match message_of.(cr_id.(!j)) with
           | Some m ->
             algorithm.Algorithm.on_create m;
             receive m m.Message.src time
-          | None -> assert false (* ids validated dense above *)
+          | None -> assert false (* ids validated dense above *));
+          incr j
+        end
+        else begin
+          let time = ev_time.(!i) in
+          let c = ev_code.(!i) in
+          let a = (c lsr id_bits) land id_mask and b = c land id_mask in
+          if c lsr (2 * id_bits) = 0 then begin
+            remove_peer a b;
+            remove_peer b a
+          end
+          else begin
+            (* Chaos hook: lets a plan kill or fail a run mid-drain, which
+               is exactly the state the scratch's dirty-rebuild path
+               ([s_clean]) exists to recover from. Keyless on purpose —
+               no per-event allocation on the disabled path; use hit
+               rules ([@N]) to pick a specific contact. *)
+            Psn_robust.Failpoint.trigger "engine.contact";
+            algorithm.Algorithm.observe_contact ~time ~a ~b;
+            add_peer a b;
+            add_peer b a;
+            exchange a b time;
+            exchange b a time
+          end;
+          incr i
         end
       done);
   s.s_clean <- true;
@@ -493,3 +523,11 @@ let run ?ttl ?faults ?scratch:reuse ?(telemetry = T.Sink.null) ~trace ~messages 
 
 let delay record =
   Option.map (fun t -> t -. record.message.Message.t_create) record.delivered
+
+let run_on ?ttl ?scratch ?(telemetry = T.Sink.null) schedule ~messages algorithm =
+  execute ?ttl ?scratch ~telemetry ~schedule:(fun () -> schedule) ~messages algorithm
+
+let run ?ttl ?faults ?scratch ?(telemetry = T.Sink.null) ~trace ~messages algorithm =
+  execute ?ttl ?scratch ~telemetry
+    ~schedule:(fun () -> prepare ?faults ~telemetry trace)
+    ~messages algorithm

@@ -39,18 +39,19 @@ type outcome = {
 }
 
 type scratch
-(** Reusable per-run working memory: the event schedule (structure of
-    arrays — unboxed times plus packed event codes), the O(n²)
+(** Reusable per-run working memory: the run's message-creation events
+    (structure of arrays — unboxed times plus message ids), the O(n²)
     adjacency buffers, the holder bitsets and the per-message
-    bookkeeping. Allocating this anew dominated short runs, so callers
-    that simulate many seeds in a row (notably {!Runner} through
-    [Parallel.map_env]) create one scratch per domain and pass it to
-    every {!run}.
+    bookkeeping. The contact events are not here: they belong to the
+    {!type-schedule}, sorted once and shared. Allocating this anew
+    dominated short runs, so callers that simulate many seeds in a row
+    (notably {!Runner} through [Parallel.map_env]) create one scratch
+    per domain and pass it to every {!run_on}.
 
-    Reuse is invisible: {!run} re-establishes every invariant it needs
+    Reuse is invisible: a run re-establishes every invariant it needs
     on entry (message-indexed state is reset; adjacency state is
     self-cleaning after a completed run and rebuilt explicitly after an
-    aborted one; schedule entries beyond the current run are never
+    aborted one; creation entries beyond the current run are never
     read), so the outcome is bit-identical with a fresh, a reused, or
     an omitted scratch — checked by the determinism tests. A scratch
     holds no result state between calls and may be dropped at any time.
@@ -61,6 +62,38 @@ type scratch
 val scratch : unit -> scratch
 (** A fresh, empty scratch. Buffers grow on first use and are retained
     at high-water-mark size across runs. *)
+
+type schedule
+(** The part of a run that depends on neither the workload nor the
+    algorithm: the {!Faults.degrade}d trace, the fault plan (whose loss
+    channel the runs consult), and the contact start/end events sorted
+    on the drain's (time, code) order. Immutable once built: any number
+    of runs, on one domain or across [Parallel] workers, may share one
+    schedule read-only. *)
+
+val prepare :
+  ?faults:Faults.plan -> ?telemetry:Psn_telemetry.Telemetry.sink -> Psn_trace.Trace.t -> schedule
+(** Degrade the trace by [faults] (when given) and sort its contact
+    events, once. Raises [Invalid_argument] when the plan's population
+    differs from the trace's ({!Faults.degrade}) or the population
+    exceeds the 2{^28} packed-event limit. Records an
+    ["engine.prepare"] span on [telemetry] (default null). *)
+
+val run_on :
+  ?ttl:float ->
+  ?scratch:scratch ->
+  ?telemetry:Psn_telemetry.Telemetry.sink ->
+  schedule ->
+  messages:Message.t list ->
+  Algorithm.t ->
+  outcome
+(** [run_on schedule ~messages alg] is {!run} on the trace and fault
+    plan [schedule] was prepared from, with a bit-identical outcome,
+    minus the degrade and the contact sort. Only the run's
+    creation events are sorted (in the scratch), then merged into the
+    shared contact stream during the drain; the schedule is never
+    written. Validation, [ttl], [scratch] and [telemetry] are as for
+    {!run}. *)
 
 val run :
   ?ttl:float ->
@@ -97,10 +130,15 @@ val run :
     {!type-scratch}); when omitted a private scratch is allocated for
     this run. Results are identical either way.
 
+    [run] is [run_on (prepare ?faults trace)]: callers that simulate
+    many runs on one trace and plan should {!prepare} once and call
+    {!run_on}.
+
     [telemetry] (default null, in which case instrumentation compiles
     to no-ops) records an ["engine.run"] span tagged with the algorithm
-    name, nested ["engine.setup"] / ["engine.drain"] / ["engine.finish"]
-    phase spans, and counters for runs, events drained, transmissions,
+    name, nested ["engine.setup"] (holding this run's
+    ["engine.prepare"]) / ["engine.drain"] / ["engine.finish"] phase
+    spans, and counters for runs, events drained, transmissions,
     attempts and transfers lost to fault injection. Telemetry describes
     the run and never affects it: the outcome is bit-identical whether
     the sink is null or active. *)

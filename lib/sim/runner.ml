@@ -9,10 +9,11 @@ let default_seeds k = List.init k (fun i -> Int64.of_int (1000 + i))
 (* Each task owns its RNG (created from the task's seed) and its
    algorithm instance, so runs are independent and safe to fan out
    across domains; results come back in seed order either way. The
-   fault plan, when given, is shared read-only: its verdicts are pure
-   functions of (plan, key), so sharing cannot couple the runs. The
-   scratch is the worker's: reused across the consecutive tasks of one
-   domain, never shared between domains.
+   schedule (the trace degraded by the sweep's fault plan, contact
+   events sorted) is shared read-only: the engine never writes it, and
+   fault verdicts are pure functions of (plan, key), so sharing cannot
+   couple the runs. The scratch is the worker's: reused across the
+   consecutive tasks of one domain, never shared between domains.
 
    The factory span nests inside the task span so algorithm
    construction is attributed to the task that paid for it in profile
@@ -20,7 +21,7 @@ let default_seeds k = List.init k (fun i -> Int64.of_int (1000 + i))
    is carried by the nested engine.run span. The failpoint site is
    keyed by the seed, so an injected failure schedule picks the same
    tasks whatever the claim order. *)
-let run_seed ?faults ~scratch ?(telemetry = T.Sink.null) ~trace ~spec ~factory seed =
+let run_seed ~schedule ~scratch ?(telemetry = T.Sink.null) ~trace ~spec ~factory seed =
   T.with_span telemetry "runner.task" ~args:[ ("seed", T.Str (Int64.to_string seed)) ]
   @@ fun () ->
   Failpoint.trigger ~key:seed "runner.task";
@@ -28,7 +29,7 @@ let run_seed ?faults ~scratch ?(telemetry = T.Sink.null) ~trace ~spec ~factory s
   let algorithm = T.with_span telemetry "runner.factory" (fun () -> factory trace) in
   let rng = Psn_prng.Rng.create ~seed () in
   let messages = Workload.generate ~rng spec.workload in
-  let outcome = Engine.run ?faults ~scratch ~telemetry ~trace ~messages algorithm in
+  let outcome = Engine.run_on ~scratch ~telemetry schedule ~messages algorithm in
   (* Per-run delivery-delay distribution: simulated time, recorded on
      this worker's track and bucket-merged at close — the histogram the
      paper's delay CDFs come from, schedule-independent by merge. *)
@@ -61,9 +62,10 @@ let run_seed ?faults ~scratch ?(telemetry = T.Sink.null) ~trace ~spec ~factory s
    [compute] receives the worker environment and the sink of the
    domain that runs it, so buffers are reused across the domain's
    misses within a round and task spans land on the right trace
-   track. *)
+   track. [prepare] runs once, in this domain, before the first miss,
+   and never on an all-hit sweep. *)
 let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0)
-    ?(checkpoint = 0) ?(prefix = "runner") ~env ~find ~store ~compute tasks =
+    ?(checkpoint = 0) ?(prefix = "runner") ?(prepare = ignore) ~env ~find ~store ~compute tasks =
   if checkpoint < 0 then invalid_arg "Runner.cached_map_result: checkpoint must be >= 0";
   let n = Array.length tasks in
   let cached =
@@ -79,6 +81,7 @@ let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0)
   T.count telemetry (prefix ^ ".cache_hits") (n - m);
   T.count telemetry (prefix ^ ".cache_misses") m;
   let results = Array.map (Option.map Result.ok) cached in
+  if m > 0 then prepare ();
   let round_size = if checkpoint = 0 then Int.max 1 m else checkpoint in
   let pos = ref 0 in
   while !pos < m do
@@ -122,16 +125,24 @@ let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
       (Array.length facs * n_seeds)
       (fun i -> (i / n_seeds, seeds.(i mod n_seeds)))
   in
+  (* One schedule per sweep, forced in this domain before any task
+     runs (workers only read the forced value), and never on a sweep
+     whose every task hits the cache: a warm replay sorts nothing. *)
+  let schedule = lazy (Engine.prepare ?faults ~telemetry trace) in
+  let force () = ignore (Lazy.force schedule : Engine.schedule) in
   let compute scratch sink (fi, seed) =
-    run_seed ?faults ~scratch ~telemetry:sink ~trace ~spec ~factory:facs.(fi) seed
+    run_seed ~schedule:(Lazy.force schedule) ~scratch ~telemetry:sink ~trace ~spec
+      ~factory:facs.(fi) seed
   in
   let cells =
     match caches with
     | None ->
+      force ();
       Parallel.map_result ?jobs ?chunk ~telemetry ?retries ~env:Engine.scratch compute
         tasks
     | Some caches ->
-      cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~env:Engine.scratch
+      cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~prepare:force
+        ~env:Engine.scratch
         ~find:(fun (fi, seed) -> caches.(fi).Cache.find ~seed)
         ~store:(fun (fi, seed) outcome -> caches.(fi).Cache.store ~seed outcome)
         ~compute tasks

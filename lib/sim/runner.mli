@@ -26,7 +26,12 @@
     They also take [?faults]: a compiled {!Faults.plan} applied
     identically to every run of the batch. Fault verdicts are pure
     functions of the plan and the faulted entity, so faulted sweeps keep
-    the bit-identical [jobs] contract.
+    the bit-identical [jobs] contract. The trace is degraded and its
+    contact events sorted once per sweep ({!Engine.prepare}, in the
+    calling domain, and only when some run misses the cache); every run
+    shares that schedule read-only. A plan whose population differs
+    from the trace's therefore raises [Invalid_argument] from the sweep
+    itself, not from each run.
 
     They also take optional outcome caches ([?stores], one {!Cache} per
     factory): per-seed outcomes found in the cache are not recomputed,
@@ -54,8 +59,9 @@
     ["runner.task"] span tagged with its seed (on the track of the
     domain that executed it), nesting a ["runner.factory"] span for
     algorithm construction and the ["engine.run"] span (which carries
-    the algorithm name), and cached batches record hit/miss counters and
-    lookup/store spans. Instrumentation never affects outcomes — results
+    the algorithm name), the sweep's one ["engine.prepare"] span lands
+    on the calling domain's track, and cached batches record hit/miss
+    counters and lookup/store spans. Instrumentation never affects outcomes — results
     are bit-identical whether the sink is null or active. *)
 
 type run_spec = {
@@ -126,6 +132,7 @@ val cached_map_result :
   ?retries:int ->
   ?checkpoint:int ->
   ?prefix:string ->
+  ?prepare:(unit -> unit) ->
   env:(unit -> 'env) ->
   find:('a -> 'b option) ->
   store:('a -> 'b -> unit) ->
@@ -142,5 +149,9 @@ val cached_map_result :
     pattern. [prefix] (default ["runner"]) names the telemetry
     instrumentation: [<prefix>.cache_lookup] / [<prefix>.cache_store]
     spans, [<prefix>.cache_hits] / [<prefix>.cache_misses] /
-    [<prefix>.checkpoints] counters. Raises [Invalid_argument] when
-    [checkpoint < 0]. *)
+    [<prefix>.checkpoints] counters. [prepare] (default no-op) runs
+    once, from the calling domain, after the lookups and before the
+    first miss is computed — never when every task hits — so shared
+    read-only state the misses need (the runner's {!Engine.schedule})
+    is built only when some task needs it. Raises [Invalid_argument]
+    when [checkpoint < 0]. *)

@@ -325,6 +325,38 @@ let test_server_errors_are_replies () =
   Alcotest.(check bool) "parse failure" true (is_err "gibberish");
   Alcotest.(check bool) "snapshot without store" true (is_err "snapshot")
 
+(* A delivery probe prepares one schedule (degrade, then sort) per
+   query, inside the scope whose [Invalid_argument] comes back as an
+   [err delivery] reply. The server compiles its fault plan from the
+   very window trace it prepares, so a population mismatch cannot be
+   provoked through the protocol: the test pins that a faulted probe
+   answers, and that [Engine.prepare] raises the mismatch as the
+   [Invalid_argument] that scope catches, on the same served window. *)
+let test_server_prepare_errors () =
+  let spec =
+    { Core.Faults.loss = 0.35; crash_rate = 0.02; down_time = 10.; jitter = 0.2; seed = 3L }
+  in
+  let stream = [ "0,1,0,50"; "1,2,10,60"; "advance 60" ] in
+  let s = default_server ~faults:spec () in
+  let replies = run_script s (stream @ [ "delivery 0 2 5" ]) in
+  let starts prefix r =
+    String.length r >= String.length prefix
+    && String.equal (String.sub r 0 (String.length prefix)) prefix
+  in
+  Alcotest.(check bool) "faulted probe answers" true (List.exists (starts "probe ") replies);
+  Alcotest.(check bool) "no error reply" false (List.exists (starts "err") replies);
+  let w = window ~span:1000. () in
+  ingest_ok w (c ~a:0 ~b:1 ~s:0. ~e:50.);
+  ingest_ok w (c ~a:1 ~b:2 ~s:10. ~e:60.);
+  ignore (ok_or_fail "advance" (Window.advance w 60.));
+  let wtrace = ok_or_fail "Window.trace" (Window.trace w) in
+  let plan =
+    Core.Faults.compile ~n_nodes:(Trace.n_nodes wtrace + 1) ~horizon:(Trace.horizon wtrace) spec
+  in
+  Alcotest.check_raises "mismatched plan"
+    (Invalid_argument "Faults.degrade: trace population differs from the plan's") (fun () ->
+      ignore (Core.Engine.prepare ~faults:plan wtrace))
+
 let test_server_expiry_observed () =
   let s = default_server ~span:100. () in
   let replies =
@@ -626,6 +658,7 @@ let () =
           Alcotest.test_case "oracle strategies rejected" `Quick test_server_oracle_rejected;
           Alcotest.test_case "unknown strategy rejected" `Quick test_server_unknown_strategy;
           Alcotest.test_case "errors come back as replies" `Quick test_server_errors_are_replies;
+          Alcotest.test_case "prepare errors" `Quick test_server_prepare_errors;
           Alcotest.test_case "expiry observed" `Quick test_server_expiry_observed;
           Alcotest.test_case "evict then reinsert" `Quick test_server_evict_then_reinsert;
           Alcotest.test_case "metrics bit-identical across jobs x chunk" `Quick

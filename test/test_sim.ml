@@ -11,6 +11,7 @@ module Engine = Core.Engine
 module Metrics = Core.Metrics
 module Runner = Core.Runner
 module Rng = Core.Rng
+module Faults = Core.Faults
 
 let feps = Alcotest.float 1e-9
 
@@ -458,6 +459,18 @@ let test_negative_creation_rejected () =
     (Invalid_argument "Engine.run: message created outside trace window") (fun () ->
       ignore (Engine.run ~trace ~messages:[ rogue ] never))
 
+(* A probe that logs every callback the drain makes, in order. *)
+let logging_probe log =
+  {
+    Algorithm.name = "Probe";
+    observe_contact =
+      (fun ~time ~a ~b -> log := Printf.sprintf "contact %d-%d@%g" a b time :: !log);
+    on_create =
+      (fun m -> log := Printf.sprintf "create %d@%g" m.Message.id m.Message.t_create :: !log);
+    should_forward = (fun _ -> false);
+    on_forward = (fun _ -> ());
+  }
+
 let test_event_drain_order () =
   (* A tie-heavy schedule: one contact ends at t = 20 exactly as three
      others start and three messages are created. The monomorphic event
@@ -474,17 +487,7 @@ let test_event_drain_order () =
       ]
   in
   let log = ref [] in
-  let probe =
-    {
-      Algorithm.name = "Probe";
-      observe_contact =
-        (fun ~time ~a ~b -> log := Printf.sprintf "contact %d-%d@%g" a b time :: !log);
-      on_create =
-        (fun m -> log := Printf.sprintf "create %d@%g" m.Message.id m.Message.t_create :: !log);
-      should_forward = (fun _ -> false);
-      on_forward = (fun _ -> ());
-    }
-  in
+  let probe = logging_probe log in
   (* Listed out of id order on purpose: the comparator, not the list,
      decides. Message 2 (0 -> 1) tests the end-before-start rule: the
      only 0-1 contact closes at the very instant the message is born. *)
@@ -516,6 +519,61 @@ let test_event_drain_order () =
   Alcotest.(check (option (float 1e-9))) "msg 0 via fresh contact" (Some 20.) (delivered_of 0);
   Alcotest.(check (option (float 1e-9))) "msg 1 via fresh contact" (Some 20.) (delivered_of 1);
   Alcotest.(check (option (float 1e-9))) "msg 2 missed the ended contact" None (delivered_of 2)
+
+(* --- Prepared schedules --- *)
+
+let delivered_on schedule m =
+  (Engine.run_on schedule ~messages:[ m ] never).Engine.records.(0).Engine.delivered
+
+(* Creations merge into the prepared contact stream on the (time, code)
+   order: at equal times the contact ends and starts go first. *)
+let test_schedule_creation_ties () =
+  let trace =
+    Trace.create ~n_nodes:3 ~horizon:100.
+      [
+        Contact.make ~a:0 ~b:1 ~t_start:30. ~t_end:40.;
+        (* a duplicate record of the same contact *)
+        Contact.make ~a:0 ~b:1 ~t_start:30. ~t_end:40.;
+        (* a hand-over: 1-2 closes at 60 as its successor opens *)
+        Contact.make ~a:1 ~b:2 ~t_start:50. ~t_end:60.;
+        Contact.make ~a:1 ~b:2 ~t_start:60. ~t_end:70.;
+      ]
+  in
+  let schedule = Engine.prepare trace in
+  let check name m expected =
+    Alcotest.(check (option (float 1e-9))) name expected (delivered_on schedule m);
+    Alcotest.(check (option (float 1e-9)))
+      (name ^ " (one-shot)") expected
+      (Engine.run ~trace ~messages:[ m ] never).Engine.records.(0).Engine.delivered
+  in
+  check "created at a duplicated start uses it" (msg ~src:0 ~dst:1 30.) (Some 30.);
+  check "created at a duplicated end misses it" (msg ~src:1 ~dst:0 40.) None;
+  check "created at a start uses it" (msg ~src:2 ~dst:1 50.) (Some 50.);
+  check "created at a hand-over uses the new contact" (msg ~src:1 ~dst:2 60.) (Some 60.);
+  check "created at the last end misses it" (msg ~src:2 ~dst:1 70.) None
+
+let test_schedule_creation_after_last_contact () =
+  let trace =
+    Trace.create ~n_nodes:3 ~horizon:100.
+      [
+        Contact.make ~a:0 ~b:1 ~t_start:10. ~t_end:20.;
+        Contact.make ~a:1 ~b:2 ~t_start:5. ~t_end:20.;
+      ]
+  in
+  let schedule = Engine.prepare trace in
+  let messages = [ msg ~id:1 ~src:0 ~dst:2 90.; msg ~id:0 ~src:0 ~dst:1 20. ] in
+  let log = ref [] in
+  let outcome = Engine.run_on schedule ~messages (logging_probe log) in
+  Alcotest.(check (list string)) "drain order"
+    [ "contact 1-2@5"; "contact 0-1@10"; "create 0@20"; "create 1@90" ]
+    (List.rev !log);
+  Alcotest.(check bool) "no delivery" true
+    (Array.for_all (fun (r : Engine.record) -> Option.is_none r.Engine.delivered)
+       outcome.Engine.records);
+  let one_shot_log = ref [] in
+  let one_shot = Engine.run ~trace ~messages (logging_probe one_shot_log) in
+  Alcotest.(check (list string)) "one-shot drain order" (List.rev !one_shot_log) (List.rev !log);
+  Alcotest.(check bool) "one-shot outcome" true (Stdlib.compare outcome one_shot = 0)
 
 (* --- Runner --- *)
 
@@ -955,9 +1013,78 @@ let qcheck_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
-(* --- Faults --- *)
+(* One prepared schedule serves any number of runs: every [run_on] over
+   it equals the one-shot [Engine.run] of the same inputs, on one reused
+   scratch, on fresh scratches and across two worker domains, with and
+   without a fault plan. Times on a 5 s grid make ties between contact
+   ends, starts and creations common. *)
+let schedule_tests =
+  let open QCheck2 in
+  let n_nodes = 5 and horizon = 100. in
+  let tick = Gen.map (fun k -> 5. *. float_of_int k) (Gen.int_range 0 19) in
+  let gen_contact =
+    Gen.map
+      (fun (a, d, t, len) ->
+        Contact.make ~a ~b:((a + d) mod n_nodes) ~t_start:t
+          ~t_end:(Float.min horizon (t +. (5. *. float_of_int len))))
+      (Gen.quad (Gen.int_range 0 (n_nodes - 1)) (Gen.int_range 1 (n_nodes - 1)) tick
+         (Gen.int_range 1 6))
+  in
+  let gen_messages =
+    Gen.map
+      (List.mapi (fun id (src, d, t) -> msg ~id ~src ~dst:((src + d) mod n_nodes) t))
+      (Gen.list_size (Gen.int_range 0 6)
+         (Gen.triple (Gen.int_range 0 (n_nodes - 1)) (Gen.int_range 1 (n_nodes - 1)) tick))
+  in
+  let gen =
+    Gen.triple
+      (Gen.list_size (Gen.int_range 0 25) gen_contact)
+      (Gen.list_size (Gen.int_range 1 5) gen_messages)
+      (Gen.option (Gen.int_range 0 1_000_000))
+  in
+  let even_peers = Algorithm.stateless ~name:"Even" (fun c -> c.Algorithm.peer mod 2 = 0) in
+  let algorithms = [| epidemic; never; even_peers |] in
+  [
+    Test.make ~count:150 ~name:"run_on over a shared schedule equals one-shot run" gen
+      (fun (contacts, workloads, fault_seed) ->
+        let trace = Trace.create ~n_nodes ~horizon contacts in
+        let faults =
+          Option.map
+            (fun seed ->
+              Faults.compile ~n_nodes ~horizon
+                {
+                  Faults.loss = 0.3;
+                  crash_rate = 0.01;
+                  down_time = 15.;
+                  jitter = 0.3;
+                  seed = Int64.of_int seed;
+                })
+            fault_seed
+        in
+        let schedule = Engine.prepare ?faults trace in
+        let tasks =
+          Array.of_list (List.mapi (fun i ms -> (algorithms.(i mod 3), ms)) workloads)
+        in
+        let one_shot =
+          Array.map (fun (alg, messages) -> Engine.run ?faults ~trace ~messages alg) tasks
+        in
+        let scratch = Engine.scratch () in
+        let reused =
+          Array.map (fun (alg, messages) -> Engine.run_on ~scratch schedule ~messages alg) tasks
+        in
+        let fresh = Array.map (fun (alg, messages) -> Engine.run_on schedule ~messages alg) tasks in
+        let parallel =
+          Core.Parallel.map_env ~jobs:2 ~chunk:1 ~env:Engine.scratch
+            (fun scratch _sink (alg, messages) -> Engine.run_on ~scratch schedule ~messages alg)
+            tasks
+        in
+        Stdlib.compare one_shot reused = 0
+        && Stdlib.compare one_shot fresh = 0
+        && Stdlib.compare one_shot parallel = 0);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
 
-module Faults = Core.Faults
+(* --- Faults --- *)
 
 let fault_spec =
   { Faults.loss = 0.3; crash_rate = 0.002; down_time = 60.; jitter = 0.25; seed = 11L }
@@ -1151,6 +1278,9 @@ let () =
           Alcotest.test_case "copies on direct delivery" `Quick test_copies_direct_delivery;
           Alcotest.test_case "observe_contact" `Quick test_observe_contact_called;
           Alcotest.test_case "tied events drain in pinned order" `Quick test_event_drain_order;
+          Alcotest.test_case "schedule creation ties" `Quick test_schedule_creation_ties;
+          Alcotest.test_case "schedule creation after last contact" `Quick
+            test_schedule_creation_after_last_contact;
           Alcotest.test_case "epidemic matches oracle" `Slow test_epidemic_matches_flood_oracle;
         ] );
       ( "robustness",
@@ -1191,7 +1321,7 @@ let () =
           Alcotest.test_case "scratch reuse" `Quick test_engine_scratch_reuse;
           Alcotest.test_case "dirty scratch rebuilt" `Quick test_engine_scratch_dirty;
         ] );
-      ("properties", qcheck_tests);
+      ("properties", qcheck_tests @ schedule_tests);
       ( "faults",
         [
           Alcotest.test_case "spec basics" `Quick test_faults_spec_basics;
