@@ -89,11 +89,10 @@ val run_on :
   outcome
 (** [run_on schedule ~messages alg] is {!run} on the trace and fault
     plan [schedule] was prepared from, with a bit-identical outcome,
-    minus the degrade and the contact sort. Only the run's
-    creation events are sorted (in the scratch), then merged into the
-    shared contact stream during the drain; the schedule is never
-    written. Validation, [ttl], [scratch] and [telemetry] are as for
-    {!run}. *)
+    minus the degrade and the contact sort. Only the run's creation
+    events are sorted (in the scratch), then merged into the shared
+    contact stream during the drain; the schedule is never written.
+    Validation, [ttl], [scratch] and [telemetry] are as for {!run}. *)
 
 val run :
   ?ttl:float ->

@@ -336,9 +336,8 @@ let test_server_prepare_errors () =
   let spec =
     { Core.Faults.loss = 0.35; crash_rate = 0.02; down_time = 10.; jitter = 0.2; seed = 3L }
   in
-  let stream = [ "0,1,0,50"; "1,2,10,60"; "advance 60" ] in
   let s = default_server ~faults:spec () in
-  let replies = run_script s (stream @ [ "delivery 0 2 5" ]) in
+  let replies = run_script s [ "0,1,0,50"; "1,2,10,60"; "advance 60"; "delivery 0 2 5" ] in
   let starts prefix r =
     String.length r >= String.length prefix
     && String.equal (String.sub r 0 (String.length prefix)) prefix

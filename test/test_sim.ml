@@ -758,9 +758,13 @@ let test_cached_map_checkpoint_resume () =
     Failpoint.trigger ~key:(Int64.of_int i) "test.task";
     i * i
   in
+  (* [prepare] runs once per call with misses, however many rounds. *)
+  let prepared = ref 0 in
+  let prepare () = incr prepared in
   with_failpoints "test.task=error@13" (fun () ->
       let cells =
-        Core.Runner.cached_map_result ~jobs:1 ~chunk:1 ~checkpoint:4 ~env:(fun () -> ())
+        Core.Runner.cached_map_result ~jobs:1 ~chunk:1 ~checkpoint:4 ~prepare
+          ~env:(fun () -> ())
           ~find ~store ~compute input
       in
       let failed =
@@ -768,13 +772,18 @@ let test_cached_map_checkpoint_resume () =
       in
       Alcotest.(check int) "one failed cell" 1 (List.length failed));
   Alcotest.(check int) "successes checkpointed" 19 (Hashtbl.length tbl);
+  Alcotest.(check int) "prepared once over five rounds" 1 !prepared;
   let resumed =
     Core.Parallel.join_results
-      (Core.Runner.cached_map_result ~jobs:4 ~chunk:3 ~checkpoint:4 ~env:(fun () -> ())
+      (Core.Runner.cached_map_result ~jobs:4 ~chunk:3 ~checkpoint:4 ~prepare
+         ~env:(fun () -> ())
          ~find ~store ~compute input)
   in
   Alcotest.(check (array int)) "resumed = uninterrupted" (Array.map (fun i -> i * i) input)
     resumed;
+  Alcotest.(check int) "prepared for the one miss" 2 !prepared;
+  ignore (Core.Runner.cached_map_result ~prepare ~env:(fun () -> ()) ~find ~store ~compute input);
+  Alcotest.(check int) "an all-hit call prepares nothing" 2 !prepared;
   Alcotest.check_raises "negative checkpoint rejected"
     (Invalid_argument "Runner.cached_map_result: checkpoint must be >= 0") (fun () ->
       ignore
