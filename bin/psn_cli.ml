@@ -1,7 +1,7 @@
 (* psn: command-line interface to the PSN path-diversity library.
 
-   Subcommands: generate, info, paths, simulate, resilience, serve,
-   experiment, intercontact, communities, store, metrics.
+   Subcommands: generate, info, paths, simulate, serve, experiment,
+   communities, store, metrics.
    Run `psn --help` or `psn <cmd> --help` for details. *)
 
 open Cmdliner
@@ -68,7 +68,7 @@ let seed_arg =
   let doc = "Override the preset's random seed." in
   Arg.(value & opt (some int64) None & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* On the sweep commands --seed draws the message sample, not the trace. *)
+(* On experiment --seed draws the message sample, not the trace. *)
 let sample_seed_arg =
   let doc = "Seed of the sampled messages, not of the trace (default 17)." in
   Arg.(value & opt (some int64) None & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -210,7 +210,7 @@ let resume_flag =
   Arg.(value & flag & info [ "resume" ] ~doc)
 
 (* Sweep subcommands: catch the cooperative-interrupt exception raised
-   at checkpoint boundaries, flush telemetry (so --trace/--profile
+   at checkpoint boundaries, flush telemetry (so --trace-out/--profile
    still produce output) and exit with the conventional 128+signal. *)
 let run_sweep ~finish f =
   Core.Interrupt.install ();
@@ -239,13 +239,13 @@ let metrics_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
-let trace_out_arg names =
+let trace_out_arg =
   let doc =
     "Write a Chrome trace-event JSON profile of this invocation to $(docv). Open it in \
      Perfetto (ui.perfetto.dev) or chrome://tracing; parallel sections render as one \
      track per worker domain."
   in
-  Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc)
+  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
 let profile_flag =
   let doc =
@@ -254,7 +254,7 @@ let profile_flag =
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
-(* Recording is wired up only when asked for: with neither --trace nor
+(* Recording is wired up only when asked for: with neither --trace-out nor
    --profile the sink stays null, so the instrumented hot paths cost a
    pattern match. [finish] must run after all of the command's work and
    normal output. *)
@@ -310,15 +310,15 @@ let telemetry_ctx ~command ~trace_out ~profile ~metrics =
 
 (* The flags every sweep subcommand shares — --jobs --chunk --store
    --failpoints --failpoint-seed --retries --checkpoint --resume
-   --profile --metrics, and the Chrome trace flag named [trace_names]
-   (simulate's -t/--trace is its input trace) — validated as cmdliner
+   --trace-out --profile --metrics — validated as cmdliner
    evaluates them. The term's value runs one sweep: it installs the
    failpoints, opens the store, runs [compute] with the resolved
    settings, reports what the store contributed, then hands the result
    to [render] and flushes telemetry. [compute] and [render] run under
    [or_die] and [run_sweep], so injected and I/O errors exit 1 and
-   signals exit 128+n on every sweep alike. *)
-let sweep_term trace_names =
+   signals exit 128+n on every sweep alike. It takes [()] so each
+   command gets its own instance of the term's polymorphic type. *)
+let sweep_term () =
   let make jobs chunk store failpoints retries checkpoint resume trace_out profile metrics =
     if resume && Option.is_none store then
       exit_usage "--resume requires --store DIR (checkpoints live in the store)";
@@ -338,12 +338,12 @@ let sweep_term trace_names =
   in
   Term.(
     const make $ jobs_term $ chunk_term $ store_arg $ failpoints_term $ retries_term
-    $ checkpoint_arg $ resume_flag $ trace_out_arg trace_names $ profile_flag $ metrics_arg)
+    $ checkpoint_arg $ resume_flag $ trace_out_arg $ profile_flag $ metrics_arg)
 
 (* --- fault flags --- *)
 
 (* --loss --crash-rate --down-time --jitter --fault-seed as one
-   validated spec, shared by resilience and serve. [defaults] gives each
+   validated spec, shared by experiment and serve. [defaults] gives each
    flag's default; [at] names, in the docs, the intensity the values
    apply at. The crash rate is read per hour and stored per second. An
    out-of-range spec exits 2. *)
@@ -536,73 +536,10 @@ let simulate_cmd =
   let term =
     Term.(
       const run $ dataset_term $ seed_arg $ trace_arg $ algorithms $ seeds
-      $ sweep_term [ "trace-out" ])
+      $ sweep_term ())
   in
   Cmd.v
     (Cmd.info "simulate" ~exits ~doc:"Run forwarding algorithms over a trace and report S and D.")
-    term
-
-(* --- resilience --- *)
-
-let resilience_cmd =
-  let intensities =
-    Arg.(
-      value & opt string "0,0.5,1,2"
-      & info [ "intensities" ] ~docv:"X,Y,..."
-          ~doc:"Comma-separated intensity multipliers applied to the fault spec.")
-  in
-  let seeds =
-    Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Workload runs to average per level.")
-  in
-  let probes =
-    Arg.(
-      value & opt int 40
-      & info [ "probes" ] ~docv:"N"
-          ~doc:"Messages whose path survival is enumerated per level.")
-  in
-  let run dataset seed base intensities seeds probes sweep =
-    if seeds < 1 then exit_usage "--seeds must be at least 1";
-    if probes < 1 then exit_usage "--probes must be at least 1";
-    let intensities =
-      String.split_on_char ',' intensities
-      |> List.map (fun s ->
-             match float_of_string_opt (String.trim s) with
-             | Some x when Float.is_finite x && x >= 0. -> x
-             | Some _ | None -> exit_usage (Printf.sprintf "bad intensity %S" (String.trim s)))
-    in
-    if List.is_empty intensities then exit_usage "--intensities must name at least one level";
-    let scale =
-      {
-        Core.Experiments.default_scale with
-        Core.Experiments.seeds;
-        rng_seed = Option.value seed ~default:17L;
-      }
-    in
-    sweep ~command:"resilience"
-      (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
-        Core.Experiments.resilience_study ~jobs ?chunk ?store ~retries ~checkpoint ~scale ~base
-          ~intensities ~path_messages:probes ~telemetry dataset)
-      (fun study ->
-        print_endline
-          (Core.Report.render_resilience
-             ~title:
-               (Printf.sprintf "Resilience: the paper's six algorithms under injected faults (%s)"
-                  dataset.Core.Dataset.label)
-             study))
-  in
-  let term =
-    Term.(
-      const run $ dataset_term $ sample_seed_arg
-      $ faults_term ~defaults:Core.Experiments.default_fault_spec ~at:" at intensity 1"
-      $ intensities $ seeds $ probes
-      $ sweep_term [ "trace" ])
-  in
-  Cmd.v
-    (Cmd.info "resilience" ~exits
-       ~doc:
-         "Stress-test the path-explosion robustness claim: sweep deterministic fault intensity \
-          (transfer loss, node crashes, contact truncation) over all six paper algorithms and \
-          report delivery, overhead and surviving path counts.")
     term
 
 (* --- serve --- *)
@@ -854,7 +791,7 @@ let serve_cmd =
       $ explore
       $ faults_term ~defaults:{ Core.Faults.none with down_time = 300.; seed = 99L } ~at:""
       $ store_arg $ session
-      $ snapshot_every $ serve_resume $ serve_jobs $ chunk_term $ trace_out_arg [ "trace" ]
+      $ snapshot_every $ serve_resume $ serve_jobs $ chunk_term $ trace_out_arg
       $ profile_flag $ metrics_out $ metrics_every $ flight_out $ failpoints_term)
   in
   Cmd.v
@@ -885,10 +822,13 @@ let experiment_cmd =
     Arg.(value & opt (some int) None & info [ "messages" ] ~docv:"N" ~doc)
   in
   let dump =
-    let doc = "Also write the series of Figs. 4, 5, 7 and 10 as gnuplot files into $(docv)." in
+    let doc =
+      "Also write the series of Figs. 4, 5, 7 and 10 and R01's inter-contact CDFs as gnuplot \
+       files into $(docv)."
+    in
     Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"DIR" ~doc)
   in
-  let run ids dataset seed paper messages dump sweep =
+  let run ids dataset seed trace_path paper messages dump faults sweep =
     (match List.filter (fun id -> not (List.mem id Core.Catalogue.ids)) ids with
     | [] -> ()
     | unknown ->
@@ -899,11 +839,19 @@ let experiment_cmd =
     let n_messages = Option.value messages ~default:base.E.n_messages in
     if n_messages < 1 then exit_usage "--messages must be at least 1";
     let scale = { base with n_messages; rng_seed = Option.value seed ~default:base.rng_seed } in
+    (* A file samples with --seed alone; a preset mixes in its own seed. *)
+    let input =
+      match trace_path with
+      | None -> E.of_dataset dataset
+      | Some _ ->
+        let label, trace = resolve_trace dataset None trace_path in
+        { E.name = label; label; seed = 0L; trace }
+    in
     sweep ~command:"experiment"
       (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
         let ctx =
-          Core.Catalogue.context ~jobs ?chunk ?store ~retries ~checkpoint ~telemetry ?dump ~scale
-            dataset
+          Core.Catalogue.context ~jobs ?chunk ?store ~retries ~checkpoint ~telemetry ?dump ~faults
+            ~scale input
         in
         (* Each section prints as soon as it is rendered. *)
         Printf.printf "%s\n\n%!" (Core.Catalogue.scale_line ctx);
@@ -914,40 +862,16 @@ let experiment_cmd =
   in
   let term =
     Term.(
-      const run $ ids $ dataset_term $ sample_seed_arg $ paper $ messages $ dump
-      $ sweep_term [ "trace" ])
+      const run $ ids $ dataset_term $ sample_seed_arg $ trace_arg $ paper $ messages $ dump
+      $ faults_term ~defaults:E.default_fault_spec ~at:" at intensity 1"
+      $ sweep_term ())
   in
   Cmd.v
     (Cmd.info "experiment" ~exits
-       ~doc:"Print the paper's figures, models and ablations; --dataset sets single-dataset ones.")
-    term
-
-(* --- intercontact --- *)
-
-let intercontact_cmd =
-  let run dataset seed trace_path =
-    let label, trace = resolve_trace dataset seed trace_path in
-    let gaps = Core.Intercontact.aggregate_gaps trace in
-    if Array.length gaps = 0 then exit_err "no repeated pair meetings in this trace";
-    Format.printf "%s: %d inter-contact gaps@." label (Array.length gaps);
-    List.iter
-      (fun p ->
-        Format.printf "  p%-3d %10.0f s@." (int_of_float (p *. 100.))
-          (Core.Quantile.quantile gaps p))
-      [ 0.5; 0.9; 0.99 ];
-    (match Core.Intercontact.tail_exponent gaps with
-    | Some alpha -> Format.printf "  Hill tail exponent: %.2f@." alpha
-    | None -> Format.printf "  Hill tail exponent: (insufficient tail)@.");
-    Format.printf "CCDF sample points (x, P[X>x]):@.";
-    let points = Core.Intercontact.ccdf gaps in
-    let step = Int.max 1 (List.length points / 10) in
-    List.iteri
-      (fun i (x, p) -> if i mod step = 0 then Format.printf "  %10.0f  %8.5f@." x p)
-      points
-  in
-  let term = Term.(const run $ dataset_term $ seed_arg $ trace_arg) in
-  Cmd.v
-    (Cmd.info "intercontact" ~exits ~doc:"Analyse inter-contact time distributions of a trace.")
+       ~doc:
+         "Print the paper's figures, models and ablations. Single-dataset sections run on \
+          --trace FILE or the --dataset preset, and multi-dataset ones add it as a row; the \
+          fault flags set the resilience section's spec at intensity 1.")
     term
 
 (* --- communities --- *)
@@ -1069,8 +993,8 @@ let store_cmd =
   Cmd.v
     (Cmd.info "store" ~exits
        ~doc:
-         "Maintain a content-addressed result store (see --store on simulate, resilience \
-          and experiment): report stats, evict old entries, or fsck every stored frame.")
+         "Maintain a content-addressed result store (see --store on simulate and \
+          experiment): report stats, evict old entries, or fsck every stored frame.")
     term
 
 (* --- metrics --- *)
@@ -1125,10 +1049,8 @@ let main_cmd =
       info_cmd;
       paths_cmd;
       simulate_cmd;
-      resilience_cmd;
       serve_cmd;
       experiment_cmd;
-      intercontact_cmd;
       communities_cmd;
       store_cmd;
       metrics_cmd;

@@ -10,35 +10,56 @@ module R = Report
 module T = Psn_telemetry.Telemetry
 module Serve = Psn_serve.Server
 
+(* One analysed trace: its input and the studies over it, each built on
+   first use. *)
+type slot = { input : E.input Lazy.t; study : E.study Lazy.t; sim : E.sim_study Lazy.t }
+
 type context = {
-  dataset : Dataset.t;
+  chosen : E.input;
   scale : E.scale;
   jobs : int option;
   telemetry : T.sink;
-  studies : (string * E.study Lazy.t) list;
-  sims : (string * E.sim_study Lazy.t) list;
-  resilience : E.scale -> E.resilience_study;
+  slots : (string * slot) list;
+  resilience : E.scale -> E.resilience_level list;
   dump : string option;
   mutable plots : (string * [ `Lines | `Points | `Boxes ] * string list) list;
 }
 
-let context ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null) ?dump ~scale
-    dataset =
-  let per_dataset f = List.map (fun (d : Dataset.t) -> (d.name, lazy (f d))) Dataset.all in
+let context ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null) ?dump ?faults
+    ~scale (chosen : E.input) =
+  let slot input =
+    {
+      input;
+      study =
+        lazy
+          (E.enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry
+             (Lazy.force input));
+      sim =
+        lazy (E.sim_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry (Lazy.force input));
+    }
+  in
+  (* Each preset's trace is generated at most once, in the calling
+     domain; the chosen input stands in for the preset it names. *)
+  let presets =
+    List.map
+      (fun (d : Dataset.t) ->
+        ( d.name,
+          slot
+            (if String.equal d.name chosen.name then Lazy.from_val chosen else lazy (E.of_dataset d)) ))
+      Dataset.all
+  in
   {
-    dataset;
+    chosen;
     scale;
     jobs;
     telemetry;
-    studies =
-      per_dataset (fun d ->
-          E.enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry d);
-    sims =
-      per_dataset (fun d -> E.sim_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry d);
+    slots =
+      (if List.mem_assoc chosen.name presets then presets
+       else presets @ [ (chosen.name, slot (Lazy.from_val chosen)) ]);
     resilience =
       (fun scale ->
-        E.resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale
-          ~intensities:[ 0.; 0.5; 1.; 2. ] ~path_messages:30 ~telemetry dataset);
+        E.resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ?base:faults ~telemetry
+          chosen);
     dump;
     plots = [];
   }
@@ -47,20 +68,23 @@ let scale_line { scale = s; _ } =
   Printf.sprintf "scale: %d messages, k=%d, n*=%d, %d sim seeds" s.E.n_messages s.E.k
     s.E.n_explosion s.E.seeds
 
-(* Studies are built on first use and shared by every section that
-   reads the same dataset. *)
-let study ctx (d : Dataset.t) = Lazy.force (List.assoc d.name ctx.studies)
-let sim ctx (d : Dataset.t) = Lazy.force (List.assoc d.name ctx.sims)
+(* Inputs and studies are shared by every section that reads the same
+   trace. *)
+let input (s : slot) = Lazy.force s.input
+let study (s : slot) = Lazy.force s.study
+let sim (s : slot) = Lazy.force s.sim
+let preset ctx (d : Dataset.t) = List.assoc d.name ctx.slots
+let chosen_slot ctx = List.assoc ctx.chosen.name ctx.slots
 
-(* A single-dataset section's title names the chosen dataset. *)
-let on ctx title = Printf.sprintf "%s (%s)" title ctx.dataset.label
+(* A single-dataset section's title names the chosen input. *)
+let on ctx title = Printf.sprintf "%s (%s)" title ctx.chosen.label
 
-(* A panel over fixed datasets also shows the chosen one, so every
-   dataset can be drawn in every figure. *)
+(* A panel over fixed presets also shows the chosen input, so every
+   trace can be drawn in every figure. *)
 let with_chosen ctx datasets =
-  if List.exists (fun (d : Dataset.t) -> String.equal d.name ctx.dataset.name) datasets then
-    datasets
-  else datasets @ [ ctx.dataset ]
+  let names = List.map (fun (d : Dataset.t) -> d.name) datasets in
+  let names = if List.mem ctx.chosen.name names then names else names @ [ ctx.chosen.name ] in
+  List.map (fun name -> List.assoc name ctx.slots) names
 
 (* --dump: write one panel's series and rewrite plot_all.gp over every
    series written so far. Returns the note appended to the section. *)
@@ -76,23 +100,26 @@ let dump ctx name style write =
 let dump_cdfs ctx name cdfs = dump ctx name `Lines (fun dir -> Export.write_cdfs ~dir ~name cdfs)
 let model_times = [ 0.; 2.; 4.; 6.; 8. ]
 
+(* Table cells: the sample size, then each of its [qs]-quantiles, or a
+   [-] for each on an empty sample. *)
+let quantile_cells fmt qs arr =
+  string_of_int (Array.length arr)
+  :: List.map
+       (fun q -> if Array.length arr = 0 then "-" else Printf.sprintf fmt (Quantile.quantile arr q))
+       qs
+
 (* A table row: [label], the sample size, its median and its [q]-quantile. *)
-let count_row label fmt q arr =
-  [
-    label;
-    string_of_int (Array.length arr);
-    Printf.sprintf fmt (Quantile.median arr);
-    Printf.sprintf fmt (Quantile.quantile arr q);
-  ]
+let count_row label fmt q arr = label :: quantile_cells fmt [ 0.5; q ] arr
 
 (* Every section as (id, render), in print order. *)
 let sections =
   [
-  ("fig1", fun _ ->
-      R.render_timeseries ~title:"Fig 1: total contacts over time (60 s bins)" (E.fig1 Dataset.all));
+  ("fig1", fun ctx ->
+      R.render_timeseries ~title:"Fig 1: total contacts over time (60 s bins)"
+        (E.fig1 (List.map input (with_chosen ctx Dataset.all))));
   ("fig2", fun _ -> "== Fig 2: example space-time graph ==\n" ^ E.fig2 ());
   ("fig4", fun ctx ->
-      let studies = List.map (study ctx) (with_chosen ctx Dataset.[ infocom06_am; infocom06_pm ]) in
+      let studies = List.map study (with_chosen ctx Dataset.[ infocom06_am; infocom06_pm ]) in
       let a = E.fig4a studies and b = E.fig4b studies in
       let dumped_a = dump_cdfs ctx "fig4a" a in
       let dumped_b = dump_cdfs ctx "fig4b" b in
@@ -101,53 +128,53 @@ let sections =
       ^ R.render_cdfs ~title:"Fig 4b: CDF of time to explosion (s)" b
       ^ dumped_a ^ dumped_b);
   ("fig5", fun ctx ->
-      let points = E.fig5 (study ctx ctx.dataset) in
+      let points = E.fig5 (study (chosen_slot ctx)) in
       R.render_scatter ~title:(on ctx "Fig 5: optimal path duration vs time to explosion") points
       ^ dump ctx "fig5" `Points (fun dir -> [ Export.write_scatter ~dir ~name:"fig5" points ]));
   ("fig6", fun ctx ->
       R.render_histogram ~title:(on ctx "Fig 6: path arrivals after T1, messages with TE >= 150 s")
-        (E.fig6 (study ctx ctx.dataset)));
+        (E.fig6 (study (chosen_slot ctx))));
   ("fig7", fun ctx ->
-      let cdfs = E.fig7 Dataset.all in
+      let cdfs = E.fig7 (List.map input (with_chosen ctx Dataset.all)) in
       R.render_cdfs ~title:"Fig 7: CDF of per-node contact counts" cdfs ^ dump_cdfs ctx "fig7" cdfs);
   ("fig8", fun ctx ->
       R.render_scatter_by_pair ~title:(on ctx "Fig 8: T1 vs TE by source-destination pair type")
-        (E.fig8 (study ctx ctx.dataset)));
+        (E.fig8 (study (chosen_slot ctx))));
   ("fig9", fun ctx ->
-      Dataset.all
-      |> List.map (fun (d : Dataset.t) ->
-             let sim = sim ctx d in
-             R.render_metrics ~title:(Printf.sprintf "Fig 9: delay vs success rate (%s)" d.label)
+      with_chosen ctx Dataset.all
+      |> List.map (fun (s : slot) ->
+             let sim = sim s in
+             R.render_metrics ~title:(Printf.sprintf "Fig 9: delay vs success rate (%s)" (input s).label)
                (E.fig9 sim)
              ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed)
       |> String.concat "\n\n");
   ("fig10", fun ctx ->
       with_chosen ctx Dataset.[ infocom06_am; conext06_am ]
-      |> List.mapi (fun i (d : Dataset.t) ->
+      |> List.mapi (fun i (s : slot) ->
              let panel = Printf.sprintf "10%c" (Char.chr (Char.code 'a' + i)) in
-             let cdfs = E.fig10 (sim ctx d) in
-             R.render_cdfs ~title:(Printf.sprintf "Fig %s: delay distributions (%s)" panel d.label)
+             let cdfs = E.fig10 (sim s) in
+             R.render_cdfs ~title:(Printf.sprintf "Fig %s: delay distributions (%s)" panel (input s).label)
                cdfs
              ^ dump_cdfs ctx ("fig" ^ panel) cdfs)
       |> String.concat "\n\n");
   ("fig11", fun ctx ->
       R.render_cumulative ~title:(on ctx "Fig 11: cumulative path deliveries over time")
-        (E.fig11 (study ctx ctx.dataset)));
+        (E.fig11 (study (chosen_slot ctx))));
   ("fig12", fun ctx ->
       R.render_fig12 ~title:(on ctx "Fig 12: paths taken by forwarding algorithms (example messages)")
-        (E.fig12 (study ctx ctx.dataset) ~n_examples:2));
+        (E.fig12 (study (chosen_slot ctx)) ~n_examples:2));
   ("fig13", fun ctx ->
-      let sim = sim ctx ctx.dataset in
+      let sim = sim (chosen_slot ctx) in
       R.render_metrics_by_pair
         ~title:(on ctx "Fig 13: algorithm performance by source-destination pair type")
         (E.fig13 sim)
       ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed);
   ("fig14", fun ctx ->
       R.render_hop_rates ~title:(on ctx "Fig 14: mean contact rate of nodes at each hop")
-        (E.fig14 (study ctx ctx.dataset)));
+        (E.fig14 (study (chosen_slot ctx))));
   ("fig15", fun ctx ->
       R.render_hop_ratios ~title:(on ctx "Fig 15: consecutive-hop rate ratios")
-        (E.fig15 (study ctx ctx.dataset)));
+        (E.fig15 (study (chosen_slot ctx))));
   ("model-mean", fun _ ->
       R.render_model_rows
         ~title:"M01: homogeneous model, mean paths per node E[S(t)] (N=200, lambda=0.5)"
@@ -170,33 +197,40 @@ let sections =
         (E.model_quadrant_table ()));
 
   (* ---- Related-work check and design ablations ---- *)
-  ("r01-intercontact", fun _ ->
+  ("r01-intercontact", fun ctx ->
       (* Hui et al. / Chaintreau et al.: the aggregate inter-contact
          distribution has a heavy, approximately power-law body. *)
-      let rows =
+      let gaps =
         List.map
-          (fun (d : Dataset.t) ->
-            let gaps = Intercontact.aggregate_gaps (Dataset.generate d) in
-            let alpha =
-              match Intercontact.tail_exponent gaps with
-              | Some a -> Printf.sprintf "%.2f" a
-              | None -> "-"
-            in
-            let q p = Printf.sprintf "%.0f" (Quantile.quantile gaps p) in
-            [ d.label; string_of_int (Array.length gaps); q 0.5; q 0.9; q 0.99; alpha ])
-          Dataset.all
+          (fun (i : E.input) -> (i.label, Intercontact.aggregate_gaps i.trace))
+          (List.map input (with_chosen ctx Dataset.all))
+      in
+      let row (label, gaps) =
+        let alpha =
+          match Intercontact.tail_exponent gaps with
+          | Some a -> Printf.sprintf "%.2f" a
+          | None -> "-"
+        in
+        (label :: quantile_cells "%.0f" [ 0.5; 0.9; 0.99 ] gaps) @ [ alpha ]
+      in
+      let cdfs =
+        List.filter_map
+          (fun (label, gaps) ->
+            if Array.length gaps = 0 then None else Some (label, Cdf.of_samples gaps))
+          gaps
       in
       "== R01 (related work): aggregate inter-contact times ==\n"
       ^ Table.render
           ~align:[ Table.Left; Right; Right; Right; Right; Right ]
           ~header:[ "dataset"; "gaps"; "median (s)"; "p90"; "p99"; "Hill alpha" ]
-          rows
-      ^ "\n(heavy inter-contact tails, as in Hui et al. WDTN'05)");
+          (List.map row gaps)
+      ^ "\n(heavy inter-contact tails, as in Hui et al. WDTN'05)"
+      ^ dump_cdfs ctx "r01" cdfs);
   ("r02-growth", fun ctx ->
       (* §5.2's subset-explosion claim, measured: the arrival staircase
          at a high-rate destination grows faster than at a low-rate
          one. *)
-      let study = study ctx ctx.dataset in
+      let study = study (chosen_slot ctx) in
       let fits =
         List.filter_map
           (fun (m : E.message_result) ->
@@ -214,9 +248,8 @@ let sections =
           study.messages
       in
       let row label keep =
-        match List.filter_map (fun (p, r) -> if keep p then Some r else None) fits with
-        | [] -> [ label; "0"; "-"; "-" ]
-        | rates -> count_row label "%.3f" 0.75 (Array.of_list rates)
+        count_row label "%.3f" 0.75
+          (Array.of_list (List.filter_map (fun (p, r) -> if keep p then Some r else None) fits))
       in
       let is_in_dst = function Classify.In_in | Classify.Out_in -> true | _ -> false in
       "== " ^ on ctx "R02 (section 5.2): explosion growth rate by destination class" ^ " ==\n"
@@ -230,7 +263,7 @@ let sections =
   ("abl-replication", fun ctx ->
       (* The cost question the paper leaves open: the success/delay/copies
          frontier across replication budgets. *)
-      let trace = Dataset.(generate conext06_am) in
+      let trace = (input (preset ctx Dataset.conext06_am)).trace in
       let spec =
         {
           Runner.workload = Workload.paper_spec ~n_nodes:(Trace.n_nodes trace);
@@ -264,7 +297,7 @@ let sections =
         rows);
   ("abl-ttl", fun ctx ->
       (* Sensitivity to message lifetime under epidemic forwarding. *)
-      let trace = Dataset.generate ctx.dataset in
+      let trace = ctx.chosen.trace in
       let messages =
         Workload.generate ~rng:(Rng.create ~seed:1000L ())
           (Workload.paper_spec ~n_nodes:(Trace.n_nodes trace))
@@ -319,7 +352,7 @@ let sections =
          nothing like the paper's Fig. 4a — fragmentation is essential)");
   ("abl-k", fun ctx ->
       (* Sensitivity of the explosion measurement to the truncation k. *)
-      let trace = Dataset.generate ctx.dataset in
+      let trace = ctx.chosen.trace in
       let snap = Snapshot.of_trace trace in
       let sample_messages =
         let rng = Rng.create ~seed:79L () in
@@ -340,7 +373,7 @@ let sections =
         count_row (string_of_int k) "%.0f" 0.9 (Array.of_list tes)
       in
       Printf.sprintf "== A04: explosion threshold k vs measured TE (%s, 25 msgs) ==\n"
-        ctx.dataset.label
+        ctx.chosen.label
       ^ Table.render
           ~align:[ Table.Right; Right; Right; Right ]
           ~header:[ "k"; "exploded"; "median TE (s)"; "p90 TE (s)" ]
@@ -353,7 +386,7 @@ let sections =
          faults: the same session, through Serve.handle (the line
          protocol the CLI speaks), routed adaptively over three
          strategies and statically by each one. *)
-      let trace = Dataset.generate ctx.dataset in
+      let trace = ctx.chosen.trace in
       let n_nodes = Trace.n_nodes trace in
       let contacts = Array.to_list (Trace.contacts trace) in
       let strategies = [ "epidemic"; "direct"; "two-hop" ] in
@@ -393,7 +426,7 @@ let sections =
       Printf.sprintf
         "== Serve: adaptive vs static routing over %s (%d events) ==\n\
          faults (loss 0.35, jitter 0.2): adaptive %.3f vs static %s (best-static delta %+.3f)"
-        ctx.dataset.label (List.length contacts) adaptive
+        ctx.chosen.label (List.length contacts) adaptive
         (String.concat ", " (List.map (fun (name, r) -> Printf.sprintf "%s %.3f" name r) static))
         (adaptive -. best_static));
   ("resilience", fun ctx ->

@@ -17,16 +17,23 @@ val context :
   ?checkpoint:int ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
   ?dump:string ->
+  ?faults:Psn_sim.Faults.spec ->
   scale:Experiments.scale ->
-  Psn_trace.Dataset.t ->
+  Experiments.input ->
   context
-(** Single-dataset sections run on the given dataset and name it in
-    their titles. Figs. 1, 7, 9, R01 and A01 keep their fixed datasets;
-    Figs. 4 and 10 add the given one to theirs. The sweep settings go
-    to the studies as in {!Experiments.enumeration_study}. [telemetry]
-    (default null) reaches every study and the sections that run the
-    simulator directly; it never changes a section's text. With [dump],
-    Figs. 4, 5, 7 and 10 also write gnuplot files into that directory. *)
+(** Single-dataset sections run on the chosen input (a preset or a
+    loaded trace) and name it in their titles. Figs. 1, 4, 7, 9, 10 and
+    R01 draw fixed presets and add the chosen input as one more row or
+    panel when it is not one of them; A01 keeps its fixed preset. Each
+    preset's trace is generated at most once per context, on first use.
+    The sweep settings go to the studies as in
+    {!Experiments.enumeration_study}. [faults] is the resilience
+    section's spec at intensity 1 (default
+    {!Experiments.default_fault_spec}). [telemetry] (default null)
+    reaches every study and the sections that run the simulator
+    directly; it never changes a section's text. With [dump], Figs. 4,
+    5, 7 and 10 write gnuplot files into that directory, and R01 writes
+    each row's inter-contact CDF. *)
 
 val scale_line : context -> string
 (** ["scale: N messages, k=K, n*=N, S sim seeds"]. *)

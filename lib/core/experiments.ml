@@ -47,13 +47,12 @@ type message_result = {
   sample_paths : Path.t list;
 }
 
-type study = {
-  dataset : Dataset.t;
-  trace : Trace.t;
-  classify : Classify.t;
-  scale : scale;
-  messages : message_result list;
-}
+type input = { name : string; label : string; seed : int64; trace : Trace.t }
+
+let of_dataset (d : Dataset.t) =
+  { name = d.name; label = d.label; seed = d.seed; trace = Dataset.generate d }
+
+type study = { input : input; classify : Classify.t; messages : message_result list }
 
 (* Messages are generated over the first two thirds of the window (the
    paper's "first 2 hours of 3") so each has time to be delivered. *)
@@ -98,16 +97,15 @@ let enumerate_specs ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sin
         ~compute specs)
 
 let enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
-    ?(telemetry = T.Sink.null) dataset
+    ?(telemetry = T.Sink.null) input
     =
-  T.with_span telemetry "experiments.enumeration_study"
-    ~args:[ ("dataset", T.Str dataset.Dataset.label) ]
+  T.with_span telemetry "experiments.enumeration_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   T.begin_span telemetry "experiments.setup";
-  let trace = Dataset.generate dataset in
+  let trace = input.trace in
   let classify = Classify.of_trace trace in
   let snap = Snapshot.of_trace trace in
-  let rng = Rng.create ~seed:(Int64.logxor scale.rng_seed dataset.Dataset.seed) () in
+  let rng = Rng.create ~seed:(Int64.logxor scale.rng_seed input.seed) () in
   let config =
     { Enumerate.k = scale.k; max_hops = None; stop_at_total = Some scale.n_explosion; exhaustive = false }
   in
@@ -146,14 +144,12 @@ let enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default
           sample_paths;
         })
   in
-  { dataset; trace; classify; scale; messages }
+  { input; classify; messages }
 
 (* ---- Figures 1-8, 11, 14, 15 ---- *)
 
-let fig1 ?(bin = 60.) datasets =
-  List.map
-    (fun d -> (d.Dataset.label, Trace.contact_time_series (Dataset.generate d) ~bin))
-    datasets
+let fig1 ?(bin = 60.) inputs =
+  List.map (fun i -> (i.label, Trace.contact_time_series i.trace ~bin)) inputs
 
 let fig2 () =
   (* The paper's worked example: nodes 1-2 in contact during the first
@@ -175,7 +171,7 @@ let durations study =
 
 let explosion_times study = List.filter_map (fun m -> m.summary.Explosion.te) study.messages
 
-let label_of study = study.dataset.Dataset.label
+let label_of study = study.input.label
 
 let cdf_of_list values =
   match values with [] -> None | vs -> Some (Cdf.of_samples (Array.of_list vs))
@@ -213,13 +209,10 @@ let fig6 ?(te_min = 150.) ?(bin = 10.) ?(window = 300.) study =
   Psn_stats.Histogram.create ~lo:0. ~hi:window ~bins:(int_of_float (window /. bin))
     (List.to_seq offsets)
 
-let fig7 datasets =
+let fig7 inputs =
   List.map
-    (fun d ->
-      let trace = Dataset.generate d in
-      let counts = Trace.contact_counts trace |> Array.map float_of_int in
-      (d.Dataset.label, Cdf.of_samples counts))
-    datasets
+    (fun i -> (i.label, Cdf.of_samples (Array.map float_of_int (Trace.contact_counts i.trace))))
+    inputs
 
 let fig8 study =
   let points = Hashtbl.create 4 in
@@ -241,7 +234,7 @@ let fig11 study =
     |> List.sort Float.compare
   in
   let series =
-    Psn_stats.Timeseries.bin_events ~t0:0. ~t1:(Trace.horizon study.trace) ~bin:60.
+    Psn_stats.Timeseries.bin_events ~t0:0. ~t1:(Trace.horizon study.input.trace) ~bin:60.
       (List.to_seq all_times)
   in
   Psn_stats.Timeseries.cumulative series
@@ -255,8 +248,6 @@ let fig15 study = Hops.rate_ratios_by_hop study.classify (pooled_paths study)
 (* ---- Simulation studies (Figs. 9, 10, 12, 13) ---- *)
 
 type sim_study = {
-  sim_dataset : Dataset.t;
-  sim_trace : Trace.t;
   sim_classify : Classify.t;
   runs : (Registry.entry * Engine.outcome list) list;
   sim_failed : (string * int64 * string) list;
@@ -292,12 +283,11 @@ let entry_caches store ~trace ?faults ~workload entries =
     entries
 
 let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
-    ?(entries = Registry.paper_six) ?(telemetry = T.Sink.null) dataset =
-  T.with_span telemetry "experiments.sim_study"
-    ~args:[ ("dataset", T.Str dataset.Dataset.label) ]
+    ?(entries = Registry.paper_six) ?(telemetry = T.Sink.null) input =
+  T.with_span telemetry "experiments.sim_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   T.begin_span telemetry "experiments.setup";
-  let trace = Dataset.generate dataset in
+  let trace = input.trace in
   let workload = Workload.paper_spec ~n_nodes:(Trace.n_nodes trace) in
   let spec =
     { Psn_sim.Runner.workload; seeds = Psn_sim.Runner.default_seeds scale.seeds }
@@ -315,8 +305,6 @@ let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
   in
   let runs = List.map2 (fun e cell_list -> (e, ok_cells cell_list)) entries cells in
   {
-    sim_dataset = dataset;
-    sim_trace = trace;
     sim_classify = Classify.of_trace trace;
     runs;
     sim_failed = failed_cells entries spec.Psn_sim.Runner.seeds cells;
@@ -412,7 +400,8 @@ let fig12 ?(entries = Registry.paper_six) study ~n_examples =
   in
   let chosen = List.filteri (fun i _ -> i < n_examples) candidates in
   (* Every (example, algorithm) run replays the same trace: sort it once. *)
-  let schedule = Engine.prepare study.trace in
+  let trace = study.input.trace in
+  let schedule = Engine.prepare trace in
   List.map
     (fun m ->
       let t1 = m.arrival_times.(0) in
@@ -421,7 +410,7 @@ let fig12 ?(entries = Registry.paper_six) study ~n_examples =
         List.map
           (fun (e : Registry.entry) ->
             let outcome =
-              Engine.run_on schedule ~messages:[ message ] (e.Registry.factory study.trace)
+              Engine.run_on schedule ~messages:[ message ] (e.Registry.factory trace)
             in
             let delivered = outcome.Engine.records.(0).Engine.delivered in
             (e.Registry.label, Option.map (fun t -> t -. t1) delivered))
@@ -447,33 +436,24 @@ type resilience_level = {
   res_failed : (string * int64 * string) list;
 }
 
-type resilience_study = {
-  res_dataset : Dataset.t;
-  res_trace : Trace.t;
-  res_scale : scale;
-  res_base : Faults.spec;
-  res_levels : resilience_level list;
-}
-
 (* At intensity 1: 20% of transfers lost, ~1.7 crashes per node over a
    3 h window (5 min mean repair), up to 30% of each contact truncated
    — a hostile venue, yet far from partitioning the contact graph. *)
 let default_fault_spec =
   { Faults.loss = 0.2; crash_rate = 2. /. 3600.; down_time = 300.; jitter = 0.3; seed = 99L }
 
-let default_intensities = [ 0.; 0.5; 1.; 2. ]
+(* The intensity ladder and the number of path-survival probes. *)
+let intensities = [ 0.; 0.5; 1.; 2. ]
+let path_messages = 30
 
 let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
-    ?(entries = Registry.paper_six)
-    ?(base = default_fault_spec) ?(intensities = default_intensities) ?(path_messages = 40)
-    ?(telemetry = T.Sink.null) dataset =
-  T.with_span telemetry "experiments.resilience_study"
-    ~args:[ ("dataset", T.Str dataset.Dataset.label) ]
+    ?(entries = Registry.paper_six) ?(base = default_fault_spec) ?(telemetry = T.Sink.null) input =
+  T.with_span telemetry "experiments.resilience_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   (match Faults.validate base with
   | Error msg -> invalid_arg ("Experiments.resilience_study: " ^ msg)
   | Ok () -> ());
-  let trace = Dataset.generate dataset in
+  let trace = input.trace in
   let n_nodes = Trace.n_nodes trace in
   let workload = Workload.paper_spec ~n_nodes in
   let spec =
@@ -483,7 +463,7 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
      pristine trace once and on every degraded trace, so each level's
      survival is a paired comparison. All RNG draws happen up front. *)
   let probes =
-    let rng = Rng.create ~seed:(Int64.logxor 0x5245534cL (Int64.logxor scale.rng_seed dataset.Dataset.seed)) () in
+    let rng = Rng.create ~seed:(Int64.logxor 0x5245534cL (Int64.logxor scale.rng_seed input.seed)) () in
     Array.init path_messages (fun _ -> random_message rng trace)
   in
   let config =
@@ -500,52 +480,49 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
     T.with_span telemetry "experiments.baseline" (fun () -> enumerate_all trace)
   in
   let factories = List.map (fun (e : Registry.entry) -> e.Registry.factory) entries in
-  let levels =
-    List.map
-      (fun intensity ->
-        (* Levels are the sweep's coarse safe points: everything a
-           completed level stored is durable, so an interrupt here
-           loses at most the level in flight. *)
-        Interrupt.check ();
-        T.with_span telemetry "experiments.level"
-          ~args:[ ("intensity", T.Float intensity) ]
-        @@ fun () ->
-        let level_spec = Faults.scale intensity base in
-        let plan = Faults.compile ~n_nodes ~horizon:(Trace.horizon trace) level_spec in
-        let stores =
-          Option.map
-            (fun st -> entry_caches st ~trace ~faults:level_spec ~workload entries)
-            store
-        in
-        let cells =
-          Psn_sim.Runner.outcomes_many_result ?jobs ?chunk ?stores ?retries ?checkpoint
-            ~telemetry ~faults:plan ~trace ~spec ~factories ()
-        in
-        let rows =
-          List.concat
-            (List.map2
-               (fun e cell_list ->
-                 match ok_cells cell_list with
-                 | [] -> []
-                 | outs ->
-                   [ (e, T.with_span telemetry "runner.metrics" (fun () -> Metrics.pool outs)) ])
-               entries cells)
-        in
-        let degraded = enumerate_all (Faults.degrade plan trace) in
-        let survival =
-          List.init path_messages (fun i ->
-              Psn_paths.Explosion.survival ~baseline:baseline.(i) ~degraded:degraded.(i))
-        in
-        {
-          res_intensity = intensity;
-          res_spec = level_spec;
-          res_rows = rows;
-          res_survival = survival;
-          res_failed = failed_cells entries spec.Psn_sim.Runner.seeds cells;
-        })
-      intensities
-  in
-  { res_dataset = dataset; res_trace = trace; res_scale = scale; res_base = base; res_levels = levels }
+  List.map
+    (fun intensity ->
+      (* Levels are the sweep's coarse safe points: everything a
+         completed level stored is durable, so an interrupt here
+         loses at most the level in flight. *)
+      Interrupt.check ();
+      T.with_span telemetry "experiments.level"
+        ~args:[ ("intensity", T.Float intensity) ]
+      @@ fun () ->
+      let level_spec = Faults.scale intensity base in
+      let plan = Faults.compile ~n_nodes ~horizon:(Trace.horizon trace) level_spec in
+      let stores =
+        Option.map
+          (fun st -> entry_caches st ~trace ~faults:level_spec ~workload entries)
+          store
+      in
+      let cells =
+        Psn_sim.Runner.outcomes_many_result ?jobs ?chunk ?stores ?retries ?checkpoint
+          ~telemetry ~faults:plan ~trace ~spec ~factories ()
+      in
+      let rows =
+        List.concat
+          (List.map2
+             (fun e cell_list ->
+               match ok_cells cell_list with
+               | [] -> []
+               | outs ->
+                 [ (e, T.with_span telemetry "runner.metrics" (fun () -> Metrics.pool outs)) ])
+             entries cells)
+      in
+      let degraded = enumerate_all (Faults.degrade plan trace) in
+      let survival =
+        List.init path_messages (fun i ->
+            Psn_paths.Explosion.survival ~baseline:baseline.(i) ~degraded:degraded.(i))
+      in
+      {
+        res_intensity = intensity;
+        res_spec = level_spec;
+        res_rows = rows;
+        res_survival = survival;
+        res_failed = failed_cells entries spec.Psn_sim.Runner.seeds cells;
+      })
+    intensities
 
 (* ---- Analytic-model tables ---- *)
 

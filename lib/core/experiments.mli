@@ -28,6 +28,22 @@ val default_scale : scale
 val paper_scale : scale
 (** 1800 messages, k = 2000, 10 seeds, 500 hop paths. *)
 
+(** {1 Inputs} *)
+
+type input = {
+  name : string;  (** A preset's name, or ["file:PATH"] for a loaded trace. *)
+  label : string;  (** The name figure titles and rows print. *)
+  seed : int64;
+      (** Mixed into every message sample: sampling seeds are
+          [scale.rng_seed] xor [seed]. A preset contributes its own
+          seed, a trace file 0. *)
+  trace : Psn_trace.Trace.t;
+}
+(** The trace a study analyses, with how to name and sample it. *)
+
+val of_dataset : Psn_trace.Dataset.t -> input
+(** A preset's input: its generated trace, name, label and seed. *)
+
 (** {1 Enumeration studies} *)
 
 type message_result = {
@@ -40,13 +56,7 @@ type message_result = {
   sample_paths : Psn_paths.Path.t list;  (** First few delivered paths. *)
 }
 
-type study = {
-  dataset : Psn_trace.Dataset.t;
-  trace : Psn_trace.Trace.t;
-  classify : Classify.t;
-  scale : scale;
-  messages : message_result list;
-}
+type study = { input : input; classify : Classify.t; messages : message_result list }
 
 val enumeration_study :
   ?jobs:int ->
@@ -56,10 +66,10 @@ val enumeration_study :
   ?checkpoint:int ->
   ?scale:scale ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
-  Psn_trace.Dataset.t ->
+  input ->
   study
 (** Enumerate paths for [scale.n_messages] random messages over the
-    dataset's trace. The expensive call — share the result across
+    input's trace. The expensive call — share the result across
     figure functions. The per-message enumerations are independent and
     run on [jobs] domains (default {!Psn_sim.Parallel.default_jobs}),
     claimed in ranges of [chunk] tasks; messages are drawn sequentially
@@ -75,8 +85,8 @@ val enumeration_study :
 
 (** {1 Figures 1-8, 11, 14, 15 (measurement side)} *)
 
-val fig1 : ?bin:float -> Psn_trace.Dataset.t list -> (string * Psn_stats.Timeseries.t) list
-(** Total contacts per time bin (default 60 s) for each dataset. *)
+val fig1 : ?bin:float -> input list -> (string * Psn_stats.Timeseries.t) list
+(** Total contacts per time bin (default 60 s) for each input. *)
 
 val fig2 : unit -> string
 (** The paper's three-node example space-time graph, rendered. *)
@@ -96,8 +106,8 @@ val fig6 : ?te_min:float -> ?bin:float -> ?window:float -> study -> Psn_stats.Hi
     with TE at least [te_min] (default 150 s, the paper's slow cases);
     [bin] defaults to 10 s, [window] to 300 s. *)
 
-val fig7 : Psn_trace.Dataset.t list -> (string * Psn_stats.Cdf.t) list
-(** CDF of per-node contact counts for each dataset. *)
+val fig7 : input list -> (string * Psn_stats.Cdf.t) list
+(** CDF of per-node contact counts for each input. *)
 
 val fig8 : study -> (Classify.pair_type * (float * float) list) list
 (** Fig. 5's scatter split by source-destination pair type. *)
@@ -115,8 +125,6 @@ val fig15 : study -> (string * Psn_stats.Boxplot.t) list
 (** {1 Figures 9, 10, 12, 13 (forwarding side)} *)
 
 type sim_study = {
-  sim_dataset : Psn_trace.Dataset.t;
-  sim_trace : Psn_trace.Trace.t;
   sim_classify : Classify.t;
   runs : (Psn_forwarding.Registry.entry * Psn_sim.Engine.outcome list) list;
       (** Per algorithm, the outcomes of its {e successful} seeds (all
@@ -136,7 +144,7 @@ val sim_study :
   ?scale:scale ->
   ?entries:Psn_forwarding.Registry.entry list ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
-  Psn_trace.Dataset.t ->
+  input ->
   sim_study
 (** Run each algorithm ([entries] defaults to the paper's six) over
     [scale.seeds] Poisson workloads (rate 1/4 s over the first two
@@ -226,14 +234,6 @@ type resilience_level = {
           seed, reason); empty on a healthy run. *)
 }
 
-type resilience_study = {
-  res_dataset : Psn_trace.Dataset.t;
-  res_trace : Psn_trace.Trace.t;
-  res_scale : scale;
-  res_base : Psn_sim.Faults.spec;
-  res_levels : resilience_level list;
-}
-
 val default_fault_spec : Psn_sim.Faults.spec
 (** Intensity-1 reference: 20% transfer loss, 2 crashes/h per node with
     5 min mean repair, up to 30% contact truncation. *)
@@ -247,17 +247,15 @@ val resilience_study :
   ?scale:scale ->
   ?entries:Psn_forwarding.Registry.entry list ->
   ?base:Psn_sim.Faults.spec ->
-  ?intensities:float list ->
-  ?path_messages:int ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
-  Psn_trace.Dataset.t ->
-  resilience_study
+  input ->
+  resilience_level list
 (** The robustness experiment the paper's thesis implies but never runs:
-    sweep fault intensity (default [0, 0.5, 1, 2] × [base], base
+    sweep fault intensity ([0, 0.5, 1, 2] × [base], base defaulting to
     {!default_fault_spec}) and, per level, (a) run every algorithm
     ([entries] defaults to the paper's six) over [scale.seeds] workloads
-    with faults injected, and (b) re-enumerate [path_messages] probe
-    messages (default 40) on the fault-degraded contact set, measuring
+    with faults injected, and (b) re-enumerate 30 probe messages
+    on the fault-degraded contact set, measuring
     how many of the exploded paths survive. Delivery should degrade
     sublinearly in intensity exactly where surviving path counts stay
     large, and the six algorithms should stay near-identical — path

@@ -183,7 +183,7 @@ let render_failed_cells ~title failed =
   | [] -> ""
   | cells -> "\n" ^ heading title (String.trim (failed_lines cells))
 
-let render_resilience ~title (study : Experiments.resilience_study) =
+let render_resilience ~title levels =
   let module Explosion = Psn_paths.Explosion in
   let module Faults = Psn_sim.Faults in
   let med of_survival survivals =
@@ -218,7 +218,7 @@ let render_resilience ~title (study : Experiments.resilience_study) =
     ^ failed_lines l.Experiments.res_failed
   in
   heading title
-    (String.concat "\n\n" (List.map level_block study.Experiments.res_levels)
+    (String.concat "\n\n" (List.map level_block levels)
     ^ "\n\n(graceful degradation = success falls sublinearly in intensity while surviving\n\
        path counts stay large; overhead = attempted transfers per successful copy)")
 

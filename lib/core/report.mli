@@ -28,7 +28,7 @@ val render_metrics_by_pair :
   title:string -> (Classify.pair_type * (string * Psn_sim.Metrics.t) list) list -> string
 (** Fig. 13: the same, per pair type. *)
 
-val render_resilience : title:string -> Experiments.resilience_study -> string
+val render_resilience : title:string -> Experiments.resilience_level list -> string
 (** Per fault intensity: the metrics table of every algorithm (success,
     delays, copies, attempts/copies overhead) plus the surviving-path
     summary of the probe messages, and — when cells failed — one

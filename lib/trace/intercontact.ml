@@ -38,24 +38,6 @@ let aggregate_gaps trace =
     per_pair;
   Array.of_list !out
 
-let ccdf samples =
-  if Array.length samples = 0 then invalid_arg "Intercontact.ccdf: empty sample";
-  let sorted = Array.copy samples in
-  Array.sort Float.compare sorted;
-  let n = Array.length sorted in
-  let points = ref [] in
-  (* P[X > x] just after each distinct value: fraction of samples
-     strictly greater. *)
-  for i = n - 1 downto 0 do
-    let x = sorted.(i) in
-    match !points with
-    | (x', _) :: _ when Float.equal x' x -> ()
-    | _ ->
-      let greater = n - i - 1 in
-      points := (x, float_of_int greater /. float_of_int n) :: !points
-  done;
-  !points
-
 (* Named input of the generator-fidelity row (ROADMAP, "An executable
    paper scorecard"). *)
 let[@lint.allow "dead-export"] mean_intercontact trace a b =

@@ -17,10 +17,6 @@ val aggregate_gaps : Trace.t -> float array
 (** All pairs' inter-contact gaps pooled — the distribution the
     literature plots as a CCDF. *)
 
-val ccdf : float array -> (float * float) list
-(** [(x, P[X > x])] points at each distinct sample value, ascending —
-    plottable on log-log axes. Raises [Invalid_argument] when empty. *)
-
 val mean_intercontact : Trace.t -> Node.id -> Node.id -> float
 (** Mean gap of the pair; [infinity] when they met fewer than twice. *)
 

@@ -158,7 +158,8 @@ let test_hops_skips_zero_rate_sources () =
 let tiny_scale =
   { E.default_scale with E.n_messages = 8; k = 200; n_explosion = 200; seeds = 1; hop_paths_per_message = 20 }
 
-let study = lazy (E.enumeration_study ~scale:tiny_scale Core.Dataset.conext06_am)
+let conext_am = lazy (E.of_dataset Core.Dataset.conext06_am)
+let study = lazy (E.enumeration_study ~scale:tiny_scale (Lazy.force conext_am))
 
 let test_study_shape () =
   let s = Lazy.force study in
@@ -205,11 +206,11 @@ let test_fig14_15_run () =
   ignore (E.fig15 s)
 
 let test_fig1_fig7 () =
-  (match E.fig1 [ Core.Dataset.conext06_am ] with
+  (match E.fig1 [ Lazy.force conext_am ] with
   | [ (_, ts) ] ->
     Alcotest.(check int) "180 one-minute bins" 180 (Array.length (Core.Timeseries.counts ts))
   | _ -> Alcotest.fail "expected one series");
-  match E.fig7 [ Core.Dataset.conext06_am ] with
+  match E.fig7 [ Lazy.force conext_am ] with
   | [ (_, cdf) ] -> Alcotest.(check int) "98 nodes" 98 (Core.Cdf.size cdf)
   | _ -> Alcotest.fail "expected one cdf"
 
@@ -223,11 +224,48 @@ let test_catalogue_ids_unique () =
   let ids = Core.Catalogue.ids in
   Alcotest.(check int) "no duplicate id" (List.length ids)
     (List.length (List.sort_uniq String.compare ids));
-  let ctx = Core.Catalogue.context ~scale:tiny_scale Core.Dataset.infocom06_am in
+  let ctx = Core.Catalogue.context ~scale:tiny_scale (Lazy.force conext_am) in
   Alcotest.check_raises "unknown id" (Invalid_argument "unknown section nosuch") (fun () ->
       ignore (Core.Catalogue.render ctx "nosuch"))
 
-let sim = lazy (E.sim_study ~scale:tiny_scale Core.Dataset.conext06_am)
+(* A trace file with exact (%h) times holds the preset's own trace, so
+   read back through the loader [psn experiment -t] uses, with the
+   preset's seed, it prints the preset's numbers. Titles name the input,
+   so only the lines below them are compared. *)
+let test_catalogue_file_input () =
+  let preset = Lazy.force conext_am in
+  let t = preset.E.trace in
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "# psn-trace v1\n# nodes %d\n# horizon %h\n" (Trace.n_nodes t)
+    (Trace.horizon t);
+  Array.iteri
+    (fun i kind ->
+      if Core.Node.equal_kind kind Core.Node.Stationary then
+        Printf.bprintf buf "# kind %d stationary\n" i)
+    (Trace.kinds t);
+  Trace.iter_contacts t (fun (c : Contact.t) ->
+      Printf.bprintf buf "%d,%d,%h,%h\n" c.a c.b c.t_start c.t_end);
+  let path = Filename.temp_file "psn_exact" ".psn" in
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf);
+  let trace =
+    match Core.Trace_io.load ~path with Ok trace -> trace | Error msg -> Alcotest.fail msg
+  in
+  Sys.remove path;
+  let file = { E.name = "file:" ^ path; label = "file:" ^ path; seed = preset.E.seed; trace } in
+  let body ctx id =
+    String.split_on_char '\n' (Core.Catalogue.render ctx id)
+    |> List.filter (fun line -> not (String.starts_with ~prefix:"==" line))
+  in
+  let of_preset = Core.Catalogue.context ~scale:tiny_scale preset in
+  let of_file = Core.Catalogue.context ~scale:tiny_scale file in
+  List.iter
+    (fun id ->
+      let expected = body of_preset id in
+      Alcotest.(check bool) (id ^ " has rows") true (List.length expected > 4);
+      Alcotest.(check (list string)) id expected (body of_file id))
+    [ "fig8"; "fig13" ]
+
+let sim = lazy (E.sim_study ~scale:tiny_scale (Lazy.force conext_am))
 
 let test_fig9_ordering () =
   let rows = E.fig9 (Lazy.force sim) in
@@ -371,7 +409,12 @@ let () =
           Alcotest.test_case "fig12 examples" `Slow test_fig12_examples;
           Alcotest.test_case "model tables" `Slow test_model_tables;
         ] );
-      ("catalogue", [ Alcotest.test_case "unique ids" `Quick test_catalogue_ids_unique ]);
+      ( "catalogue",
+        [
+          Alcotest.test_case "unique ids" `Quick test_catalogue_ids_unique;
+          Alcotest.test_case "file input prints the preset's numbers" `Slow
+            test_catalogue_file_input;
+        ] );
       ("export", [ Alcotest.test_case "round-trip" `Quick test_export_roundtrip ]);
       ( "report",
         [
