@@ -500,7 +500,7 @@ let simulate_cmd =
                | Error msg -> exit_usage msg)
     in
     let label, trace = resolve_trace dataset seed trace_path in
-    let workload = Core.Workload.paper_spec ~n_nodes:(Core.Trace.n_nodes trace) in
+    let workload = Core.Experiments.paper_workload trace in
     let spec = { Core.Runner.workload; seeds = Core.Runner.default_seeds seeds } in
     sweep ~command:"simulate"
       (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->

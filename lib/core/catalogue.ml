@@ -266,7 +266,7 @@ let sections =
       let trace = (input (preset ctx Dataset.conext06_am)).trace in
       let spec =
         {
-          Runner.workload = Workload.paper_spec ~n_nodes:(Trace.n_nodes trace);
+          Runner.workload = E.paper_workload trace;
           seeds = Runner.default_seeds (Int.max 1 ((ctx.scale.E.seeds / 2) + 1));
         }
       in
@@ -299,8 +299,7 @@ let sections =
       (* Sensitivity to message lifetime under epidemic forwarding. *)
       let trace = ctx.chosen.trace in
       let messages =
-        Workload.generate ~rng:(Rng.create ~seed:1000L ())
-          (Workload.paper_spec ~n_nodes:(Trace.n_nodes trace))
+        Workload.generate ~rng:(Rng.create ~seed:1000L ()) (E.paper_workload trace)
       in
       let schedule = Engine.prepare ~telemetry:ctx.telemetry trace in
       let row ttl =
@@ -334,7 +333,7 @@ let sections =
         for _ = 1 to 40 do
           let src = Rng.int rng n in
           let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
-          let t_create = Rng.float rng 7200. in
+          let t_create = Rng.float rng (E.generation_window trace) in
           let flood = Reachability.flood snap ~src ~t_create in
           match Reachability.delivery_delay flood ~dst with
           | Some d -> durations := d :: !durations
@@ -360,7 +359,7 @@ let sections =
         List.init 25 (fun _ ->
             let src = Rng.int rng n in
             let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
-            (src, dst, Rng.float rng 7200.))
+            (src, dst, Rng.float rng (E.generation_window trace)))
       in
       let row k =
         let config = { Enumerate.k; max_hops = None; stop_at_total = Some k; exhaustive = false } in

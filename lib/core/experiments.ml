@@ -58,6 +58,12 @@ type study = { input : input; classify : Classify.t; messages : message_result l
    paper's "first 2 hours of 3") so each has time to be delivered. *)
 let generation_window trace = Trace.horizon trace *. 2. /. 3.
 
+let paper_workload trace =
+  {
+    (Workload.paper_spec ~n_nodes:(Trace.n_nodes trace)) with
+    Workload.t_end = generation_window trace;
+  }
+
 let random_message rng trace =
   let n = Trace.n_nodes trace in
   let src = Rng.int rng n in
@@ -288,7 +294,7 @@ let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
   @@ fun () ->
   T.begin_span telemetry "experiments.setup";
   let trace = input.trace in
-  let workload = Workload.paper_spec ~n_nodes:(Trace.n_nodes trace) in
+  let workload = paper_workload trace in
   let spec =
     { Psn_sim.Runner.workload; seeds = Psn_sim.Runner.default_seeds scale.seeds }
   in
@@ -455,7 +461,7 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
   | Ok () -> ());
   let trace = input.trace in
   let n_nodes = Trace.n_nodes trace in
-  let workload = Workload.paper_spec ~n_nodes in
+  let workload = paper_workload trace in
   let spec =
     { Psn_sim.Runner.workload; seeds = Psn_sim.Runner.default_seeds scale.seeds }
   in

@@ -44,6 +44,16 @@ type input = {
 val of_dataset : Psn_trace.Dataset.t -> input
 (** A preset's input: its generated trace, name, label and seed. *)
 
+val generation_window : Psn_trace.Trace.t -> float
+(** The first two thirds of the trace's horizon (the paper's "first 2
+    hours of 3"): messages are created in [\[0, generation_window)], so
+    each has the last third to be delivered. 7200 s on every preset. *)
+
+val paper_workload : Psn_trace.Trace.t -> Psn_sim.Workload.spec
+(** {!Psn_sim.Workload.paper_spec} over the trace's population, with
+    its window cut to {!generation_window}, so a trace shorter than
+    the presets' three hours still gets messages inside its horizon. *)
+
 (** {1 Enumeration studies} *)
 
 type message_result = {

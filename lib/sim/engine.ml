@@ -154,8 +154,9 @@ let ensure_nodes s n =
     Array.fill s.s_n_peers 0 s.s_nodes 0;
     s.s_clean <- true
   end;
-  (* Held lists never self-clean (copies persist to the end of a run),
-     so their lengths are reset on every acquisition. *)
+  (* Held lists never self-clean (live copies stay until the run ends,
+     and a drain that raised mid-exchange may leave duplicates), so
+     their lengths are reset on every acquisition. *)
   Array.fill s.s_held_len 0 s.s_nodes 0
 
 let ensure_msgs s n_msgs ~stride =
@@ -352,8 +353,11 @@ let execute ?ttl ?scratch:reuse ~telemetry ~schedule ~messages algorithm =
     let byte = (msg * stride) + (node lsr 3) in
     Bytes.set holders byte (Char.chr (Char.code (Bytes.get holders byte) lor (1 lsl (node land 7))))
   in
-  (* Held messages per node: append-only dense index (copies are never
-     dropped — infinite buffers). *)
+  (* Held messages per node, in the order the node acquired them. A
+     copy is never dropped while its message is live (infinite
+     buffers), but once the message is delivered or expired it is dead
+     for the rest of the run, and [exchange] drops it from the list it
+     walks. *)
   let held = s.s_held in
   let held_len = s.s_held_len in
   let push_held node id =
@@ -438,16 +442,29 @@ let execute ?ttl ?scratch:reuse ~telemetry ~schedule ~messages algorithm =
       end
   in
   let exchange a b time =
-    (* Offer everything [a] holds across the new contact with [b]. The
-       length is snapshotted: copies received during the exchange are
-       appended past it and offer themselves through their own cascade. *)
-    let snapshot = held.(a) in
+    (* Offer every live copy [a] holds across the new contact with [b],
+       and drop the dead ones: delivered messages, and expired ones
+       (drain time never goes backwards, so an expired message stays
+       expired). The pass is stable — a write pointer keeps the live
+       ids in their order — because offer order decides which copies
+       stateful and randomized algorithms make. Nothing is appended to
+       [a]'s list mid-walk: an offer's only cascade is of the offered
+       message, which [a] already holds. *)
+    let ids = held.(a) in
     let len = held_len.(a) in
+    let live = ref 0 in
     for i = 0 to len - 1 do
-      match message_of.(snapshot.(i)) with
-      | None -> ()
-      | Some m -> offer m ~holder:a ~peer:b time
-    done
+      let id = ids.(i) in
+      if not (is_delivered id) then
+        match message_of.(id) with
+        | Some m when not (expired m time) ->
+          ids.(!live) <- id;
+          incr live;
+          offer m ~holder:a ~peer:b time
+        | Some _ | None -> ()
+    done;
+    assert (held_len.(a) = len);
+    held_len.(a) <- !live
   in
   sort_creations s messages n_msgs;
   let ev_time = sch.ev_time and ev_code = sch.ev_code in

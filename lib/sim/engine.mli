@@ -7,8 +7,10 @@
     - transfers are instantaneous, so a node that acquires a copy
       mid-contact immediately re-offers it across all of its currently
       active contacts (cascading closure);
-    - buffers are infinite and copies are never dropped: forwarding
-      copies the message, the sender keeps its copy;
+    - buffers are infinite and a live message's copies are never
+      dropped: forwarding copies the message, the sender keeps its
+      copy (a delivered or expired message's copies are dead, and the
+      engine forgets them without changing any outcome);
     - minimal progress: any holder in contact with the destination
       delivers, whatever the algorithm says;
     - a message stops spreading once first delivered (only the first
@@ -41,8 +43,11 @@ type outcome = {
 type scratch
 (** Reusable per-run working memory: the run's message-creation events
     (structure of arrays — unboxed times plus message ids), the O(n²)
-    adjacency buffers, the holder bitsets and the per-message
-    bookkeeping. The contact events are not here: they belong to the
+    adjacency buffers, the holder bitsets, the per-node held lists and
+    the per-message bookkeeping. A held list keeps the node's live
+    copies in acquisition order; a dead copy (its message delivered,
+    or expired under [ttl]) is dropped, keeping the order of the rest,
+    at the holder's next exchange. The contact events are not here: they belong to the
     {!type-schedule}, sorted once and shared. Allocating this anew
     dominated short runs, so callers that simulate many seeds in a row
     (notably {!Runner} through [Parallel.map_env]) create one scratch

@@ -14,7 +14,8 @@ type spec = {
 }
 
 val paper_spec : n_nodes:int -> spec
-(** Rate 1/4 s over [\[0, 7200)]. *)
+(** Rate 1/4 s over [\[0, 7200)], the first two hours of a three-hour
+    trace. For another horizon, use [Experiments.paper_workload]. *)
 
 val validate : spec -> (unit, string) result
 

@@ -346,6 +346,101 @@ let test_ttl_validation () =
     (Invalid_argument "Engine.run: ttl must be positive (got -5)") (fun () ->
       ignore (Engine.run ~ttl:(-5.) ~trace ~messages:[] epidemic))
 
+(* --- Held lists --- *)
+
+(* Never forwards, and logs every copy it is asked about as (time,
+   holder, message id): the log is the order in which the engine
+   offered its held copies. The first question at [bomb_at] raises. *)
+let offer_log ?bomb_at log =
+  {
+    Algorithm.name = "Offers";
+    observe_contact = (fun ~time:_ ~a:_ ~b:_ -> ());
+    on_create = (fun _ -> ());
+    should_forward =
+      (fun { Algorithm.time; holder; message; _ } ->
+        if bomb_at = Some time then invalid_arg "mid-exchange";
+        log := (time, holder, message.Message.id) :: !log;
+        false);
+    on_forward = (fun _ -> ());
+  }
+
+(* Node 0 creates every message and is the only holder. Messages 0 and
+   2 are delivered at t = 10 and t = 20, interleaved with the live
+   messages 1 and 3, bound for node 5, which never meets node 0.
+   Message 4 is created at t = 25, after message 0 has been dropped. *)
+let held_fixture () =
+  let trace =
+    Trace.create ~n_nodes:6 ~horizon:100.
+      [
+        Contact.make ~a:0 ~b:1 ~t_start:10. ~t_end:11.;
+        Contact.make ~a:0 ~b:2 ~t_start:20. ~t_end:21.;
+        Contact.make ~a:0 ~b:3 ~t_start:30. ~t_end:31.;
+        Contact.make ~a:0 ~b:4 ~t_start:40. ~t_end:41.;
+      ]
+  in
+  let messages =
+    [
+      msg ~id:0 ~src:0 ~dst:1 0.;
+      msg ~id:1 ~src:0 ~dst:5 1.;
+      msg ~id:2 ~src:0 ~dst:2 2.;
+      msg ~id:3 ~src:0 ~dst:5 3.;
+      msg ~id:4 ~src:0 ~dst:5 25.;
+    ]
+  in
+  (trace, messages)
+
+let offers = Alcotest.(list (triple (float 0.) int int))
+
+let test_held_live_order () =
+  (* A delivered copy is handed over without a question, and from the
+     next contact on it is not walked at all; the live copies are asked
+     about in acquisition order, message 4 after them. A swap-remove
+     drop would move message 3 ahead of message 1 at t = 20. *)
+  let trace, messages = held_fixture () in
+  let log = ref [] in
+  let outcome = Engine.run ~trace ~messages (offer_log log) in
+  Alcotest.check offers "offer order"
+    [
+      (10., 0, 1); (10., 0, 2); (10., 0, 3);
+      (20., 0, 1); (20., 0, 3);
+      (30., 0, 1); (30., 0, 3); (30., 0, 4);
+      (40., 0, 1); (40., 0, 3); (40., 0, 4);
+    ]
+    (List.rev !log);
+  Alcotest.(check (list (option (float 0.)))) "deliveries"
+    [ Some 10.; None; Some 20.; None; None ]
+    (Array.to_list (Array.map (fun r -> r.Engine.delivered) outcome.Engine.records))
+
+let test_held_ttl_expiry () =
+  (* Under a 15 s lifetime message 0 (born at 0) is dead after t = 15
+     and message 1 (born at 10) after t = 25: each stops being offered,
+     and the contact with the destination at t = 40 delivers neither.
+     Without the lifetime both arrive there. *)
+  let trace =
+    Trace.create ~n_nodes:6 ~horizon:100.
+      [
+        Contact.make ~a:0 ~b:1 ~t_start:12. ~t_end:13.;
+        Contact.make ~a:0 ~b:2 ~t_start:20. ~t_end:21.;
+        Contact.make ~a:0 ~b:3 ~t_start:30. ~t_end:31.;
+        Contact.make ~a:0 ~b:5 ~t_start:40. ~t_end:41.;
+      ]
+  in
+  let messages = [ msg ~id:0 ~src:0 ~dst:5 0.; msg ~id:1 ~src:0 ~dst:5 10. ] in
+  let log = ref [] in
+  let cut = Engine.run ~ttl:15. ~trace ~messages (offer_log log) in
+  Alcotest.check offers "offers stop at expiry" [ (12., 0, 0); (12., 0, 1); (20., 0, 1) ]
+    (List.rev !log);
+  let delivered (o : Engine.outcome) =
+    Array.to_list (Array.map (fun r -> r.Engine.delivered) o.Engine.records)
+  in
+  Alcotest.(check (list (option (float 0.)))) "expired: nothing delivered" [ None; None ]
+    (delivered cut);
+  Alcotest.(check int) "expired: no transmission" 0 cut.Engine.copies;
+  let open_ended = Engine.run ~trace ~messages (offer_log (ref [])) in
+  Alcotest.(check (list (option (float 0.)))) "unbounded: both delivered" [ Some 40.; Some 40. ]
+    (delivered open_ended);
+  Alcotest.(check int) "unbounded: one transmission each" 2 open_ended.Engine.copies
+
 (* --- Metrics --- *)
 
 let fixture_outcome () =
@@ -847,7 +942,25 @@ let test_engine_scratch_dirty () =
      instead of replaying ghost contacts. *)
   let after = Engine.run ~scratch ~trace ~messages epidemic in
   let fresh = Engine.run ~trace ~messages epidemic in
-  Alcotest.(check bool) "dirty scratch rebuilt" true (Stdlib.compare after fresh = 0)
+  Alcotest.(check bool) "dirty scratch rebuilt" true (Stdlib.compare after fresh = 0);
+  (* A raise mid-exchange, right after a drop: at t = 20 node 0 has
+     just dropped the delivered message 0 when the question about
+     message 1 raises, leaving its held list half compacted. *)
+  let held_trace, held_messages = held_fixture () in
+  let bomb = offer_log ~bomb_at:20. (ref []) in
+  (match Engine.run ~scratch ~trace:held_trace ~messages:held_messages bomb with
+  | _ -> Alcotest.fail "mid-exchange bomb did not raise"
+  | exception Invalid_argument _ -> ());
+  let run_logged ?scratch () =
+    let log = ref [] in
+    let outcome = Engine.run ?scratch ~trace:held_trace ~messages:held_messages (offer_log log) in
+    (outcome, List.rev !log)
+  in
+  Alcotest.(check bool) "mid-exchange raise: reused = fresh" true
+    (Stdlib.compare (run_logged ~scratch ()) (run_logged ()) = 0);
+  let after = Engine.run ~scratch ~trace ~messages epidemic in
+  Alcotest.(check bool) "mid-exchange raise: larger run reused = fresh" true
+    (Stdlib.compare after fresh = 0)
 
 (* [Metrics.of_records] before its one-pass rewrite: delays through an
    option list, summed left to right, and a median by sorting and
@@ -1304,6 +1417,11 @@ let () =
           Alcotest.test_case "blocks late delivery" `Quick test_ttl_blocks_late_delivery;
           Alcotest.test_case "blocks relaying" `Quick test_ttl_blocks_relaying;
           Alcotest.test_case "validation" `Quick test_ttl_validation;
+        ] );
+      ( "held lists",
+        [
+          Alcotest.test_case "live copies keep their order" `Quick test_held_live_order;
+          Alcotest.test_case "expired copies stop being offered" `Quick test_held_ttl_expiry;
         ] );
       ( "metrics",
         [
