@@ -197,8 +197,10 @@ let checkpoint_arg =
   Arg.(value & opt (some int) None & info [ "checkpoint" ] ~docv:"N" ~doc)
 
 let resolve_checkpoint ~store = function
-  | Some c when c >= 0 -> c
-  | Some _ -> exit_usage "--checkpoint must be non-negative"
+  | Some c when c < 0 -> exit_usage "--checkpoint must be non-negative"
+  | Some c when c > 0 && Option.is_none store ->
+    exit_usage "--checkpoint requires --store DIR (checkpoints live in the store)"
+  | Some c -> c
   | None -> if Option.is_some store then 32 else 0
 
 let resume_flag =
@@ -209,15 +211,17 @@ let resume_flag =
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
-(* Sweep subcommands: catch the cooperative-interrupt exception raised
-   at checkpoint boundaries, flush telemetry (so --trace-out/--profile
-   still produce output) and exit with the conventional 128+signal. *)
-let run_sweep ~finish f =
+(* Sweep subcommands: catch the cooperative-interrupt exception every
+   sweep raises after a signal, flush telemetry (so --trace-out/--profile
+   still produce output) and exit with the conventional 128+signal.
+   Only a sweep with a store has anywhere to checkpoint to. *)
+let run_sweep ~checkpointed ~finish f =
   Core.Interrupt.install ();
   match f () with
   | () -> ()
   | exception Core.Interrupt.Interrupted n ->
-    Printf.eprintf "psn: interrupted by signal %d; completed work is checkpointed\n%!" n;
+    Printf.eprintf "psn: interrupted by signal %d%s\n%!" n
+      (if checkpointed then "; completed work is checkpointed" else "");
     finish ();
     exit (Core.Interrupt.exit_code n)
 
@@ -327,7 +331,7 @@ let sweep_term () =
       Option.iter Core.Failpoint.install failpoints;
       let ctx = telemetry_ctx ~command ~trace_out ~profile ~metrics in
       let store = resolve_store ~telemetry:ctx.sink store in
-      run_sweep
+      run_sweep ~checkpointed:(Option.is_some store)
         ~finish:(fun () -> ctx.finish ~store)
         (fun () ->
           or_die (fun () ->

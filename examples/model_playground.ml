@@ -21,7 +21,7 @@ let () =
   let mc = MC.average_runs p ~rng ~runs:40 ~sample_times:times in
   List.iter2
     (fun t sample ->
-      let density = H.density_at p ~k_max:500 ~t () in
+      let density = H.density_at p ~k_max:500 ~t in
       Format.printf "%6.1f %14.5f %14.5f %14.5f %12.4f@." t (H.mean_paths p ~t)
         (H.mean_of_density density) sample.MC.mean (H.frac_reached p ~t))
     times mc;

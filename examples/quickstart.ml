@@ -22,7 +22,7 @@ let () =
         { Core.Enumerate.k = 2000; max_hops = None; stop_at_total = Some 2000; exhaustive = false }
       snapshot ~src:5 ~dst:60 ~t_create:900.
   in
-  let summary = Core.Explosion.analyze result in
+  let summary = Core.Explosion.analyze ~n_explosion:2000 result in
   (match (summary.Core.Explosion.optimal_duration, summary.Core.Explosion.te) with
   | Some duration, Some te ->
     Format.printf "optimal path duration: %.0f s@." duration;

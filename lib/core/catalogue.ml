@@ -65,8 +65,8 @@ let context ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null) 
   }
 
 let scale_line { scale = s; _ } =
-  Printf.sprintf "scale: %d messages, k=%d, n*=%d, %d sim seeds" s.E.n_messages s.E.k
-    s.E.n_explosion s.E.seeds
+  Printf.sprintf "scale: %d messages, k=%d, n*=%d, %d sim seeds" s.E.n_messages s.E.k s.E.k
+    s.E.seeds
 
 (* Inputs and studies are shared by every section that reads the same
    trace. *)
@@ -178,11 +178,11 @@ let sections =
   ("model-mean", fun _ ->
       R.render_model_rows
         ~title:"M01: homogeneous model, mean paths per node E[S(t)] (N=200, lambda=0.5)"
-        (E.model_mean_table ~n:200 ~lambda:0.5 ~times:model_times ~runs:60 ()));
+        (E.model_mean_table ~n:200 ~lambda:0.5 ~times:model_times ~runs:60));
   ("model-variance", fun _ ->
       R.render_model_rows
         ~title:"M02: homogeneous model, second moment E[S(t)^2] (N=200, lambda=0.5)"
-        (E.model_second_moment_table ~n:200 ~lambda:0.5 ~times:model_times ~runs:60 ())
+        (E.model_second_moment_table ~n:200 ~lambda:0.5 ~times:model_times ~runs:60)
       ^ "\n\nM02b: generating-function blow-up times T_C(x)\n"
       ^ String.concat "\n"
           (List.map
@@ -445,6 +445,9 @@ let ids = List.map fst sections
 let render ctx id =
   match List.assoc_opt id sections with
   | Some render ->
+    (* A section that runs no sweep (fig12, abl-ttl, the model tables)
+       still notices a signal before it starts. *)
+    Psn_robust.Interrupt.check ();
     T.with_span ctx.telemetry ~args:[ ("id", T.Str id) ] "catalogue.section" (fun () ->
         render ctx)
   | None -> invalid_arg (Printf.sprintf "unknown section %s" id)

@@ -28,7 +28,7 @@
       let trace = Core.Dataset.(generate infocom06_am) in
       let snap = Core.Snapshot.of_trace trace in
       let result = Core.Enumerate.run snap ~src:0 ~dst:9 ~t_create:600. in
-      let summary = Core.Explosion.analyze result in
+      let summary = Core.Explosion.analyze ~n_explosion:2000 result in
       match summary.Core.Explosion.te with
       | Some te -> Format.printf "time to explosion: %.0f s@." te
       | None -> print_endline "no explosion within the trace"

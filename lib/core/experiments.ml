@@ -16,7 +16,6 @@ module Parallel = Psn_sim.Parallel
 module Runner = Psn_sim.Runner
 module Faults = Psn_sim.Faults
 module Failpoint = Psn_robust.Failpoint
-module Interrupt = Psn_robust.Interrupt
 module Store = Psn_store.Store
 module Store_key = Psn_store.Key
 module Store_memo = Psn_store.Memo
@@ -25,17 +24,16 @@ module T = Psn_telemetry.Telemetry
 type scale = {
   n_messages : int;
   k : int;
-  n_explosion : int;
   seeds : int;
   hop_paths_per_message : int;
   rng_seed : int64;
 }
 
 let default_scale =
-  { n_messages = 120; k = 2000; n_explosion = 2000; seeds = 3; hop_paths_per_message = 200; rng_seed = 17L }
+  { n_messages = 120; k = 2000; seeds = 3; hop_paths_per_message = 200; rng_seed = 17L }
 
 let paper_scale =
-  { n_messages = 1800; k = 2000; n_explosion = 2000; seeds = 10; hop_paths_per_message = 500; rng_seed = 17L }
+  { n_messages = 1800; k = 2000; seeds = 10; hop_paths_per_message = 500; rng_seed = 17L }
 
 type message_result = {
   src : Psn_trace.Node.id;
@@ -73,12 +71,11 @@ let random_message rng trace =
   in
   (src, dst, Rng.float rng (generation_window trace))
 
-(* Memoized enumeration fan-out, sharing the runner's generic
-   checkpoint/resume machinery ({!Runner.cached_map_result}): the store
-   is touched only from the calling domain — finds before, puts between
-   and after the parallel rounds — so a warm store changes wall time,
-   never results, and a killed sweep resumes from its last completed
-   round. *)
+(* The enumeration fan-out, through the runner's one sweep path
+   ({!Runner.cached_map_result}): memoized when a store is given —
+   touched only from the calling domain, finds before, puts between and
+   after the parallel rounds — so a warm store changes wall time, never
+   results, and a killed sweep resumes from its last completed round. *)
 let enumerate_specs ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null)
     ~trace ~config snap specs =
   let compute () sink (src, dst, t_create) =
@@ -86,21 +83,23 @@ let enumerate_specs ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sin
       ~args:[ ("src", T.Int src); ("dst", T.Int dst) ]
       (fun () -> Enumerate.run ~config snap ~src ~dst ~t_create)
   in
+  let cache =
+    Option.map
+      (fun st ->
+        let trace_hash = Store_key.trace_hash trace in
+        let key (src, dst, t_create) =
+          Store_key.enumeration ~trace_hash ~config ~src ~dst ~t_create
+        in
+        ( (fun s -> Store.find_enumeration st (key s)),
+          fun s v -> Store.put_enumeration st (key s) v ))
+      store
+  in
   T.count telemetry "paths.enumerations" (Array.length specs);
   Parallel.join_results
-    (match store with
-    | None ->
-      Parallel.map_result ?jobs ?chunk ~telemetry ?retries ~env:(fun () -> ()) compute specs
-    | Some st ->
-      let trace_hash = Store_key.trace_hash trace in
-      let key (src, dst, t_create) =
-        Store_key.enumeration ~trace_hash ~config ~src ~dst ~t_create
-      in
-      Runner.cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~prefix:"paths"
-        ~env:(fun () -> ())
-        ~find:(fun s -> Store.find_enumeration st (key s))
-        ~store:(fun s v -> Store.put_enumeration st (key s) v)
-        ~compute specs)
+    (Runner.cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~prefix:"paths"
+       ?cache
+       ~env:(fun () -> ())
+       ~compute specs)
 
 let enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
     ?(telemetry = T.Sink.null) input
@@ -113,7 +112,7 @@ let enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default
   let snap = Snapshot.of_trace trace in
   let rng = Rng.create ~seed:(Int64.logxor scale.rng_seed input.seed) () in
   let config =
-    { Enumerate.k = scale.k; max_hops = None; stop_at_total = Some scale.n_explosion; exhaustive = false }
+    { Enumerate.k = scale.k; max_hops = None; stop_at_total = Some scale.k; exhaustive = false }
   in
   (* All RNG draws happen here, sequentially and in message order; the
      per-pair enumerations below are then pure functions of their spec,
@@ -145,7 +144,7 @@ let enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default
           dst;
           t_create;
           pair = Classify.pair_type classify ~src ~dst;
-          summary = Explosion.analyze ~n_explosion:scale.n_explosion result;
+          summary = Explosion.analyze ~n_explosion:scale.k result;
           arrival_times = Enumerate.arrival_times result;
           sample_paths;
         })
@@ -154,8 +153,8 @@ let enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default
 
 (* ---- Figures 1-8, 11, 14, 15 ---- *)
 
-let fig1 ?(bin = 60.) inputs =
-  List.map (fun i -> (i.label, Trace.contact_time_series i.trace ~bin)) inputs
+let fig1 inputs =
+  List.map (fun i -> (i.label, Trace.contact_time_series i.trace ~bin:60.)) inputs
 
 let fig2 () =
   (* The paper's worked example: nodes 1-2 in contact during the first
@@ -200,11 +199,13 @@ let fig5 study =
       | _, _ -> None)
     study.messages
 
-let fig6 ?(te_min = 150.) ?(bin = 10.) ?(window = 300.) study =
+(* The paper's slow cases: TE of at least 150 s, arrivals binned at
+   10 s over the 300 s after T1. *)
+let fig6 study =
   let offsets =
     study.messages
     |> List.filter (fun m ->
-           match m.summary.Explosion.te with Some te -> te >= te_min | None -> false)
+           match m.summary.Explosion.te with Some te -> te >= 150. | None -> false)
     |> List.concat_map (fun m ->
            match Array.length m.arrival_times with
            | 0 -> []
@@ -212,7 +213,7 @@ let fig6 ?(te_min = 150.) ?(bin = 10.) ?(window = 300.) study =
              let t1 = m.arrival_times.(0) in
              Array.to_list m.arrival_times |> List.map (fun t -> t -. t1))
   in
-  Psn_stats.Histogram.create ~lo:0. ~hi:window ~bins:(int_of_float (window /. bin))
+  Psn_stats.Histogram.create ~lo:0. ~hi:300. ~bins:30
     (List.to_seq offsets)
 
 let fig7 inputs =
@@ -289,7 +290,7 @@ let entry_caches store ~trace ?faults ~workload entries =
     entries
 
 let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
-    ?(entries = Registry.paper_six) ?(telemetry = T.Sink.null) input =
+    ?(telemetry = T.Sink.null) input =
   T.with_span telemetry "experiments.sim_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   T.begin_span telemetry "experiments.setup";
@@ -298,6 +299,7 @@ let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
   let spec =
     { Psn_sim.Runner.workload; seeds = Psn_sim.Runner.default_seeds scale.seeds }
   in
+  let entries = Registry.paper_six in
   let stores = Option.map (fun st -> entry_caches st ~trace ~workload entries) store in
   T.end_span telemetry;
   (* One parallel batch over the whole algorithm × seed grid; a failed
@@ -394,7 +396,7 @@ type fig12_example = {
   algorithm_offsets : (string * float option) list;
 }
 
-let fig12 ?(entries = Registry.paper_six) study ~n_examples =
+let fig12 study ~n_examples =
   (* Interesting examples: delivered, with a spread-out explosion. *)
   let candidates =
     study.messages
@@ -420,7 +422,7 @@ let fig12 ?(entries = Registry.paper_six) study ~n_examples =
             in
             let delivered = outcome.Engine.records.(0).Engine.delivered in
             (e.Registry.label, Option.map (fun t -> t -. t1) delivered))
-          entries
+          Registry.paper_six
       in
       {
         ex_src = m.src;
@@ -453,7 +455,7 @@ let intensities = [ 0.; 0.5; 1.; 2. ]
 let path_messages = 30
 
 let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
-    ?(entries = Registry.paper_six) ?(base = default_fault_spec) ?(telemetry = T.Sink.null) input =
+    ?(base = default_fault_spec) ?(telemetry = T.Sink.null) input =
   T.with_span telemetry "experiments.resilience_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   (match Faults.validate base with
@@ -473,7 +475,7 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
     Array.init path_messages (fun _ -> random_message rng trace)
   in
   let config =
-    { Enumerate.k = scale.k; max_hops = None; stop_at_total = Some scale.n_explosion; exhaustive = false }
+    { Enumerate.k = scale.k; max_hops = None; stop_at_total = Some scale.k; exhaustive = false }
   in
   (* Both the pristine baseline and every degraded level go through the
      memoized fan-out; degraded levels key on the degraded trace's own
@@ -485,13 +487,10 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
   let baseline =
     T.with_span telemetry "experiments.baseline" (fun () -> enumerate_all trace)
   in
+  let entries = Registry.paper_six in
   let factories = List.map (fun (e : Registry.entry) -> e.Registry.factory) entries in
   List.map
     (fun intensity ->
-      (* Levels are the sweep's coarse safe points: everything a
-         completed level stored is durable, so an interrupt here
-         loses at most the level in flight. *)
-      Interrupt.check ();
       T.with_span telemetry "experiments.level"
         ~args:[ ("intensity", T.Float intensity) ]
       @@ fun () ->
@@ -534,21 +533,22 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
 
 type model_row = { m_time : float; m_closed : float; m_ode : float; m_mc : float }
 
-let model_table ~n ~lambda ~times ~runs ~k_max ~seed ~closed ~of_density ~of_sample =
+(* ODE truncated at k = 400, Monte Carlo from seed 5. *)
+let model_table ~n ~lambda ~times ~runs ~closed ~of_density ~of_sample =
   let p = { Psn_model.Homogeneous.n; lambda } in
-  let rng = Rng.create ~seed () in
+  let rng = Rng.create ~seed:5L () in
   let samples =
     Psn_model.Montecarlo.average_runs p ~rng ~runs ~sample_times:times
   in
   List.map2
     (fun t sample ->
-      let density = Psn_model.Homogeneous.density_at p ~k_max ~t () in
+      let density = Psn_model.Homogeneous.density_at p ~k_max:400 ~t in
       { m_time = t; m_closed = closed p t; m_ode = of_density density; m_mc = of_sample sample })
     (List.sort Float.compare times)
     samples
 
-let model_mean_table ~n ~lambda ~times ~runs ?(k_max = 400) ?(seed = 5L) () =
-  model_table ~n ~lambda ~times ~runs ~k_max ~seed
+let model_mean_table ~n ~lambda ~times ~runs =
+  model_table ~n ~lambda ~times ~runs
     ~closed:(fun p t -> Psn_model.Homogeneous.mean_paths p ~t)
     ~of_density:Psn_model.Homogeneous.mean_of_density
     ~of_sample:(fun s -> s.Psn_model.Montecarlo.mean)
@@ -558,8 +558,8 @@ let second_moment_of_density u =
   Array.iteri (fun k uk -> acc := !acc +. (float_of_int (k * k) *. uk)) u;
   !acc
 
-let model_second_moment_table ~n ~lambda ~times ~runs ?(k_max = 400) ?(seed = 5L) () =
-  model_table ~n ~lambda ~times ~runs ~k_max ~seed
+let model_second_moment_table ~n ~lambda ~times ~runs =
+  model_table ~n ~lambda ~times ~runs
     ~closed:(fun p t -> Psn_model.Homogeneous.second_moment p ~t)
     ~of_density:second_moment_of_density
     ~of_sample:(fun s -> s.Psn_model.Montecarlo.second_moment)
@@ -568,11 +568,9 @@ let model_blowup_table ~n ~lambda ~xs =
   let p = { Psn_model.Homogeneous.n; lambda } in
   List.map (fun x -> (x, Psn_model.Homogeneous.blowup_time p ~x)) xs
 
-let default_classes =
-  { Psn_model.Inhomogeneous.n = 98; frac_high = 0.5; rate_high = 0.03; rate_low = 0.005 }
-
-let model_quadrant_table ?(classes = default_classes) ?(messages = 60) ?(n_explosion = 2000)
-    ?(t_end = 10800.) ?(seed = 11L) () =
-  let rng = Rng.create ~seed () in
-  Psn_model.Inhomogeneous.simulate classes ~rng ~messages_per_quadrant:messages ~n_explosion
-    ~t_end
+let model_quadrant_table () =
+  let classes =
+    { Psn_model.Inhomogeneous.n = 98; frac_high = 0.5; rate_high = 0.03; rate_low = 0.005 }
+  in
+  Psn_model.Inhomogeneous.simulate classes ~rng:(Rng.create ~seed:11L ())
+    ~messages_per_quadrant:60 ~n_explosion:2000 ~t_end:10800.

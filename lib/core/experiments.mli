@@ -10,12 +10,16 @@
     The [scale] record trades fidelity for runtime: [default_scale]
     keeps every figure's shape while finishing in minutes;
     [paper_scale] matches the paper's parameters (1800 messages per
-    run, k = 2000, 10 seeds). *)
+    run, k = 2000, 10 seeds). Everything else is a constant of the
+    figure it belongs to, stated with its function: the simulation
+    studies always run the paper's six algorithms
+    ({!Psn_forwarding.Registry.paper_six}). *)
 
 type scale = {
   n_messages : int;  (** Messages sampled per enumeration study. *)
-  k : int;  (** Enumeration k (per-node retention and one-step stop). *)
-  n_explosion : int;  (** Paths defining "explosion" (paper: 2000). *)
+  k : int;
+      (** Enumeration k: per-node retention, one-step stop, and the
+          number of paths that defines "explosion" (paper: 2000). *)
   seeds : int;  (** Simulation runs to average (paper: 10). *)
   hop_paths_per_message : int;
       (** Near-optimal paths kept per message for Figs. 14-15. *)
@@ -88,15 +92,17 @@ val enumeration_study :
     any result. [retries] and [checkpoint] behave as in {!Psn_sim.Runner}:
     bounded deterministic retry of transient failures, and (with a
     store) checkpoint rounds so a killed study resumes from its last
-    completed round bit-identically. [telemetry] (default null)
+    completed round bit-identically. Like every sweep, it raises
+    {!Psn_robust.Interrupt.Interrupted} after a signal (see
+    {!Psn_sim.Runner.cached_map_result}). [telemetry] (default null)
     records phase spans ([setup] / per-pair ["paths.enumerate"] /
     [collect]) and enumeration cache counters; instrumentation never
     changes the study. *)
 
 (** {1 Figures 1-8, 11, 14, 15 (measurement side)} *)
 
-val fig1 : ?bin:float -> input list -> (string * Psn_stats.Timeseries.t) list
-(** Total contacts per time bin (default 60 s) for each input. *)
+val fig1 : input list -> (string * Psn_stats.Timeseries.t) list
+(** Total contacts per 60 s bin for each input. *)
 
 val fig2 : unit -> string
 (** The paper's three-node example space-time graph, rendered. *)
@@ -111,10 +117,10 @@ val fig4b : study list -> (string * Psn_stats.Cdf.t) list
 val fig5 : study -> (float * float) list
 (** (optimal duration, time to explosion) scatter points. *)
 
-val fig6 : ?te_min:float -> ?bin:float -> ?window:float -> study -> Psn_stats.Histogram.t
-(** Pooled histogram of path arrivals relative to T1, over messages
-    with TE at least [te_min] (default 150 s, the paper's slow cases);
-    [bin] defaults to 10 s, [window] to 300 s. *)
+val fig6 : study -> Psn_stats.Histogram.t
+(** Pooled histogram of path arrivals relative to T1, in 10 s bins
+    over the 300 s after T1, over the messages with TE of at least
+    150 s (the paper's slow cases). *)
 
 val fig7 : input list -> (string * Psn_stats.Cdf.t) list
 (** CDF of per-node contact counts for each input. *)
@@ -152,11 +158,10 @@ val sim_study :
   ?retries:int ->
   ?checkpoint:int ->
   ?scale:scale ->
-  ?entries:Psn_forwarding.Registry.entry list ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
   input ->
   sim_study
-(** Run each algorithm ([entries] defaults to the paper's six) over
+(** Run each of the paper's six algorithms over
     [scale.seeds] Poisson workloads (rate 1/4 s over the first two
     hours, as in §6.1). The algorithm × seed grid is one parallel batch
     over [jobs] domains, claimed in ranges of [chunk] tasks; output is
@@ -218,14 +223,10 @@ type fig12_example = {
           after T1 ([None] = not delivered). *)
 }
 
-val fig12 :
-  ?entries:Psn_forwarding.Registry.entry list ->
-  study ->
-  n_examples:int ->
-  fig12_example list
+val fig12 : study -> n_examples:int -> fig12_example list
 (** Pick delivered messages with a non-trivial explosion from the study
-    and replay each alone under every algorithm, locating the paths the
-    algorithms take within the arrival bursts. *)
+    and replay each alone under each of the paper's six algorithms,
+    locating the paths the algorithms take within the arrival bursts. *)
 
 (** {1 Resilience under fault injection} *)
 
@@ -255,15 +256,14 @@ val resilience_study :
   ?retries:int ->
   ?checkpoint:int ->
   ?scale:scale ->
-  ?entries:Psn_forwarding.Registry.entry list ->
   ?base:Psn_sim.Faults.spec ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
   input ->
   resilience_level list
 (** The robustness experiment the paper's thesis implies but never runs:
     sweep fault intensity ([0, 0.5, 1, 2] × [base], base defaulting to
-    {!default_fault_spec}) and, per level, (a) run every algorithm
-    ([entries] defaults to the paper's six) over [scale.seeds] workloads
+    {!default_fault_spec}) and, per level, (a) run each of the paper's six
+    algorithms over [scale.seeds] workloads
     with faults injected, and (b) re-enumerate 30 probe messages
     on the fault-degraded contact set, measuring
     how many of the exploded paths survive. Delivery should degrade
@@ -275,9 +275,9 @@ val resilience_study :
     and the probe enumerations (keyed on the degraded trace's content
     hash). [retries] / [checkpoint] thread through to the runner and
     enumeration fan-outs as in {!sim_study}; failed simulation cells
-    land in each level's [res_failed]. Level boundaries poll
+    land in each level's [res_failed]. Each fan-out polls
     {!Psn_robust.Interrupt.check}, so an interrupted sweep keeps every
-    completed level's stored results. [telemetry] (default null)
+    completed cell's stored result. [telemetry] (default null)
     records one ["experiments.level"] span per intensity (tagged with
     the multiplier) around the fanned runs and enumerations. *)
 
@@ -290,27 +290,20 @@ type model_row = {
   m_mc : float;  (** Monte-Carlo estimate. *)
 }
 
-val model_mean_table :
-  n:int -> lambda:float -> times:float list -> runs:int -> ?k_max:int -> ?seed:int64 -> unit ->
-  model_row list
-(** E\[S(t)\]: eq. (4) vs the truncated ODE vs Monte-Carlo. *)
+val model_mean_table : n:int -> lambda:float -> times:float list -> runs:int -> model_row list
+(** E\[S(t)\]: eq. (4) vs the ODE truncated at k = 400 vs Monte-Carlo
+    ([runs] runs from seed 5). *)
 
 val model_second_moment_table :
-  n:int -> lambda:float -> times:float list -> runs:int -> ?k_max:int -> ?seed:int64 -> unit ->
-  model_row list
-(** E\[S(t)²\]: closed form vs ODE (Σ k² u_k) vs Monte-Carlo. *)
+  n:int -> lambda:float -> times:float list -> runs:int -> model_row list
+(** E\[S(t)²\]: closed form vs ODE (Σ k² u_k, truncated at k = 400) vs
+    Monte-Carlo ([runs] runs from seed 5). *)
 
 val model_blowup_table : n:int -> lambda:float -> xs:float list -> (float * float option) list
 (** [(x, T_C(x))] — finite-time divergence of the generating function. *)
 
-val model_quadrant_table :
-  ?classes:Psn_model.Inhomogeneous.classes ->
-  ?messages:int ->
-  ?n_explosion:int ->
-  ?t_end:float ->
-  ?seed:int64 ->
-  unit ->
-  Psn_model.Inhomogeneous.quadrant_stats list
-(** The §5.2 quadrant hypotheses measured on the two-class model.
-    Defaults mirror the trace scale: N = 98, half high-rate at
-    0.03 contacts/s, half at 0.005 contacts/s, 3-hour window. *)
+val model_quadrant_table : unit -> Psn_model.Inhomogeneous.quadrant_stats list
+(** The §5.2 quadrant hypotheses measured on the two-class model at
+    the trace scale: N = 98, half high-rate at 0.03 contacts/s, half at
+    0.005 contacts/s, a 3-hour window, 60 messages per quadrant from
+    seed 11, explosion at 2000 paths. *)

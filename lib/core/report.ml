@@ -40,11 +40,11 @@ let render_timeseries ~title series =
   heading title
     (Table.render ~header:[ "dataset"; "contacts/min"; "cv"; "evolution (start -> end)" ] rows)
 
-let render_cdfs ~title ?(points = 11) cdfs =
+let render_cdfs ~title cdfs =
   match cdfs with
   | [] -> heading title "(no data)"
   | _ ->
-    let quantiles = List.init points (fun i -> float_of_int i /. float_of_int (points - 1)) in
+    let quantiles = List.init 11 (fun i -> float_of_int i /. 10.) in
     let header = "P[X<=x]" :: List.map (fun (label, _) -> label) cdfs in
     let rows =
       List.map
@@ -63,7 +63,7 @@ let quantile_row values =
     (fun q -> Printf.sprintf "%.0f" (Psn_stats.Quantile.quantile arr q))
     [ 0.; 0.25; 0.5; 0.75; 0.95; 1. ]
 
-let render_scatter ~title ?(max_rows = 12) points =
+let render_scatter ~title points =
   match points with
   | [] -> heading title "(no data)"
   | _ ->
@@ -75,7 +75,7 @@ let render_scatter ~title ?(max_rows = 12) points =
         [ "T1 duration (s)" :: quantile_row xs; "TE (s)" :: quantile_row ys ]
     in
     let sample =
-      List.filteri (fun i _ -> i < max_rows) points
+      List.filteri (fun i _ -> i < 12) points
       |> List.map (fun (x, y) -> Printf.sprintf "(%.0f, %.0f)" x y)
       |> String.concat " "
     in

@@ -8,11 +8,13 @@ val render_timeseries : title:string -> (string * Psn_stats.Timeseries.t) list -
 (** Fig. 1-style series: per dataset, summary of the binned counts plus
     a coarse sparkline of the evolution. *)
 
-val render_cdfs : title:string -> ?points:int -> (string * Psn_stats.Cdf.t) list -> string
-(** Tabulated CDFs side by side at shared quantile rows. *)
+val render_cdfs : title:string -> (string * Psn_stats.Cdf.t) list -> string
+(** Tabulated CDFs side by side at 11 shared quantile rows (0, 0.1, …,
+    1). *)
 
-val render_scatter : title:string -> ?max_rows:int -> (float * float) list -> string
-(** Two-column scatter summary: joint quantiles plus the first rows. *)
+val render_scatter : title:string -> (float * float) list -> string
+(** Two-column scatter summary: joint quantiles plus the first 12
+    points. *)
 
 val render_scatter_by_pair :
   title:string -> (Classify.pair_type * (float * float) list) list -> string

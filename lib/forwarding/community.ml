@@ -47,7 +47,7 @@ let compact labels =
   in
   (dense, !next)
 
-let detect ?(max_rounds = 50) ?(min_weight = 0.) trace =
+let detect ?(min_weight = 0.) trace =
   let n = Trace.n_nodes trace in
   let adj = adjacency trace ~min_weight in
   let labels = Array.init n Fun.id in
@@ -56,7 +56,7 @@ let detect ?(max_rounds = 50) ?(min_weight = 0.) trace =
      label so runs are deterministic. *)
   let changed = ref true in
   let rounds = ref 0 in
-  while !changed && !rounds < max_rounds do
+  while !changed && !rounds < 50 do
     changed := false;
     incr rounds;
     for v = 0 to n - 1 do

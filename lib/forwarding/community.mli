@@ -11,11 +11,11 @@
 type t
 (** A community assignment over a trace's population. *)
 
-val detect : ?max_rounds:int -> ?min_weight:float -> Psn_trace.Trace.t -> t
-(** Run label propagation on the contact-duration graph. Edges lighter
-    than [min_weight] seconds of total contact (default 0) are ignored.
-    [max_rounds] bounds the sweeps (default 50; propagation almost
-    always stabilises within a handful). *)
+val detect : ?min_weight:float -> Psn_trace.Trace.t -> t
+(** Run label propagation on the contact-duration graph, for at most
+    50 sweeps (propagation almost always stabilises within a handful).
+    Edges lighter than [min_weight] seconds of total contact
+    (default 0) are ignored. *)
 
 val n_communities : t -> int
 (** Community labels are arbitrary but dense in [\[0, n_communities)];

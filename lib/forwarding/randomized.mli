@@ -3,7 +3,7 @@
     Epidemic (p = 1); used in ablations of how much replication path
     explosion actually requires. *)
 
-val factory : ?p:float -> ?seed:int64 -> unit -> Psn_sim.Algorithm.factory
+val factory : ?p:float -> unit -> Psn_sim.Algorithm.factory
 (** [p] defaults to 0.5. Raises [Invalid_argument] if [p] is outside
     [\[0, 1\]]. Each constructed run draws from its own stream seeded
-    by [seed] (default 7). *)
+    with 7. *)

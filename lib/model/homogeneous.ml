@@ -24,10 +24,10 @@ let derivative lambda ~t:_ ~y =
       done;
       lambda *. (!conv -. y.(k)))
 
-let density_at p ~k_max ~t ?(steps = 1000) () =
+let density_at p ~k_max ~t =
   check p;
   let y0 = initial_density p ~k_max in
-  if Float.equal t 0. then y0 else Ode.rk4 ~f:(derivative p.lambda) ~y0 ~t0:0. ~t1:t ~steps
+  if Float.equal t 0. then y0 else Ode.rk4 ~f:(derivative p.lambda) ~y0 ~t0:0. ~t1:t ~steps:1000
 
 
 let mean_of_density u =

@@ -28,11 +28,10 @@ val initial_density : params -> k_max:int -> float array
     [k_max + 1]: a single source holding one path, i.e.
     [u_1(0) = 1/N], [u_0(0) = 1 - 1/N]. *)
 
-val density_at : params -> k_max:int -> t:float -> ?steps:int -> unit -> float array
+val density_at : params -> k_max:int -> t:float -> float array
 (** Numeric solution [u(t)] of the ODE truncated at [k_max] (mass
     flowing beyond [k_max] leaks out, so [Σ u] drops below 1 once the
-    truncation binds).
-    [steps] defaults to 1000 RK4 steps. *)
+    truncation binds), integrated in 1000 RK4 steps. *)
 
 val mean_of_density : float array -> float
 (** [Σ_k k u_k] — mean paths per node under a density vector. *)

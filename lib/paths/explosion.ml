@@ -7,7 +7,7 @@ type summary = {
   te : float option;
 }
 
-let analyze ?(n_explosion = 2000) (result : Enumerate.result) =
+let analyze ~n_explosion (result : Enumerate.result) =
   if n_explosion <= 0 then invalid_arg "Explosion.analyze: n_explosion must be positive";
   let arrivals = result.Enumerate.arrivals in
   let n = Array.length arrivals in

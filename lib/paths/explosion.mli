@@ -15,8 +15,8 @@ type summary = {
   te : float option;  (** [Tn - T1] — Fig. 4b's variable. *)
 }
 
-val analyze : ?n_explosion:int -> Enumerate.result -> summary
-(** [n_explosion] defaults to the paper's 2000. Raises
+val analyze : n_explosion:int -> Enumerate.result -> summary
+(** [n_explosion] is the n of [Tn] (the paper's is 2000). Raises
     [Invalid_argument] if it is not positive. *)
 
 type survival = {

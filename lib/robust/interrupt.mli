@@ -2,9 +2,10 @@
 
     A killed sweep should checkpoint what it finished and flush its
     telemetry, not vanish mid-write. {!install} replaces the default
-    die-now behaviour with a flag; checkpoint loops poll {!check} at
-    their safe points (between checkpoint rounds, between experiment
-    levels) and raise {!Interrupted}, which the CLI catches to flush
+    die-now behaviour with a flag; the sweep fan-out polls {!check} at
+    its safe points (on entry, at the start of every task, after each
+    checkpoint round is stored; the figure catalogue also before each
+    section) and raises {!Interrupted}, which the CLI catches to flush
     [--trace]/[--profile] output and exit with [128 + signal]
     (130 for SIGINT, 143 for SIGTERM — distinct from the 0/1/2/3
     result codes).

@@ -41,23 +41,27 @@ let run_seed ~schedule ~scratch ?(telemetry = T.Sink.null) ~trace ~spec ~factory
     outcome.Engine.records;
   outcome
 
-(* Memoized fan-out over an arbitrary task grid. The cache is only
-   touched from the calling domain — all lookups happen before the
-   parallel sections and all stores between and after them — so cache
-   backends need no synchronisation and results are stitched back by
-   index, keeping the bit-identical [jobs] contract regardless of the
-   hit pattern.
+(* Memoized fan-out over an arbitrary task grid, and the only one:
+   every sweep goes through here, with or without a [cache]. The cache
+   is only touched from the calling domain — all lookups happen before
+   the parallel sections and all stores between and after them — so
+   cache backends need no synchronisation and results are stitched
+   back by index, keeping the bit-identical [jobs] contract regardless
+   of the hit pattern. Without a cache every task is a miss and
+   nothing is looked up, stored or counted.
 
    [checkpoint] splits the misses into rounds of that many tasks, in
    index order; each round's successes go to the cache before the next
    round starts, so a killed sweep resumes from its last completed
    round (the store replays the stored outcomes as hits). Because
    every task is a pure function of its inputs, the round size changes
-   durability and wall time only, never a result. Between rounds is
-   also the sweep's cooperative interruption point
-   ({!Psn_robust.Interrupt.check}): a SIGINT arrives, the current
-   round still lands in the cache, and [Interrupted] propagates with
-   everything completed so far already durable.
+   durability and wall time only, never a result.
+
+   {!Psn_robust.Interrupt.check} is polled on entry (so an all-hit
+   sweep still notices a signal), at the start of every task and after
+   each round's successes are stored. A task started after a signal
+   fails fast with [Interrupted]; the tasks that completed still reach
+   the cache, and then [Interrupted] propagates.
 
    [compute] receives the worker environment and the sink of the
    domain that runs it, so buffers are reused across the domain's
@@ -65,41 +69,49 @@ let run_seed ~schedule ~scratch ?(telemetry = T.Sink.null) ~trace ~spec ~factory
    track. [prepare] runs once, in this domain, before the first miss,
    and never on an all-hit sweep. *)
 let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0)
-    ?(checkpoint = 0) ?(prefix = "runner") ?(prepare = ignore) ~env ~find ~store ~compute tasks =
+    ?(checkpoint = 0) ?(prefix = "runner") ?(prepare = ignore) ?cache ~env ~compute tasks =
   if checkpoint < 0 then invalid_arg "Runner.cached_map_result: checkpoint must be >= 0";
+  Interrupt.check ();
   let n = Array.length tasks in
-  let cached =
-    T.with_span telemetry (prefix ^ ".cache_lookup") (fun () -> Array.map find tasks)
+  let results =
+    match cache with
+    | None -> Array.make n None
+    | Some (find, _) ->
+      T.with_span telemetry (prefix ^ ".cache_lookup") (fun () -> Array.map find tasks)
+      |> Array.map (Option.map Result.ok)
   in
   let miss_idx =
-    Array.of_list
-      (List.filter
-         (fun i -> Option.is_none cached.(i))
-         (List.init n (fun i -> i)))
+    Array.of_list (List.filter (fun i -> Option.is_none results.(i)) (List.init n Fun.id))
   in
   let m = Array.length miss_idx in
-  T.count telemetry (prefix ^ ".cache_hits") (n - m);
-  T.count telemetry (prefix ^ ".cache_misses") m;
-  let results = Array.map (Option.map Result.ok) cached in
+  if Option.is_some cache then begin
+    T.count telemetry (prefix ^ ".cache_hits") (n - m);
+    T.count telemetry (prefix ^ ".cache_misses") m
+  end;
   if m > 0 then prepare ();
   let round_size = if checkpoint = 0 then Int.max 1 m else checkpoint in
   let pos = ref 0 in
   while !pos < m do
-    Interrupt.check ();
     let stop = Int.min m (!pos + round_size) in
     let batch = Array.sub miss_idx !pos (stop - !pos) in
     let computed =
       Parallel.map_result ?jobs ?chunk ~telemetry ~retries ~env
-        (fun e sink i -> compute e sink tasks.(i))
+        (fun e sink i ->
+          Interrupt.check ();
+          compute e sink tasks.(i))
         batch
     in
-    T.with_span telemetry (prefix ^ ".cache_store") (fun () ->
-        Array.iteri
-          (fun j i ->
-            match computed.(j) with Ok v -> store tasks.(i) v | Error (_ : exn) -> ())
-          batch);
+    Option.iter
+      (fun (_, store) ->
+        T.with_span telemetry (prefix ^ ".cache_store") (fun () ->
+            Array.iteri
+              (fun j i ->
+                match computed.(j) with Ok v -> store tasks.(i) v | Error (_ : exn) -> ())
+              batch))
+      cache;
     Array.iteri (fun j i -> results.(i) <- Some computed.(j)) batch;
     if checkpoint > 0 then T.count telemetry (prefix ^ ".checkpoints") 1;
+    Interrupt.check ();
     pos := stop
   done;
   Array.map (function Some r -> r | None -> assert false) results
@@ -110,13 +122,15 @@ let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
   let seeds = Array.of_list spec.seeds in
   let facs = Array.of_list factories in
   let n_seeds = Array.length seeds in
-  let caches =
-    match stores with
-    | None -> None
-    | Some cs ->
-      if List.length cs <> Array.length facs then
-        invalid_arg "Runner: need one cache per factory";
-      Some (Array.of_list cs)
+  let cache =
+    Option.map
+      (fun cs ->
+        if List.length cs <> Array.length facs then
+          invalid_arg "Runner: need one cache per factory";
+        let caches = Array.of_list cs in
+        ( (fun (fi, seed) -> caches.(fi).Cache.find ~seed),
+          fun (fi, seed) outcome -> caches.(fi).Cache.store ~seed outcome ))
+      stores
   in
   (* Flatten the (factory, seed) grid into one task array so a few slow
      algorithms cannot leave workers idle, then regroup by factory. *)
@@ -129,23 +143,14 @@ let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
      runs (workers only read the forced value), and never on a sweep
      whose every task hits the cache: a warm replay sorts nothing. *)
   let schedule = lazy (Engine.prepare ?faults ~telemetry trace) in
-  let force () = ignore (Lazy.force schedule : Engine.schedule) in
-  let compute scratch sink (fi, seed) =
-    run_seed ~schedule:(Lazy.force schedule) ~scratch ~telemetry:sink ~trace ~spec
-      ~factory:facs.(fi) seed
-  in
   let cells =
-    match caches with
-    | None ->
-      force ();
-      Parallel.map_result ?jobs ?chunk ~telemetry ?retries ~env:Engine.scratch compute
-        tasks
-    | Some caches ->
-      cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~prepare:force
-        ~env:Engine.scratch
-        ~find:(fun (fi, seed) -> caches.(fi).Cache.find ~seed)
-        ~store:(fun (fi, seed) outcome -> caches.(fi).Cache.store ~seed outcome)
-        ~compute tasks
+    cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint
+      ~prepare:(fun () -> ignore (Lazy.force schedule : Engine.schedule))
+      ?cache ~env:Engine.scratch
+      ~compute:(fun scratch sink (fi, seed) ->
+        run_seed ~schedule:(Lazy.force schedule) ~scratch ~telemetry:sink ~trace ~spec
+          ~factory:facs.(fi) seed)
+      tasks
   in
   List.init (Array.length facs) (fun fi ->
       List.init n_seeds (fun si -> cells.((fi * n_seeds) + si)))

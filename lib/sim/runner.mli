@@ -6,10 +6,10 @@
     {!outcomes_many} returns the per-seed outcomes of every algorithm
     and re-raises a failed run, {!outcomes_many_result} isolates each
     failed run in its own cell, and {!cached_map_result} is the
-    memoized, checkpointed fan-out both are built on, exported for other
-    sweep layers. Callers that want one algorithm pass a one-element
-    factory list; callers that want the paper's averaged numbers pool
-    the outcomes with {!Metrics.pool}.
+    memoized, checkpointed, interruptible fan-out both are built on,
+    exported for other sweep layers. Callers that want one algorithm
+    pass a one-element factory list; callers that want the paper's
+    averaged numbers pool the outcomes with {!Metrics.pool}.
 
     The grid entry points take [?jobs] and [?chunk]: the whole
     algorithm × seed grid is fanned across that many domains through
@@ -43,17 +43,19 @@
 
     They also take [?retries] and [?checkpoint] (both default 0).
     [retries] bounds deterministic in-place re-attempts of transient
-    task failures ({!Parallel.map_result}). [checkpoint] (with caches)
-    splits the misses into rounds of that many tasks: each round's
-    successes reach the cache before the next round runs, so a sweep
-    killed mid-way resumes from its last completed round — re-running
-    the same command with the same store replays the stored outcomes as
-    hits, and because every task is a pure function of its inputs the
-    resumed output is bit-identical to an uninterrupted run. Between
-    rounds the runner also polls {!Psn_robust.Interrupt.check}, making
-    round boundaries the cooperative SIGINT/SIGTERM points of a sweep.
-    Without caches, [checkpoint] is ignored (there is nowhere durable to
-    put a round).
+    task failures ({!Parallel.map_result}). [checkpoint] splits the
+    misses into rounds of that many tasks: each round's successes reach
+    the cache before the next round runs, so a sweep killed mid-way
+    resumes from its last completed round — re-running the same command
+    with the same store replays the stored outcomes as hits, and
+    because every task is a pure function of its inputs the resumed
+    output is bit-identical to an uninterrupted run.
+
+    Every sweep, cached or not, polls {!Psn_robust.Interrupt.check}
+    on entry, at the start of every task and after each round's
+    successes are stored. After a SIGINT/SIGTERM the tasks not yet
+    started fail fast, the completed ones still reach the cache, and
+    the sweep raises [Interrupted].
 
     They also take [?telemetry] (default null): each run records a
     ["runner.task"] span tagged with its seed (on the track of the
@@ -120,10 +122,11 @@ val outcomes_many_result :
 
 (** {1 Generic memoized fan-out}
 
-    The machinery under the entry points above, exported so other
+    The one fan-out under the entry points above, exported so other
     sweep layers (the experiment module's enumeration fan-out) share
-    one checkpoint/resume and failure-isolation implementation. Wrap it
-    in {!Parallel.join_results} for the raising view. *)
+    one checkpoint/resume, interrupt and failure-isolation
+    implementation. Wrap it in {!Parallel.join_results} for the
+    raising view. *)
 
 val cached_map_result :
   ?jobs:int ->
@@ -133,25 +136,31 @@ val cached_map_result :
   ?checkpoint:int ->
   ?prefix:string ->
   ?prepare:(unit -> unit) ->
+  ?cache:('a -> 'b option) * ('a -> 'b -> unit) ->
   env:(unit -> 'env) ->
-  find:('a -> 'b option) ->
-  store:('a -> 'b -> unit) ->
   compute:('env -> Psn_telemetry.Telemetry.sink -> 'a -> 'b) ->
   'a array ->
   ('b, exn) result array
-(** Memoized {!Parallel.map_result} over an arbitrary task grid:
-    [find] every task up front (from the calling domain), compute the
-    misses in parallel in rounds of [checkpoint] tasks (default 0 =
-    one round), [store] each round's successes before the next round
-    and poll {!Psn_robust.Interrupt.check} between rounds. Results are
-    stitched back by task index, so the output is bit-identical for
-    every [jobs] × [chunk] × [checkpoint] combination and any hit
-    pattern. [prefix] (default ["runner"]) names the telemetry
-    instrumentation: [<prefix>.cache_lookup] / [<prefix>.cache_store]
-    spans, [<prefix>.cache_hits] / [<prefix>.cache_misses] /
-    [<prefix>.checkpoints] counters. [prepare] (default no-op) runs
-    once, from the calling domain, after the lookups and before the
-    first miss is computed — never when every task hits — so shared
-    read-only state the misses need (the runner's {!Engine.schedule})
-    is built only when some task needs it. Raises [Invalid_argument]
-    when [checkpoint < 0]. *)
+(** {!Parallel.map_result} over an arbitrary task grid, memoized when
+    [cache] = [(find, store)] is given: [find] every task up front
+    (from the calling domain), compute the misses in parallel in
+    rounds of [checkpoint] tasks (default 0 = one round), and [store]
+    each round's successes before the next round. Without [cache]
+    every task is a miss, and nothing is looked up, stored or counted.
+    Results are stitched back by task index, so the output is
+    bit-identical for every [jobs] × [chunk] × [checkpoint] combination
+    and any hit pattern.
+
+    {!Psn_robust.Interrupt.check} is polled on entry, at the start of
+    every task and after each round's store; a pending signal raises
+    [Interrupted] once the round's completed cells are stored.
+
+    [prefix] (default ["runner"]) names the cache instrumentation:
+    [<prefix>.cache_lookup] / [<prefix>.cache_store] spans and
+    [<prefix>.cache_hits] / [<prefix>.cache_misses] counters, recorded
+    only with a [cache], and the [<prefix>.checkpoints] round counter.
+    [prepare] (default no-op) runs once, from the calling domain, after
+    the lookups and before the first miss is computed — never when
+    every task hits — so shared read-only state the misses need (the
+    runner's {!Engine.schedule}) is built only when some task needs it.
+    Raises [Invalid_argument] when [checkpoint < 0]. *)

@@ -28,8 +28,9 @@ let parse_line ~lineno header contacts stationary seen line =
     match String.split_on_char ' ' line |> List.filter (fun s -> not (String.equal s "")) with
     | [ "#"; "psn-trace"; "v1" ] -> Ok ()
     | [ "#"; "nodes"; n ] -> (
+      (* A population no array can hold is as bad as a negative one. *)
       match int_of_string_opt n with
-      | Some n when n > 0 ->
+      | Some n when n > 0 && n <= Sys.max_array_length ->
         header.nodes <- Some n;
         Ok ()
       | _ -> fail "bad node count %S" n)

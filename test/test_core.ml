@@ -156,7 +156,7 @@ let test_hops_skips_zero_rate_sources () =
 (* --- Experiments (tiny scale, one dataset) --- *)
 
 let tiny_scale =
-  { E.default_scale with E.n_messages = 8; k = 200; n_explosion = 200; seeds = 1; hop_paths_per_message = 20 }
+  { E.default_scale with E.n_messages = 8; k = 200; seeds = 1; hop_paths_per_message = 20 }
 
 let conext_am = lazy (E.of_dataset Core.Dataset.conext06_am)
 let study = lazy (E.enumeration_study ~scale:tiny_scale (Lazy.force conext_am))
@@ -299,8 +299,15 @@ let test_fig12_examples () =
       | [] -> Alcotest.fail "no arrivals in example")
     examples
 
+(* The M03 model at a test-sized load: the catalogue's classes, two
+   messages per quadrant over a shorter window. *)
+let small_quadrants () =
+  Core.Inhomogeneous.simulate
+    { Core.Inhomogeneous.n = 98; frac_high = 0.5; rate_high = 0.03; rate_low = 0.005 }
+    ~rng:(Core.Rng.create ~seed:11L ()) ~messages_per_quadrant:2 ~n_explosion:50 ~t_end:2000.
+
 let test_model_tables () =
-  let rows = E.model_mean_table ~n:100 ~lambda:0.5 ~times:[ 0.; 2. ] ~runs:10 () in
+  let rows = E.model_mean_table ~n:100 ~lambda:0.5 ~times:[ 0.; 2. ] ~runs:10 in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   let r0 = List.hd rows in
   Alcotest.check feps "closed at 0" 0.01 r0.E.m_closed;
@@ -309,7 +316,7 @@ let test_model_tables () =
   (match blow with
   | [ (_, None); (_, Some tc) ] -> Alcotest.(check bool) "tc positive" true (tc > 0.)
   | _ -> Alcotest.fail "unexpected blowup table");
-  let quads = E.model_quadrant_table ~messages:2 ~n_explosion:50 ~t_end:2000. () in
+  let quads = small_quadrants () in
   Alcotest.(check int) "four quadrants" 4 (List.length quads)
 
 (* --- Report rendering --- *)
@@ -337,7 +344,7 @@ let test_report_empty_inputs () =
     (contains (R.render_fig12 ~title:"t" []) "(no suitable example messages)")
 
 let test_report_quadrants_render () =
-  let quads = E.model_quadrant_table ~messages:2 ~n_explosion:50 ~t_end:2000. () in
+  let quads = small_quadrants () in
   let text = R.render_quadrants ~title:"quads" quads in
   List.iter
     (fun name -> Alcotest.(check bool) name true (contains text name))

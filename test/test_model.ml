@@ -57,7 +57,7 @@ let test_mean_growth_is_exponential () =
 let test_ode_matches_closed_mean () =
   List.iter
     (fun t ->
-      let u = H.density_at params ~k_max:400 ~t () in
+      let u = H.density_at params ~k_max:400 ~t in
       let ode_mean = H.mean_of_density u in
       let closed = H.mean_paths params ~t in
       Alcotest.(check (float 1e-4))
@@ -79,7 +79,7 @@ let test_generating_function_vs_ode () =
   (* phi_x(t) from the closed form should match sum x^k u_k(t) from the
      ODE for x < 1. *)
   let t = 6. in
-  let u = H.density_at params ~k_max:400 ~t () in
+  let u = H.density_at params ~k_max:400 ~t in
   let x = 0.7 in
   let direct = Array.to_list u |> List.mapi (fun k uk -> (x ** float_of_int k) *. uk) in
   let sum = List.fold_left ( +. ) 0. direct in
@@ -123,7 +123,7 @@ let test_frac_reached_closed_form () =
   Alcotest.(check bool) "monotone" true (early < late);
   Alcotest.(check bool) "saturates" true (late > 0.99);
   (* cross-check against the ODE's u_0 *)
-  let u = H.density_at params ~k_max:400 ~t:6. () in
+  let u = H.density_at params ~k_max:400 ~t:6. in
   Alcotest.(check (float 1e-6)) "matches ODE u0" (1. -. u.(0)) (H.frac_reached params ~t:6.)
 
 let test_first_path_time () =

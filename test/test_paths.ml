@@ -458,7 +458,7 @@ let test_explosion_empty () =
     Trace.create ~n_nodes:3 ~horizon:60. [ Contact.make ~a:0 ~b:1 ~t_start:11. ~t_end:19. ]
   in
   let result = run (Snapshot.of_trace t) ~src:0 ~dst:2 ~t_create:0. in
-  let s = Explosion.analyze result in
+  let s = Explosion.analyze ~n_explosion:2000 result in
   Alcotest.(check bool) "not delivered" false s.Explosion.delivered;
   Alcotest.(check int) "no arrivals" 0 s.Explosion.n_arrivals
 

@@ -181,6 +181,117 @@ let test_interrupt_signal () =
       Interrupt.uninstall ();
       Interrupt.check ())
 
+(* --- interrupts through the sweep layer --- *)
+
+(* Send SIGINT to this process and spin until the handler has set the
+   flag (OCaml runs handlers at safe points; bounded so a regression
+   fails rather than hangs). *)
+let await_sigint () =
+  Unix.kill (Unix.getpid ()) Sys.sigint;
+  let rec wait n =
+    if n = 0 then Alcotest.fail "signal never delivered"
+    else
+      match Interrupt.check () with
+      | () ->
+        ignore (Sys.opaque_identity (ref n));
+        wait (n - 1)
+      | exception Interrupt.Interrupted _ -> ()
+  in
+  wait 1_000_000
+
+let expect_sigint what f =
+  match f () with
+  | _ -> Alcotest.failf "%s finished despite a pending SIGINT" what
+  | exception Interrupt.Interrupted n -> Alcotest.(check int) what 2 n
+
+let sweep_trace =
+  Core.Trace.create ~n_nodes:6 ~horizon:900.
+    (List.init 40 (fun i ->
+         let a = i mod 6 and b = (i + 1 + (i / 6)) mod 6 in
+         let a, b = if a = b then (a, (b + 1) mod 6) else (a, b) in
+         let t = float_of_int (i * 20) in
+         Core.Contact.make ~a ~b ~t_start:t ~t_end:(t +. 15.)))
+
+let sweep_spec seeds =
+  {
+    Core.Runner.workload = Core.Experiments.paper_workload sweep_trace;
+    seeds = Core.Runner.default_seeds seeds;
+  }
+
+let epidemic_entry =
+  match Core.Registry.find "epidemic" with Ok e -> e | Error msg -> Alcotest.fail msg
+
+let fresh_store =
+  let counter = ref 0 in
+  fun () ->
+    incr counter;
+    let dir = Printf.sprintf "store_test_interrupt_%d" !counter in
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    Core.Store.open_ ~dir ()
+
+let caches st seeds =
+  Core.Experiments.entry_caches st ~trace:sweep_trace ~workload:(sweep_spec seeds).workload
+    [ epidemic_entry ]
+
+(* A pending signal stops a sweep on entry, with or without a store,
+   and even when every cell would be a cache hit. *)
+let test_sweeps_notice_pending_signal () =
+  let st = fresh_store () in
+  let stored () =
+    Core.Runner.outcomes_many ~jobs:1 ~stores:(caches st 3) ~trace:sweep_trace
+      ~spec:(sweep_spec 3) ~factories:[ epidemic_entry.factory ] ()
+  in
+  ignore (stored ());
+  Interrupt.install ();
+  Fun.protect ~finally:Interrupt.uninstall (fun () ->
+      await_sigint ();
+      expect_sigint "storeless outcomes_many" (fun () ->
+          Core.Runner.outcomes_many ~jobs:1 ~trace:sweep_trace ~spec:(sweep_spec 3)
+            ~factories:[ epidemic_entry.factory ] ());
+      expect_sigint "storeless enumeration_study" (fun () ->
+          Core.Experiments.enumeration_study ~jobs:1
+            ~scale:{ Core.Experiments.default_scale with n_messages = 2; k = 10 }
+            { Core.Experiments.name = "test"; label = "test"; seed = 0L; trace = sweep_trace });
+      expect_sigint "all-hit stored sweep" stored)
+
+(* A signal mid-sweep: the task running when it lands completes, the
+   rest of its checkpoint round fails fast, the completed cells are
+   stored, and a rerun replays them bit-identically. *)
+let test_interrupted_sweep_keeps_completed_cells () =
+  let st = fresh_store () in
+  let seeds = 12 in
+  let calls = ref 0 in
+  let signalling trace =
+    incr calls;
+    (* The sixth run (seed index 5, second round of four) is in flight
+       when the signal lands. *)
+    if !calls = 6 then await_sigint ();
+    epidemic_entry.factory trace
+  in
+  Interrupt.install ();
+  Fun.protect ~finally:Interrupt.uninstall (fun () ->
+      expect_sigint "checkpointed sweep" (fun () ->
+          Core.Runner.outcomes_many ~jobs:1 ~chunk:1 ~checkpoint:4 ~stores:(caches st seeds)
+            ~trace:sweep_trace ~spec:(sweep_spec seeds) ~factories:[ signalling ] ()));
+  Alcotest.(check int) "runs started before the signal" 6 !calls;
+  Alcotest.(check int) "completed cells stored" 6 (Core.Store.stats st).entries;
+  let counted = ref 0 in
+  let counting trace =
+    incr counted;
+    epidemic_entry.factory trace
+  in
+  let encode grid = List.map (List.map Core.Store_codec.encode_outcome) grid in
+  let resumed =
+    Core.Runner.outcomes_many ~jobs:2 ~checkpoint:4 ~stores:(caches st seeds)
+      ~trace:sweep_trace ~spec:(sweep_spec seeds) ~factories:[ counting ] ()
+  in
+  Alcotest.(check int) "only the missing cells recomputed" 6 !counted;
+  let fresh =
+    Core.Runner.outcomes_many ~jobs:1 ~trace:sweep_trace ~spec:(sweep_spec seeds)
+      ~factories:[ epidemic_entry.factory ] ()
+  in
+  Alcotest.(check (list (list string))) "resumed = uninterrupted" (encode fresh) (encode resumed)
+
 let () =
   Alcotest.run "psn_robust"
     [
@@ -205,5 +316,9 @@ let () =
           Alcotest.test_case "exit codes" `Quick test_interrupt_exit_codes;
           Alcotest.test_case "check without install" `Quick test_interrupt_check_noop;
           Alcotest.test_case "signal sets the flag" `Quick test_interrupt_signal;
+          Alcotest.test_case "sweeps notice a pending signal" `Quick
+            test_sweeps_notice_pending_signal;
+          Alcotest.test_case "interrupted sweep keeps completed cells" `Quick
+            test_interrupted_sweep_keeps_completed_cells;
         ] );
     ]

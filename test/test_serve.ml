@@ -503,6 +503,59 @@ let test_server_restore_rejects_garbage () =
 
 (* --- properties --- *)
 
+(* One malformed protocol line, for a live session over nodes 0-5
+   whose last contact started at 1050 s. Every line carries at least
+   one bad token, so none can be a valid request. *)
+let malformed_line =
+  let open QCheck2.Gen in
+  let id = map string_of_int (int_range 0 5) in
+  let time = map (Printf.sprintf "%g") (float_range 1100. 1250.) in
+  let bad_id =
+    oneofl
+      [ "-1"; "-42"; "x"; "1.5"; "1e3"; "nan"; "6"; "4611686018427387903"; "99999999999999999999" ]
+  in
+  let bad_time = oneofl [ "x"; "nan"; "inf"; "-inf"; "1e400"; "-1e400"; "0x"; "1..2"; "--3" ] in
+  let fields = String.concat "," in
+  let contact_with bad_at field =
+    map2
+      (fun (a, b, (s, e)) bad ->
+        fields (List.mapi (fun i f -> if i = bad_at then bad else f) [ a; b; s; e ]))
+      (triple id id (pair time time))
+      field
+  in
+  let verb = oneofl [ "inject"; "paths"; "delivery" ] in
+  oneof
+    [
+      (* wrong arity *)
+      map2
+        (fun n ts -> fields (List.filteri (fun i _ -> i < n) ts))
+        (oneofl [ 2; 3; 5; 6 ])
+        (list_repeat 6 time);
+      (* a bad endpoint or time in an otherwise well-formed contact *)
+      contact_with 0 bad_id;
+      contact_with 1 bad_id;
+      contact_with 2 bad_time;
+      contact_with 3 bad_time;
+      (* stray commas *)
+      map2
+        (fun at line ->
+          String.sub line 0 at ^ "," ^ String.sub line at (String.length line - at))
+        (oneofl [ 0; 1; 2 ])
+        (map2 (fun a t -> fields [ a; "5"; t; "1300" ]) id time);
+      map (fun t -> "advance " ^ t ^ ",") time;
+      map2 (fun v a -> Printf.sprintf "%s %s,%s 1200" v a a) verb id;
+      (* word requests with a bad value or the wrong shape *)
+      map (fun t -> "advance " ^ t) bad_time;
+      map2 (fun a b -> Printf.sprintf "advance %s %s" a b) time time;
+      return "advance";
+      map2 (fun v a -> Printf.sprintf "%s %s" v a) verb id;
+      map3 (fun v a b -> Printf.sprintf "%s %s %s" v a b) verb id bad_id;
+      map3 (fun v a b -> Printf.sprintf "%s %s %s" v b a) verb id bad_id;
+      map3 (fun v a t -> Printf.sprintf "%s %s 5 %s" v a t) verb (oneofl [ "0"; "1" ]) bad_time;
+      map2 (fun v a -> Printf.sprintf "%s 0 1 1200 %s" v a) verb id;
+      oneofl [ "route now"; "stats 1"; "metrics x"; "snapshot now"; "quit 0"; "frobnicate 1 2" ];
+    ]
+
 let qcheck_tests =
   let open QCheck2 in
   (* Random monotone contact streams: bounded node ids, nondecreasing
@@ -605,6 +658,31 @@ let qcheck_tests =
         let baseline = run_script (default_server ~jobs:1 ()) session_script in
         let chunked = run_script (default_server ~jobs ~chunk ()) session_script in
         List.equal String.equal baseline chunked);
+    (* Hostile input: every malformed line — wrong arity, non-numeric
+       or non-finite fields, negative or huge ids, stray commas — gets
+       an [err] reply on a live session and never raises. The
+       population is pinned, so a huge endpoint is unknown rather than
+       a new node. *)
+    Test.make ~count:200 ~name:"malformed lines get err replies, never raise"
+      ~print:(String.concat "\n")
+      (Gen.list_size (Gen.int_range 1 20) malformed_line)
+      (fun lines ->
+        let s =
+          ok_or_fail "Serve.create"
+            (Serve.create
+               {
+                 Serve.default_config with
+                 Serve.window = { Serve.default_config.Serve.window with Window.nodes = 6 };
+               })
+        in
+        ignore (run_script s session_script);
+        List.for_all
+          (fun line ->
+            match Serve.handle s line with
+            | `Reply (first :: _) -> String.starts_with ~prefix:"err " first
+            | `Reply [] | `Stop _ -> Test.fail_reportf "no err reply to %S" line
+            | exception e -> Test.fail_reportf "%S raised %s" line (Printexc.to_string e))
+          lines);
     (* Snapshot/restore at a random cut point: the resumed transcript's
        tail equals the uninterrupted run's. *)
     Test.make ~count:40 ~name:"snapshot cut anywhere resumes byte-identically"

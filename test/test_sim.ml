@@ -843,11 +843,11 @@ let test_parallel_permanent_not_retried () =
 
 (* Checkpointed rounds reach the cache even when a later task fails
    permanently, and a rerun against the same cache (the CLI's --resume)
-   reproduces the uninterrupted output bit for bit. *)
+   reproduces the uninterrupted output bit for bit. Without a cache the
+   same fan-out computes every task and stores nothing. *)
 let test_cached_map_checkpoint_resume () =
   let tbl = Hashtbl.create 32 in
-  let find i = Hashtbl.find_opt tbl i in
-  let store i v = Hashtbl.replace tbl i v in
+  let cache = ((fun i -> Hashtbl.find_opt tbl i), fun i v -> Hashtbl.replace tbl i v) in
   let input = Array.init 20 (fun i -> i) in
   let compute _env _sink i =
     Failpoint.trigger ~key:(Int64.of_int i) "test.task";
@@ -858,9 +858,9 @@ let test_cached_map_checkpoint_resume () =
   let prepare () = incr prepared in
   with_failpoints "test.task=error@13" (fun () ->
       let cells =
-        Core.Runner.cached_map_result ~jobs:1 ~chunk:1 ~checkpoint:4 ~prepare
+        Core.Runner.cached_map_result ~jobs:1 ~chunk:1 ~checkpoint:4 ~prepare ~cache
           ~env:(fun () -> ())
-          ~find ~store ~compute input
+          ~compute input
       in
       let failed =
         Array.to_list cells |> List.filter (function Error _ -> true | Ok _ -> false)
@@ -870,20 +870,28 @@ let test_cached_map_checkpoint_resume () =
   Alcotest.(check int) "prepared once over five rounds" 1 !prepared;
   let resumed =
     Core.Parallel.join_results
-      (Core.Runner.cached_map_result ~jobs:4 ~chunk:3 ~checkpoint:4 ~prepare
+      (Core.Runner.cached_map_result ~jobs:4 ~chunk:3 ~checkpoint:4 ~prepare ~cache
          ~env:(fun () -> ())
-         ~find ~store ~compute input)
+         ~compute input)
   in
   Alcotest.(check (array int)) "resumed = uninterrupted" (Array.map (fun i -> i * i) input)
     resumed;
   Alcotest.(check int) "prepared for the one miss" 2 !prepared;
-  ignore (Core.Runner.cached_map_result ~prepare ~env:(fun () -> ()) ~find ~store ~compute input);
+  ignore (Core.Runner.cached_map_result ~prepare ~cache ~env:(fun () -> ()) ~compute input);
   Alcotest.(check int) "an all-hit call prepares nothing" 2 !prepared;
+  let uncached =
+    Core.Parallel.join_results
+      (Core.Runner.cached_map_result ~jobs:2 ~checkpoint:4 ~prepare ~env:(fun () -> ())
+         ~compute input)
+  in
+  Alcotest.(check (array int)) "cache-less = cached" resumed uncached;
+  Alcotest.(check int) "a cache-less call prepares once" 3 !prepared;
+  Alcotest.(check int) "a cache-less call stores nothing" 20 (Hashtbl.length tbl);
   Alcotest.check_raises "negative checkpoint rejected"
     (Invalid_argument "Runner.cached_map_result: checkpoint must be >= 0") (fun () ->
       ignore
-        (Core.Runner.cached_map_result ~checkpoint:(-1) ~env:(fun () -> ()) ~find ~store
-           ~compute input))
+        (Core.Runner.cached_map_result ~checkpoint:(-1) ~cache ~env:(fun () -> ()) ~compute
+           input))
 
 (* Scratch reuse is invisible: the same scratch replayed across runs —
    different seeds, a smaller population, even straight after an

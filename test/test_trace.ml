@@ -181,6 +181,9 @@ let test_io_hardening () =
   reject ~contains:"first seen at line 4" (header ^ "0,1,1,2\n1,0,1,2\n");
   reject ~contains:"line 4: node id 7" (header ^ "0,7,1,2\n");
   reject ~contains:"stationary node 9" (header ^ "# kind 9 stationary\n0,1,1,2\n");
+  (* a population no array can hold is a bad count, not an exception *)
+  reject ~contains:"line 2: bad node count"
+    "# psn-trace v1\n# nodes 4611686018427387903\n# horizon 100\n0,1,1,2\n";
   (* distinct intervals of the same pair are not duplicates *)
   match Trace_io.of_string (header ^ "0,1,1,2\n0,1,3,4\n") with
   | Ok t -> Alcotest.(check int) "same-pair reuse ok" 2 (Trace.n_contacts t)
@@ -487,6 +490,36 @@ let qcheck_tests =
       in
       Some (String.concat "\n" lines)
   in
+  (* Up to four single-byte edits (0 replace, 1 insert, 2 delete) at
+     any offset, drawn from bytes that matter to the parsers. *)
+  let mutations =
+    let alphabet = List.of_seq (String.to_seq "0123456789,.-+ \n\t#eEnaix\000\255") in
+    Gen.(list_size (int_range 1 4) (triple (int_range 0 2) nat (oneofl alphabet)))
+  in
+  let mutate text ops =
+    List.fold_left
+      (fun text (op, at, byte) ->
+        let len = String.length text in
+        let at = if len = 0 then 0 else at mod len in
+        let keep_to i = String.sub text 0 i and keep_from i = String.sub text i (len - i) in
+        match op with
+        | 0 when len > 0 -> keep_to at ^ String.make 1 byte ^ keep_from (at + 1)
+        | 2 when len > 0 -> keep_to at ^ keep_from (at + 1)
+        | _ -> keep_to at ^ String.make 1 byte ^ keep_from at)
+      text ops
+  in
+  let whitespace_text t =
+    Trace.contacts t |> Array.to_list
+    |> List.map (fun (c : Contact.t) ->
+           Printf.sprintf "%d %d %.6g %.6g" c.Contact.a c.Contact.b c.Contact.t_start
+             c.Contact.t_end)
+    |> String.concat "\n"
+  in
+  let never_raises parse text =
+    match parse text with
+    | Ok (_ : Trace.t) | Error (_ : string) -> true
+    | exception e -> Test.fail_reportf "raised %s on %S" (Printexc.to_string e) text
+  in
   [
     Test.make ~name:"trace io round-trips" ~count:100 gen_trace (fun t ->
         match Trace_io.of_string (Trace_io.to_string t) with
@@ -506,6 +539,16 @@ let qcheck_tests =
         | None -> true (* no contacts to corrupt *)
         | Some text -> (
           match Trace_io.of_string text with Error _ -> true | Ok _ -> false));
+    (* Hostile input: a valid file with a few bytes replaced, inserted
+       or deleted parses or fails with an [Error], in both formats, and
+       never raises. *)
+    Test.make ~name:"byte-mutated native files never raise" ~count:300
+      Gen.(pair gen_trace mutations)
+      (fun (t, ops) -> never_raises Trace_io.of_string (mutate (Trace_io.to_string t) ops));
+    Test.make ~name:"byte-mutated whitespace files never raise" ~count:300
+      Gen.(pair gen_trace mutations)
+      (fun (t, ops) ->
+        never_raises (Trace_io.of_whitespace ?n_nodes:None) (mutate (whitespace_text t) ops));
     Test.make ~name:"generated traces validate" ~count:100 gen_trace (fun t ->
         match Trace.validate t with Ok () -> true | Error _ -> false);
     Test.make ~name:"restrict preserves validity" ~count:100 gen_trace (fun t ->
