@@ -80,16 +80,9 @@ let trace_arg =
 let resolve_trace dataset seed trace_path =
   match trace_path with
   | Some path -> (
-    (* native format first, then the CRAWDAD-style whitespace format *)
     match Core.Trace_io.load ~path with
     | Ok trace -> (Printf.sprintf "file:%s" path, trace)
-    | Error native_err -> (
-      match Core.Trace_io.load_whitespace path with
-      | Ok trace -> (Printf.sprintf "file:%s" path, trace)
-      | Error ws_err ->
-        exit_err
-          (Printf.sprintf "cannot load %s:\n  as psn-trace: %s\n  as whitespace trace: %s" path
-             native_err ws_err)))
+    | Error msg -> exit_err (Printf.sprintf "cannot load %s: %s" path msg))
   | None -> (dataset.Core.Dataset.label, Core.Dataset.generate ?seed dataset)
 
 let jobs_arg =

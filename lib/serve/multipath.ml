@@ -1,3 +1,4 @@
+module Node = Psn_trace.Node
 module Path = Psn_paths.Path
 
 type config = { alpha : float; explore : int }
@@ -117,8 +118,8 @@ let diversity_cap = 32
 
 (* Sorted deduplicated int lists stand in for sets; Jaccard by linear
    merge. Nodes are the visited ids; edges are directed hops packed as
-   a * 2^28 + b (populations are bounded by the engine's 2^28 id
-   limit, so packing cannot collide). *)
+   a * 2^id_bits + b (every id is below [Node.id_bound], checked where
+   contacts are parsed, so packing cannot collide). *)
 let jaccard xs ys =
   let rec walk inter union xs ys =
     match (xs, ys) with
@@ -135,7 +136,7 @@ let node_set p = List.sort_uniq Int.compare (Path.nodes p)
 
 let edge_set p =
   let rec hops acc = function
-    | a :: (b :: _ as rest) -> hops (((a lsl 28) lor b) :: acc) rest
+    | a :: (b :: _ as rest) -> hops (((a lsl Node.id_bits) lor b) :: acc) rest
     | _ -> acc
   in
   List.sort_uniq Int.compare (hops [] (Path.nodes p))

@@ -28,21 +28,10 @@ let float_field what s =
   | Some _ -> Error (Printf.sprintf "%s must be finite" what)
   | None -> Error (Printf.sprintf "%s is not a number: %S" what s)
 
-(* The Trace_io contact line: a,b,t_start,t_end. Contact.make's own
-   validation (self-contact, inverted interval) is folded into the
-   parse error rather than escaping as an exception. *)
+(* A native Trace_io contact line, read by the same field parser. *)
 let parse_contact line =
   match String.split_on_char ',' line with
-  | [ a; b; s; e ] -> (
-    match (int_field "endpoint" a, int_field "endpoint" b) with
-    | Error reason, _ | _, Error reason -> Error reason
-    | Ok a, Ok b -> (
-      match (float_field "contact start" s, float_field "contact end" e) with
-      | Error reason, _ | _, Error reason -> Error reason
-      | Ok t_start, Ok t_end -> (
-        match Contact.make ~a ~b ~t_start ~t_end with
-        | c -> Ok (Contact c)
-        | exception Invalid_argument reason -> Error reason)))
+  | [ a; b; s; e ] -> Result.map (fun c -> Contact c) (Contact.of_fields a b s e)
   | _ -> Error (Printf.sprintf "malformed contact line (want a,b,t_start,t_end): %S" line)
 
 let endpoints_query what make src dst t_opt =

@@ -1,9 +1,11 @@
 (** The serve line protocol: parsing only, no I/O.
 
-    One request per line. Contact events use the exact
-    {!Psn_trace.Trace_io} contact syntax ([a,b,t_start,t_end] —
-    commas), so a trace file body can be piped straight in; everything
-    else is space-separated words:
+    One request per line. A contact event is a native
+    {!Psn_trace.Trace_io} contact line ([a,b,t_start,t_end] — commas),
+    read by the same {!Psn_trace.Contact.of_fields}, so the two syntaxes
+    and their bounds (ids below {!Psn_trace.Node.id_bound}) agree by
+    construction and a trace file body can be piped straight in;
+    everything else is space-separated words:
 
     {v
     a,b,t_start,t_end           ingest one contact event

@@ -726,12 +726,9 @@ let restore ?telemetry ?store ?session ?jobs ?chunk text =
       List.init n_contacts (fun _ ->
           match words (next ()) with
           | [ a; b; s; e ] -> (
-            match
-              Contact.make ~a:(int_of "endpoint" a) ~b:(int_of "endpoint" b)
-                ~t_start:(float_of "contact start" s) ~t_end:(float_of "contact end" e)
-            with
-            | c -> c
-            | exception Invalid_argument reason -> sfail "bad contact: %s" reason)
+            match Contact.of_fields a b s e with
+            | Ok c -> c
+            | Error reason -> sfail "bad contact: %s" reason)
           | _ -> sfail "bad contact line")
     in
     let n_live =

@@ -93,8 +93,10 @@ let create cfg =
     Error (Printf.sprintf "window span must be positive and finite (got %g)" cfg.span)
   else if cfg.budget < 1 then
     Error (Printf.sprintf "window budget must be at least 1 (got %d)" cfg.budget)
-  else if cfg.nodes < 0 then
-    Error (Printf.sprintf "population must be non-negative (got %d)" cfg.nodes)
+  else if cfg.nodes < 0 || cfg.nodes > Psn_trace.Node.id_bound then
+    Error
+      (Printf.sprintf "population must be between 0 and %d (got %d)" Psn_trace.Node.id_bound
+         cfg.nodes)
   else
     Ok
       {

@@ -49,7 +49,7 @@ type t
 
 val create : config -> (t, string) result
 (** An empty window at stream time 0. [Error] on a non-positive span
-    or budget, or a negative [nodes]. *)
+    or budget, or [nodes] outside [\[0, Node.id_bound\]]. *)
 
 val config : t -> config
 val now : t -> float

@@ -1,5 +1,6 @@
 module Trace = Psn_trace.Trace
 module Contact = Psn_trace.Contact
+module Node = Psn_trace.Node
 module T = Psn_telemetry.Telemetry
 
 type record = { message : Message.t; delivered : float option; copies : int; attempts : int }
@@ -23,9 +24,10 @@ type outcome = { algorithm : string; records : record array; copies : int; attem
    kind break on endpoint ids / message id, exactly the lexicographic
    order of the packed code, so comparing (time, code) pairs reproduces
    the documented drain order and both sorts are fully deterministic. *)
-let id_bits = 28
+let id_bits = Node.id_bits
 
-let id_mask = (1 lsl id_bits) - 1
+(* [Node.id_bound] is 2^id_bits - 1: all ones across one id field. *)
+let id_mask = Node.id_bound
 
 let code_end a b = (a lsl id_bits) lor b
 
@@ -225,7 +227,7 @@ let[@psn.hot] sort_events time code len =
    [run_on] over a fresh one. *)
 let prepare ?faults ?(telemetry = T.Sink.null) trace =
   T.with_span telemetry "engine.prepare" @@ fun () ->
-  if Trace.n_nodes trace > id_mask then
+  if Trace.n_nodes trace > Node.id_bound then
     invalid_arg "Engine.prepare: population exceeds the 2^28 packed-event limit";
   (* The degraded contact set is what every run replays: downtime and
      jitter faults never touch the event loop itself, so the schedule

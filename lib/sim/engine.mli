@@ -81,7 +81,8 @@ val prepare :
 (** Degrade the trace by [faults] (when given) and sort its contact
     events, once. Raises [Invalid_argument] when the plan's population
     differs from the trace's ({!Faults.degrade}) or the population
-    exceeds the 2{^28} packed-event limit. Records an
+    exceeds {!Psn_trace.Node.id_bound} (2{^28} - 1, the packed-event
+    limit). Records an
     ["engine.prepare"] span on [telemetry] (default null). *)
 
 val run_on :

@@ -9,7 +9,9 @@ let delta t = t.delta
 let n_steps t = t.n_steps
 
 let step_of_time t time =
-  if time < 0. || time >= t.horizon then invalid_arg "Timegrid.step_of_time: outside horizon";
+  (* written so that NaN, which fails every comparison, is outside *)
+  if not (time >= 0. && time < t.horizon) then
+    invalid_arg "Timegrid.step_of_time: outside horizon";
   (* time in [cΔ - Δ, cΔ)  <=>  c = floor(time/Δ) + 1 *)
   Int.min t.n_steps (int_of_float (Float.floor (time /. t.delta)) + 1)
 

@@ -17,6 +17,14 @@ val make : a:Node.id -> b:Node.id -> t_start:float -> t_end:float -> t
     [Invalid_argument] if [a = b], either id is negative, times are not
     finite, or [t_end <= t_start]. *)
 
+val of_fields : string -> string -> string -> string -> (t, string) result
+(** [of_fields a b t_start t_end] reads one contact record from its four
+    field strings: the only parser of contacts, shared by both trace
+    formats, the serve protocol and serve snapshots. Both ids must be
+    integers in [\[0, Node.id_bound)] and differ; both times must be
+    finite numbers with [t_start < t_end]. [Error] names the first
+    offence in that order; it never raises. *)
+
 val duration : t -> float
 (** [t_end -. t_start]. *)
 

@@ -325,6 +325,25 @@ let test_server_errors_are_replies () =
   Alcotest.(check bool) "parse failure" true (is_err "gibberish");
   Alcotest.(check bool) "snapshot without store" true (is_err "snapshot")
 
+(* An id the engine cannot run is a parse error, not a new node: each
+   such contact gets one [err] reply, and the session answers every
+   later query as if the line had never been sent. *)
+let test_server_hostile_ids () =
+  let head = [ "0,1,0,50"; "1,2,10,60" ] in
+  let tail = [ "advance 100"; "paths 0 1 30"; "delivery 0 1 30"; "stats" ] in
+  let clean = run_script (default_server ()) (head @ tail) in
+  List.iter
+    (fun id ->
+      let line = Printf.sprintf "0,%d,20,70" id in
+      let s = default_server () in
+      let before = run_script s head in
+      (match Serve.handle s line with
+      | `Reply [ r ] when String.starts_with ~prefix:"err " r -> ()
+      | `Reply r | `Stop r ->
+        Alcotest.failf "%s: want one err reply, got [%s]" line (String.concat "; " r));
+      Alcotest.(check (list string)) line clean (before @ run_script s tail))
+    [ max_int; max_int - 1 ]
+
 (* A delivery probe prepares one schedule (degrade, then sort) per
    query, inside the scope whose [Invalid_argument] comes back as an
    [err delivery] reply. The server compiles its fault plan from the
@@ -505,14 +524,30 @@ let test_server_restore_rejects_garbage () =
 
 (* One malformed protocol line, for a live session over nodes 0-5
    whose last contact started at 1050 s. Every line carries at least
-   one bad token, so none can be a valid request. *)
-let malformed_line =
+   one bad token, so none can be a valid request. With the population
+   [pinned] to 6 nodes, id 6 is bad; a growing population would admit
+   it as a new node. Ids from the node-id bound up are bad either way.
+   In-range ids stay small: engine memory is quadratic in the
+   population. *)
+let malformed_line ~pinned =
   let open QCheck2.Gen in
   let id = map string_of_int (int_range 0 5) in
   let time = map (Printf.sprintf "%g") (float_range 1100. 1250.) in
   let bad_id =
     oneofl
-      [ "-1"; "-42"; "x"; "1.5"; "1e3"; "nan"; "6"; "4611686018427387903"; "99999999999999999999" ]
+      ([
+         "-1";
+         "-42";
+         "x";
+         "1.5";
+         "1e3";
+         "nan";
+         string_of_int Psn_trace.Node.id_bound;
+         string_of_int (max_int - 1);
+         string_of_int max_int;
+         "99999999999999999999";
+       ]
+      @ if pinned then [ "6" ] else [])
   in
   let bad_time = oneofl [ "x"; "nan"; "inf"; "-inf"; "1e400"; "-1e400"; "0x"; "1..2"; "--3" ] in
   let fields = String.concat "," in
@@ -660,19 +695,25 @@ let qcheck_tests =
         List.equal String.equal baseline chunked);
     (* Hostile input: every malformed line — wrong arity, non-numeric
        or non-finite fields, negative or huge ids, stray commas — gets
-       an [err] reply on a live session and never raises. The
-       population is pinned, so a huge endpoint is unknown rather than
-       a new node. *)
+       an [err] reply on a live session and never raises, whether the
+       population is pinned or grows with the stream. *)
     Test.make ~count:200 ~name:"malformed lines get err replies, never raise"
-      ~print:(String.concat "\n")
-      (Gen.list_size (Gen.int_range 1 20) malformed_line)
-      (fun lines ->
+      ~print:(fun (pinned, lines) ->
+        String.concat "\n" ((if pinned then "nodes=6" else "nodes=0") :: lines))
+      Gen.(
+        bool >>= fun pinned ->
+        pair (return pinned) (list_size (int_range 1 20) (malformed_line ~pinned)))
+      (fun (pinned, lines) ->
         let s =
           ok_or_fail "Serve.create"
             (Serve.create
                {
                  Serve.default_config with
-                 Serve.window = { Serve.default_config.Serve.window with Window.nodes = 6 };
+                 Serve.window =
+                   {
+                     Serve.default_config.Serve.window with
+                     Window.nodes = (if pinned then 6 else 0);
+                   };
                })
         in
         ignore (run_script s session_script);
@@ -735,6 +776,8 @@ let () =
           Alcotest.test_case "oracle strategies rejected" `Quick test_server_oracle_rejected;
           Alcotest.test_case "unknown strategy rejected" `Quick test_server_unknown_strategy;
           Alcotest.test_case "errors come back as replies" `Quick test_server_errors_are_replies;
+          Alcotest.test_case "ids beyond the node-id bound are errors" `Quick
+            test_server_hostile_ids;
           Alcotest.test_case "prepare errors" `Quick test_server_prepare_errors;
           Alcotest.test_case "expiry observed" `Quick test_server_expiry_observed;
           Alcotest.test_case "evict then reinsert" `Quick test_server_evict_then_reinsert;

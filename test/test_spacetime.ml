@@ -37,6 +37,9 @@ let test_grid_errors () =
   Alcotest.check_raises "time past horizon"
     (Invalid_argument "Timegrid.step_of_time: outside horizon") (fun () ->
       ignore (Timegrid.step_of_time g 100.));
+  Alcotest.check_raises "nan time"
+    (Invalid_argument "Timegrid.step_of_time: outside horizon") (fun () ->
+      ignore (Timegrid.step_of_time g Float.nan));
   Alcotest.check_raises "step 0" (Invalid_argument "Timegrid: step out of range") (fun () ->
       ignore (Timegrid.time_of_step g 0))
 

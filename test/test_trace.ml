@@ -136,7 +136,7 @@ let test_io_file_roundtrip () =
 
 let test_io_whitespace_format () =
   let text = "# crawdad-ish\n1 2 10.0 20.0\n2 3 30 45\n\n1 3 50.5 60.25\n" in
-  match Trace_io.of_whitespace text with
+  match Trace_io.of_string text with
   | Error msg -> Alcotest.failf "parse: %s" msg
   | Ok t ->
     (* 1-based ids shift down; times re-based to the earliest start *)
@@ -146,15 +146,26 @@ let test_io_whitespace_format () =
     let c = (Trace.contacts t).(0) in
     Alcotest.(check int) "first a" 0 c.Contact.a;
     Alcotest.check feps "re-based start" 0. c.Contact.t_start;
-    (match Trace.validate t with Ok () -> () | Error m -> Alcotest.failf "invalid: %s" m)
+    (match Trace.validate t with Ok () -> () | Error m -> Alcotest.failf "invalid: %s" m);
+    (* further columns are ignored, commas in them included: only the
+       first field decides the format *)
+    match Trace_io.of_string "1 2 10 20 x,y\n2 3 30 45 7\n" with
+    | Ok t -> Alcotest.(check int) "extra columns ignored" 2 (Trace.n_contacts t)
+    | Error msg -> Alcotest.failf "extra columns: %s" msg
 
 let test_io_whitespace_errors () =
-  (match Trace_io.of_whitespace "1 2 nonsense 20\n" with
+  (match Trace_io.of_string "1 2 nonsense 20\n" with
   | Ok _ -> Alcotest.fail "accepted garbage"
   | Error msg -> Alcotest.(check bool) "line number" true (String.length msg > 0));
-  match Trace_io.of_whitespace "# only comments\n" with
+  (* no contact line: read as native, so the header is missing *)
+  (match Trace_io.of_string "# only comments\n" with
   | Ok _ -> Alcotest.fail "accepted empty"
-  | Error _ -> ()
+  | Error msg -> Alcotest.(check string) "native without header" "missing '# nodes' header" msg);
+  (* the first contact line picks the format for the whole text *)
+  match Trace_io.of_string "# x\n\n1 2 10 20\n2,3,30,40\n" with
+  | Ok _ -> Alcotest.fail "accepted a native line in a whitespace text"
+  | Error msg ->
+    Alcotest.(check string) "whitespace shape" "line 4: expected 'id1 id2 t_start t_end'" msg
 
 let check_rejects name parse ~contains text =
   match parse text with
@@ -184,25 +195,31 @@ let test_io_hardening () =
   (* a population no array can hold is a bad count, not an exception *)
   reject ~contains:"line 2: bad node count"
     "# psn-trace v1\n# nodes 4611686018427387903\n# horizon 100\n0,1,1,2\n";
+  (* populations and ids the engine cannot run are bounded before any
+     allocation: 2^28 nodes, 10^10 nodes, and a whitespace id of 10^10 *)
+  reject ~contains:"line 2: bad node count"
+    "# psn-trace v1\n# nodes 268435456\n# horizon 100\n0,1,1,2\n";
+  reject ~contains:"line 2: bad node count"
+    "# psn-trace v1\n# nodes 10000000000\n# horizon 100\n0,1,1,2\n";
+  reject ~contains:"line 1: node id 10000000000 out of range" "0 10000000000 1 2\n";
+  reject ~contains:"line 4: node id 268435455 out of range" (header ^ "0,268435455,1,2\n");
   (* distinct intervals of the same pair are not duplicates *)
   match Trace_io.of_string (header ^ "0,1,1,2\n0,1,3,4\n") with
   | Ok t -> Alcotest.(check int) "same-pair reuse ok" 2 (Trace.n_contacts t)
   | Error msg -> Alcotest.failf "rejected legitimate reuse: %s" msg
 
 let test_io_whitespace_hardening () =
-  let reject = check_rejects "of_whitespace" (Trace_io.of_whitespace ?n_nodes:None) in
+  let reject = check_rejects "whitespace" Trace_io.of_string in
   reject ~contains:"negative node id" "-1 2 10 20\n";
   reject ~contains:"self-contact" "2 2 10 20\n";
   reject ~contains:"non-finite" "1 2 nan 20\n";
   reject ~contains:"line 2" "1 2 10 20\n1 2 30 inf\n";
   reject ~contains:"inverted" "1 2 20 10\n";
   reject ~contains:"first seen at line 1" "1 2 10 20\n2 1 10 20\n";
-  (match Trace_io.of_whitespace ~n_nodes:2 "1 2 10 20\n1 3 30 40\n" with
-  | Ok _ -> Alcotest.fail "accepted id beyond requested population"
-  | Error msg ->
-    Alcotest.(check bool) (Printf.sprintf "names the line: %s" msg) true
-      (String.length msg >= 6 && String.sub msg 0 6 = "line 2"));
-  match Trace_io.of_whitespace "1 2 10 20\n2 3 15 25\n" with
+  reject ~contains:"line 2: node id 4611686018427387903 out of range"
+    "1 2 10 20\n1 4611686018427387903 30 40\n";
+  reject ~contains:"line 1: expected 'id1 id2 t_start t_end'" "1 2 10\n";
+  match Trace_io.of_string "1 2 10 20\n2 3 15 25\n" with
   | Ok t -> Alcotest.(check int) "clean input still parses" 2 (Trace.n_contacts t)
   | Error msg -> Alcotest.failf "rejected clean input: %s" msg
 
@@ -548,7 +565,7 @@ let qcheck_tests =
     Test.make ~name:"byte-mutated whitespace files never raise" ~count:300
       Gen.(pair gen_trace mutations)
       (fun (t, ops) ->
-        never_raises (Trace_io.of_whitespace ?n_nodes:None) (mutate (whitespace_text t) ops));
+        never_raises Trace_io.of_string (mutate (whitespace_text t) ops));
     Test.make ~name:"generated traces validate" ~count:100 gen_trace (fun t ->
         match Trace.validate t with Ok () -> true | Error _ -> false);
     Test.make ~name:"restrict preserves validity" ~count:100 gen_trace (fun t ->
