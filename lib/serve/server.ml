@@ -59,7 +59,6 @@ type t = {
   h_delay : Hist.t;  (* delivery delay, simulated seconds *)
   h_batch : Hist.t;  (* contacts ingested between advances *)
   mutable pending_ingest : int;  (* accepted since the last advance *)
-  scratch : Engine.scratch;  (* reused across queries on the jobs=1 path *)
   jobs : int;
   chunk : int option;
   store : Store.t option;
@@ -128,7 +127,6 @@ let create ?(telemetry = T.Sink.null) ?store ?(session = "default") ?(jobs = 1) 
                 h_delay = Hist.create ();
                 h_batch = Hist.create ();
                 pending_ingest = 0;
-                scratch = Engine.scratch ();
                 jobs;
                 chunk;
                 store;
@@ -167,6 +165,18 @@ let query_time t = function
       Error (Printf.sprintf "time %s is not before now %s" (g tt) (g (Window.now t.window)))
     else Ok tt
 
+(* The validation [paths] and [delivery] share, in reply order:
+   endpoints, then the window trace, then the query time. Yields the
+   window trace and the query time relative to its start, or the
+   [err what] reply. *)
+let query_window t what ~src ~dst t_opt =
+  let ( let* ) = Result.bind in
+  Result.map_error (err what)
+    (let* () = check_endpoints t ~src ~dst in
+     let* wtrace = Window.trace t.window in
+     let* t_abs = query_time t t_opt in
+     Ok (wtrace, t_abs -. Window.start t.window))
+
 (* One schedule per query: the window trace degraded by the query's
    plan and sorted once, shared read-only by every task of the fan-out. *)
 let prepare t wtrace = Engine.prepare ?faults:(compile_faults t wtrace) wtrace
@@ -179,14 +189,12 @@ let evaluate ~schedule ~wtrace scratch (entry : Registry.entry) ~src ~dst ~t_rel
   let msg = Message.make ~id:0 ~src ~dst ~t_create:t_rel in
   Engine.run_on ~scratch schedule ~messages:[ msg ] (entry.Registry.factory wtrace)
 
-(* Index-keyed fan-out: jobs=1 reuses the server's scratch across
-   queries (the windowed-reuse regression surface), jobs>1 gives each
-   worker domain a private scratch via map_env. Outcomes are
-   bit-identical either way — the serve determinism tests compare
-   whole transcripts across both paths. *)
+(* Index-keyed fan-out: each worker domain gets a fresh scratch via
+   map_env, linear in the window's population. Outcomes are
+   bit-identical for any [jobs] × [chunk] — the serve determinism
+   tests compare whole transcripts across them. *)
 let fan_out t tasks eval =
-  if t.jobs = 1 then Array.map (eval t.scratch) tasks
-  else Parallel.map_env ~jobs:t.jobs ?chunk:t.chunk ~env:Engine.scratch (fun s _sink x -> eval s x) tasks
+  Parallel.map_env ~jobs:t.jobs ?chunk:t.chunk ~env:Engine.scratch (fun s _sink x -> eval s x) tasks
 
 let outcome_delivery (o : Engine.outcome) =
   let r = o.Engine.records.(0) in
@@ -326,90 +334,76 @@ let inject t ~src ~dst t_opt =
 
 let paths t ~src ~dst t_opt =
   T.with_span t.telemetry "serve.query" ~args:[ ("kind", T.Str "paths") ] @@ fun () ->
-  match check_endpoints t ~src ~dst with
-  | Error reason -> err "paths" reason
-  | Ok () -> (
-    match Window.trace t.window with
-    | Error reason -> err "paths" reason
-    | Ok wtrace -> (
-      match query_time t t_opt with
-      | Error reason -> err "paths" reason
-      | Ok t_abs -> (
-        let t_rel = t_abs -. Window.start t.window in
-        let observed =
-          match compile_faults t wtrace with
-          | None -> wtrace
-          | Some plan -> Faults.degrade plan wtrace
-        in
-        let config =
-          { Enumerate.k = t.cfg.k; max_hops = None; stop_at_total = None; exhaustive = false }
-        in
+  match query_window t "paths" ~src ~dst t_opt with
+  | Error reply -> reply
+  | Ok (wtrace, t_rel) -> (
+    let observed =
+      match compile_faults t wtrace with
+      | None -> wtrace
+      | Some plan -> Faults.degrade plan wtrace
+    in
+    let config =
+      { Enumerate.k = t.cfg.k; max_hops = None; stop_at_total = None; exhaustive = false }
+    in
+    match
+      Enumerate.run ~config
+        (Snapshot_.of_trace ~delta:t.cfg.delta observed)
+        ~src ~dst ~t_create:t_rel
+    with
+    | exception Invalid_argument reason -> err "paths" reason
+    | res ->
+      let n = Array.length res.Enumerate.arrivals in
+      let optimal =
+        match Enumerate.first_arrival res with
+        | None -> "-"
+        | Some a -> g a.Enumerate.duration
+      in
+      let node_div, edge_div =
         match
-          Enumerate.run ~config
-            (Snapshot_.of_trace ~delta:t.cfg.delta observed)
-            ~src ~dst ~t_create:t_rel
+          Multipath.diversity
+            (Array.to_list res.Enumerate.arrivals
+            |> List.map (fun (a : Enumerate.arrival) -> a.Enumerate.path))
         with
-        | exception Invalid_argument reason -> err "paths" reason
-        | res ->
-          let n = Array.length res.Enumerate.arrivals in
-          let optimal =
-            match Enumerate.first_arrival res with
-            | None -> "-"
-            | Some a -> g a.Enumerate.duration
-          in
-          let node_div, edge_div =
-            match
-              Multipath.diversity
-                (Array.to_list res.Enumerate.arrivals
-                |> List.map (fun (a : Enumerate.arrival) -> a.Enumerate.path))
-            with
-            | None -> ("-", "-")
-            | Some (nd, ed) -> (g nd, g ed)
-          in
-          [
-            Printf.sprintf "paths n=%d optimal=%s node_div=%s edge_div=%s steps=%d" n optimal
-              node_div edge_div res.Enumerate.steps_processed;
-          ])))
+        | None -> ("-", "-")
+        | Some (nd, ed) -> (g nd, g ed)
+      in
+      [
+        Printf.sprintf "paths n=%d optimal=%s node_div=%s edge_div=%s steps=%d" n optimal
+          node_div edge_div res.Enumerate.steps_processed;
+      ])
 
 let delivery t ~src ~dst t_opt =
   T.with_span t.telemetry "serve.query" ~args:[ ("kind", T.Str "delivery") ] @@ fun () ->
-  match check_endpoints t ~src ~dst with
-  | Error reason -> err "delivery" reason
-  | Ok () -> (
-    match Window.trace t.window with
-    | Error reason -> err "delivery" reason
-    | Ok wtrace -> (
-      match query_time t t_opt with
-      | Error reason -> err "delivery" reason
-      | Ok t_abs -> (
-        let t_rel = t_abs -. Window.start t.window in
-        match
-          let schedule = prepare t wtrace in
-          fan_out t t.entries (fun scratch entry ->
-              evaluate ~schedule ~wtrace scratch entry ~src ~dst ~t_rel)
-        with
-        | exception Invalid_argument reason -> err "delivery" reason
-        | outcomes ->
-          (* Probes are observations too: asking "who would deliver?"
-             teaches the router, in entry order, deterministically. *)
-          let lines =
-            Array.to_list
-              (Array.mapi
-                 (fun i outcome ->
-                   let entry = t.entries.(i) in
-                   let delivered, copies, attempts = outcome_delivery outcome in
-                   let loss = loss_fraction ~copies ~attempts in
-                   let delay = Option.map (fun td -> td -. t_rel) delivered in
-                   Multipath.observe t.router entry.Registry.name
-                     ~delivered:(Option.is_some delivered) ~delay ~loss;
-                   Printf.sprintf "probe algo=%s delivered=%s delay=%s copies=%d attempts=%d loss=%s"
-                     entry.Registry.name
-                     (if Option.is_some delivered then "yes" else "no")
-                     (match delay with None -> "-" | Some d -> g d)
-                     copies attempts (g loss))
-                 outcomes)
-          in
-          lines @ [ Printf.sprintf "pick algo=%s" (Multipath.pick t.router) ])))
+  match query_window t "delivery" ~src ~dst t_opt with
+  | Error reply -> reply
+  | Ok (wtrace, t_rel) -> (
+    match
+      let schedule = prepare t wtrace in
+      fan_out t t.entries (fun scratch entry ->
+          evaluate ~schedule ~wtrace scratch entry ~src ~dst ~t_rel)
+    with
+    | exception Invalid_argument reason -> err "delivery" reason
+    | outcomes ->
+      (* Probes are observations too: asking "who would deliver?"
+         teaches the router, in entry order, deterministically. *)
+      let lines =
+        Array.to_list
+          (Array.mapi
+             (fun i outcome ->
+               let entry = t.entries.(i) in
+               let delivered, copies, attempts = outcome_delivery outcome in
+               let loss = loss_fraction ~copies ~attempts in
+               let delay = Option.map (fun td -> td -. t_rel) delivered in
+               Multipath.observe t.router entry.Registry.name
+                 ~delivered:(Option.is_some delivered) ~delay ~loss;
+               Printf.sprintf "probe algo=%s delivered=%s delay=%s copies=%d attempts=%d loss=%s"
+                 entry.Registry.name
+                 (if Option.is_some delivered then "yes" else "no")
+                 (match delay with None -> "-" | Some d -> g d)
+                 copies attempts (g loss))
+             outcomes)
+      in
+      lines @ [ Printf.sprintf "pick algo=%s" (Multipath.pick t.router) ])
 
 let route t =
   T.with_span t.telemetry "serve.query" ~args:[ ("kind", T.Str "route") ] @@ fun () ->

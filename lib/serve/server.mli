@@ -16,8 +16,8 @@
     message evaluation run the forwarding engine per strategy, fanned
     out through {!Psn_sim.Parallel} keyed by input index. Hence the
     inherited contract: the same line sequence yields byte-identical
-    replies for any [jobs] × [chunk], with a shared scratch or fresh
-    ones — pinned by the serve determinism tests.
+    replies for any [jobs] × [chunk] — pinned by the serve determinism
+    tests.
 
     Injected messages are (re)evaluated at each [advance]: a message
     whose creation instant has slipped behind the window expires (a

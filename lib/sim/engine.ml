@@ -46,31 +46,24 @@ type schedule = {
   ev_code : int array;
 }
 
-(* Reusable per-run buffers. A run needs O(n²) adjacency state and
-   O(n + messages) bookkeeping; allocating it anew for every seed
-   dominated short runs, so a [scratch] owns all of it and consecutive
-   runs (the per-domain task streams of [Runner]) reuse it. Reuse is
-   invisible by construction:
-
-   - the message-indexed arrays, the holder bitset and the held-list
-     lengths are reset on every acquisition;
-   - the node-indexed adjacency state ([s_adj], [s_peer_pos],
-     [s_n_peers]) is self-cleaning — every contact start the drain
-     replays is matched by its end, which restores the all-empty
-     state — and [s_clean] records whether the previous drain ran to
-     completion; an exception mid-drain leaves [s_clean = false] and
-     the next acquisition rebuilds the invariant explicitly;
-   - creation times/ids beyond the current run's message count are
-     never read (the sort and the drain touch exactly [0, n_msgs)).
+(* Reusable per-run buffers. A run needs O(n + messages) bookkeeping;
+   allocating it anew for every seed dominated short runs, so a
+   [scratch] owns all of it and consecutive runs (the per-domain task
+   streams of [Runner]) reuse it. Reuse is invisible by one rule: every
+   node- or message-indexed length (peer and held-list lengths, the
+   message-indexed arrays, the holder bitset) is reset when a run
+   acquires the scratch, and capacity beyond it is never read. So a
+   run that raised mid-drain, a smaller population, an id evicted from
+   the serve window and reinserted later, or a different message count
+   leaves no residue in the next run.
 
    A scratch must only ever be used by one domain at a time; [Runner]
    creates one per worker through [Parallel.map_env]. *)
 type scratch = {
   mutable s_nodes : int;  (* rows allocated in the node-indexed buffers *)
-  mutable s_adj : int array array;
-  mutable s_peers : int array array;
+  mutable s_peers : int array array;  (* active peers per node ... *)
+  mutable s_mult : int array array;  (* ... and each one's open contact records *)
   mutable s_n_peers : int array;
-  mutable s_peer_pos : int array array;
   mutable s_held : int array array;
   mutable s_held_len : int array;
   mutable s_msgs : int;  (* capacity of the message-indexed buffers *)
@@ -82,16 +75,14 @@ type scratch = {
   mutable s_attempts_of : int array;
   mutable s_cr_time : float array;  (* creation stream: times ... *)
   mutable s_cr_id : int array;  (* ... and message ids *)
-  mutable s_clean : bool;  (* adjacency state is all-empty *)
 }
 
 let scratch () =
   {
     s_nodes = 0;
-    s_adj = [||];
     s_peers = [||];
+    s_mult = [||];
     s_n_peers = [||];
-    s_peer_pos = [||];
     s_held = [||];
     s_held_len = [||];
     s_msgs = 0;
@@ -103,63 +94,21 @@ let scratch () =
     s_attempts_of = [||];
     s_cr_time = [||];
     s_cr_id = [||];
-    s_clean = true;
   }
 
-(* Windowed-reuse audit (the serve layer reuses one scratch across
-   runs whose populations, message counts and event volumes all vary
-   as the window slides; each re-entry invariant below is what makes
-   that bit-identical to fresh scratches, and each is pinned by the
-   scratch-reuse regression tests):
-
-   - population GROWS: the node-indexed buffers are reallocated at the
-     new size (fresh all-empty adjacency, [s_clean] true);
-   - population SHRINKS: buffers keep high-water size, but every loop
-     indexes through ids < n only, the dirty rebuild and the held-list
-     reset sweep the full allocated range [0, s_nodes), and the
-     self-cleaning invariant covers whatever rows a bigger previous
-     run touched — stale rows beyond n are all-empty, not read;
-   - a node id EVICTED from the serve window and later REINSERTED is
-     just an id with no contacts in some run and contacts in a later
-     one: node state is positional and rebuilt per run (held lengths
-     reset on acquisition, adjacency self-cleaning), so no residue
-     crosses runs;
-   - message-count changes: [ensure_msgs] resets exactly [0, n_msgs)
-     of every message-indexed array and zeroes exactly the first
-     [n_msgs * stride] holder-bitset bytes — and [stride] is
-     recomputed from the current population, so a population change
-     re-strides the bitset consistently;
-   - event-volume changes: the contact events live in the schedule,
-     not the scratch, sized exactly to their window; the creation sort
-     and the drain touch exactly [0, n_msgs) of the scratch's creation
-     stream, and heapsort's swap sequence is a pure function of the key
-     sequence, so garbage beyond the current run's count can never
-     influence the order. *)
 let ensure_nodes s n =
   if n > s.s_nodes then begin
-    s.s_adj <- Array.init n (fun _ -> Array.make n 0);
-    s.s_peer_pos <- Array.init n (fun _ -> Array.make n (-1));
     s.s_peers <- Array.make n [||];
+    s.s_mult <- Array.make n [||];
     s.s_n_peers <- Array.make n 0;
     s.s_held <- Array.make n [||];
     s.s_held_len <- Array.make n 0;
-    s.s_nodes <- n;
-    s.s_clean <- true
+    s.s_nodes <- n
   end
-  else if not s.s_clean then begin
-    (* The previous run raised mid-drain: rebuild the all-empty
-       adjacency invariant a completed drain restores by itself. *)
-    for a = 0 to s.s_nodes - 1 do
-      Array.fill s.s_adj.(a) 0 (Array.length s.s_adj.(a)) 0;
-      Array.fill s.s_peer_pos.(a) 0 (Array.length s.s_peer_pos.(a)) (-1)
-    done;
-    Array.fill s.s_n_peers 0 s.s_nodes 0;
-    s.s_clean <- true
-  end;
-  (* Held lists never self-clean (live copies stay until the run ends,
-     and a drain that raised mid-exchange may leave duplicates), so
-     their lengths are reset on every acquisition. *)
-  Array.fill s.s_held_len 0 s.s_nodes 0
+  else begin
+    Array.fill s.s_n_peers 0 n 0;
+    Array.fill s.s_held_len 0 n 0
+  end
 
 let ensure_msgs s n_msgs ~stride =
   if n_msgs > s.s_msgs then begin
@@ -264,6 +213,18 @@ let[@psn.hot] sort_creations s messages n_msgs =
     messages;
   sort_events time id n_msgs
 
+(* A copy of the first [len] entries of [a] with room for as many
+   again (at least 4). *)
+let grown a len =
+  let bigger = Array.make (Int.max 4 (2 * len)) 0 in
+  Array.blit a 0 bigger 0 len;
+  bigger
+
+(* The slot of [b] among entries [i, len) of [ps], or [len] when
+   absent. *)
+let rec peer_index (ps : int array) (b : int) len i =
+  if i = len || ps.(i) = b then i else peer_index ps b len (i + 1)
+
 (* One run over the schedule [schedule ()] returns. The thunk is forced
    inside the setup span, so the one-shot [run] attributes its
    [prepare] to [engine.setup] and [run_on] pays nothing there. *)
@@ -309,37 +270,38 @@ let execute ?ttl ?scratch:reuse ~telemetry ~schedule ~messages algorithm =
       if Option.is_some message_of.(m.Message.id) then invalid_arg "Engine.run: duplicate message id";
       message_of.(m.Message.id) <- Some m)
     messages;
-  (* Active contacts as adjacency counts (duplicate contact records are
-     tolerated) plus a dense peer set per node with positional
-     swap-removal, so contact start/end and the cascade iteration are
-     all O(1)/O(deg) instead of O(deg) list scans per event. *)
-  let adj = s.s_adj in
+  (* Active contacts as a dense peer list per node, each peer with its
+     count of open contact records (duplicate records are tolerated).
+     A node meets few peers at once, so finding one is a short scan;
+     removal swaps the last peer into the freed slot, and the cascade
+     iterates the list in O(deg). *)
   let peers = s.s_peers in
+  let mult = s.s_mult in
   let n_peers = s.s_n_peers in
-  let peer_pos = s.s_peer_pos in
   let add_peer a b =
-    if adj.(a).(b) = 0 then begin
-      if n_peers.(a) = Array.length peers.(a) then begin
-        let bigger = Array.make (Int.max 4 (2 * n_peers.(a))) 0 in
-        Array.blit peers.(a) 0 bigger 0 n_peers.(a);
-        peers.(a) <- bigger
+    let len = n_peers.(a) in
+    let p = peer_index peers.(a) b len 0 in
+    if p < len then mult.(a).(p) <- mult.(a).(p) + 1
+    else begin
+      if len = Array.length peers.(a) then begin
+        peers.(a) <- grown peers.(a) len;
+        mult.(a) <- grown mult.(a) len
       end;
-      peers.(a).(n_peers.(a)) <- b;
-      peer_pos.(a).(b) <- n_peers.(a);
-      n_peers.(a) <- n_peers.(a) + 1
-    end;
-    adj.(a).(b) <- adj.(a).(b) + 1
+      peers.(a).(len) <- b;
+      mult.(a).(len) <- 1;
+      n_peers.(a) <- len + 1
+    end
   in
   let remove_peer a b =
-    if adj.(a).(b) > 0 then begin
-      adj.(a).(b) <- adj.(a).(b) - 1;
-      if adj.(a).(b) = 0 then begin
-        let p = peer_pos.(a).(b) in
-        let last = n_peers.(a) - 1 in
-        let moved = peers.(a).(last) in
-        peers.(a).(p) <- moved;
-        peer_pos.(a).(moved) <- p;
-        peer_pos.(a).(b) <- -1;
+    let len = n_peers.(a) in
+    let p = peer_index peers.(a) b len 0 in
+    if p < len then begin
+      let m = mult.(a) in
+      m.(p) <- m.(p) - 1;
+      if m.(p) = 0 then begin
+        let last = len - 1 in
+        peers.(a).(p) <- peers.(a).(last);
+        m.(p) <- m.(last);
         n_peers.(a) <- last
       end
     end
@@ -363,11 +325,8 @@ let execute ?ttl ?scratch:reuse ~telemetry ~schedule ~messages algorithm =
   let held = s.s_held in
   let held_len = s.s_held_len in
   let push_held node id =
-    if held_len.(node) = Array.length held.(node) then begin
-      let bigger = Array.make (Int.max 4 (2 * held_len.(node))) 0 in
-      Array.blit held.(node) 0 bigger 0 held_len.(node);
-      held.(node) <- bigger
-    end;
+    if held_len.(node) = Array.length held.(node) then
+      held.(node) <- grown held.(node) held_len.(node);
     held.(node).(held_len.(node)) <- id;
     held_len.(node) <- held_len.(node) + 1
   in
@@ -474,10 +433,6 @@ let execute ?ttl ?scratch:reuse ~telemetry ~schedule ~messages algorithm =
   T.end_span telemetry;
   T.count telemetry "engine.runs" 1;
   T.count telemetry "engine.events" (n_contact_events + n_msgs);
-  (* An algorithm callback may raise out of the drain, leaving the
-     adjacency state mid-flight; the flag makes the next acquisition
-     rebuild it instead of trusting the self-cleaning invariant. *)
-  s.s_clean <- false;
   T.with_span telemetry "engine.drain" (fun () ->
       let cr_time = s.s_cr_time and cr_id = s.s_cr_id in
       let i = ref 0 and j = ref 0 in
@@ -505,11 +460,11 @@ let execute ?ttl ?scratch:reuse ~telemetry ~schedule ~messages algorithm =
             remove_peer b a
           end
           else begin
-            (* Chaos hook: lets a plan kill or fail a run mid-drain, which
-               is exactly the state the scratch's dirty-rebuild path
-               ([s_clean]) exists to recover from. Keyless on purpose —
-               no per-event allocation on the disabled path; use hit
-               rules ([@N]) to pick a specific contact. *)
+            (* Chaos hook: lets a plan kill or fail a run mid-drain,
+               leaving the scratch mid-flight for the next acquisition
+               to reset. Keyless on purpose — no per-event allocation
+               on the disabled path; use hit rules ([@N]) to pick a
+               specific contact. *)
             Psn_robust.Failpoint.trigger "engine.contact";
             algorithm.Algorithm.observe_contact ~time ~a ~b;
             add_peer a b;
@@ -520,7 +475,6 @@ let execute ?ttl ?scratch:reuse ~telemetry ~schedule ~messages algorithm =
           incr i
         end
       done);
-  s.s_clean <- true;
   T.count telemetry "engine.transmissions" !copies;
   T.count telemetry "engine.attempts" !attempts;
   T.count telemetry "engine.transfers_lost" (!attempts - !copies);

@@ -42,24 +42,24 @@ type outcome = {
 
 type scratch
 (** Reusable per-run working memory: the run's message-creation events
-    (structure of arrays — unboxed times plus message ids), the O(n²)
-    adjacency buffers, the holder bitsets, the per-node held lists and
-    the per-message bookkeeping. A held list keeps the node's live
-    copies in acquisition order; a dead copy (its message delivered,
-    or expired under [ttl]) is dropped, keeping the order of the rest,
-    at the holder's next exchange. The contact events are not here: they belong to the
-    {!type-schedule}, sorted once and shared. Allocating this anew
-    dominated short runs, so callers that simulate many seeds in a row
-    (notably {!Runner} through [Parallel.map_env]) create one scratch
-    per domain and pass it to every {!run_on}.
+    (structure of arrays — unboxed times plus message ids), the per-node
+    peer lists of active contacts, the holder bitsets, the per-node held
+    lists and the per-message bookkeeping; all of it linear in the
+    population and the message count. A held list keeps the node's live
+    copies in acquisition order; a dead copy (its message delivered, or
+    expired under [ttl]) is dropped, keeping the order of the rest, at
+    the holder's next exchange. The contact events are not here: they
+    belong to the {!type-schedule}, sorted once and shared. Allocating
+    this anew dominated short runs, so callers that simulate many seeds
+    in a row (notably {!Runner} through [Parallel.map_env]) create one
+    scratch per domain and pass it to every {!run_on}.
 
-    Reuse is invisible: a run re-establishes every invariant it needs
-    on entry (message-indexed state is reset; adjacency state is
-    self-cleaning after a completed run and rebuilt explicitly after an
-    aborted one; creation entries beyond the current run are never
-    read), so the outcome is bit-identical with a fresh, a reused, or
-    an omitted scratch — checked by the determinism tests. A scratch
-    holds no result state between calls and may be dropped at any time.
+    Reuse is invisible: every node- or message-indexed length is reset
+    when a run acquires the scratch, and capacity beyond it is never
+    read, so the outcome is bit-identical with a fresh, a reused (even
+    after a run that raised), or an omitted scratch — checked by the
+    determinism tests. A scratch holds no result state between calls
+    and may be dropped at any time.
 
     A scratch is single-domain mutable state: never share one between
     concurrent runs. *)

@@ -19,7 +19,7 @@
     scheduling only changes wall time. Defaults to
     {!Parallel.default_jobs} and {!Parallel}'s chunk heuristic. Each
     worker domain also owns one {!Engine.scratch}, reused across the
-    consecutive runs it executes, which cuts the per-seed O(n²)
+    consecutive runs it executes, which cuts the per-seed buffer
     allocation without coupling the runs (see {!Engine.type-scratch}
     for why reuse cannot leak state).
 

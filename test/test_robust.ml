@@ -221,13 +221,10 @@ let sweep_spec seeds =
 let epidemic_entry =
   match Core.Registry.find "epidemic" with Ok e -> e | Error msg -> Alcotest.fail msg
 
-let fresh_store =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir = Printf.sprintf "store_test_interrupt_%d" !counter in
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    Core.Store.open_ ~dir ()
+(* A new, empty store per call, so reruns never see an earlier run's
+   cells. *)
+let fresh_store () =
+  Core.Store.open_ ~dir:(Filename.temp_dir ~temp_dir:Filename.current_dir_name "store_test_" "") ()
 
 let caches st seeds =
   Core.Experiments.entry_caches st ~trace:sweep_trace ~workload:(sweep_spec seeds).workload

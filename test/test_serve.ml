@@ -2,8 +2,7 @@
    (eviction, budget backpressure, batch equivalence against
    Trace.restrict), the line protocol, the adaptive multipath router,
    and whole-server properties — jobs/chunk transcript invariance,
-   snapshot round-trips, and the eviction-then-reinsert regression on
-   the reused engine scratch. *)
+   snapshot round-trips, and the eviction-then-reinsert regression. *)
 
 module Window = Core.Serve_window
 module Serve = Core.Serve
@@ -388,11 +387,11 @@ let test_server_expiry_observed () =
   Alcotest.(check int) "expired counter" 1 summary.Serve.s_expired;
   Alcotest.(check int) "nothing live" 0 summary.Serve.s_live
 
-(* Eviction-then-reinsert (the scratch-reuse regression): a node's
-   contacts vanish from the window entirely, the population ratchet
-   keeps its id alive, and later contacts reinsert it. Queries spanning
-   those reconfigurations share one scratch (jobs = 1) and must match a
-   fresh server replaying only the final state. *)
+(* Eviction-then-reinsert: a node's contacts vanish from the window
+   entirely, the population ratchet keeps its id alive, and later
+   contacts reinsert it. Queries spanning those reconfigurations must
+   match a fresh server fed the same stream: no session state leaks
+   across window reconfigurations. *)
 let test_server_evict_then_reinsert () =
   let s = default_server ~span:100. () in
   let prefix =
@@ -413,14 +412,28 @@ let test_server_evict_then_reinsert () =
   let tail = [ "delivery 0 4"; "paths 0 4 310" ] in
   ignore (run_script s prefix);
   let got = run_script s tail in
-  (* A fresh server fed the same stream answers identically: the
-     reused scratch leaks nothing across window reconfigurations. *)
   let fresh = default_server ~span:100. () in
   ignore (run_script fresh prefix);
   let want = run_script fresh tail in
-  Alcotest.(check (list string)) "reused scratch = fresh server" want got;
+  Alcotest.(check (list string)) "replies = fresh server" want got;
   Alcotest.(check int) "population ratchet survived eviction" 5
     (Serve.summary s).Serve.s_nodes
+
+(* Serving a sparse population costs memory linear in it: the window
+   ratchets up to 2048 nodes from ids 0, 1 and 2047, and answering
+   [delivery] over three strategies plus [stats] stays far below one
+   n x n matrix (32 MiB). *)
+let test_server_alloc_linear () =
+  let s = default_server ~strategies:[ "epidemic"; "direct"; "two-hop" ] () in
+  ignore (run_script s [ "0,1,0,50"; "1,2047,20,60"; "0,2047,70,90"; "advance 100" ]);
+  let before = Gc.allocated_bytes () in
+  let replies = run_script s [ "delivery 0 1"; "stats" ] in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "population ratchet" 2048 (Serve.summary s).Serve.s_nodes;
+  Alcotest.(check bool) "no error replies" false
+    (List.exists (fun r -> String.length r >= 3 && String.equal (String.sub r 0 3) "err") replies);
+  if bytes >= 1e6 then
+    Alcotest.failf "delivery and stats on 2048 nodes allocated %.0f bytes (bound 1 MB)" bytes
 
 (* The metrics surface: the 'metrics' verb answers a valid OpenMetrics
    exposition whose value metrics are byte-identical for any jobs ×
@@ -527,8 +540,8 @@ let test_server_restore_rejects_garbage () =
    one bad token, so none can be a valid request. With the population
    [pinned] to 6 nodes, id 6 is bad; a growing population would admit
    it as a new node. Ids from the node-id bound up are bad either way.
-   In-range ids stay small: engine memory is quadratic in the
-   population. *)
+   In-range ids stay small: some strategy state (Contact_history,
+   PRoPHET) is quadratic in the population. *)
 let malformed_line ~pinned =
   let open QCheck2.Gen in
   let id = map string_of_int (int_range 0 5) in
@@ -781,6 +794,8 @@ let () =
           Alcotest.test_case "prepare errors" `Quick test_server_prepare_errors;
           Alcotest.test_case "expiry observed" `Quick test_server_expiry_observed;
           Alcotest.test_case "evict then reinsert" `Quick test_server_evict_then_reinsert;
+          Alcotest.test_case "allocation linear in the population" `Quick
+            test_server_alloc_linear;
           Alcotest.test_case "metrics bit-identical across jobs x chunk" `Quick
             test_server_metrics_grid;
           Alcotest.test_case "metrics verb" `Quick test_server_metrics_verb;

@@ -929,7 +929,7 @@ let test_engine_scratch_dirty () =
   in
   let scratch = Engine.scratch () in
   (* An algorithm callback that raises mid-drain aborts the run with
-     the adjacency state mid-flight... *)
+     the peer lists mid-flight... *)
   let seen = ref 0 in
   let bomb =
     {
@@ -946,8 +946,8 @@ let test_engine_scratch_dirty () =
   (match Engine.run ~scratch ~trace ~messages bomb with
   | _ -> Alcotest.fail "bomb did not raise"
   | exception Invalid_argument _ -> ());
-  (* ...and the next run on the same scratch must rebuild the invariant
-     instead of replaying ghost contacts. *)
+  (* ...and the next run on the same scratch must reset them instead
+     of replaying ghost contacts. *)
   let after = Engine.run ~scratch ~trace ~messages epidemic in
   let fresh = Engine.run ~trace ~messages epidemic in
   Alcotest.(check bool) "dirty scratch rebuilt" true (Stdlib.compare after fresh = 0);
@@ -969,6 +969,28 @@ let test_engine_scratch_dirty () =
   let after = Engine.run ~scratch ~trace ~messages epidemic in
   Alcotest.(check bool) "mid-exchange raise: larger run reused = fresh" true
     (Stdlib.compare after fresh = 0)
+
+(* Engine state is linear in the population: a 2048-node trace whose
+   contacts touch only nodes 0, 1 and 2047 must not pay for the nodes
+   that never meet. One n x n int matrix alone would be 32 MiB here. *)
+let test_engine_alloc_linear () =
+  let n = 2048 in
+  let trace =
+    Trace.create ~n_nodes:n ~horizon:200.
+      [
+        Contact.make ~a:0 ~b:1 ~t_start:10. ~t_end:50.;
+        Contact.make ~a:0 ~b:1 ~t_start:20. ~t_end:40.;
+        Contact.make ~a:1 ~b:(n - 1) ~t_start:30. ~t_end:80.;
+        Contact.make ~a:0 ~b:(n - 1) ~t_start:100. ~t_end:120.;
+      ]
+  in
+  let messages = [ msg ~src:0 ~dst:(n - 1) 0. ] in
+  let before = Gc.allocated_bytes () in
+  let outcome = Engine.run ~trace ~messages epidemic in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check (option (float 0.))) "delivered through node 1" (Some 30.)
+    outcome.Engine.records.(0).Engine.delivered;
+  if bytes >= 1e6 then Alcotest.failf "one run on %d nodes allocated %.0f bytes (bound 1 MB)" n bytes
 
 (* [Metrics.of_records] before its one-pass rewrite: delays through an
    option list, summed left to right, and a median by sorting and
@@ -1412,6 +1434,7 @@ let () =
           Alcotest.test_case "schedule creation after last contact" `Quick
             test_schedule_creation_after_last_contact;
           Alcotest.test_case "epidemic matches oracle" `Slow test_epidemic_matches_flood_oracle;
+          Alcotest.test_case "allocation linear in the population" `Quick test_engine_alloc_linear;
         ] );
       ( "robustness",
         [

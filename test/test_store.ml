@@ -432,14 +432,9 @@ let test_key_sensitivity () =
 
 (* --- the on-disk store --- *)
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir = Printf.sprintf "store_test_%d" !counter in
-    (* tests run in a fresh sandbox, but stay safe on reruns *)
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    dir
+(* A new, empty directory per call, so reruns never see an earlier
+   run's entries. *)
+let fresh_dir () = Filename.temp_dir ~temp_dir:Filename.current_dir_name "store_test_" ""
 
 let some_key ?(algo = "direct") ?(seed = 1000L) () =
   Key.outcome ~trace_hash:(Key.trace_hash (sample_trace ())) ~workload ~algo ~seed ()
