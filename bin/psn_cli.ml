@@ -475,6 +475,7 @@ let paths_cmd =
 (* --- simulate --- *)
 
 let simulate_cmd =
+  let module E = Core.Experiments in
   let algorithms =
     let doc =
       "Comma-separated algorithm names. Available: "
@@ -490,45 +491,27 @@ let simulate_cmd =
       match algorithms with
       | None -> Core.Registry.paper_six
       | Some spec ->
-        String.split_on_char ',' spec
-        |> List.map (fun name ->
-               match Core.Registry.find (String.trim name) with
-               | Ok e -> e
-               | Error msg -> exit_usage msg)
+        List.fold_left
+          (fun acc name ->
+            let name = String.trim name in
+            if List.exists (fun e -> String.equal e.Core.Registry.name name) acc then
+              exit_usage (Printf.sprintf "algorithm %S is named more than once" name);
+            match Core.Registry.find name with Ok e -> e :: acc | Error msg -> exit_usage msg)
+          [] (String.split_on_char ',' spec)
+        |> List.rev
     in
     let label, trace = resolve_trace dataset seed trace_path in
-    let workload = Core.Experiments.paper_workload trace in
-    let spec = { Core.Runner.workload; seeds = Core.Runner.default_seeds seeds } in
+    let input = { E.name = label; label; seed = 0L; trace } in
     sweep ~command:"simulate"
       (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
-        (* One batch over the whole algorithm × seed grid. *)
-        let stores =
-          Option.map (fun st -> Core.Experiments.entry_caches st ~trace ~workload entries) store
-        in
-        Core.Runner.outcomes_many_result ~jobs ?chunk ?stores ~retries ~checkpoint ~telemetry
-          ~trace ~spec
-          ~factories:
-            (List.map (fun (e : Core.Registry.entry) -> e.Core.Registry.factory) entries)
-          ())
-      (fun cells ->
-        (* A failed (algorithm, seed) cell costs one FAILED line, never
-           the table; an algorithm whose every seed failed has nothing
-           to pool and is honestly absent from it. *)
-        let rows =
-          List.concat
-            (List.map2
-               (fun (e : Core.Registry.entry) cell_list ->
-                 match List.filter_map Result.to_option cell_list with
-                 | [] -> []
-                 | outs -> [ (e.Core.Registry.label, Core.Metrics.pool outs) ])
-               entries cells)
-        in
+        E.sim_study ~jobs ?chunk ?store ~retries ~checkpoint
+          ~scale:{ E.default_scale with seeds } ~telemetry input entries)
+      (fun sim ->
         print_endline
           (Core.Report.render_metrics
              ~title:(Printf.sprintf "Forwarding performance (%s, %d seeds)" label seeds)
-             rows
-          ^ Core.Report.render_failed_cells ~title:"Failed simulation cells"
-              (Core.Experiments.failed_cells entries spec.Core.Runner.seeds cells)))
+             (E.fig9 sim)
+          ^ Core.Report.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed))
   in
   let term =
     Term.(

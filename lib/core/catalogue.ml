@@ -35,7 +35,9 @@ let context ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null) 
           (E.enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry
              (Lazy.force input));
       sim =
-        lazy (E.sim_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry (Lazy.force input));
+        lazy
+          (E.sim_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry (Lazy.force input)
+             Registry.paper_six);
     }
   in
   (* Each preset's trace is generated at most once, in the calling

@@ -5,8 +5,7 @@
     module flattens the substrate libraries into one namespace:
 
     - traces: {!Contact}, {!Trace}, {!Generator}, {!Dataset}, {!Trace_io};
-    - space-time structure: {!Timegrid}, {!Snapshot}, {!Stgraph},
-      {!Reachability};
+    - space-time structure: {!Timegrid}, {!Snapshot}, {!Reachability};
     - the paper's contribution: {!Path}, {!Enumerate}, {!Explosion},
       {!Classify}, {!Hops};
     - analytics: {!Homogeneous}, {!Inhomogeneous}, {!Montecarlo}, {!Ode};
@@ -66,11 +65,6 @@ module Intercontact = Psn_trace.Intercontact
 (* Space-time graph *)
 module Timegrid = Psn_spacetime.Timegrid
 module Snapshot = Psn_spacetime.Snapshot
-
-module Stgraph = Psn_spacetime.Graph
-(** The formal space-time graph view (named [Stgraph] here to keep
-    [Graph] free for callers). *)
-
 module Reachability = Psn_spacetime.Reachability
 
 (* Paths and explosion *)

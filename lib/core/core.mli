@@ -50,11 +50,6 @@ module Intercontact = Psn_trace.Intercontact
 (* Space-time graph *)
 module Timegrid = Psn_spacetime.Timegrid
 module Snapshot = Psn_spacetime.Snapshot
-
-module Stgraph = Psn_spacetime.Graph
-(** The formal space-time graph view (named [Stgraph] here to keep
-    [Graph] free for callers). *)
-
 module Reachability = Psn_spacetime.Reachability
 
 (* Paths and explosion *)

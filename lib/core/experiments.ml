@@ -167,9 +167,17 @@ let fig2 () =
       Contact.make ~a:0 ~b:2 ~t_start:10. ~t_end:19.;
     ]
   in
-  let trace = Trace.create ~n_nodes:3 ~horizon:20. contacts in
-  let graph = Psn_spacetime.Graph.of_trace ~delta:10. trace in
-  Format.asprintf "%a" Psn_spacetime.Graph.pp graph
+  let snap = Snapshot.of_trace (Trace.create ~n_nodes:3 ~horizon:20. contacts) in
+  let step_line step =
+    Snapshot.edges snap ~step
+    |> List.map (fun (a, b) -> Printf.sprintf " %d-%d" a b)
+    |> String.concat ""
+    |> Printf.sprintf "t=%d:%s\n" step
+  in
+  Printf.sprintf "space-time graph: %d nodes x %d steps (delta=%g s)\n" (Snapshot.n_nodes snap)
+    (Snapshot.n_steps snap)
+    (Psn_spacetime.Timegrid.delta (Snapshot.grid snap))
+  ^ String.concat "" (List.map step_line (Snapshot.active_steps snap))
 
 let durations study =
   List.filter_map (fun m -> m.summary.Explosion.optimal_duration) study.messages
@@ -260,23 +268,6 @@ type sim_study = {
   sim_failed : (string * int64 * string) list;
 }
 
-(* Failed cells, flattened for reports: (algorithm label, seed, what
-   went wrong), in (algorithm, seed) order. *)
-let failed_cells entries seeds cells =
-  List.concat
-    (List.map2
-       (fun (e : Registry.entry) cell_list ->
-         List.concat
-           (List.map2
-              (fun seed cell ->
-                match cell with
-                | Ok (_ : Engine.outcome) -> []
-                | Error ex -> [ (e.Registry.label, seed, Failpoint.describe ex) ])
-              seeds cell_list))
-       entries cells)
-
-let ok_cells cell_list = List.filter_map Result.to_option cell_list
-
 (* One store-backed outcome cache per algorithm. Keys use the entry's
    stable registry [name] (never the display label, never anything the
    factory computes), so a warm store answers without constructing the
@@ -289,33 +280,45 @@ let entry_caches store ~trace ?faults ~workload entries =
         ~algo:e.Registry.name ())
     entries
 
-let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
-    ?(telemetry = T.Sink.null) input =
+let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale) ?faults
+    ?(telemetry = T.Sink.null) input entries =
   T.with_span telemetry "experiments.sim_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   T.begin_span telemetry "experiments.setup";
   let trace = input.trace in
   let workload = paper_workload trace in
-  let spec =
-    { Psn_sim.Runner.workload; seeds = Psn_sim.Runner.default_seeds scale.seeds }
+  let seeds = Runner.default_seeds scale.seeds in
+  let plan =
+    Option.map
+      (Faults.compile ~n_nodes:(Trace.n_nodes trace) ~horizon:(Trace.horizon trace))
+      faults
   in
-  let entries = Registry.paper_six in
-  let stores = Option.map (fun st -> entry_caches st ~trace ~workload entries) store in
+  let stores = Option.map (fun st -> entry_caches st ~trace ?faults ~workload entries) store in
   T.end_span telemetry;
   (* One parallel batch over the whole algorithm × seed grid; a failed
      (algorithm, seed) cell costs one cell of the study, never the
      study. *)
   let cells =
-    Psn_sim.Runner.outcomes_many_result ?jobs ?chunk ?stores ?retries ?checkpoint
-      ~telemetry ~trace ~spec
+    Runner.outcomes_many_result ?jobs ?chunk ?faults:plan ?stores ?retries ?checkpoint
+      ~telemetry ~trace ~spec:{ Runner.workload; seeds }
       ~factories:(List.map (fun (e : Registry.entry) -> e.Registry.factory) entries)
       ()
   in
-  let runs = List.map2 (fun e cell_list -> (e, ok_cells cell_list)) entries cells in
+  (* Failed cells, flattened for reports: (algorithm label, seed, what
+     went wrong), in (algorithm, seed) order. *)
+  let failed (e : Registry.entry) cell_list =
+    List.concat
+      (List.map2
+         (fun seed -> function
+           | Ok (_ : Engine.outcome) -> []
+           | Error ex -> [ (e.Registry.label, seed, Failpoint.describe ex) ])
+         seeds cell_list)
+  in
   {
     sim_classify = Classify.of_trace trace;
-    runs;
-    sim_failed = failed_cells entries spec.Psn_sim.Runner.seeds cells;
+    runs =
+      List.map2 (fun e cell_list -> (e, List.filter_map Result.to_option cell_list)) entries cells;
+    sim_failed = List.concat (List.map2 failed entries cells);
   }
 
 let fig9 study =
@@ -439,9 +442,8 @@ let fig12 study ~n_examples =
 type resilience_level = {
   res_intensity : float;
   res_spec : Faults.spec;
-  res_rows : (Registry.entry * Metrics.t) list;
+  res_sim : sim_study;
   res_survival : Psn_paths.Explosion.survival list;
-  res_failed : (string * int64 * string) list;
 }
 
 (* At intensity 1: 20% of transfers lost, ~1.7 crashes per node over a
@@ -462,11 +464,6 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
   | Error msg -> invalid_arg ("Experiments.resilience_study: " ^ msg)
   | Ok () -> ());
   let trace = input.trace in
-  let n_nodes = Trace.n_nodes trace in
-  let workload = paper_workload trace in
-  let spec =
-    { Psn_sim.Runner.workload; seeds = Psn_sim.Runner.default_seeds scale.seeds }
-  in
   (* Path-survival probes: the same message specs are enumerated on the
      pristine trace once and on every degraded trace, so each level's
      survival is a paired comparison. All RNG draws happen up front. *)
@@ -487,46 +484,25 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
   let baseline =
     T.with_span telemetry "experiments.baseline" (fun () -> enumerate_all trace)
   in
-  let entries = Registry.paper_six in
-  let factories = List.map (fun (e : Registry.entry) -> e.Registry.factory) entries in
   List.map
     (fun intensity ->
       T.with_span telemetry "experiments.level"
         ~args:[ ("intensity", T.Float intensity) ]
       @@ fun () ->
       let level_spec = Faults.scale intensity base in
-      let plan = Faults.compile ~n_nodes ~horizon:(Trace.horizon trace) level_spec in
-      let stores =
-        Option.map
-          (fun st -> entry_caches st ~trace ~faults:level_spec ~workload entries)
-          store
+      let sim =
+        sim_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~faults:level_spec ~telemetry
+          input Registry.paper_six
       in
-      let cells =
-        Psn_sim.Runner.outcomes_many_result ?jobs ?chunk ?stores ?retries ?checkpoint
-          ~telemetry ~faults:plan ~trace ~spec ~factories ()
-      in
-      let rows =
-        List.concat
-          (List.map2
-             (fun e cell_list ->
-               match ok_cells cell_list with
-               | [] -> []
-               | outs ->
-                 [ (e, T.with_span telemetry "runner.metrics" (fun () -> Metrics.pool outs)) ])
-             entries cells)
+      let plan =
+        Faults.compile ~n_nodes:(Trace.n_nodes trace) ~horizon:(Trace.horizon trace) level_spec
       in
       let degraded = enumerate_all (Faults.degrade plan trace) in
       let survival =
         List.init path_messages (fun i ->
             Psn_paths.Explosion.survival ~baseline:baseline.(i) ~degraded:degraded.(i))
       in
-      {
-        res_intensity = intensity;
-        res_spec = level_spec;
-        res_rows = rows;
-        res_survival = survival;
-        res_failed = failed_cells entries spec.Psn_sim.Runner.seeds cells;
-      })
+      { res_intensity = intensity; res_spec = level_spec; res_sim = sim; res_survival = survival })
     intensities
 
 (* ---- Analytic-model tables ---- *)

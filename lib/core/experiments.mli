@@ -11,8 +11,8 @@
     keeps every figure's shape while finishing in minutes;
     [paper_scale] matches the paper's parameters (1800 messages per
     run, k = 2000, 10 seeds). Everything else is a constant of the
-    figure it belongs to, stated with its function: the simulation
-    studies always run the paper's six algorithms
+    figure it belongs to, stated with its function: the figures'
+    simulation studies run the paper's six algorithms
     ({!Psn_forwarding.Registry.paper_six}). *)
 
 type scale = {
@@ -158,12 +158,20 @@ val sim_study :
   ?retries:int ->
   ?checkpoint:int ->
   ?scale:scale ->
+  ?faults:Psn_sim.Faults.spec ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
   input ->
+  Psn_forwarding.Registry.entry list ->
   sim_study
-(** Run each of the paper's six algorithms over
-    [scale.seeds] Poisson workloads (rate 1/4 s over the first two
-    hours, as in §6.1). The algorithm × seed grid is one parallel batch
+(** [sim_study input entries] runs each entry over [scale.seeds]
+    Poisson workloads (rate 1/4 s over the first two thirds of the
+    trace, as in §6.1). It is the one simulation grid: the catalogue
+    calls it with {!Psn_forwarding.Registry.paper_six} (Figs. 9, 10,
+    13), [psn simulate] with its [-a] entries and [--seeds], and each
+    {!resilience_study} level with that level's fault spec. [faults],
+    when given, is compiled over the trace and injected into every run;
+    it also keys the store, so faulted and pristine outcomes never
+    alias. The algorithm × seed grid is one parallel batch
     over [jobs] domains, claimed in ranges of [chunk] tasks; output is
     independent of [jobs] and [chunk]. [store], when
     given, memoizes each (algorithm, seed) outcome — a warm store
@@ -172,8 +180,8 @@ val sim_study :
     [checkpoint] (with a store) makes the sweep resumable in rounds of
     that many cells. A cell that still fails lands in [sim_failed]
     rather than aborting the study. [telemetry] (default null) wraps
-    the study in phase spans and threads through to the runner and
-    engine. *)
+    the study in an ["experiments.sim_study"] span with a [setup] phase
+    and threads through to the runner and engine. *)
 
 val entry_caches :
   Psn_store.Store.t ->
@@ -185,19 +193,9 @@ val entry_caches :
 (** One store-backed outcome cache per entry, in entry order — the
     [stores] argument of {!Psn_sim.Runner.outcomes_many_result} for a
     simulation of [trace] under [workload] (and [faults], when the runs
-    are faulted). Keys use each entry's stable registry name, so a warm
-    store answers without constructing the algorithm. *)
-
-val failed_cells :
-  Psn_forwarding.Registry.entry list ->
-  int64 list ->
-  (Psn_sim.Engine.outcome, exn) result list list ->
-  (string * int64 * string) list
-(** [failed_cells entries seeds cells] flattens the [Error] cells of a
-    {!Psn_sim.Runner.outcomes_many_result} grid into (algorithm label,
-    seed, reason) triples, in (algorithm, seed) order — the
-    [sim_failed] view, and the input of
-    {!Report.render_failed_cells}. *)
+    are faulted), as {!sim_study} builds it. Keys use each entry's
+    stable registry name, so a warm store answers without constructing
+    the algorithm. *)
 
 val fig9 : sim_study -> (string * Psn_sim.Metrics.t) list
 (** Average delay and success rate per algorithm — one Fig. 9 panel.
@@ -233,16 +231,14 @@ val fig12 : study -> n_examples:int -> fig12_example list
 type resilience_level = {
   res_intensity : float;  (** The {!Psn_sim.Faults.scale} multiplier. *)
   res_spec : Psn_sim.Faults.spec;  (** The scaled spec actually injected. *)
-  res_rows : (Psn_forwarding.Registry.entry * Psn_sim.Metrics.t) list;
-      (** Pooled multi-seed metrics per algorithm at this intensity
-          ([attempts] > [copies] measures the loss overhead). Pools
-          the successful seeds; all-failed algorithms are omitted. *)
+  res_sim : sim_study;
+      (** The paper's six algorithms under this level's spec; its
+          {!fig9} rows are the level's pooled metrics ([attempts] >
+          [copies] measures the loss overhead) and its [sim_failed] the
+          level's failed cells. *)
   res_survival : Psn_paths.Explosion.survival list;
       (** Per probe message, paths surviving on the degraded contact
           set vs the pristine baseline. *)
-  res_failed : (string * int64 * string) list;
-      (** Failed simulation cells at this level — (algorithm label,
-          seed, reason); empty on a healthy run. *)
 }
 
 val default_fault_spec : Psn_sim.Faults.spec
@@ -262,9 +258,8 @@ val resilience_study :
   resilience_level list
 (** The robustness experiment the paper's thesis implies but never runs:
     sweep fault intensity ([0, 0.5, 1, 2] × [base], base defaulting to
-    {!default_fault_spec}) and, per level, (a) run each of the paper's six
-    algorithms over [scale.seeds] workloads
-    with faults injected, and (b) re-enumerate 30 probe messages
+    {!default_fault_spec}) and, per level, (a) run {!sim_study} over the
+    paper's six algorithms with the level's faults injected, and (b) re-enumerate 30 probe messages
     on the fault-degraded contact set, measuring
     how many of the exploded paths survive. Delivery should degrade
     sublinearly in intensity exactly where surviving path counts stay
@@ -275,11 +270,12 @@ val resilience_study :
     and the probe enumerations (keyed on the degraded trace's content
     hash). [retries] / [checkpoint] thread through to the runner and
     enumeration fan-outs as in {!sim_study}; failed simulation cells
-    land in each level's [res_failed]. Each fan-out polls
+    land in each level's [res_sim.sim_failed]. Each fan-out polls
     {!Psn_robust.Interrupt.check}, so an interrupted sweep keeps every
     completed cell's stored result. [telemetry] (default null)
     records one ["experiments.level"] span per intensity (tagged with
-    the multiplier) around the fanned runs and enumerations. *)
+    the multiplier) around that level's ["experiments.sim_study"] span
+    and its probe enumerations. *)
 
 (** {1 Analytic-model tables (§5)} *)
 

@@ -192,11 +192,7 @@ let render_resilience ~title levels =
     | vs -> Psn_stats.Quantile.median (Array.of_list vs)
   in
   let level_block (l : Experiments.resilience_level) =
-    let rows =
-      List.map
-        (fun ((e : Psn_forwarding.Registry.entry), m) -> metrics_row (e.Psn_forwarding.Registry.label, m))
-        l.Experiments.res_rows
-    in
+    let rows = List.map metrics_row (Experiments.fig9 l.Experiments.res_sim) in
     let n_probes = List.length l.Experiments.res_survival in
     let delivered =
       List.length (List.filter (fun s -> s.Explosion.still_delivered) l.Experiments.res_survival)
@@ -215,7 +211,7 @@ let render_resilience ~title levels =
       (Table.render ~align:metrics_align ~header:metrics_header rows)
       baseline_med surviving_med ratio_med delivered n_probes
       (if Float.is_nan penalty_med then "" else Printf.sprintf ", median delay penalty %+.0f s" penalty_med)
-    ^ failed_lines l.Experiments.res_failed
+    ^ failed_lines l.Experiments.res_sim.Experiments.sim_failed
   in
   heading title
     (String.concat "\n\n" (List.map level_block levels)

@@ -41,17 +41,7 @@ let arrival_time t node =
 
 let delivery_delay t ~dst = Option.map (fun time -> time -. t.t_create) (arrival_time t dst)
 
-(* Summaries of the flooding oracle, the reference the spacetime tests
+(* A summary of the flooding oracle, the reference the spacetime tests
    check reachability against. *)
 let[@lint.allow "dead-export"] reached t =
   Array.fold_left (fun acc a -> if a >= 0 then acc + 1 else acc) 0 t.arrival
-
-let[@lint.allow "dead-export"] reachability_ratio snap ~t_create =
-  let n = Snapshot.n_nodes snap in
-  let reached_pairs = ref 0 in
-  for src = 0 to n - 1 do
-    let fl = flood snap ~src ~t_create in
-    (* exclude the source itself *)
-    reached_pairs := !reached_pairs + reached fl - 1
-  done;
-  float_of_int !reached_pairs /. float_of_int (n * (n - 1))

@@ -28,9 +28,3 @@ val delivery_delay : arrivals -> dst:Psn_trace.Node.id -> float option
 
 val reached : arrivals -> int
 (** Number of nodes reached, including the source. *)
-
-val reachability_ratio : Snapshot.t -> t_create:float -> float
-(** Fraction of ordered node pairs [(src, dst)] for which a message
-    created at [t_create] can reach [dst] from [src] before the trace
-    ends — the temporal-network reachability of the contact process
-    (one flood per source, O(N × flood)). *)

@@ -45,15 +45,11 @@ let[@lint.allow "dead-export"] mean_intercontact trace a b =
   | [] -> Float.infinity
   | gaps -> List.fold_left ( +. ) 0. gaps /. float_of_int (List.length gaps)
 
-let tail_exponent ?x_min samples =
+let tail_exponent samples =
   match Array.length samples with
   | 0 -> None
   | _ ->
-    let x_min =
-      match x_min with
-      | Some v -> v
-      | None -> Psn_stats.Quantile.median samples
-    in
+    let x_min = Psn_stats.Quantile.median samples in
     if not (x_min > 0.) then None
     else begin
       let tail = Array.to_list samples |> List.filter (fun x -> x >= x_min && x > 0.) in

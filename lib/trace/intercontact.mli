@@ -20,7 +20,7 @@ val aggregate_gaps : Trace.t -> float array
 val mean_intercontact : Trace.t -> Node.id -> Node.id -> float
 (** Mean gap of the pair; [infinity] when they met fewer than twice. *)
 
-val tail_exponent : ?x_min:float -> float array -> float option
+val tail_exponent : float array -> float option
 (** Hill estimator of the power-law tail exponent alpha (for
-    [P[X > x] ~ x^{-alpha}]) over samples ≥ [x_min] (default: the
-    sample median). [None] with fewer than 10 tail samples. *)
+    [P[X > x] ~ x^{-alpha}]) over the samples at or above the sample
+    median. [None] with fewer than 10 tail samples. *)

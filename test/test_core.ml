@@ -265,7 +265,7 @@ let test_catalogue_file_input () =
       Alcotest.(check (list string)) id expected (body of_file id))
     [ "fig8"; "fig13" ]
 
-let sim = lazy (E.sim_study ~scale:tiny_scale (Lazy.force conext_am))
+let sim = lazy (E.sim_study ~scale:tiny_scale (Lazy.force conext_am) Core.Registry.paper_six)
 
 let test_fig9_ordering () =
   let rows = E.fig9 (Lazy.force sim) in
@@ -276,6 +276,21 @@ let test_fig9_ordering () =
       Alcotest.(check bool) "success <= epidemic" true
         (m.Core.Metrics.success_rate <= epidemic.Core.Metrics.success_rate +. 1e-9))
     rows
+
+(* Intensity 0 of the resilience ladder goes through the same study as
+   the pristine figures: a null fault plan must be no plan at all. *)
+let test_sim_null_faults () =
+  let faulted =
+    E.sim_study ~scale:tiny_scale
+      ~faults:(Core.Faults.scale 0. E.default_fault_spec)
+      (Lazy.force conext_am) Core.Registry.paper_six
+  in
+  let pristine = E.fig9 (Lazy.force sim) and null = E.fig9 faulted in
+  Alcotest.(check (list string)) "algorithms" (List.map fst pristine) (List.map fst null);
+  List.iter2
+    (fun (label, m) (_, f) -> Alcotest.(check bool) label true (Core.Metrics.equal m f))
+    pristine null;
+  Alcotest.(check int) "no failed cell" 0 (List.length faulted.E.sim_failed)
 
 let test_fig10_has_epidemic () =
   let cdfs = E.fig10 (Lazy.force sim) in
@@ -411,6 +426,7 @@ let () =
           Alcotest.test_case "fig1/fig7" `Slow test_fig1_fig7;
           Alcotest.test_case "fig2" `Quick test_fig2_example;
           Alcotest.test_case "fig9 epidemic bound" `Slow test_fig9_ordering;
+          Alcotest.test_case "null fault spec is no fault plan" `Slow test_sim_null_faults;
           Alcotest.test_case "fig10" `Slow test_fig10_has_epidemic;
           Alcotest.test_case "fig13 groups" `Slow test_fig13_groups;
           Alcotest.test_case "fig12 examples" `Slow test_fig12_examples;

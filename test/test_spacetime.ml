@@ -1,11 +1,10 @@
 (* Tests for the psn_spacetime library: the time grid, per-step contact
-   snapshots, the formal space-time graph, and epidemic flooding. *)
+   snapshots, their Fig. 2 rendering, and epidemic flooding. *)
 
 module Contact = Core.Contact
 module Trace = Core.Trace
 module Timegrid = Core.Timegrid
 module Snapshot = Core.Snapshot
-module Stgraph = Core.Stgraph
 module Reachability = Core.Reachability
 
 let feps = Alcotest.float 1e-9
@@ -95,38 +94,14 @@ let test_snapshot_contact_spanning_steps () =
   let snap = Snapshot.of_trace t in
   Alcotest.(check (list int)) "spans steps 1-3" [ 1; 2; 3 ] (Snapshot.active_steps snap)
 
-(* --- Stgraph --- *)
-
-let test_graph_successors () =
-  let graph = Stgraph.of_trace (sample_trace ()) in
-  let succ = Stgraph.successors graph { Stgraph.node = 1; step = 2 } in
-  let contacts = List.filter (fun e -> Stgraph.weight e = 0) succ in
-  let waits = List.filter (fun e -> Stgraph.weight e = 1) succ in
-  Alcotest.(check int) "two contact edges" 2 (List.length contacts);
-  Alcotest.(check int) "one wait edge" 1 (List.length waits)
-
-let test_graph_no_wait_at_last_step () =
-  let graph = Stgraph.of_trace (sample_trace ()) in
-  let succ = Stgraph.successors graph { Stgraph.node = 0; step = 5 } in
-  Alcotest.(check int) "no edges at last step" 0 (List.length succ)
-
-let test_graph_counts () =
-  let graph = Stgraph.of_trace (sample_trace ()) in
-  Alcotest.(check int) "vertices" 25 (Stgraph.n_vertices graph);
-  (* contact edges: step1 has 1 pair, step2 has 3 pairs -> 8 directed;
-     wait edges: 5 nodes x 4 transitions. *)
-  Alcotest.(check int) "edges" 28 (Stgraph.edge_count graph)
+(* --- Fig. 2 rendering --- *)
 
 let test_graph_render () =
-  let graph = Stgraph.of_trace (sample_trace ()) in
-  let text = Format.asprintf "%a" Stgraph.pp graph in
-  let contains sub =
-    let slen = String.length text and sublen = String.length sub in
-    let rec scan i = i + sublen <= slen && (String.sub text i sublen = sub || scan (i + 1)) in
-    scan 0
-  in
-  Alcotest.(check bool) "mentions t=1" true (contains "t=1");
-  Alcotest.(check bool) "edge 2-3 shown" true (contains "2-3")
+  (* The paper's three-node example, one line per active step in
+     [Snapshot.edges] order. *)
+  Alcotest.(check string) "fig 2"
+    "space-time graph: 3 nodes x 2 steps (delta=10 s)\nt=1: 0-1\nt=2: 0-2 0-1 1-2\n"
+    (Core.Experiments.fig2 ())
 
 (* --- Reachability --- *)
 
@@ -186,22 +161,6 @@ let test_flood_source_arrival () =
   let fl = Reachability.flood snap ~src:0 ~t_create:42. in
   Alcotest.(check (option int)) "source holds from creation step" (Some 5)
     (Reachability.arrival_step fl 0)
-
-let test_reachability_ratio () =
-  (* Contacts are bidirectional: from t=0, 0 reaches {1,2}, 1 reaches
-     {0,2}, 2 reaches {1} (the 0-1 contact is already past when 2's
-     copy arrives at 1) -> 5 of 6 ordered pairs. *)
-  let t =
-    Trace.create ~n_nodes:3 ~horizon:60.
-      [
-        Contact.make ~a:0 ~b:1 ~t_start:11. ~t_end:19.;
-        Contact.make ~a:1 ~b:2 ~t_start:31. ~t_end:39.;
-      ]
-  in
-  let snap = Snapshot.of_trace t in
-  Alcotest.check feps "ratio" (5. /. 6.) (Reachability.reachability_ratio snap ~t_create:0.);
-  (* after both contacts have passed, nothing is reachable *)
-  Alcotest.check feps "late ratio" 0. (Reachability.reachability_ratio snap ~t_create:45.)
 
 (* --- qcheck properties --- *)
 
@@ -274,9 +233,6 @@ let () =
         ] );
       ( "graph",
         [
-          Alcotest.test_case "successors" `Quick test_graph_successors;
-          Alcotest.test_case "no wait at last step" `Quick test_graph_no_wait_at_last_step;
-          Alcotest.test_case "vertex and edge counts" `Quick test_graph_counts;
           Alcotest.test_case "rendering" `Quick test_graph_render;
         ] );
       ( "reachability",
@@ -286,7 +242,6 @@ let () =
           Alcotest.test_case "same-step chain" `Quick test_flood_same_step_chain;
           Alcotest.test_case "ignores past contacts" `Quick test_flood_ignores_past_contacts;
           Alcotest.test_case "source arrival" `Quick test_flood_source_arrival;
-          Alcotest.test_case "reachability ratio" `Quick test_reachability_ratio;
         ] );
       ("properties", qcheck_tests);
     ]

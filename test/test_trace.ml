@@ -373,13 +373,13 @@ let test_intercontact_tail_exponent () =
   (* Pareto(alpha = 2) samples: the Hill estimator should land near 2. *)
   let rng = Rng.create ~seed:44L () in
   let samples = Array.init 20_000 (fun _ -> Rng.pareto rng ~alpha:2. ~x_min:1.) in
-  match Core.Intercontact.tail_exponent ~x_min:1. samples with
+  match Core.Intercontact.tail_exponent samples with
   | None -> Alcotest.fail "no estimate"
   | Some alpha -> Alcotest.(check (float 0.1)) "hill estimate" 2. alpha
 
 let test_intercontact_tail_too_small () =
   Alcotest.(check (option (float 1.))) "tiny sample" None
-    (Core.Intercontact.tail_exponent ~x_min:1. [| 2.; 3. |])
+    (Core.Intercontact.tail_exponent [| 2.; 3. |])
 
 (* --- Dataset --- *)
 
