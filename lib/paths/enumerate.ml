@@ -21,8 +21,6 @@ type result = {
   t_create : float;
 }
 
-let bitset_create n = Bytes.make ((n + 7) / 8) '\000'
-
 (* Bitsets are [stride]-byte rows; [base] is the row's first byte. *)
 let[@psn.hot] bitset_mem_at bs base i =
   Char.code (Bytes.get bs (base + (i lsr 3))) land (1 lsl (i land 7)) <> 0
@@ -31,18 +29,9 @@ let[@psn.hot] bitset_add_at bs base i =
   let byte = base + (i lsr 3) in
   Bytes.set bs byte (Char.chr (Char.code (Bytes.get bs byte) lor (1 lsl (i land 7))))
 
-let[@psn.hot] bitset_mem bs i = bitset_mem_at bs 0 i
-let[@psn.hot] bitset_add bs i = bitset_add_at bs 0 i
-
-let[@psn.hot] bitset_remove bs i =
-  let byte = i lsr 3 in
-  Bytes.set bs byte (Char.chr (Char.code (Bytes.get bs byte) land lnot (1 lsl (i land 7)) land 0xff))
-
-(* Whether the row at [base] holds any of [nodes]. *)
-let[@psn.hot] rec bitset_meets bs base nodes =
-  match nodes with
-  | [] -> false
-  | v :: rest -> bitset_mem_at bs base v || bitset_meets bs base rest
+(* Whether the bitset row at [base] holds any of [nodes.(j .. stop - 1)]. *)
+let[@psn.hot] rec bitset_meets bs base (nodes : int array) j stop =
+  j < stop && (bitset_mem_at bs base nodes.(j) || bitset_meets bs base nodes (j + 1) stop)
 
 (* Per-run DP state, allocated once per run.
 
@@ -64,9 +53,17 @@ let[@psn.hot] rec bitset_meets bs base nodes =
    The per-hop worklists [buckets.(h)] are stacks, [heights.(h)] deep,
    with the LIFO order of cons lists. An entry [i * n + u] names the path
    at position [i] of node [u]'s level [h]: positions only move in the
-   kill and the trim, after the worklists have drained. *)
+   kill and the trim, after the worklists have drained.
+
+   Neighbours are read from the snapshot's flat rows: node [u]'s row
+   this step is [nbr.(off.(row + u)) .. nbr.(off.(row + u + 1) - 1)],
+   ascending. Its fresh edges (the row minus last step's) are
+   [fresh.(fresh_off.(u)) .. fresh.(fresh_off.(u + 1) - 1)], in row
+   order. *)
 type state = {
-  snap : Snapshot.t;
+  off : int array;
+  nbr : int array;
+  mutable row : int;  (* this step's first cell *)
   n : int;
   k : int;
   dst : int;
@@ -87,8 +84,11 @@ type state = {
   mutable n_touched : int;
   kth_old : int array;
   reach : int array;  (* per node, [reach_of] its neighbours this step *)
-  fresh_edges : int list array;
+  mutable fresh : int array;
+  fresh_off : int array;
   in_dst_component : bool array;
+  component : int array;  (* the destination's component, first [n_component] *)
+  mutable n_component : int;
   mutable step : int;
   mutable step_time : float;
   mutable step_duration : float;
@@ -153,12 +153,13 @@ let push st h entry =
    past the hop cap or the target's [kth_old]. Popping such a path would
    do nothing, so it is never pushed — which leaves every other path's
    turn, and the output, as they were. *)
-let[@psn.hot] rec reach_of st targets acc =
-  match targets with
-  | [] -> acc
-  | v :: rest ->
+let[@psn.hot] rec reach_of st (targets : int array) j stop acc =
+  if j = stop then acc
+  else
+    let v = targets.(j) in
     if v = st.dst then max_int
-    else reach_of st rest (Int.max acc (Int.min (st.hop_cap - 1) (st.kth_old.(v) - 1)))
+    else
+      reach_of st targets (j + 1) stop (Int.max acc (Int.min (st.hop_cap - 1) (st.kth_old.(v) - 1)))
 
 (* Whether node [u] holds a path born at or after [since] on a level up
    to [h]: the last path of some level, as levels are in creation
@@ -226,11 +227,12 @@ let extend st u h i v =
   bitset_add_at marks (j * st.stride) v;
   if h' <= st.reach.(v) then push st h' ((j * st.n) + v)
 
-(* [marks] and [base] locate the path's visited set: extending writes
-   only to level [h + 1], so they stay valid throughout. *)
-let rec expand st u h i marks base = function
-  | [] -> ()
-  | v :: rest ->
+(* Offers the path along [targets.(j .. stop - 1)]. [marks] and [base]
+   locate its visited set: extending writes only to level [h + 1], so
+   they stay valid throughout. *)
+let rec expand st u h i marks base (targets : int array) j stop =
+  if j < stop then begin
+    let v = targets.(j) in
     if v = st.dst then deliver st u h i
     else if
       h < st.hop_cap
@@ -238,7 +240,8 @@ let rec expand st u h i marks base = function
       && st.new_count.(v) < st.k
       && not (bitset_mem_at marks base v)
     then extend st u h i v;
-    expand st u h i marks base rest
+    expand st u h i marks base targets (j + 1) stop
+  end
 
 let rec drain st h =
   let height = st.heights.(h) in
@@ -246,43 +249,47 @@ let rec drain st h =
     let entry = st.buckets.(h).(height - 1) in
     st.heights.(h) <- height - 1;
     let u = entry mod st.n and i = entry / st.n in
-    let targets =
-      if st.born.(u).(h).(i) >= st.step - 1 || st.in_dst_component.(u) then
-        Snapshot.neighbours st.snap ~step:st.step u
-      else st.fresh_edges.(u)
-    in
-    expand st u h i st.marks.(u).(h) (i * st.stride) targets;
+    if st.born.(u).(h).(i) >= st.step - 1 || st.in_dst_component.(u) then
+      expand st u h i st.marks.(u).(h) (i * st.stride) st.nbr
+        st.off.(st.row + u)
+        st.off.(st.row + u + 1)
+    else
+      expand st u h i st.marks.(u).(h) (i * st.stride) st.fresh st.fresh_off.(u)
+        st.fresh_off.(u + 1);
     drain st h
   end
 
 (* Moves a level's paths that visited none of [nodes] to its front, in
    order; returns how many there are. *)
-let[@psn.hot] rec compact hops born marks stride nodes i len kept =
+let[@psn.hot] rec compact hops born marks stride nodes lo hi i len kept =
   if i = len then kept
-  else if bitset_meets marks (i * stride) nodes then
-    compact hops born marks stride nodes (i + 1) len kept
+  else if bitset_meets marks (i * stride) nodes lo hi then
+    compact hops born marks stride nodes lo hi (i + 1) len kept
   else begin
     if kept < i then begin
       hops.(kept) <- hops.(i);
       born.(kept) <- born.(i);
       Bytes.blit marks (i * stride) marks (kept * stride) stride
     end;
-    compact hops born marks stride nodes (i + 1) len (kept + 1)
+    compact hops born marks stride nodes lo hi (i + 1) len (kept + 1)
   end
 
 (* Compacts node [w]'s levels [1, h]; returns how many paths they keep. *)
-let[@psn.hot] rec kill_levels st w nodes h kept_below =
+let[@psn.hot] rec kill_levels st w lo hi h kept_below =
   if h = 0 then kept_below
   else begin
     let len = st.counts.(w).(h) in
-    let kept = compact st.hops.(w).(h) st.born.(w).(h) st.marks.(w).(h) st.stride nodes 0 len 0 in
+    let kept =
+      compact st.hops.(w).(h) st.born.(w).(h) st.marks.(w).(h) st.stride st.nbr lo hi 0 len 0
+    in
     if kept < len then truncate st w h kept;
-    kill_levels st w nodes (h - 1) (kept_below + kept)
+    kill_levels st w lo hi (h - 1) (kept_below + kept)
   end
 
-(* Drops every path node [w] holds that visited one of [nodes]. *)
-let[@psn.hot] kill st w nodes =
-  let size = kill_levels st w nodes st.top.(w) 0 in
+(* Drops every path node [w] holds that visited one of the nodes
+   [nbr.(lo .. hi - 1)]. *)
+let[@psn.hot] kill st w lo hi =
+  let size = kill_levels st w lo hi st.top.(w) 0 in
   st.live <- st.live - st.size.(w) + size;
   st.size.(w) <- size;
   st.top.(w) <- lower_top st.counts.(w) st.top.(w)
@@ -302,6 +309,18 @@ let[@psn.hot] rec trim st u =
     trim st u
   end
 
+(* Writes to [out] from [w] the entries of the sorted row
+   [nbr.(j .. stop - 1)] absent from the sorted row
+   [nbr.(p .. pstop - 1)], in row order; returns the new end. *)
+let[@psn.hot] rec fresh_diff (nbr : int array) (out : int array) j stop p pstop w =
+  if j = stop then w
+  else if p = pstop || nbr.(j) < nbr.(p) then begin
+    out.(w) <- nbr.(j);
+    fresh_diff nbr out (j + 1) stop p pstop (w + 1)
+  end
+  else if nbr.(j) = nbr.(p) then fresh_diff nbr out (j + 1) stop (p + 1) pstop w
+  else fresh_diff nbr out j stop (p + 1) pstop w
+
 let run ?(config = default_config) snap ~src ~dst ~t_create =
   let n = Snapshot.n_nodes snap in
   if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Enumerate.run: node out of range";
@@ -318,13 +337,15 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
   let k = config.k in
   let st =
     {
-      snap;
+      off = Snapshot.offsets snap;
+      nbr = Snapshot.targets snap;
+      row = 0;
       n;
       k;
       dst;
       hop_cap = (match config.max_hops with None -> n | Some h -> Int.min h n);
       budget = (match config.stop_at_total with None -> max_int | Some t -> t);
-      stride = Bytes.length (bitset_create n);
+      stride = (n + 7) / 8;
       hops = Array.make n [||];
       born = Array.make n [||];
       marks = Array.make n [||];
@@ -342,8 +363,11 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
       n_touched = 0;
       kth_old = Array.make n max_int;
       reach = Array.make n 0;
-      fresh_edges = Array.make n [];
+      fresh = [||];
+      fresh_off = Array.make (n + 1) 0;
       in_dst_component = Array.make n false;
+      component = Array.make n 0;
+      n_component = 0;
       step = c0;
       step_time = 0.;
       step_duration = 0.;
@@ -359,56 +383,50 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
   bitset_add_at st.marks.(src).(1) (i * st.stride) src;
   let stopped_early = ref false in
   let steps_processed = ref 0 in
-  (* Scratch bitset for the fresh-edge computation, reused (and cleared
-     back to zero) every node of every step. *)
-  let prev_mask = bitset_create n in
-  let has_fresh = Array.make n false in
+  let off = st.off and nbr = st.nbr in
   let n_steps = Timegrid.n_steps grid in
   (try
      for step_now = c0 + 1 to n_steps do
        st.step <- step_now;
        incr steps_processed;
-       let neighbours = Snapshot.neighbours snap ~step:step_now in
-       let dst_contacts = neighbours dst in
+       let row = Snapshot.cell snap ~step:step_now 0 in
+       st.row <- row;
        (* An extension of path p over edge (u, v) can enter v's table (or
           deliver) only if p is newly created or the edge is newly
           present: a static configuration already produced the same-hop,
           earlier-time copies in the previous step, and ties keep the
           earlier copy. Restricting extensions accordingly removes the
-          dominant steady-state cost without changing any output. *)
-       let prev_neighbours u =
-         if step_now = 1 then [] else Snapshot.neighbours snap ~step:(step_now - 1) u
-       in
+          dominant steady-state cost without changing any output. Fresh
+          edges are a linear merge of this step's sorted row against
+          last step's; exhaustive mode treats every edge as fresh. *)
+       let needed = off.(row + n) - off.(row) in
+       if needed > Array.length st.fresh then
+         st.fresh <- Array.make (Int.max needed (2 * Array.length st.fresh)) 0;
+       let filled = ref 0 in
        for u = 0 to n - 1 do
-         let fresh =
-           if config.exhaustive then neighbours u
-           else begin
-             (* Membership in last step's neighbour set via a reusable
-                bitset: O(deg) per node where the old List.mem scan was
-                O(deg²) — the dominant per-step cost on dense steps. *)
-             match prev_neighbours u with
-             | [] -> neighbours u
-             | prev ->
-               List.iter (fun v -> bitset_add prev_mask v) prev;
-               let fresh =
-                 List.filter (fun v -> not (bitset_mem prev_mask v)) (neighbours u)
-               in
-               List.iter (fun v -> bitset_remove prev_mask v) prev;
-               fresh
-           end
-         in
-         st.fresh_edges.(u) <- fresh;
-         has_fresh.(u) <- not (List.is_empty fresh)
+         st.fresh_off.(u) <- !filled;
+         let lo = off.(row + u) and hi = off.(row + u + 1) in
+         filled :=
+           if config.exhaustive || step_now = 1 then fresh_diff nbr st.fresh lo hi 0 0 !filled
+           else fresh_diff nbr st.fresh lo hi off.(row - n + u) off.(row - n + u + 1) !filled
        done;
+       st.fresh_off.(n) <- !filled;
        (* Deliveries are different: every chain reaching the destination
           this step is a distinct counted path even along static edges
           (each step's traversal has its own timestamps), so inside the
           destination's contact component everything must extend. *)
-       Array.fill st.in_dst_component 0 n false;
-       if not (List.is_empty dst_contacts) then
-         List.iter
-           (fun u -> st.in_dst_component.(u) <- true)
-           (Snapshot.component_of snap ~step:step_now dst);
+       for i = 0 to st.n_component - 1 do
+         st.in_dst_component.(st.component.(i)) <- false
+       done;
+       st.n_component <- 0;
+       let dst_lo = off.(row + dst) and dst_hi = off.(row + dst + 1) in
+       if dst_hi > dst_lo then begin
+         st.component.(0) <- dst;
+         st.in_dst_component.(dst) <- true;
+         st.n_component <-
+           Snapshot.spread snap ~step:step_now ~seen:st.in_dst_component st.component ~from:0
+             ~until:1
+       end;
        (* A retained path is active — it can still produce novel
           extensions or deliveries this step — when it was born last
           step or later, or its node has a fresh edge or sits in the
@@ -418,8 +436,10 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
          if
            u <> dst
            && st.size.(u) > 0
-           && (not (List.is_empty (neighbours u)))
-           && (has_fresh.(u) || st.in_dst_component.(u) || has_recent st u (step_now - 1) st.top.(u))
+           && off.(row + u + 1) > off.(row + u)
+           && (st.fresh_off.(u + 1) > st.fresh_off.(u)
+              || st.in_dst_component.(u)
+              || has_recent st u (step_now - 1) st.top.(u))
          then any_active := true
        done;
        if !any_active then begin
@@ -434,13 +454,15 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
            st.kth_old.(v) <- (if st.size.(v) >= k then st.top.(v) else max_int)
          done;
          for u = 0 to n - 1 do
-           st.reach.(u) <- reach_of st (neighbours u) 0
+           st.reach.(u) <- reach_of st nbr off.(row + u) off.(row + u + 1) 0
          done;
          (* Seed the buckets with the active paths. *)
          for u = 0 to n - 1 do
            if u <> dst && st.size.(u) > 0 then
              seed st u
-               ~all:(if st.in_dst_component.(u) then st.reach.(u) else reach_of st st.fresh_edges.(u) 0)
+               ~all:
+                 (if st.in_dst_component.(u) then st.reach.(u)
+                  else reach_of st st.fresh st.fresh_off.(u) st.fresh_off.(u + 1) 0)
                ~recent:st.reach.(u)
          done;
          (* This step's new paths go straight into the table, after the
@@ -460,9 +482,9 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
             step's destination contacts — both retained paths and this
             step's fresh ones. Their same-step deliveries were already
             emitted above. *)
-         if not (List.is_empty dst_contacts) then
+         if dst_hi > dst_lo then
            for w = 0 to n - 1 do
-             if st.size.(w) > 0 then kill st w dst_contacts
+             if st.size.(w) > 0 then kill st w dst_lo dst_hi
            done;
          (* Cut each grown table back to its k fewest-hop paths. *)
          for i = 0 to st.n_touched - 1 do

@@ -11,22 +11,22 @@ let flood snap ~src ~t_create =
   let create_step = Timegrid.step_of_time grid t_create in
   let arrival = Array.make n (-1) in
   arrival.(src) <- create_step;
+  (* The holders, in arrival order, are the prefix [0, n_reached) of
+     [queue]: each step closes them under its contacts, so any
+     component containing a holder becomes all-holders, and the nodes
+     appended are that step's arrivals. *)
+  let held = Array.make n false in
+  let queue = Array.make n src in
+  held.(src) <- true;
   let n_reached = ref 1 in
   let steps = Timegrid.n_steps grid in
   let step = ref (create_step + 1) in
   while !step <= steps && !n_reached < n do
-    (* Any component containing a holder becomes all-holders this step. *)
-    List.iter
-      (fun comp ->
-        if List.exists (fun x -> arrival.(x) >= 0) comp then
-          List.iter
-            (fun x ->
-              if arrival.(x) < 0 then begin
-                arrival.(x) <- !step;
-                incr n_reached
-              end)
-            comp)
-      (Snapshot.components snap ~step:!step);
+    let reached = Snapshot.spread snap ~step:!step ~seen:held queue ~from:0 ~until:!n_reached in
+    for i = !n_reached to reached - 1 do
+      arrival.(queue.(i)) <- !step
+    done;
+    n_reached := reached;
     incr step
   done;
   { grid; t_create; arrival }

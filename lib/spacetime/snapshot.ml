@@ -1,92 +1,158 @@
 module Trace = Psn_trace.Trace
 module Contact = Psn_trace.Contact
 
+(* Compressed rows, one per (step, node) cell. Cell
+   [(step - 1) * n_nodes + node] holds the node's neighbours of the
+   step at [targets.(offsets.(cell)) .. targets.(offsets.(cell + 1) - 1)],
+   ascending and distinct. [targets] may run past the last offset: the
+   slack is what deduplication freed, and is never read. *)
 type t = {
   grid : Timegrid.t;
   n_nodes : int;
-  adj : int list array array;  (* adj.(step - 1).(node) = sorted distinct neighbours *)
+  offsets : int array;  (* n_steps * n_nodes + 1 *)
+  targets : int array;
 }
+
+(* Rows are short (a node's contacts within one step), so insertion
+   sort; a row past [long_row] is sorted through a copy. *)
+let long_row = 32
+
+let sort_row (targets : int array) lo hi =
+  if hi - lo > long_row then begin
+    let row = Array.sub targets lo (hi - lo) in
+    Array.stable_sort Int.compare row;
+    Array.blit row 0 targets lo (hi - lo)
+  end
+  else
+    for i = lo + 1 to hi - 1 do
+      let v = targets.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && targets.(!j) > v do
+        targets.(!j + 1) <- targets.(!j);
+        decr j
+      done;
+      targets.(!j + 1) <- v
+    done
 
 let of_trace ?delta trace =
   let grid = Timegrid.create ?delta ~horizon:(Trace.horizon trace) () in
   let n = Trace.n_nodes trace in
-  let steps = Timegrid.n_steps grid in
-  let adj = Array.init steps (fun _ -> Array.make n []) in
-  Trace.iter_contacts trace (fun (c : Contact.t) ->
-      let first, last = Timegrid.steps_overlapping grid ~t_start:c.Contact.t_start ~t_end:c.Contact.t_end in
-      for step = first to last do
-        let row = adj.(step - 1) in
-        row.(c.Contact.a) <- c.Contact.b :: row.(c.Contact.a);
-        row.(c.Contact.b) <- c.Contact.a :: row.(c.Contact.b)
-      done);
-  (* Merge duplicates (same pair touching one step via several contact
-     records) and fix a deterministic order. *)
-  Array.iter
-    (fun row ->
-      Array.iteri (fun i ns -> row.(i) <- List.sort_uniq Int.compare ns) row)
-    adj;
-  { grid; n_nodes = n; adj }
+  let cells = Timegrid.n_steps grid * n in
+  let offsets = Array.make (cells + 1) 0 in
+  let each_cell f =
+    Trace.iter_contacts trace (fun (c : Contact.t) ->
+        let first, last =
+          Timegrid.steps_overlapping grid ~t_start:c.Contact.t_start ~t_end:c.Contact.t_end
+        in
+        for step = first to last do
+          let base = (step - 1) * n in
+          f (base + c.Contact.a) c.Contact.b;
+          f (base + c.Contact.b) c.Contact.a
+        done)
+  in
+  (* 1. Degrees, then inclusive prefix sums: [offsets.(i)] is the end
+     of cell [i]'s row. *)
+  each_cell (fun i _ -> offsets.(i) <- offsets.(i) + 1);
+  for i = 1 to cells - 1 do
+    offsets.(i) <- offsets.(i) + offsets.(i - 1)
+  done;
+  offsets.(cells) <- offsets.(cells - 1);
+  (* 2. Fill each row from its end down: afterwards [offsets.(i)] is
+     its start. *)
+  let targets = Array.make offsets.(cells) 0 in
+  each_cell (fun i v ->
+      let p = offsets.(i) - 1 in
+      offsets.(i) <- p;
+      targets.(p) <- v);
+  (* 3. Sort each row and drop duplicates (a pair touching one step
+     through several contact records), compacting rows to the left. *)
+  let w = ref 0 in
+  for i = 0 to cells - 1 do
+    let lo = offsets.(i) and hi = offsets.(i + 1) in
+    sort_row targets lo hi;
+    offsets.(i) <- !w;
+    for j = lo to hi - 1 do
+      let v = targets.(j) in
+      if !w = offsets.(i) || targets.(!w - 1) <> v then begin
+        targets.(!w) <- v;
+        incr w
+      end
+    done
+  done;
+  offsets.(cells) <- !w;
+  { grid; n_nodes = n; offsets; targets }
 
 let grid t = t.grid
 let n_nodes t = t.n_nodes
 let n_steps t = Timegrid.n_steps t.grid
+let offsets t = t.offsets
+let targets t = t.targets
 
 let check t ~step node =
   if step < 1 || step > n_steps t then invalid_arg "Snapshot: step out of range";
   if node < 0 || node >= t.n_nodes then invalid_arg "Snapshot: node out of range"
 
-let neighbours t ~step node =
+let cell t ~step node =
   check t ~step node;
-  t.adj.(step - 1).(node)
+  ((step - 1) * t.n_nodes) + node
 
 (* Reference lookup: the Path validity predicates and the adjacency
-   property tests are stated with it. *)
+   property tests are stated with it. A binary search of [a]'s row. *)
 let[@lint.allow "dead-export"] in_contact t ~step a b =
-  check t ~step a;
   check t ~step b;
-  List.mem b t.adj.(step - 1).(a)
+  let i = cell t ~step a in
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) lsr 1 in
+    let x = t.targets.(mid) in
+    x = b || if x < b then search (mid + 1) hi else search lo mid
+  in
+  search t.offsets.(i) t.offsets.(i + 1)
 
 let edges t ~step =
-  check t ~step 0;
-  let row = t.adj.(step - 1) in
+  let base = cell t ~step 0 in
   let acc = ref [] in
   for a = t.n_nodes - 1 downto 0 do
-    List.iter (fun b -> if a < b then acc := (a, b) :: !acc) row.(a)
+    for j = t.offsets.(base + a) to t.offsets.(base + a + 1) - 1 do
+      let b = t.targets.(j) in
+      if a < b then acc := (a, b) :: !acc
+    done
   done;
   !acc
 
 let active_steps t =
   let acc = ref [] in
   for step = n_steps t downto 1 do
-    if Array.exists (fun ns -> not (List.is_empty ns)) t.adj.(step - 1) then acc := step :: !acc
+    if t.offsets.(step * t.n_nodes) > t.offsets.((step - 1) * t.n_nodes) then acc := step :: !acc
   done;
   !acc
 
-let component_of t ~step node =
-  check t ~step node;
-  let row = t.adj.(step - 1) in
-  let seen = Array.make t.n_nodes false in
-  seen.(node) <- true;
-  let rec bfs frontier acc =
-    match frontier with
-    | [] -> acc
-    | x :: rest ->
-      let fresh = List.filter (fun y -> not seen.(y)) row.(x) in
-      List.iter (fun y -> seen.(y) <- true) fresh;
-      bfs (fresh @ rest) (fresh @ acc)
-  in
-  List.sort Int.compare (bfs [ node ] [ node ])
-
-let components t ~step =
-  check t ~step 0;
-  let row = t.adj.(step - 1) in
-  let seen = Array.make t.n_nodes false in
-  let out = ref [] in
-  for node = 0 to t.n_nodes - 1 do
-    if (not seen.(node)) && not (List.is_empty row.(node)) then begin
-      let comp = component_of t ~step node in
-      List.iter (fun x -> seen.(x) <- true) comp;
-      out := comp :: !out
+(* Appends the unseen entries of [targets.(j .. stop - 1)] to [queue]
+   from [tail], marking them; returns the new tail. *)
+let[@psn.hot] rec push_unseen (targets : int array) (seen : bool array) (queue : int array) j stop
+    tail =
+  if j = stop then tail
+  else begin
+    let v = targets.(j) in
+    if seen.(v) then push_unseen targets seen queue (j + 1) stop tail
+    else begin
+      seen.(v) <- true;
+      queue.(tail) <- v;
+      push_unseen targets seen queue (j + 1) stop (tail + 1)
     end
-  done;
-  List.rev !out
+  end
+
+let[@psn.hot] rec close t base seen queue head tail =
+  if head = tail then tail
+  else begin
+    let x = queue.(head) in
+    let tail =
+      push_unseen t.targets seen queue t.offsets.(base + x) t.offsets.(base + x + 1) tail
+    in
+    close t base seen queue (head + 1) tail
+  end
+
+let[@psn.hot] spread t ~step ~seen queue ~from ~until =
+  if step < 1 || step > n_steps t then invalid_arg "Snapshot: step out of range";
+  close t ((step - 1) * t.n_nodes) seen queue from until

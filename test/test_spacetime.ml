@@ -44,6 +44,71 @@ let test_grid_errors () =
 
 (* --- Snapshot --- *)
 
+(* A row of the flat layout as a list. *)
+let neighbours snap ~step node =
+  let i = Snapshot.cell snap ~step node in
+  let off = Snapshot.offsets snap and targets = Snapshot.targets snap in
+  List.init (off.(i + 1) - off.(i)) (fun j -> targets.(off.(i) + j))
+
+(* A node's component (sorted, itself included), and a step's
+   components in node order, through one [Snapshot.spread] queue. *)
+let component_of snap ~step node =
+  let seen = Array.make (Snapshot.n_nodes snap) false in
+  let queue = Array.make (Snapshot.n_nodes snap) node in
+  seen.(node) <- true;
+  let len = Snapshot.spread snap ~step ~seen queue ~from:0 ~until:1 in
+  List.sort Int.compare (List.init len (fun i -> queue.(i)))
+
+let components snap ~step =
+  let n = Snapshot.n_nodes snap in
+  let seen = Array.make n false in
+  let queue = Array.make n 0 in
+  let out = ref [] and len = ref 0 in
+  for node = 0 to n - 1 do
+    if (not seen.(node)) && neighbours snap ~step node <> [] then begin
+      seen.(node) <- true;
+      queue.(!len) <- node;
+      let stop = Snapshot.spread snap ~step ~seen queue ~from:!len ~until:(!len + 1) in
+      out := List.sort Int.compare (List.init (stop - !len) (fun i -> queue.(!len + i))) :: !out;
+      len := stop
+    end
+  done;
+  List.rev !out
+
+(* The list-per-cell build the flat layout replaced, kept as the
+   reference it must match: [adj.(step - 1).(node)] is the sorted,
+   deduplicated neighbour list. *)
+let reference_rows ?delta trace =
+  let grid = Timegrid.create ?delta ~horizon:(Trace.horizon trace) () in
+  let n = Trace.n_nodes trace in
+  let adj = Array.init (Timegrid.n_steps grid) (fun _ -> Array.make n []) in
+  Trace.iter_contacts trace (fun (c : Contact.t) ->
+      let first, last =
+        Timegrid.steps_overlapping grid ~t_start:c.Contact.t_start ~t_end:c.Contact.t_end
+      in
+      for step = first to last do
+        let row = adj.(step - 1) in
+        row.(c.Contact.a) <- c.Contact.b :: row.(c.Contact.a);
+        row.(c.Contact.b) <- c.Contact.a :: row.(c.Contact.b)
+      done);
+  Array.iter (fun row -> Array.iteri (fun i ns -> row.(i) <- List.sort_uniq Int.compare ns) row) adj;
+  adj
+
+(* The reference closure: breadth first over the list rows. *)
+let reference_component adj ~step node =
+  let row = adj.(step - 1) in
+  let seen = Array.make (Array.length row) false in
+  seen.(node) <- true;
+  let rec bfs frontier acc =
+    match frontier with
+    | [] -> acc
+    | x :: rest ->
+      let fresh = List.filter (fun y -> not seen.(y)) row.(x) in
+      List.iter (fun y -> seen.(y) <- true) fresh;
+      bfs (rest @ fresh) (fresh @ acc)
+  in
+  List.sort Int.compare (bfs [ node ] [ node ])
+
 (* Nodes 0-1 touch in step 1; 0-1, 1-2, 2-3 in step 2; nothing later. *)
 let sample_trace () =
   Trace.create ~n_nodes:5 ~horizon:50.
@@ -56,9 +121,9 @@ let sample_trace () =
 
 let test_snapshot_neighbours () =
   let snap = Snapshot.of_trace (sample_trace ()) in
-  Alcotest.(check (list int)) "step1 n0" [ 1 ] (Snapshot.neighbours snap ~step:1 0);
-  Alcotest.(check (list int)) "step2 n1" [ 0; 2 ] (Snapshot.neighbours snap ~step:2 1);
-  Alcotest.(check (list int)) "step3 empty" [] (Snapshot.neighbours snap ~step:3 1);
+  Alcotest.(check (list int)) "step1 n0" [ 1 ] (neighbours snap ~step:1 0);
+  Alcotest.(check (list int)) "step2 n1" [ 0; 2 ] (neighbours snap ~step:2 1);
+  Alcotest.(check (list int)) "step3 empty" [] (neighbours snap ~step:3 1);
   Alcotest.(check bool) "in_contact" true (Snapshot.in_contact snap ~step:2 2 3);
   Alcotest.(check bool) "not in contact" false (Snapshot.in_contact snap ~step:1 2 3)
 
@@ -80,12 +145,11 @@ let test_snapshot_active_steps () =
 
 let test_snapshot_components () =
   let snap = Snapshot.of_trace (sample_trace ()) in
-  let comps = Snapshot.components snap ~step:2 in
+  let comps = components snap ~step:2 in
   Alcotest.(check int) "one component" 1 (List.length comps);
   Alcotest.(check (list int)) "chain closure" [ 0; 1; 2; 3 ] (List.hd comps);
-  Alcotest.(check (list int)) "component_of node 3" [ 0; 1; 2; 3 ]
-    (Snapshot.component_of snap ~step:2 3);
-  Alcotest.(check (list int)) "isolated node" [ 4 ] (Snapshot.component_of snap ~step:2 4)
+  Alcotest.(check (list int)) "component_of node 3" [ 0; 1; 2; 3 ] (component_of snap ~step:2 3);
+  Alcotest.(check (list int)) "isolated node" [ 4 ] (component_of snap ~step:2 4)
 
 let test_snapshot_contact_spanning_steps () =
   let t =
@@ -183,12 +247,61 @@ let qcheck_tests =
       in
       return (Trace.create ~n_nodes ~horizon:120. contacts))
   in
+  (* Duplicate records (an exact repeat, or the same pair again inside
+     the contact), contacts spanning up to the whole horizon, and grids
+     finer and coarser than the paper's. *)
+  let gen_dense =
+    Gen.(
+      let* n_nodes = int_range 2 12 in
+      let* delta = oneofl [ 1.; 7.5; 10.; 40. ] in
+      let* raw =
+        list_size (int_range 0 40)
+          (quad (int_range 0 (n_nodes - 1)) (int_range 0 (n_nodes - 1)) (float_range 0. 119.)
+             (pair (float_range 0.01 120.) (int_range 0 2)))
+      in
+      let contacts =
+        List.concat_map
+          (fun (a, b, s, (d, dup)) ->
+            if a = b then []
+            else
+              let c = Contact.make ~a ~b ~t_start:s ~t_end:(s +. d) in
+              match dup with
+              | 0 -> [ c ]
+              | 1 -> [ c; c ]
+              | _ ->
+                let e = Float.min (s +. d) 120. in
+                [ c; Contact.make ~a:b ~b:a ~t_start:((s +. e) /. 2.) ~t_end:e ])
+          raw
+      in
+      return (delta, Trace.create ~n_nodes ~horizon:120. contacts))
+  in
   [
+    Test.make ~name:"flat rows equal the list reference" ~count:300 gen_dense
+      (fun (delta, t) ->
+        let snap = Snapshot.of_trace ~delta t in
+        let adj = reference_rows ~delta t in
+        let n = Trace.n_nodes t in
+        Snapshot.n_steps snap = Array.length adj
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i row ->
+                  let step = i + 1 in
+                  Array.for_all Fun.id
+                    (Array.mapi
+                       (fun a ns ->
+                         neighbours snap ~step a = ns
+                         && List.for_all (fun b -> List.mem a row.(b)) ns
+                         && component_of snap ~step a = reference_component adj ~step a
+                         && List.for_all
+                              (fun b -> Snapshot.in_contact snap ~step a b = List.mem b ns)
+                              (List.init n Fun.id))
+                       row))
+                adj));
     Test.make ~name:"components partition non-isolated nodes" ~count:100 gen_trace (fun t ->
         let snap = Snapshot.of_trace t in
         List.for_all
           (fun step ->
-            let comps = Snapshot.components snap ~step in
+            let comps = components snap ~step in
             let all = List.concat comps in
             List.length all = List.length (List.sort_uniq Int.compare all)
             && List.for_all (fun comp -> List.length comp >= 2) comps)
