@@ -213,18 +213,23 @@ let trace w =
        field for field: s = max t_start t0, e = min t_end now, keep
        when s < e, shift by -t0. Live contacts already satisfy
        t_end > t0 (eviction) and t_start <= now (monotone ingest), so
-       the only clip that can exclude one is t_start = now. *)
-    let clipped =
-      List.filter_map
-        (fun (c : Contact.t) ->
-          let s = Float.max c.Contact.t_start t0 in
-          let e = Float.min c.Contact.t_end w.w_now in
-          if s < e then
-            Some (Contact.make ~a:c.Contact.a ~b:c.Contact.b ~t_start:(s -. t0) ~t_end:(e -. t0))
-          else None)
-        (contacts w)
-    in
-    Ok (Trace.create ~n_nodes:w.w_nodes ~horizon clipped)
+       the only clip that can exclude one is t_start = now. The one
+       sort is on the clipped contacts: clipping moves every straddling
+       start to 0, where they order by their ends, so [Trace.create]
+       then finds them in order and does not sort again. *)
+    let clipped = ref [] in
+    for i = w.len - 1 downto 0 do
+      let c = w.heap.(i) in
+      let s = Float.max c.Contact.t_start t0 in
+      let e = Float.min c.Contact.t_end w.w_now in
+      if s < e then
+        clipped :=
+          Contact.make ~a:c.Contact.a ~b:c.Contact.b ~t_start:(s -. t0) ~t_end:(e -. t0)
+          :: !clipped
+    done;
+    let clipped = Array.of_list !clipped in
+    Array.stable_sort Contact.compare_by_start clipped;
+    Ok (Trace.create ~n_nodes:w.w_nodes ~horizon (Array.to_list clipped))
   end
 
 (* ---- snapshot restore ----------------------------------------------- *)

@@ -74,7 +74,9 @@ type scratch = {
   mutable s_copies_of : int array;
   mutable s_attempts_of : int array;
   mutable s_cr_time : float array;  (* creation stream: times ... *)
-  mutable s_cr_id : int array;  (* ... and message ids *)
+  mutable s_cr_id : int array;  (* ... and message ids, *)
+  mutable s_cr_tmp_time : float array;  (* with the sort's second buffer *)
+  mutable s_cr_tmp_id : int array;
 }
 
 let scratch () =
@@ -94,6 +96,8 @@ let scratch () =
     s_attempts_of = [||];
     s_cr_time = [||];
     s_cr_id = [||];
+    s_cr_tmp_time = [||];
+    s_cr_tmp_id = [||];
   }
 
 let ensure_nodes s n =
@@ -118,6 +122,8 @@ let ensure_msgs s n_msgs ~stride =
     s.s_attempts_of <- Array.make n_msgs 0;
     s.s_cr_time <- Array.make n_msgs 0.;
     s.s_cr_id <- Array.make n_msgs 0;
+    s.s_cr_tmp_time <- Array.make n_msgs 0.;
+    s.s_cr_tmp_id <- Array.make n_msgs 0;
     s.s_msgs <- n_msgs
   end
   else begin
@@ -131,46 +137,75 @@ let ensure_msgs s n_msgs ~stride =
   if bytes > Bytes.length s.s_holders then s.s_holders <- Bytes.make bytes '\000'
   else Bytes.fill s.s_holders 0 bytes '\000'
 
-(* In-place heapsort of the first [len] events, co-sorting the time
-   and code arrays on the (time, code) key (a creation's code is its
-   message id). Heapsort allocates nothing and its swap sequence is a
-   pure function of the key sequence (equal keys are
-   indistinguishable), so the sorted order is deterministic
-   whatever buffer contents a previous run left past [len]. The three
-   local functions close over the buffers: three closures per sort,
-   none per comparison or swap. *)
-let[@psn.hot] sort_events time code len =
-  let[@lint.allow "hot-path-alloc"] less i j =
-    let c = Float.compare time.(i) time.(j) in
-    if c <> 0 then c < 0 else code.(i) < code.(j)
-  in
-  let[@lint.allow "hot-path-alloc"] swap i j =
-    let t = time.(i) in
-    time.(i) <- time.(j);
-    time.(j) <- t;
-    let k = code.(i) in
-    code.(i) <- code.(j);
-    code.(j) <- k
-  in
-  let[@lint.allow "hot-path-alloc"] rec sift_down root size =
-    let l = (2 * root) + 1 in
-    if l < size then begin
-      let largest = if less root l then l else root in
-      let r = l + 1 in
-      let largest = if r < size && less largest r then r else largest in
-      if largest <> root then begin
-        swap root largest;
-        sift_down largest size
-      end
+(* Events compare on the (time, code) key; a creation's code is its
+   message id. Equal keys are identical events, so every correct sort
+   gives the same bytes. *)
+let[@psn.hot] key_le (time : float array) (code : int array) i j =
+  let c = Float.compare time.(i) time.(j) in
+  c < 0 || (c = 0 && code.(i) <= code.(j))
+
+let[@psn.hot] swap_events (time : float array) (code : int array) i j =
+  let t = time.(i) in
+  time.(i) <- time.(j);
+  time.(j) <- t;
+  let k = code.(i) in
+  code.(i) <- code.(j);
+  code.(j) <- k
+
+(* Sinks entry [j] left into the sorted run [lo, j). *)
+let[@psn.hot] rec sink time code lo j =
+  if j > lo && not (key_le time code (j - 1) j) then begin
+    swap_events time code (j - 1) j;
+    sink time code lo (j - 1)
+  end
+
+let[@psn.hot] rec insertion_sort time code lo j hi =
+  if j < hi then begin
+    sink time code lo j;
+    insertion_sort time code lo (j + 1) hi
+  end
+
+(* Merges the sorted runs [i, mid) and [j, hi) of (st, sc) into
+   (dt, dc) from [k], the left run first on ties. *)
+let[@psn.hot] rec merge (st : float array) (sc : int array) (dt : float array) (dc : int array) i
+    mid j hi k =
+  if i < mid && (j = hi || key_le st sc i j) then begin
+    dt.(k) <- st.(i);
+    dc.(k) <- sc.(i);
+    merge st sc dt dc (i + 1) mid j hi (k + 1)
+  end
+  else if j < hi then begin
+    dt.(k) <- st.(j);
+    dc.(k) <- sc.(j);
+    merge st sc dt dc i mid (j + 1) hi (k + 1)
+  end
+
+(* Sorts the events [lo, hi) into (dt, dc). On entry both pairs hold
+   the same events there; (st, sc) is then scratch. Each level sorts
+   its halves into (st, sc) and merges them back, skipping the merge
+   when the halves are already in order. *)
+let[@psn.hot] rec sort_into st sc dt dc lo hi =
+  if hi - lo <= 16 then insertion_sort dt dc lo (lo + 1) hi
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    sort_into dt dc st sc lo mid;
+    sort_into dt dc st sc mid hi;
+    if key_le st sc (mid - 1) mid then begin
+      Array.blit st lo dt lo (hi - lo);
+      Array.blit sc lo dc lo (hi - lo)
     end
-  in
-  for root = (len / 2) - 1 downto 0 do
-    sift_down root len
-  done;
-  for last = len - 1 downto 1 do
-    swap 0 last;
-    sift_down 0 last
-  done
+    else merge st sc dt dc lo mid mid hi lo
+  end
+
+let[@psn.hot] rec sorted_from time code i len =
+  i >= len || (key_le time code (i - 1) i && sorted_from time code (i + 1) len)
+
+let[@psn.hot] sort_events time code ~tmp_time ~tmp_code len =
+  if not (sorted_from time code 1 len) then begin
+    Array.blit time 0 tmp_time 0 len;
+    Array.blit code 0 tmp_code 0 len;
+    sort_into tmp_time tmp_code time code 0 len
+  end
 
 (* The contact stream is sorted once per schedule; [Engine.run] is
    [run_on] over a fresh one. *)
@@ -192,7 +227,8 @@ let prepare ?faults ?(telemetry = T.Sink.null) trace =
       ev_time.(i + 1) <- c.Contact.t_end;
       ev_code.(i + 1) <- code_end c.Contact.a c.Contact.b;
       idx := i + 2);
-  sort_events ev_time ev_code n_events;
+  sort_events ev_time ev_code ~tmp_time:(Array.make n_events 0.) ~tmp_code:(Array.make n_events 0)
+    n_events;
   { trace; faults; ev_time; ev_code }
 
 (* The creation stream is written into the scratch buffers and sorted
@@ -211,7 +247,7 @@ let[@psn.hot] sort_creations s messages n_msgs =
        incr idx)
     [@lint.allow "hot-path-alloc"])
     messages;
-  sort_events time id n_msgs
+  sort_events time id ~tmp_time:s.s_cr_tmp_time ~tmp_code:s.s_cr_tmp_id n_msgs
 
 (* A copy of the first [len] entries of [a] with room for as many
    again (at least 4). *)

@@ -68,6 +68,16 @@ val scratch : unit -> scratch
 (** A fresh, empty scratch. Buffers grow on first use and are retained
     at high-water-mark size across runs. *)
 
+val sort_events :
+  float array -> int array -> tmp_time:float array -> tmp_code:int array -> int -> unit
+(** [sort_events time code ~tmp_time ~tmp_code len] sorts the first
+    [len] events of the parallel arrays [time] and [code] in place on
+    the (time, code) key, the drain's order. It checks for sorted input
+    in one pass and otherwise merge-sorts, using [tmp_time] and
+    [tmp_code] (at least [len] long) as the second buffer. It allocates
+    nothing, and as equal keys are identical events its result does not
+    depend on the buffers' other contents. *)
+
 type schedule
 (** The part of a run that depends on neither the workload nor the
     algorithm: the {!Faults.degrade}d trace, the fault plan (whose loss

@@ -5,6 +5,10 @@ type t = {
   contacts : Contact.t array;  (* sorted by Contact.compare_by_start *)
 }
 
+let rec sorted contacts i =
+  i >= Array.length contacts
+  || (Contact.compare_by_start contacts.(i - 1) contacts.(i) <= 0 && sorted contacts (i + 1))
+
 let create ~n_nodes ~horizon ?kinds contact_list =
   if n_nodes <= 0 then invalid_arg "Trace.create: need at least one node";
   if not (Float.is_finite horizon && horizon > 0.) then
@@ -27,7 +31,11 @@ let create ~n_nodes ~horizon ?kinds contact_list =
     else c
   in
   let contacts = Array.of_list (List.map clip contact_list) in
-  Array.sort Contact.compare_by_start contacts;
+  (* Callers mostly pass contacts already in order, so check first and
+     merge-sort only what is not. [compare_by_start] orders on all four
+     fields: equal keys are equal contacts, so any sort gives these
+     bytes. *)
+  if not (sorted contacts 1) then Array.stable_sort Contact.compare_by_start contacts;
   { n_nodes; horizon; kinds; contacts }
 
 let n_nodes t = t.n_nodes
