@@ -13,63 +13,74 @@ type t = {
   targets : int array;
 }
 
-(* Rows are short (a node's contacts within one step), so insertion
-   sort; a row past [long_row] is sorted through a copy. *)
-let long_row = 32
-
-let sort_row (targets : int array) lo hi =
-  if hi - lo > long_row then begin
-    let row = Array.sub targets lo (hi - lo) in
-    Array.stable_sort Int.compare row;
-    Array.blit row 0 targets lo (hi - lo)
-  end
-  else
-    for i = lo + 1 to hi - 1 do
-      let v = targets.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && targets.(!j) > v do
-        targets.(!j + 1) <- targets.(!j);
-        decr j
-      done;
-      targets.(!j + 1) <- v
-    done
-
+(* Four linear passes. (1) Count each cell's degree, and each node's
+   contacts; inclusive prefix sums then make [offsets.(i)] the end of
+   cell [i]'s row. (2) Group the contacts by endpoint (a counting
+   sort). (3) Fill the rows from their ends down, taking neighbours in
+   descending id order, so every row comes out ascending and
+   [offsets.(i)] ends at its start. (4) Drop each row's repeats (a pair
+   touching one step through several contact records), compacting the
+   rows to the left. No row is ever compared and sorted. *)
 let of_trace ?delta trace =
   let grid = Timegrid.create ?delta ~horizon:(Trace.horizon trace) () in
   let n = Trace.n_nodes trace in
   let cells = Timegrid.n_steps grid * n in
+  let contacts = Trace.contacts trace in
+  let n_contacts = Array.length contacts in
+  let first = Array.make n_contacts 0 and last = Array.make n_contacts 0 in
   let offsets = Array.make (cells + 1) 0 in
-  let each_cell f =
-    Trace.iter_contacts trace (fun (c : Contact.t) ->
-        let first, last =
-          Timegrid.steps_overlapping grid ~t_start:c.Contact.t_start ~t_end:c.Contact.t_end
-        in
-        for step = first to last do
-          let base = (step - 1) * n in
-          f (base + c.Contact.a) c.Contact.b;
-          f (base + c.Contact.b) c.Contact.a
-        done)
+  let by_node_off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun k (c : Contact.t) ->
+      let f, l =
+        Timegrid.steps_overlapping grid ~t_start:c.Contact.t_start ~t_end:c.Contact.t_end
+      in
+      first.(k) <- f;
+      last.(k) <- l;
+      let a = c.Contact.a and b = c.Contact.b in
+      by_node_off.(a) <- by_node_off.(a) + 1;
+      by_node_off.(b) <- by_node_off.(b) + 1;
+      for step = f to l do
+        let base = (step - 1) * n in
+        offsets.(base + a) <- offsets.(base + a) + 1;
+        offsets.(base + b) <- offsets.(base + b) + 1
+      done)
+    contacts;
+  let prefix_sums a len =
+    for i = 1 to len - 1 do
+      a.(i) <- a.(i) + a.(i - 1)
+    done;
+    a.(len) <- a.(len - 1)
   in
-  (* 1. Degrees, then inclusive prefix sums: [offsets.(i)] is the end
-     of cell [i]'s row. *)
-  each_cell (fun i _ -> offsets.(i) <- offsets.(i) + 1);
-  for i = 1 to cells - 1 do
-    offsets.(i) <- offsets.(i) + offsets.(i - 1)
-  done;
-  offsets.(cells) <- offsets.(cells - 1);
-  (* 2. Fill each row from its end down: afterwards [offsets.(i)] is
-     its start. *)
+  prefix_sums offsets cells;
+  prefix_sums by_node_off n;
+  let by_node = Array.make (2 * n_contacts) 0 in
+  Array.iteri
+    (fun k (c : Contact.t) ->
+      let p = by_node_off.(c.Contact.a) - 1 in
+      by_node_off.(c.Contact.a) <- p;
+      by_node.(p) <- k;
+      let p = by_node_off.(c.Contact.b) - 1 in
+      by_node_off.(c.Contact.b) <- p;
+      by_node.(p) <- k)
+    contacts;
   let targets = Array.make offsets.(cells) 0 in
-  each_cell (fun i v ->
-      let p = offsets.(i) - 1 in
-      offsets.(i) <- p;
-      targets.(p) <- v);
-  (* 3. Sort each row and drop duplicates (a pair touching one step
-     through several contact records), compacting rows to the left. *)
+  for v = n - 1 downto 0 do
+    for j = by_node_off.(v) to by_node_off.(v + 1) - 1 do
+      let k = by_node.(j) in
+      let c = contacts.(k) in
+      let u = if c.Contact.a = v then c.Contact.b else c.Contact.a in
+      for step = first.(k) to last.(k) do
+        let i = ((step - 1) * n) + u in
+        let p = offsets.(i) - 1 in
+        offsets.(i) <- p;
+        targets.(p) <- v
+      done
+    done
+  done;
   let w = ref 0 in
   for i = 0 to cells - 1 do
     let lo = offsets.(i) and hi = offsets.(i + 1) in
-    sort_row targets lo hi;
     offsets.(i) <- !w;
     for j = lo to hi - 1 do
       let v = targets.(j) in

@@ -16,9 +16,11 @@ type t
 
 val of_trace : ?delta:float -> Psn_trace.Trace.t -> t
 (** Rasterise a trace onto the grid ([delta] defaults to the paper's
-    10 s). Duplicate edges within a step are merged. One pass counts
-    the cells' degrees, prefix sums place the rows, a second pass fills
-    them, and each row is then sorted and deduplicated in place. *)
+    10 s). Duplicate edges within a step are merged. Linear in the
+    cells plus the contact-steps: one pass counts the cells' degrees,
+    prefix sums place the rows, a second pass fills them in neighbour
+    order (so every row is born sorted), and a last pass drops each
+    row's repeats in place. *)
 
 val grid : t -> Timegrid.t
 val n_nodes : t -> int

@@ -1197,6 +1197,37 @@ let schedule_tests =
   let even_peers = Algorithm.stateless ~name:"Even" (fun c -> c.Algorithm.peer mod 2 = 0) in
   let algorithms = [| epidemic; never; even_peers |] in
   [
+    (* Few distinct times and codes: long runs of ties and exact
+       duplicates, in runs longer and shorter than the sort's
+       insertion cutoff; entries past [len] and the second buffer hold
+       junk the sort must neither read nor move. *)
+    Test.make ~count:300 ~name:"event sort equals List.sort on (time, code)"
+      Gen.(
+        let* events =
+          list_size (int_range 0 300)
+            (pair (oneofl [ 0.; 1.; 1.5; 2.; 40.; 1e6 ]) (int_range 0 6))
+        in
+        let* junk = int_range 0 5 in
+        return (events, junk))
+      (fun (events, junk) ->
+        let len = List.length events in
+        let time = Array.make (len + junk) (-1.) and code = Array.make (len + junk) (-1) in
+        List.iteri
+          (fun i (t, c) ->
+            time.(i) <- t;
+            code.(i) <- c)
+          events;
+        Engine.sort_events time code ~tmp_time:(Array.make len 7.) ~tmp_code:(Array.make len 7) len;
+        let expected =
+          List.sort
+            (fun (t1, c1) (t2, c2) ->
+              let c = Float.compare t1 t2 in
+              if c <> 0 then c else Int.compare c1 c2)
+            events
+        in
+        List.init len (fun i -> (time.(i), code.(i))) = expected
+        && Array.for_all (fun t -> t = -1.) (Array.sub time len junk)
+        && Array.for_all (fun c -> c = -1) (Array.sub code len junk));
     Test.make ~count:150 ~name:"run_on over a shared schedule equals one-shot run" gen
       (fun (contacts, workloads, fault_seed) ->
         let trace = Trace.create ~n_nodes ~horizon contacts in

@@ -158,6 +158,32 @@ let test_snapshot_contact_spanning_steps () =
   let snap = Snapshot.of_trace t in
   Alcotest.(check (list int)) "spans steps 1-3" [ 1; 2; 3 ] (Snapshot.active_steps snap)
 
+(* The build allocates its two arrays, one row cell per (step, node)
+   and one entry per contact-step endpoint, plus a constant per contact
+   (its step range). The bound leaves half again on top; a list per
+   cell (three words a cons, before any sorting) does not fit. *)
+let test_snapshot_alloc_linear () =
+  let trace = Core.Dataset.generate Core.Dataset.infocom06_am in
+  let grid = Timegrid.create ~horizon:(Trace.horizon trace) () in
+  let cells = Timegrid.n_steps grid * Trace.n_nodes trace in
+  let contact_steps = ref 0 in
+  Trace.iter_contacts trace (fun (c : Contact.t) ->
+      let first, last =
+        Timegrid.steps_overlapping grid ~t_start:c.Contact.t_start ~t_end:c.Contact.t_end
+      in
+      contact_steps := !contact_steps + (last - first + 1));
+  let words_bound =
+    (3 * (cells + (2 * !contact_steps)) / 2) + (8 * Trace.n_contacts trace) + 4096
+  in
+  let word = float_of_int (Sys.word_size / 8) in
+  let before = Gc.allocated_bytes () in
+  let snap = Snapshot.of_trace trace in
+  let words = (Gc.allocated_bytes () -. before) /. word in
+  Alcotest.(check int) "steps" (Timegrid.n_steps grid) (Snapshot.n_steps snap);
+  if words > float_of_int words_bound then
+    Alcotest.failf "of_trace allocated %.0f words (bound %d: %d cells, %d contact-steps)" words
+      words_bound cells !contact_steps
+
 (* --- Fig. 2 rendering --- *)
 
 let test_graph_render () =
@@ -343,6 +369,8 @@ let () =
           Alcotest.test_case "active steps" `Quick test_snapshot_active_steps;
           Alcotest.test_case "components" `Quick test_snapshot_components;
           Alcotest.test_case "contact spans steps" `Quick test_snapshot_contact_spanning_steps;
+          Alcotest.test_case "allocation linear in cells and contact-steps" `Quick
+            test_snapshot_alloc_linear;
         ] );
       ( "graph",
         [

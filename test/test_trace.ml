@@ -574,6 +574,42 @@ let qcheck_tests =
         && Trace.horizon sub = 60.);
     Test.make ~name:"contact counts sum to twice n_contacts" ~count:100 gen_trace (fun t ->
         Array.fold_left ( + ) 0 (Trace.contact_counts t) = 2 * Trace.n_contacts t);
+    (* Contacts clipped to a window [t0, t0 + 60) and rebased, as a
+       serve window does: every straddling start becomes 0, so starts
+       tie and only the ends (and ids) order them; starts on a coarse
+       grid and exact duplicates add more ties. *)
+    Test.make ~name:"create over any permutation equals the sorted build" ~count:300
+      ~print:(fun (a, b) ->
+        let show cs = String.concat "; " (List.map (Format.asprintf "%a" Contact.pp) cs) in
+        show a ^ " | " ^ show b)
+      Gen.(
+        let* t0 = float_range 0. 50. in
+        let* raw =
+          list_size (int_range 0 40)
+            (quad (int_range 0 5) (int_range 0 5) (int_range 0 20) (oneofl [ 1.; 5.; 10.; 80. ]))
+        in
+        let clipped =
+          List.concat_map
+            (fun (a, b, s, d) ->
+              let s = 5. *. float_of_int s in
+              let s' = Float.max s t0 -. t0 and e' = Float.min (s +. d -. t0) 60. in
+              if a = b || not (s' < e' && s' < 60.) then []
+              else
+                let c = Contact.make ~a ~b ~t_start:s' ~t_end:e' in
+                if s = 0. then [ c; c ] else [ c ])
+            raw
+        in
+        pair (return clipped) (shuffle_l clipped))
+      (fun (contacts, permuted) ->
+        let build cs = Trace.contacts (Trace.create ~n_nodes:6 ~horizon:60. cs) in
+        let reference = Array.of_list (List.stable_sort Contact.compare_by_start contacts) in
+        let same a b =
+          Array.length a = Array.length b
+          && Array.for_all2 (fun x y -> Contact.compare_by_start x y = 0) a b
+        in
+        same (build permuted) reference
+        && same (build contacts) reference
+        && same (build (Array.to_list reference)) reference);
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
