@@ -259,8 +259,8 @@ let rec drain st h =
     drain st h
   end
 
-(* Moves a level's paths that visited none of [nodes] to its front, in
-   order; returns how many there are. *)
+(* Moves a level's paths that visited none of [nodes.(lo .. hi - 1)] to
+   its front, in order; returns how many there are. *)
 let[@psn.hot] rec compact hops born marks stride nodes lo hi i len kept =
   if i = len then kept
   else if bitset_meets marks (i * stride) nodes lo hi then

@@ -213,10 +213,11 @@ let trace w =
        field for field: s = max t_start t0, e = min t_end now, keep
        when s < e, shift by -t0. Live contacts already satisfy
        t_end > t0 (eviction) and t_start <= now (monotone ingest), so
-       the only clip that can exclude one is t_start = now. The one
-       sort is on the clipped contacts: clipping moves every straddling
-       start to 0, where they order by their ends, so [Trace.create]
-       then finds them in order and does not sort again. *)
+       the only clip that can exclude one is t_start = now. The
+       contacts go to [Trace.create] in heap order, and its one sort is
+       on the clipped key: sorting before clipping would leave the
+       straddling contacts, all moved to start 0, in arbitrary end
+       order, and the trace would be sorted twice. *)
     let clipped = ref [] in
     for i = w.len - 1 downto 0 do
       let c = w.heap.(i) in
@@ -227,9 +228,7 @@ let trace w =
           Contact.make ~a:c.Contact.a ~b:c.Contact.b ~t_start:(s -. t0) ~t_end:(e -. t0)
           :: !clipped
     done;
-    let clipped = Array.of_list !clipped in
-    Array.stable_sort Contact.compare_by_start clipped;
-    Ok (Trace.create ~n_nodes:w.w_nodes ~horizon (Array.to_list clipped))
+    Ok (Trace.create ~n_nodes:w.w_nodes ~horizon !clipped)
   end
 
 (* ---- snapshot restore ----------------------------------------------- *)
