@@ -130,10 +130,10 @@ let resolve_store ?telemetry =
    contributed to this invocation. *)
 let with_store_report store f =
   match store with
-  | None -> f None
+  | None -> f ()
   | Some st ->
     let before = Core.Store.stats st in
-    let r = f (Some st) in
+    let r = f () in
     let after = Core.Store.stats st in
     Format.printf "store %s: %Ld hit(s), %Ld miss(es) this run; %d entries (%d bytes)@."
       (Core.Store.dir st)
@@ -310,11 +310,12 @@ let telemetry_ctx ~command ~trace_out ~profile ~metrics =
    --trace-out --profile --metrics — validated as cmdliner
    evaluates them. The term's value runs one sweep: it installs the
    failpoints, opens the store, runs [compute] with the resolved
-   settings, reports what the store contributed, then hands the result
-   to [render] and flushes telemetry. [compute] and [render] run under
-   [or_die] and [run_sweep], so injected and I/O errors exit 1 and
-   signals exit 128+n on every sweep alike. It takes [()] so each
-   command gets its own instance of the term's polymorphic type. *)
+   settings as one [Experiments.exec], reports what the store
+   contributed, then hands the result to [render] and flushes
+   telemetry. [compute] and [render] run under [or_die] and
+   [run_sweep], so injected and I/O errors exit 1 and signals exit
+   128+n on every sweep alike. It takes [()] so each command gets its
+   own instance of the term's polymorphic type. *)
 let sweep_term () =
   let make jobs chunk store failpoints retries checkpoint resume trace_out profile metrics =
     if resume && Option.is_none store then
@@ -324,13 +325,13 @@ let sweep_term () =
       Option.iter Core.Failpoint.install failpoints;
       let ctx = telemetry_ctx ~command ~trace_out ~profile ~metrics in
       let store = resolve_store ~telemetry:ctx.sink store in
+      let exec =
+        { Core.Experiments.jobs = Some jobs; chunk; store; retries; checkpoint; telemetry = ctx.sink }
+      in
       run_sweep ~checkpointed:(Option.is_some store)
         ~finish:(fun () -> ctx.finish ~store)
         (fun () ->
-          or_die (fun () ->
-              render
-                (with_store_report store
-                   (compute ~jobs ~chunk ~retries ~checkpoint ~telemetry:ctx.sink)));
+          or_die (fun () -> render (with_store_report store (fun () -> compute exec)));
           ctx.finish ~store)
   in
   Term.(
@@ -503,9 +504,7 @@ let simulate_cmd =
     let label, trace = resolve_trace dataset seed trace_path in
     let input = { E.name = label; label; seed = 0L; trace } in
     sweep ~command:"simulate"
-      (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
-        E.sim_study ~jobs ?chunk ?store ~retries ~checkpoint
-          ~scale:{ E.default_scale with seeds } ~telemetry input entries)
+      (fun exec -> E.sim_study ~exec ~scale:{ E.default_scale with seeds } input entries)
       (fun sim ->
         print_endline
           (Core.Report.render_metrics
@@ -828,11 +827,8 @@ let experiment_cmd =
         { E.name = label; label; seed = 0L; trace }
     in
     sweep ~command:"experiment"
-      (fun ~jobs ~chunk ~retries ~checkpoint ~telemetry store ->
-        let ctx =
-          Core.Catalogue.context ~jobs ?chunk ?store ~retries ~checkpoint ~telemetry ?dump ~faults
-            ~scale input
-        in
+      (fun exec ->
+        let ctx = Core.Catalogue.context ~exec ?dump ~faults ~scale input in
         (* Each section prints as soon as it is rendered. *)
         Printf.printf "%s\n\n%!" (Core.Catalogue.scale_line ctx);
         List.iter

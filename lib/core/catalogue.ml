@@ -17,27 +17,19 @@ type slot = { input : E.input Lazy.t; study : E.study Lazy.t; sim : E.sim_study 
 type context = {
   chosen : E.input;
   scale : E.scale;
-  jobs : int option;
-  telemetry : T.sink;
+  exec : E.exec;
+  faults : Faults.spec option;
   slots : (string * slot) list;
-  resilience : E.scale -> E.resilience_level list;
   dump : string option;
   mutable plots : (string * [ `Lines | `Points | `Boxes ] * string list) list;
 }
 
-let context ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null) ?dump ?faults
-    ~scale (chosen : E.input) =
+let context ?(exec = E.default_exec) ?dump ?faults ~scale (chosen : E.input) =
   let slot input =
     {
       input;
-      study =
-        lazy
-          (E.enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry
-             (Lazy.force input));
-      sim =
-        lazy
-          (E.sim_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~telemetry (Lazy.force input)
-             Registry.paper_six);
+      study = lazy (E.enumeration_study ~exec ~scale (Lazy.force input));
+      sim = lazy (E.sim_study ~exec ~scale (Lazy.force input) Registry.paper_six);
     }
   in
   (* Each preset's trace is generated at most once, in the calling
@@ -53,15 +45,11 @@ let context ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null) 
   {
     chosen;
     scale;
-    jobs;
-    telemetry;
+    exec;
+    faults;
     slots =
       (if List.mem_assoc chosen.name presets then presets
        else presets @ [ (chosen.name, slot (Lazy.from_val chosen)) ]);
-    resilience =
-      (fun scale ->
-        E.resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ?base:faults ~telemetry
-          chosen);
     dump;
     plots = [];
   }
@@ -112,6 +100,27 @@ let quantile_cells fmt qs arr =
 
 (* A table row: [label], the sample size, its median and its [q]-quantile. *)
 let count_row label fmt q arr = label :: quantile_cells fmt [ 0.5; q ] arr
+
+(* A01's replication budgets: the registry's entries where one matches,
+   relabelled so the rows keep their names, and three more budgets of
+   the same families under names of their own, which key their stored
+   outcomes. *)
+let replication_entries =
+  let entry name label = { (Result.get_ok (Registry.find name)) with Registry.label } in
+  let budget family name label factory = { (entry family label) with Registry.name; factory } in
+  [
+    entry "epidemic" "Epidemic";
+    entry "random" "Random p=0.50";
+    budget "random" "random-p0.1" "Random p=0.10" (Randomized.factory ~p:0.1 ());
+    budget "spray-wait" "spray-wait-l32" "Spray&Wait L=32" (Spray_wait.factory ~l:32 ());
+    entry "spray-wait" "Spray&Wait L=8";
+    budget "spray-wait" "spray-wait-l2" "Spray&Wait L=2" (Spray_wait.factory ~l:2 ());
+    entry "delegation" "Delegation(rate)";
+    entry "delegation-dest" "Delegation(dest)";
+    entry "bubble-rap" "BubbleRap";
+    entry "two-hop" "Two-Hop";
+    entry "direct" "Direct";
+  ]
 
 (* Every section as (id, render), in print order. *)
 let sections =
@@ -265,49 +274,27 @@ let sections =
   ("abl-replication", fun ctx ->
       (* The cost question the paper leaves open: the success/delay/copies
          frontier across replication budgets. *)
-      let trace = (input (preset ctx Dataset.conext06_am)).trace in
-      let spec =
-        {
-          Runner.workload = E.paper_workload trace;
-          seeds = Runner.default_seeds (Int.max 1 ((ctx.scale.E.seeds / 2) + 1));
-        }
-      in
-      let contenders =
-        [
-          ("Epidemic", Epidemic.factory);
-          ("Random p=0.50", Randomized.factory ~p:0.5 ());
-          ("Random p=0.10", Randomized.factory ~p:0.1 ());
-          ("Spray&Wait L=32", Spray_wait.factory ~l:32 ());
-          ("Spray&Wait L=8", Spray_wait.factory ~l:8 ());
-          ("Spray&Wait L=2", Spray_wait.factory ~l:2 ());
-          ("Delegation(rate)", Delegation.factory ());
-          ("Delegation(dest)", Delegation.factory ~quality:Delegation.Destination_frequency ());
-          ("BubbleRap", Bubble_rap.factory ());
-          ("Two-Hop", Two_hop.factory);
-          ("Direct", Direct.factory);
-        ]
-      in
-      let rows =
-        List.map2
-          (fun (label, _) outcomes -> (label, Metrics.pool outcomes))
-          contenders
-          (Runner.outcomes_many ?jobs:ctx.jobs ~telemetry:ctx.telemetry ~trace ~spec
-             ~factories:(List.map snd contenders) ())
+      let scale = { ctx.scale with E.seeds = Int.max 1 ((ctx.scale.E.seeds / 2) + 1) } in
+      let sim =
+        E.sim_study ~exec:ctx.exec ~scale (input (preset ctx Dataset.conext06_am))
+          replication_entries
       in
       R.render_metrics
         ~title:(Printf.sprintf "A01: replication budget vs delivery (%s)" Dataset.conext06_am.label)
-        rows);
+        (E.fig9 sim)
+      ^ R.render_failed_cells ~title:"Failed simulation cells" sim.E.sim_failed);
   ("abl-ttl", fun ctx ->
       (* Sensitivity to message lifetime under epidemic forwarding. *)
       let trace = ctx.chosen.trace in
       let messages =
         Workload.generate ~rng:(Rng.create ~seed:1000L ()) (E.paper_workload trace)
       in
-      let schedule = Engine.prepare ~telemetry:ctx.telemetry trace in
+      let telemetry = ctx.exec.E.telemetry in
+      let schedule = Engine.prepare ~telemetry trace in
       let row ttl =
         let m =
           Metrics.of_outcome
-            (Engine.run_on ?ttl ~telemetry:ctx.telemetry schedule ~messages
+            (Engine.run_on ?ttl ~telemetry schedule ~messages
                (Epidemic.factory trace))
         in
         [
@@ -355,10 +342,10 @@ let sections =
       (* Sensitivity of the explosion measurement to the truncation k. *)
       let trace = ctx.chosen.trace in
       let snap = Snapshot.of_trace trace in
-      let sample_messages =
+      let specs =
         let rng = Rng.create ~seed:79L () in
         let n = Trace.n_nodes trace in
-        List.init 25 (fun _ ->
+        Array.init 25 (fun _ ->
             let src = Rng.int rng n in
             let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
             (src, dst, Rng.float rng (E.generation_window trace)))
@@ -366,10 +353,8 @@ let sections =
       let row k =
         let config = { Enumerate.k; max_hops = None; stop_at_total = Some k; exhaustive = false } in
         let tes =
-          List.filter_map
-            (fun (src, dst, t_create) ->
-              (Explosion.analyze ~n_explosion:k (Enumerate.run ~config snap ~src ~dst ~t_create)).te)
-            sample_messages
+          Array.to_list (E.enumerate ~exec:ctx.exec ~trace ~config snap specs)
+          |> List.filter_map (fun r -> (Explosion.analyze ~n_explosion:k r).te)
         in
         count_row (string_of_int k) "%.0f" 0.9 (Array.of_list tes)
       in
@@ -437,7 +422,7 @@ let sections =
       let scale = { ctx.scale with E.seeds = Int.max 2 ((ctx.scale.E.seeds / 2) + 1) } in
       R.render_resilience
         ~title:(on ctx "Resilience: the six algorithms under injected faults")
-        (ctx.resilience scale));
+        (E.resilience_study ~exec:ctx.exec ~scale ?base:ctx.faults ctx.chosen));
   ]
 
 let ids = List.map fst sections
@@ -447,9 +432,14 @@ let ids = List.map fst sections
 let render ctx id =
   match List.assoc_opt id sections with
   | Some render ->
-    (* A section that runs no sweep (fig12, abl-ttl, the model tables)
-       still notices a signal before it starts. *)
+    (* A section that runs no sweep (fig12, abl-ttl, the model tables,
+       serve) still notices a signal before it starts, and after it
+       ends, so it never prints after one. *)
     Psn_robust.Interrupt.check ();
-    T.with_span ctx.telemetry ~args:[ ("id", T.Str id) ] "catalogue.section" (fun () ->
-        render ctx)
+    let text =
+      T.with_span ctx.exec.E.telemetry ~args:[ ("id", T.Str id) ] "catalogue.section" (fun () ->
+          render ctx)
+    in
+    Psn_robust.Interrupt.check ();
+    text
   | None -> invalid_arg (Printf.sprintf "unknown section %s" id)

@@ -4,18 +4,13 @@
 
     The studies behind the sections are built on first use and shared
     by every section of one {!context}, so each is built at most once.
-    Output does not depend on [jobs] or [chunk], and a [store] only
-    replays what it would compute. *)
+    Every fan-out runs under the context's {!Experiments.exec}, whose
+    settings never change a section's text. *)
 
 type context
 
 val context :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?store:Psn_store.Store.t ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
+  ?exec:Experiments.exec ->
   ?dump:string ->
   ?faults:Psn_sim.Faults.spec ->
   scale:Experiments.scale ->
@@ -26,12 +21,12 @@ val context :
     R01 draw fixed presets and add the chosen input as one more row or
     panel when it is not one of them; A01 keeps its fixed preset. Each
     preset's trace is generated at most once per context, on first use.
-    The sweep settings go to the studies as in
-    {!Experiments.enumeration_study}. [faults] is the resilience
-    section's spec at intensity 1 (default
-    {!Experiments.default_fault_spec}). [telemetry] (default null)
-    reaches every study and the sections that run the simulator
-    directly; it never changes a section's text. With [dump], Figs. 4,
+    [exec] (default {!Experiments.default_exec}) runs every study and
+    every section's sweep: A01 is a {!Experiments.sim_study} and A04
+    an {!Experiments.enumerate}, and [exec]'s telemetry also reaches
+    A02's engine runs. [faults] is the resilience section's spec at
+    intensity 1 (default {!Experiments.default_fault_spec}). With
+    [dump], Figs. 4,
     5, 7 and 10 write gnuplot files into that directory, and R01 writes
     each row's inter-contact CDF. *)
 
@@ -43,6 +38,9 @@ val ids : string list
 
 val render : context -> string -> string
 (** [render ctx id] is section [id]'s text, recorded as one
-    ["catalogue.section"] span tagged with [id]. Raises
+    ["catalogue.section"] span tagged with [id]. It polls
+    {!Psn_robust.Interrupt.check} before and after the section, so a
+    signal that arrives while a section without a sweep runs still
+    raises [Interrupted] before its text is returned. Raises
     [Invalid_argument] for an id not in {!ids}, or on a [dump] I/O
     failure. *)

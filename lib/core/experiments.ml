@@ -71,13 +71,25 @@ let random_message rng trace =
   in
   (src, dst, Rng.float rng (generation_window trace))
 
+type exec = {
+  jobs : int option;
+  chunk : int option;
+  store : Store.t option;
+  retries : int;
+  checkpoint : int;
+  telemetry : T.sink;
+}
+
+let default_exec =
+  { jobs = None; chunk = None; store = None; retries = 0; checkpoint = 0; telemetry = T.Sink.null }
+
 (* The enumeration fan-out, through the runner's one sweep path
    ({!Runner.cached_map_result}): memoized when a store is given —
    touched only from the calling domain, finds before, puts between and
    after the parallel rounds — so a warm store changes wall time, never
    results, and a killed sweep resumes from its last completed round. *)
-let enumerate_specs ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sink.null)
-    ~trace ~config snap specs =
+let enumerate ?(exec = default_exec) ~trace ~config snap specs =
+  let { jobs; chunk; store; retries; checkpoint; telemetry } = exec in
   let compute () sink (src, dst, t_create) =
     T.with_span sink "paths.enumerate"
       ~args:[ ("src", T.Int src); ("dst", T.Int dst) ]
@@ -96,14 +108,13 @@ let enumerate_specs ?jobs ?chunk ?store ?retries ?checkpoint ?(telemetry = T.Sin
   in
   T.count telemetry "paths.enumerations" (Array.length specs);
   Parallel.join_results
-    (Runner.cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint ~prefix:"paths"
+    (Runner.cached_map_result ?jobs ?chunk ~telemetry ~retries ~checkpoint ~prefix:"paths"
        ?cache
        ~env:(fun () -> ())
        ~compute specs)
 
-let enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
-    ?(telemetry = T.Sink.null) input
-    =
+let enumeration_study ?(exec = default_exec) ?(scale = default_scale) input =
+  let telemetry = exec.telemetry in
   T.with_span telemetry "experiments.enumeration_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   T.begin_span telemetry "experiments.setup";
@@ -122,10 +133,7 @@ let enumeration_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default
     specs.(i) <- random_message rng trace
   done;
   T.end_span telemetry;
-  let results =
-    enumerate_specs ?jobs ?chunk ?store ?retries ?checkpoint ~telemetry ~trace ~config
-      snap specs
-  in
+  let results = enumerate ~exec ~trace ~config snap specs in
   T.with_span telemetry "experiments.collect"
   @@ fun () ->
   (* Post-processing is cheap and pure, so only the enumeration itself
@@ -280,8 +288,8 @@ let entry_caches store ~trace ?faults ~workload entries =
         ~algo:e.Registry.name ())
     entries
 
-let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale) ?faults
-    ?(telemetry = T.Sink.null) input entries =
+let sim_study ?(exec = default_exec) ?(scale = default_scale) ?faults input entries =
+  let { jobs; chunk; store; retries; checkpoint; telemetry } = exec in
   T.with_span telemetry "experiments.sim_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   T.begin_span telemetry "experiments.setup";
@@ -299,7 +307,7 @@ let sim_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale) 
      (algorithm, seed) cell costs one cell of the study, never the
      study. *)
   let cells =
-    Runner.outcomes_many_result ?jobs ?chunk ?faults:plan ?stores ?retries ?checkpoint
+    Runner.outcomes_many_result ?jobs ?chunk ?faults:plan ?stores ~retries ~checkpoint
       ~telemetry ~trace ~spec:{ Runner.workload; seeds }
       ~factories:(List.map (fun (e : Registry.entry) -> e.Registry.factory) entries)
       ()
@@ -456,8 +464,9 @@ let default_fault_spec =
 let intensities = [ 0.; 0.5; 1.; 2. ]
 let path_messages = 30
 
-let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_scale)
-    ?(base = default_fault_spec) ?(telemetry = T.Sink.null) input =
+let resilience_study ?(exec = default_exec) ?(scale = default_scale)
+    ?(base = default_fault_spec) input =
+  let telemetry = exec.telemetry in
   T.with_span telemetry "experiments.resilience_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   (match Faults.validate base with
@@ -477,10 +486,7 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
   (* Both the pristine baseline and every degraded level go through the
      memoized fan-out; degraded levels key on the degraded trace's own
      content hash, so levels never alias each other or the baseline. *)
-  let enumerate_all tr =
-    enumerate_specs ?jobs ?chunk ?store ?retries ?checkpoint ~telemetry ~trace:tr ~config
-      (Snapshot.of_trace tr) probes
-  in
+  let enumerate_all tr = enumerate ~exec ~trace:tr ~config (Snapshot.of_trace tr) probes in
   let baseline =
     T.with_span telemetry "experiments.baseline" (fun () -> enumerate_all trace)
   in
@@ -490,10 +496,7 @@ let resilience_study ?jobs ?chunk ?store ?retries ?checkpoint ?(scale = default_
         ~args:[ ("intensity", T.Float intensity) ]
       @@ fun () ->
       let level_spec = Faults.scale intensity base in
-      let sim =
-        sim_study ?jobs ?chunk ?store ?retries ?checkpoint ~scale ~faults:level_spec ~telemetry
-          input Registry.paper_six
-      in
+      let sim = sim_study ~exec ~scale ~faults:level_spec input Registry.paper_six in
       let plan =
         Faults.compile ~n_nodes:(Trace.n_nodes trace) ~horizon:(Trace.horizon trace) level_spec
       in

@@ -58,6 +58,33 @@ val paper_workload : Psn_trace.Trace.t -> Psn_sim.Workload.spec
     its window cut to {!generation_window}, so a trace shorter than
     the presets' three hours still gets messages inside its horizon. *)
 
+(** {1 How a study runs} *)
+
+type exec = {
+  jobs : int option;  (** Worker domains; [None] is {!Psn_sim.Parallel.default_jobs}. *)
+  chunk : int option;  (** Tasks per claimed range; [None] is {!Psn_sim.Parallel}'s. *)
+  store : Psn_store.Store.t option;
+      (** Memoizes every task's result, keyed on all its inputs: a warm
+          store replays a study without recomputing it. *)
+  retries : int;  (** Deterministic re-attempts of a transient task failure. *)
+  checkpoint : int;
+      (** With a store, rounds of this many tasks, each stored before the
+          next starts, so a killed study resumes where it stopped. 0 is
+          one round. *)
+  telemetry : Psn_telemetry.Telemetry.sink;  (** Spans and counters. *)
+}
+(** How a study runs, never what it computes. Every fan-out below goes
+    through {!Psn_sim.Runner.cached_map_result} with these settings,
+    after every random draw is made in task order, so results are
+    bit-identical for any [jobs], [chunk], [checkpoint], telemetry and
+    store hit pattern. Each fan-out polls {!Psn_robust.Interrupt.check}
+    and raises [Interrupted] after a signal, once its completed tasks
+    are stored. *)
+
+val default_exec : exec
+(** Default [jobs] and [chunk], no store, retries or checkpoint, null
+    telemetry. *)
+
 (** {1 Enumeration studies} *)
 
 type message_result = {
@@ -72,32 +99,24 @@ type message_result = {
 
 type study = { input : input; classify : Classify.t; messages : message_result list }
 
-val enumeration_study :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?store:Psn_store.Store.t ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?scale:scale ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  input ->
-  study
+val enumerate :
+  ?exec:exec ->
+  trace:Psn_trace.Trace.t ->
+  config:Psn_paths.Enumerate.config ->
+  Psn_spacetime.Snapshot.t ->
+  (Psn_trace.Node.id * Psn_trace.Node.id * float) array ->
+  Psn_paths.Enumerate.result array
+(** [enumerate ~trace ~config snap specs] runs one path enumeration per
+    [(src, dst, t_create)] spec over [snap], the snapshot of [trace], in
+    spec order. The store key is the trace's content hash, [config] and
+    the spec. Records a ["paths.enumerate"] span per spec. A failed
+    enumeration is re-raised. *)
+
+val enumeration_study : ?exec:exec -> ?scale:scale -> input -> study
 (** Enumerate paths for [scale.n_messages] random messages over the
-    input's trace. The expensive call — share the result across
-    figure functions. The per-message enumerations are independent and
-    run on [jobs] domains (default {!Psn_sim.Parallel.default_jobs}),
-    claimed in ranges of [chunk] tasks; messages are drawn sequentially
-    first, so results do not depend on [jobs] or [chunk]. [store], when given, memoizes each per-message enumeration
-    (keyed on trace content, config and message spec) without changing
-    any result. [retries] and [checkpoint] behave as in {!Psn_sim.Runner}:
-    bounded deterministic retry of transient failures, and (with a
-    store) checkpoint rounds so a killed study resumes from its last
-    completed round bit-identically. Like every sweep, it raises
-    {!Psn_robust.Interrupt.Interrupted} after a signal (see
-    {!Psn_sim.Runner.cached_map_result}). [telemetry] (default null)
-    records phase spans ([setup] / per-pair ["paths.enumerate"] /
-    [collect]) and enumeration cache counters; instrumentation never
-    changes the study. *)
+    input's trace, through {!enumerate}. The expensive call — share the
+    result across figure functions. Records [setup] and [collect]
+    phase spans around the enumerations. *)
 
 (** {1 Figures 1-8, 11, 14, 15 (measurement side)} *)
 
@@ -152,14 +171,9 @@ type sim_study = {
 }
 
 val sim_study :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?store:Psn_store.Store.t ->
-  ?retries:int ->
-  ?checkpoint:int ->
+  ?exec:exec ->
   ?scale:scale ->
   ?faults:Psn_sim.Faults.spec ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
   input ->
   Psn_forwarding.Registry.entry list ->
   sim_study
@@ -167,21 +181,15 @@ val sim_study :
     Poisson workloads (rate 1/4 s over the first two thirds of the
     trace, as in §6.1). It is the one simulation grid: the catalogue
     calls it with {!Psn_forwarding.Registry.paper_six} (Figs. 9, 10,
-    13), [psn simulate] with its [-a] entries and [--seeds], and each
-    {!resilience_study} level with that level's fault spec. [faults],
-    when given, is compiled over the trace and injected into every run;
-    it also keys the store, so faulted and pristine outcomes never
-    alias. The algorithm × seed grid is one parallel batch
-    over [jobs] domains, claimed in ranges of [chunk] tasks; output is
-    independent of [jobs] and [chunk]. [store], when
-    given, memoizes each (algorithm, seed) outcome — a warm store
-    replays the study bit-identically without running the engine.
-    [retries] retries transient cell failures deterministically;
-    [checkpoint] (with a store) makes the sweep resumable in rounds of
-    that many cells. A cell that still fails lands in [sim_failed]
-    rather than aborting the study. [telemetry] (default null) wraps
-    the study in an ["experiments.sim_study"] span with a [setup] phase
-    and threads through to the runner and engine. *)
+    13) and with A01's replication budgets, [psn simulate] with its
+    [-a] entries and [--seeds], and each {!resilience_study} level with
+    that level's fault spec. [faults], when given, is compiled over the
+    trace and injected into every run; it also keys the store, so
+    faulted and pristine outcomes never alias. The algorithm × seed
+    grid is one parallel batch, and the store keys each (algorithm,
+    seed) outcome on the entry's [name]. A cell that still fails after
+    its retries lands in [sim_failed] rather than aborting the study.
+    Records an ["experiments.sim_study"] span with a [setup] phase. *)
 
 val entry_caches :
   Psn_store.Store.t ->
@@ -246,16 +254,7 @@ val default_fault_spec : Psn_sim.Faults.spec
     5 min mean repair, up to 30% contact truncation. *)
 
 val resilience_study :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?store:Psn_store.Store.t ->
-  ?retries:int ->
-  ?checkpoint:int ->
-  ?scale:scale ->
-  ?base:Psn_sim.Faults.spec ->
-  ?telemetry:Psn_telemetry.Telemetry.sink ->
-  input ->
-  resilience_level list
+  ?exec:exec -> ?scale:scale -> ?base:Psn_sim.Faults.spec -> input -> resilience_level list
 (** The robustness experiment the paper's thesis implies but never runs:
     sweep fault intensity ([0, 0.5, 1, 2] × [base], base defaulting to
     {!default_fault_spec}) and, per level, (a) run {!sim_study} over the
@@ -265,17 +264,12 @@ val resilience_study :
     sublinearly in intensity exactly where surviving path counts stay
     large, and the six algorithms should stay near-identical — path
     diversity, not algorithm choice, buys the graceful degradation.
-    Deterministic for any [jobs]. [store] memoizes both the per-level
-    simulation outcomes (keyed on the fault spec among other inputs)
-    and the probe enumerations (keyed on the degraded trace's content
-    hash). [retries] / [checkpoint] thread through to the runner and
-    enumeration fan-outs as in {!sim_study}; failed simulation cells
-    land in each level's [res_sim.sim_failed]. Each fan-out polls
-    {!Psn_robust.Interrupt.check}, so an interrupted sweep keeps every
-    completed cell's stored result. [telemetry] (default null)
-    records one ["experiments.level"] span per intensity (tagged with
-    the multiplier) around that level's ["experiments.sim_study"] span
-    and its probe enumerations. *)
+    The probe enumerations key the store on the degraded trace's
+    content hash, so levels never alias. Failed simulation cells land
+    in each level's [res_sim.sim_failed]. Records one
+    ["experiments.level"] span per intensity (tagged with the
+    multiplier) around that level's ["experiments.sim_study"] span and
+    its probe enumerations. *)
 
 (** {1 Analytic-model tables (§5)} *)
 

@@ -246,7 +246,8 @@ let test_sweeps_notice_pending_signal () =
           Core.Runner.outcomes_many ~jobs:1 ~trace:sweep_trace ~spec:(sweep_spec 3)
             ~factories:[ epidemic_entry.factory ] ());
       expect_sigint "storeless enumeration_study" (fun () ->
-          Core.Experiments.enumeration_study ~jobs:1
+          Core.Experiments.enumeration_study
+            ~exec:{ Core.Experiments.default_exec with jobs = Some 1 }
             ~scale:{ Core.Experiments.default_scale with n_messages = 2; k = 10 }
             { Core.Experiments.name = "test"; label = "test"; seed = 0L; trace = sweep_trace });
       expect_sigint "all-hit stored sweep" stored)
