@@ -15,8 +15,9 @@ type t = {
   mutable clock : int64;  (* logical access clock; never wall time *)
   mutable hits : int64;
   mutable misses : int64;
+  mutable logged : int;  (* lookup lines journaled since the last fold *)
   tmp_swept : int;  (* orphaned .tmp files removed at open *)
-  journal_replays : int;  (* journal intents replayed at open *)
+  journal_replays : int;  (* I/D intents replayed at open *)
   telemetry : T.sink;
       (* Recording sink; describes operations, never steers them. The
          store is single-domain (see .mli), so the caller's sink is
@@ -81,22 +82,32 @@ let remove_quiet path =
 
 (* ---- intent journal -------------------------------------------------- *)
 
-(* The journal records what the store is *about to* do to the shard
-   tree, one text line per intent, appended and flushed before the
-   action itself:
+(* The journal is one text line per record, appended and flushed
+   before (for intents) or instead of (for lookups) touching the
+   manifest:
 
-     I <hex>   an insert is heading for its rename
-     D <hex>   gc is about to unlink this entry
+     I <hex>          an insert is heading for its rename
+     D <hex>          gc is about to unlink this entry
+     H <hex> <stamp>  a lookup hit, at logical clock [stamp]
+     M <hex> <stamp>  a lookup missed, at logical clock [stamp]
 
-   The commit point of every operation is a rename or unlink; the
-   manifest rewrite that follows merely caches the result. So after a
-   crash the journal names exactly the keys whose disk state may
-   disagree with the manifest, and replaying it (see [open_]) means
-   re-deriving those rows from disk: adopt a verified frame the
-   manifest missed, complete a deletion the manifest still lists.
-   Replay trusts disk, so it is idempotent — a crash during replay or
-   before the journal truncation just replays again. The journal is
-   deleted once the manifest is saved and reality agrees with it. *)
+   The commit point of every insert or eviction is a rename or unlink;
+   the manifest rewrite that follows merely caches the result. So
+   after a crash the [I]/[D] intents name exactly the keys whose disk
+   state may disagree with the manifest, and replaying them (see
+   [open_]) means re-deriving those rows from disk: adopt a verified
+   frame the manifest missed, complete a deletion the manifest still
+   lists. Replay trusts disk, so it is idempotent — a crash during
+   replay or before the journal truncation just replays again.
+
+   A lookup's line is its whole record: replaying it ticks the clock
+   to [stamp], bumps the hit or miss counter, and restamps or drops
+   the row, exactly as the lookup did in memory. Lines whose stamp
+   the manifest's clock already covers were folded before a crash cut
+   the journal removal short, and are skipped, so this replay is
+   idempotent too. Lookups fold the log (one manifest rewrite, then
+   the journal goes) once their lines outnumber the index rows; see
+   [log_lookup]. *)
 
 let journal_append st line =
   let oc =
@@ -115,17 +126,29 @@ let is_hex_char c =
   (n >= Char.code '0' && n <= Char.code '9')
   || (n >= Char.code 'a' && n <= Char.code 'f')
 
+let is_hex s = String.for_all is_hex_char s
+
+let lookup_line tag hex stamp = Printf.sprintf "%c %s %016Lx" tag hex stamp
+
 (* A crash can tear the final line mid-append; anything that does not
-   parse as a full intent is ignored (its action never ran). *)
+   parse as a full record is ignored (its action never ran, or for a
+   lookup, never returned). *)
 let parse_journal_line line =
-  if
-    String.length line = 18
-    && (Char.equal line.[0] 'I' || Char.equal line.[0] 'D')
-    && Char.equal line.[1] ' '
-    && String.for_all is_hex_char (String.sub line 2 16)
-  then
-    Some ((if Char.equal line.[0] 'I' then `Insert else `Delete), String.sub line 2 16)
-  else None
+  let key () = String.sub line 2 16 in
+  match String.length line with
+  | 18 when Char.equal line.[1] ' ' && is_hex (key ()) -> (
+    match line.[0] with
+    | 'I' -> Some (`Insert (key ()))
+    | 'D' -> Some (`Delete (key ()))
+    | _ -> None)
+  | 35 when Char.equal line.[1] ' ' && Char.equal line.[18] ' ' && is_hex (key ())
+            && is_hex (String.sub line 19 16) -> (
+    let stamp = Int64.of_string ("0x" ^ String.sub line 19 16) in
+    match line.[0] with
+    | 'H' -> Some (`Hit (key (), stamp))
+    | 'M' -> Some (`Miss (key (), stamp))
+    | _ -> None)
+  | _ -> None
 
 let read_journal dir =
   match read_file (journal_path dir) with
@@ -233,38 +256,67 @@ let rescan dir tbl =
             { kind; size = String.length data; last_access = 0L }))
 
 (* Bring the index back in line with the shard tree after an
-   interrupted operation: for each journaled intent, disk is the
-   truth. An [I] whose frame landed (rename happened, manifest write
-   did not) is adopted so no committed entry is ever lost; an [I]
-   whose frame is absent or torn never committed, so any stale row
-   goes. A [D] is completed — the unlink is re-issued (idempotent) and
-   the row dropped. *)
-let replay_journal dir tbl intents =
+   interrupted operation, replaying the journal in order over the
+   manifest's state. For each [I]/[D] intent disk is the truth. An [I]
+   whose frame landed (rename happened, manifest write did not) is
+   adopted so no committed entry is ever lost; an [I] whose frame is
+   absent or torn never committed, so any stale row goes. A [D] is
+   completed — the unlink is re-issued (idempotent) and the row
+   dropped. [H]/[M] lines redo their lookup's bookkeeping (see the
+   journal notes above). *)
+let replay_journal st records =
+  let verified_row path =
+    Option.bind (read_file path) (fun data ->
+        match Codec.verify_frame data with
+        | Ok kind -> Some { kind; size = String.length data; last_access = 0L }
+        | Error (_ : Codec.error) -> None)
+  in
+  let lookup stamp on_replay =
+    if Int64.compare stamp st.clock > 0 then begin
+      st.clock <- stamp;
+      on_replay ()
+    end
+  in
   List.iter
-    (fun (op, hex) ->
-      let path = Filename.concat dir (entry_rel hex) in
-      match op with
-      | `Insert -> (
-        match read_file path with
-        | None -> Hashtbl.remove tbl hex
-        | Some data -> (
-          match Codec.verify_frame data with
-          | Ok kind ->
-            if not (Hashtbl.mem tbl hex) then
-              Hashtbl.replace tbl hex
-                { kind; size = String.length data; last_access = 0L }
-          | Error (_ : Codec.error) ->
-            ignore (remove_quiet path);
-            Hashtbl.remove tbl hex))
-      | `Delete ->
-        ignore (remove_quiet path);
-        Hashtbl.remove tbl hex)
-    intents
+    (fun record ->
+      match record with
+      | `Insert hex -> (
+        let path = entry_path st hex in
+        match verified_row path with
+        | Some row -> if not (Hashtbl.mem st.tbl hex) then Hashtbl.replace st.tbl hex row
+        | None ->
+          ignore (remove_quiet path);
+          Hashtbl.remove st.tbl hex)
+      | `Delete hex ->
+        ignore (remove_quiet (entry_path st hex));
+        Hashtbl.remove st.tbl hex
+      | `Hit (hex, stamp) ->
+        lookup stamp (fun () ->
+            st.hits <- Int64.add st.hits 1L;
+            match Hashtbl.find_opt st.tbl hex with
+            | Some e -> e.last_access <- stamp
+            | None ->
+              Option.iter
+                (fun row -> Hashtbl.replace st.tbl hex { row with last_access = stamp })
+                (verified_row (entry_path st hex)))
+      | `Miss (hex, stamp) ->
+        lookup stamp (fun () ->
+            st.misses <- Int64.add st.misses 1L;
+            Hashtbl.remove st.tbl hex))
+    records
+
+(* Make the manifest agree with memory, then drop the journal: every
+   record in it is now covered by the manifest. A crash between the
+   two leaves a journal whose replay changes nothing. *)
+let fold st =
+  save_manifest st;
+  journal_clear st.dir;
+  st.logged <- 0
 
 let open_ ?(telemetry = T.Sink.null) ~dir () =
   ensure_dir dir;
   let tmp_swept = sweep_tmp dir in
-  let intents = read_journal dir in
+  let records = read_journal dir in
   let tbl = Hashtbl.create 64 in
   let clock, hits, misses =
     match read_file (manifest_path dir) with
@@ -288,21 +340,37 @@ let open_ ?(telemetry = T.Sink.null) ~dir () =
           m.Codec.m_entries;
         (m.Codec.m_clock, m.Codec.m_hits, m.Codec.m_misses))
   in
-  replay_journal dir tbl intents;
-  let journal_replays = List.length intents in
-  let st =
-    { dir; tbl; clock; hits; misses; tmp_swept; journal_replays; telemetry }
+  (* Only interrupted inserts and evictions count as recovery; lookup
+     lines are the normal record of a run that exited between folds. *)
+  let journal_replays =
+    List.length
+      (List.filter (function `Insert _ | `Delete _ -> true | `Hit _ | `Miss _ -> false) records)
   in
-  save_manifest st;
-  (* Only now does the journal go: the manifest just written agrees
-     with the shard tree, so there is nothing left to replay. A crash
-     anywhere above re-runs the same replay against the same disk. *)
-  journal_clear dir;
+  let st =
+    { dir; tbl; clock; hits; misses; logged = 0; tmp_swept; journal_replays; telemetry }
+  in
+  replay_journal st records;
+  (* Only now does the journal go: the manifest written by the fold
+     agrees with the shard tree, so there is nothing left to replay. A
+     crash anywhere above re-runs the same replay against the same
+     disk. *)
+  fold st;
   if tmp_swept > 0 then T.count telemetry "store.tmp_swept" tmp_swept;
   if journal_replays > 0 then T.count telemetry "store.journal_replays" journal_replays;
   st
 
 (* ---- memoization ---------------------------------------------------- *)
+
+(* A lookup's durable record is its journal line, not a manifest
+   rewrite. The fold rule keeps a lookup O(1) amortised: a fold costs
+   O(entries) and comes at most once per [entries + 1] lookups, which
+   also bounds the journal (and the replay at open) to about one line
+   per entry. With an empty index every lookup folds. *)
+let log_lookup st line =
+  journal_append st line;
+  Failpoint.trigger "store.lookup.pre_fold";
+  st.logged <- st.logged + 1;
+  if st.logged > Hashtbl.length st.tbl then fold st
 
 let find_with decode ~kind st key =
   T.with_span st.telemetry "store.lookup"
@@ -327,7 +395,7 @@ let find_with decode ~kind st key =
     T.count st.telemetry "store.hits" 1;
     T.count st.telemetry "store.bytes_read" size;
     Hashtbl.replace st.tbl hex { kind; size; last_access = stamp };
-    save_manifest st;
+    log_lookup st (lookup_line 'H' hex stamp);
     Some v
   | None ->
     (* missing or undecodable entry: a miss. Drop any stale index row
@@ -336,7 +404,7 @@ let find_with decode ~kind st key =
     st.misses <- Int64.add st.misses 1L;
     T.count st.telemetry "store.misses" 1;
     Hashtbl.remove st.tbl hex;
-    save_manifest st;
+    log_lookup st (lookup_line 'M' hex stamp);
     None
 
 let put_with encode ~kind st key v =
@@ -356,8 +424,7 @@ let put_with encode ~kind st key v =
   Flight.note "store.insert" [ ("key", hex); ("bytes", string_of_int (String.length data)) ];
   Hashtbl.replace st.tbl hex
     { kind; size = String.length data; last_access = stamp };
-  save_manifest st;
-  journal_clear st.dir
+  fold st
 
 let find_outcome st key = find_with Codec.decode_outcome ~kind:Codec.Outcome st key
 let put_outcome st key v = put_with Codec.encode_outcome ~kind:Codec.Outcome st key v
@@ -444,8 +511,7 @@ let gc st ~max_bytes =
   if evicted > 0 then
     Flight.note "store.gc"
       [ ("evicted", string_of_int evicted); ("freed_bytes", string_of_int freed_bytes) ];
-  save_manifest st;
-  journal_clear st.dir;
+  fold st;
   {
     evicted;
     freed_bytes;

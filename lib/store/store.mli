@@ -11,7 +11,7 @@
     Every write is atomic: the frame goes to a [.tmp] file in the
     entry's shard directory and is renamed into place, so readers (and
     crashes) never observe a torn entry. The manifest is rewritten the
-    same way after every mutating operation.
+    same way after every insert and gc.
 
     Crash safety goes further than atomic writes: before an insert's
     rename or a gc unlink, the store appends the intent (["I <hex>"] /
@@ -22,12 +22,26 @@
     lost), dropping rows whose frame never landed, completing
     interrupted deletions — and sweeps every orphaned [.tmp] file.
     Replay trusts disk, so it is idempotent under repeated crashes.
+
+    Lookups do not rewrite the manifest. Each appends one line to the
+    same journal (["H <hex> <stamp>"] for a hit, ["M <hex> <stamp>"]
+    for a miss, [stamp] the lookup's logical clock tick), and
+    {!open_} replays those lines over the manifest: clock, hit and
+    miss counters, access stamps and dropped rows come back exactly as
+    the lookups left them in memory. Lines the manifest already covers
+    are skipped, so this replay is idempotent too. Once a handle's
+    lookup lines outnumber its index rows, the next lookup folds them
+    into one manifest rewrite and deletes the journal; so a lookup
+    costs O(1) amortised, and the journal holds at most about one line
+    per entry.
+
     The dangerous windows are named {!Psn_robust.Failpoint} sites
     ([store.insert.pre_journal], [store.insert.pre_rename],
     [store.insert.post_rename], [store.gc.pre_remove],
-    [store.gc.post_remove], [store.manifest.pre_rename]); the crash
-    matrix test kills the process at each and asserts {!verify} is
-    clean on reopen.
+    [store.gc.post_remove], [store.manifest.pre_rename], and
+    [store.lookup.pre_fold] between a lookup's journal line and its
+    fold); the crash matrix test kills the process at each and asserts
+    {!verify} is clean on reopen.
 
     A corrupt entry is never fatal anywhere: {!find_outcome} and
     {!find_enumeration} treat it as a miss (the caller recomputes and
@@ -47,11 +61,12 @@ type t
 
 val open_ : ?telemetry:Psn_telemetry.Telemetry.sink -> dir:string -> unit -> t
 (** Open (creating the directory if needed) the store at [dir]. First
-    sweeps orphaned [.tmp] files and replays any crash journal (see
-    above), then loads the manifest; if it is missing or corrupt,
-    rebuilds the index by scanning the shard directories and verifying
-    each frame, dropping undecodable entries. Raises [Sys_error] only
-    if [dir] cannot be created or read at all.
+    sweeps orphaned [.tmp] files, then loads the manifest; if it is
+    missing or corrupt, rebuilds the index by scanning the shard
+    directories and verifying each frame, dropping undecodable
+    entries. Then replays the journal over it (see above) and folds:
+    the manifest is rewritten and the journal deleted. Raises
+    [Sys_error] only if [dir] cannot be created or read at all.
 
     [telemetry] (default null) records ["store.lookup"] /
     ["store.insert"] / ["store.gc"] spans and counters for hits,
@@ -68,7 +83,15 @@ val dir : t -> string
 
 val find_outcome : t -> Key.t -> Psn_sim.Engine.outcome option
 (** [None] on a missing, undecodable or wrong-kind entry; every call
-    counts as a hit or a miss in {!stats}. *)
+    counts as a hit or a miss in {!stats}.
+
+    Durability (every [find_*]): when the call returns, its journal
+    line has been written and the file closed, the same guarantee a
+    manifest rewrite gave. A process killed at any later point loses
+    none of the lookup's bookkeeping: the next {!open_} replays it
+    into the hit or miss counter, the clock and the entry's access
+    stamp. A crash while the line is being written loses only that
+    lookup's record, as a torn final line is ignored. *)
 
 val put_outcome : t -> Key.t -> Psn_sim.Engine.outcome -> unit
 (** Atomically (over)write the entry for this key. *)
@@ -99,8 +122,10 @@ type stats = {
   tmp_swept : int;
       (** Orphaned [.tmp] files removed when this handle was opened. *)
   journal_replays : int;
-      (** Journal intents replayed when this handle was opened — zero
-          unless the previous process died mid-operation. *)
+      (** [I]/[D] journal intents replayed when this handle was opened
+          — zero unless the previous process died mid-insert or
+          mid-gc. Lookup lines are not counted: they are the normal
+          record of a run that exited between folds. *)
 }
 
 val stats : t -> stats

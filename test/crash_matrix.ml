@@ -15,7 +15,10 @@
      differs on a resumed run.
 
    The gc eviction windows get the same treatment through `psn store
-   gc --failpoints`. Usage: crash_matrix <psn_cli.exe> <trace-file>. *)
+   gc --failpoints`. A lookup's window (its journal line appended, the
+   fold not yet run) is killed in a cold and a warm run; there `store
+   stats` must also count every lookup made before the death, the one
+   in flight included. Usage: crash_matrix <psn_cli.exe> <trace-file>. *)
 
 let () =
   if Array.length Sys.argv <> 3 then begin
@@ -63,6 +66,20 @@ let verify dir = sh "%s store verify --store %s >/dev/null 2>&1" cli (Filename.q
 
 let crash_exit = 170
 
+(* The "lifetime: H hit(s), M miss(es)" line of `store stats`. *)
+let lifetime dir =
+  let out = "cm_stats.out" in
+  ignore (sh "%s store stats --store %s > %s 2>/dev/null" cli (Filename.quote dir) out);
+  let ic = open_in_bin out in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  List.find_map
+    (fun l -> try Some (Scanf.sscanf l "lifetime: %d hit(s), %d miss(es)" (fun h m -> (h, m))) with _ -> None)
+    (String.split_on_char '\n' s)
+  |> Option.value ~default:(-1, -1)
+
+let show (h, m) = Printf.sprintf "%d hit(s), %d miss(es)" h m
+
 let () =
   (* The uninterrupted reference output (scheduling-independent, so
      one baseline serves every jobs value). *)
@@ -107,6 +124,62 @@ let () =
           end)
         jobs_list)
     matrix;
+
+  (* The lookup window: a lookup's H/M line is appended but the fold
+     has not run. Lookups come from the calling domain in sweep order
+     at any --jobs, so the k-th one is the same lookup everywhere. The
+     uninterrupted reference is a cold run then a warm one; the warm
+     run's [n] lookups are all hits. *)
+  rm_rf "cm_lk_ref";
+  if simulate ~dir:"cm_lk_ref" ~jobs:1 "cm_lk_ref.out" <> 0 then failf "lookup reference cold run failed";
+  let ((cold_h, cold_m) as cold) = lifetime "cm_lk_ref" in
+  if simulate ~dir:"cm_lk_ref" ~jobs:1 "cm_lk_ref.out" <> 0 then failf "lookup reference warm run failed";
+  let ((warm_h, warm_m) as warm) = lifetime "cm_lk_ref" in
+  let n = warm_h + warm_m - cold_h - cold_m in
+  if n <= 0 || warm_m <> cold_m then failf "lookup reference: warm run was not all hits (%s then %s)" (show cold) (show warm);
+  (* (warm store?, k, lifetime after the crash) *)
+  let cases =
+    [
+      (false, 1, (0, 1));
+      (true, 1, (cold_h + 1, cold_m));
+      (true, n, warm);
+    ]
+  in
+  List.iter
+    (fun (warm_start, k, after_crash) ->
+      List.iter
+        (fun jobs ->
+          let label =
+            Printf.sprintf "store.lookup.pre_fold=crash@%d %s jobs=%d" k
+              (if warm_start then "warm" else "cold") jobs
+          in
+          let dir = "cm_lk" in
+          rm_rf dir;
+          if warm_start && simulate ~dir ~jobs "cm_lk.out" <> 0 then failf "%s: populate failed" label;
+          let code =
+            simulate ~failpoints:(Printf.sprintf "store.lookup.pre_fold=crash@%d" k) ~dir ~jobs "cm_crash.out"
+          in
+          if code <> crash_exit then failf "%s: crash run exited %d, want %d" label code crash_exit
+          else begin
+            let v = verify dir in
+            if v <> 0 then failf "%s: store verify exited %d after crash" label v;
+            let got = lifetime dir in
+            if got <> after_crash then
+              failf "%s: lifetime after the crash is %s, want %s" label (show got) (show after_crash);
+            let r = simulate ~dir ~jobs "cm_resume.out" in
+            if r <> 0 then failf "%s: rerun exited %d" label r
+            else if not (String.equal (canon "cm_resume.out") baseline) then
+              failf "%s: rerun output differs from uninterrupted run" label;
+            (* the rerun adds what an uninterrupted run of it adds *)
+            let want =
+              if warm_start then (fst after_crash + n, snd after_crash)
+              else (cold_h + fst after_crash, cold_m + snd after_crash)
+            in
+            let got = lifetime dir in
+            if got <> want then failf "%s: lifetime after the rerun is %s, want %s" label (show got) (show want)
+          end)
+        [ 1; 2; 4 ])
+    cases;
 
   (* gc eviction windows: populate, kill mid-gc, prove recovery and
      that finishing the gc still works. *)

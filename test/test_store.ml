@@ -685,6 +685,159 @@ let test_store_gc_crash_window () =
   Alcotest.(check int) "eviction completed at reopen" 1 (Store.stats st2).Store.entries;
   Alcotest.(check int) "verify clean" 0 (List.length (Store.verify st2).Store.fsck_errors)
 
+(* --- the lookup log: hits and misses as journal lines ---
+
+   A lookup appends one [H]/[M] line instead of rewriting the
+   manifest; [open_] replays the lines and the store folds them once
+   they outnumber its rows. A reopened store must be indistinguishable
+   from one whose every lookup rewrote the manifest. *)
+
+let journal_lines dir =
+  let path = Filename.concat dir "journal.psn" in
+  if not (Sys.file_exists path) then []
+  else
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> not (String.equal l ""))
+
+let append_raw dir text =
+  Out_channel.with_open_gen [ Open_append; Open_creat; Open_binary ] 0o644
+    (Filename.concat dir "journal.psn") (fun oc -> Out_channel.output_string oc text)
+
+(* A store holding [n] outcomes under seeds 1..n. Each put folds, so
+   the lookups under test start from an empty journal. *)
+let populated n =
+  let dir = fresh_dir () in
+  let st = Store.open_ ~dir () in
+  let keys = List.init n (fun i -> some_key ~seed:(Int64.of_int (i + 1)) ()) in
+  List.iter (fun k -> Store.put_outcome st k (sample_outcome ())) keys;
+  (dir, keys)
+
+let rec copy_tree src dst =
+  Sys.mkdir dst 0o755;
+  Array.iter
+    (fun name ->
+      let s = Filename.concat src name and d = Filename.concat dst name in
+      if Sys.is_directory s then copy_tree s d
+      else
+        Out_channel.with_open_bin d (fun oc ->
+            Out_channel.output_string oc (In_channel.with_open_bin s In_channel.input_all)))
+    (Sys.readdir src)
+
+let stats_line st =
+  let s = Store.stats st in
+  Printf.sprintf "entries=%d bytes=%d hits=%Ld misses=%Ld swept=%d replays=%d" s.Store.entries
+    s.Store.bytes s.Store.hits s.Store.misses s.Store.tmp_swept s.Store.journal_replays
+
+(* Shrink the store one entry at a time, listing the entries left on
+   disk after each step: the whole LRU order, read without a lookup
+   (which would restamp what it reads). *)
+let eviction_order st =
+  let n = (Store.stats st).Store.entries in
+  let size = (Store.stats st).Store.bytes / n in
+  List.init n (fun i ->
+      ignore (Store.gc st ~max_bytes:((n - i - 1) * size));
+      List.map (fun p -> Filename.remove_extension (Filename.basename p)) (entry_files (Store.dir st))
+      |> String.concat ",")
+
+let test_lookup_log_warm_replays_nothing () =
+  let dir, keys = populated 4 in
+  let st = Store.open_ ~dir () in
+  List.iter (fun k -> ignore (Store.find_outcome st k)) keys;
+  Alcotest.(check int) "hits journaled, not folded" 4 (List.length (journal_lines dir));
+  let st2 = Store.open_ ~dir () in
+  Alcotest.(check int) "warm hits are no recovery" 0 (Store.stats st2).Store.journal_replays;
+  Alcotest.(check int64) "warm hits replayed" 4L (Store.stats st2).Store.hits;
+  Alcotest.(check int) "open folds the log" 0 (List.length (journal_lines dir))
+
+let test_lookup_log_reopen_matches () =
+  let dir, keys = populated 6 in
+  let k1, k2, k3 = match keys with k1 :: k2 :: k3 :: _ -> (k1, k2, k3) | _ -> assert false in
+  let st = Store.open_ ~dir () in
+  (* corrupt k2's frame: its lookup misses and drops the row *)
+  let k2_path =
+    List.find
+      (fun p -> String.equal (Filename.remove_extension (Filename.basename p)) (Key.to_hex k2))
+      (entry_files dir)
+  in
+  flip_byte k2_path 20;
+  ignore (Store.find_outcome st k3);
+  ignore (Store.find_outcome st k1);
+  Alcotest.(check bool) "corrupt frame misses" true (Option.is_none (Store.find_outcome st k2));
+  Alcotest.(check bool) "absent key misses" true
+    (Option.is_none (Store.find_outcome st (some_key ~seed:99L ())));
+  ignore (Store.find_outcome st k3);
+  Alcotest.(check int) "five lines, no fold" 5 (List.length (journal_lines dir));
+  let copy = fresh_dir () in
+  Sys.rmdir copy;
+  copy_tree dir copy;
+  let st2 = Store.open_ ~dir:copy () in
+  Alcotest.(check string) "same stats" (stats_line st) (stats_line st2);
+  Alcotest.(check (list string)) "same LRU order" (eviction_order st) (eviction_order st2)
+
+let test_lookup_log_torn_line () =
+  let dir, keys = populated 2 in
+  let k1, k2 = match keys with [ k1; k2 ] -> (k1, k2) | _ -> assert false in
+  let st = Store.open_ ~dir () in
+  ignore (Store.find_outcome st k1);
+  (* a hit on k2 torn mid-stamp: had it replayed, k2 would be the most
+     recently used entry and gc would evict k1 *)
+  append_raw dir ("H " ^ Key.to_hex k2 ^ " 00000000");
+  let st2 = Store.open_ ~dir () in
+  Alcotest.(check int64) "only the whole line replayed" 1L (Store.stats st2).Store.hits;
+  Alcotest.(check int) "no intent replayed" 0 (Store.stats st2).Store.journal_replays;
+  ignore (Store.gc st2 ~max_bytes:((Store.stats st2).Store.bytes / 2));
+  Alcotest.(check bool) "k1 kept" true (Option.is_some (Store.find_outcome st2 k1));
+  Alcotest.(check bool) "k2 evicted" true (Option.is_none (Store.find_outcome st2 k2))
+
+let test_lookup_log_bounded () =
+  let e = 5 in
+  let dir, keys = populated e in
+  let st = Store.open_ ~dir () in
+  let longest = ref 0 and folds = ref 0 and last = ref 0 in
+  for i = 0 to (7 * e) - 1 do
+    ignore (Store.find_outcome st (List.nth keys (i mod e)));
+    let n = List.length (journal_lines dir) in
+    if n < !last then incr folds;
+    last := n;
+    longest := Int.max !longest n
+  done;
+  Alcotest.(check bool) "journal stays within E + 1 lines" true (!longest <= e + 1);
+  Alcotest.(check bool) "lookups fold" true (!folds >= 5);
+  Alcotest.(check int64) "every hit counted" (Int64.of_int (7 * e)) (Store.stats (Store.open_ ~dir ())).Store.hits
+
+let test_lookup_log_with_crashed_put () =
+  let dir, keys = populated 3 in
+  let k1, k2 = match keys with k1 :: k2 :: _ -> (k1, k2) | _ -> assert false in
+  let k9 = some_key ~seed:9L () in
+  let st = Store.open_ ~dir () in
+  ignore (Store.find_outcome st k1);
+  Alcotest.(check bool) "new key misses" true (Option.is_none (Store.find_outcome st k9));
+  with_failpoints "store.insert.post_rename=error@1" (fun () ->
+      injected (fun () -> Store.put_outcome st k9 (sample_outcome ())));
+  ignore (Store.find_outcome st k2);
+  Alcotest.(check (list char)) "H, M, I, H in the journal" [ 'H'; 'M'; 'I'; 'H' ]
+    (List.map (fun l -> l.[0]) (journal_lines dir));
+  let st2 = Store.open_ ~dir () in
+  let s = Store.stats st2 in
+  Alcotest.(check int) "the insert intent replayed" 1 s.Store.journal_replays;
+  Alcotest.(check int64) "hits" 2L s.Store.hits;
+  Alcotest.(check int64) "misses" 1L s.Store.misses;
+  Alcotest.(check int) "committed entry adopted" 4 s.Store.entries;
+  Alcotest.(check int) "verify clean" 0 (List.length (Store.verify st2).Store.fsck_errors)
+
+let test_lookup_log_replay_idempotent () =
+  (* a crash after a fold's manifest rename but before the journal
+     removal leaves lines the manifest already counts *)
+  let dir, keys = populated 3 in
+  let st = Store.open_ ~dir () in
+  List.iter (fun k -> ignore (Store.find_outcome st k)) keys;
+  let lines = journal_lines dir in
+  let folded = Store.open_ ~dir () in
+  append_raw dir (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  let again = Store.open_ ~dir () in
+  Alcotest.(check string) "folded lines replay to nothing" (stats_line folded) (stats_line again)
+
 let test_runner_stores_arity () =
   let trace = sample_trace () in
   let spec = { Core.Runner.workload; seeds = [ 1000L ] } in
@@ -738,6 +891,19 @@ let () =
           Alcotest.test_case "orphaned tmp files swept" `Quick test_store_tmp_sweep;
           Alcotest.test_case "insert crash windows" `Quick test_store_insert_crash_windows;
           Alcotest.test_case "gc crash window" `Quick test_store_gc_crash_window;
+        ] );
+      ( "lookup-log",
+        [
+          Alcotest.test_case "warm hits replay as no recovery" `Quick
+            test_lookup_log_warm_replays_nothing;
+          Alcotest.test_case "reopen matches stats and LRU order" `Quick
+            test_lookup_log_reopen_matches;
+          Alcotest.test_case "torn final line ignored" `Quick test_lookup_log_torn_line;
+          Alcotest.test_case "journal bounded by entries + 1" `Quick test_lookup_log_bounded;
+          Alcotest.test_case "lookups around a crashed put" `Quick
+            test_lookup_log_with_crashed_put;
+          Alcotest.test_case "folded lines replay to nothing" `Quick
+            test_lookup_log_replay_idempotent;
         ] );
       ( "runner",
         [
