@@ -393,6 +393,9 @@ let sections =
         @ [ Printf.sprintf "advance %h" (Trace.horizon trace +. 3600.) ]
       in
       let delivery_ratio strategies =
+        (* Four sessions of about a second each: a signal stops the
+           section between them. *)
+        Psn_robust.Interrupt.check ();
         (* The 900 s span bounds both the per-evaluation trace and how
            long an undeliverable message stays live. *)
         let window = { Psn_serve.Window.span = 900.; budget = 100_000; policy = Slide; nodes = 0 } in

@@ -61,6 +61,7 @@ let average_runs p ~rng ~runs ~sample_times =
   let zero = List.map (fun t -> (t, 0., 0., 0., 0.)) (List.sort Float.compare sample_times) in
   let totals = ref zero in
   for _ = 1 to runs do
+    Psn_robust.Interrupt.check ();
     totals := accumulate !totals (run p ~rng ~sample_times)
   done;
   let k = float_of_int runs in

@@ -37,4 +37,6 @@ val average_runs :
   sample_times:float list ->
   sample list
 (** Average {!run} over several independent realisations (sample
-    fields averaged pointwise). *)
+    fields averaged pointwise). Polls {!Psn_robust.Interrupt.check}
+    before each realisation, so a signal stops a long average within
+    one run. *)

@@ -26,6 +26,7 @@ let rk4 ~f ~y0 ~t0 ~t1 ~steps =
   let h = (t1 -. t0) /. float_of_int steps in
   let y = ref (Array.copy y0) in
   for i = 0 to steps - 1 do
+    Psn_robust.Interrupt.check ();
     let t = t0 +. (float_of_int i *. h) in
     y := step ~f ~t ~h !y
   done;

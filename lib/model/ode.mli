@@ -11,4 +11,5 @@ type derivative = t:float -> y:float array -> float array
 val rk4 : f:derivative -> y0:float array -> t0:float -> t1:float -> steps:int -> float array
 (** Integrate from [t0] to [t1] in [steps] equal RK4 steps and return
     the final state. [y0] is not mutated. Raises [Invalid_argument] if
-    [steps <= 0] or [t1 < t0]. *)
+    [steps <= 0] or [t1 < t0]. Polls {!Psn_robust.Interrupt.check}
+    before each step, so a signal stops a long solve within a step. *)

@@ -5,7 +5,8 @@
     die-now behaviour with a flag; the sweep fan-out polls {!check} at
     its safe points (on entry, at the start of every task, after each
     checkpoint round is stored; the figure catalogue also before each
-    section) and raises {!Interrupted}, which the CLI catches to flush
+    section, and the sections that run no sweep before each Monte
+    Carlo run, ODE step or serve session) and raises {!Interrupted}, which the CLI catches to flush
     [--trace]/[--profile] output and exit with [128 + signal]
     (130 for SIGINT, 143 for SIGTERM — distinct from the 0/1/2/3
     result codes).
