@@ -134,21 +134,19 @@ let lookup_line tag hex stamp = Printf.sprintf "%c %s %016Lx" tag hex stamp
    parse as a full record is ignored (its action never ran, or for a
    lookup, never returned). *)
 let parse_journal_line line =
-  let key () = String.sub line 2 16 in
-  match String.length line with
-  | 18 when Char.equal line.[1] ' ' && is_hex (key ()) -> (
-    match line.[0] with
-    | 'I' -> Some (`Insert (key ()))
-    | 'D' -> Some (`Delete (key ()))
-    | _ -> None)
-  | 35 when Char.equal line.[1] ' ' && Char.equal line.[18] ' ' && is_hex (key ())
-            && is_hex (String.sub line 19 16) -> (
-    let stamp = Int64.of_string ("0x" ^ String.sub line 19 16) in
-    match line.[0] with
-    | 'H' -> Some (`Hit (key (), stamp))
-    | 'M' -> Some (`Miss (key (), stamp))
-    | _ -> None)
-  | _ -> None
+  let n = String.length line in
+  if n < 18 || not (Char.equal line.[1] ' ') then None
+  else
+    let key = String.sub line 2 16 in
+    if not (is_hex key) then None
+    else
+      match (line.[0], n) with
+      | 'I', 18 -> Some (`Insert key)
+      | 'D', 18 -> Some (`Delete key)
+      | (('H' | 'M') as tag), 35 when Char.equal line.[18] ' ' && is_hex (String.sub line 19 16) ->
+        let stamp = Int64.of_string ("0x" ^ String.sub line 19 16) in
+        Some (if Char.equal tag 'H' then `Hit (key, stamp) else `Miss (key, stamp))
+      | _ -> None
 
 let read_journal dir =
   match read_file (journal_path dir) with
@@ -271,10 +269,11 @@ let replay_journal st records =
         | Ok kind -> Some { kind; size = String.length data; last_access = 0L }
         | Error (_ : Codec.error) -> None)
   in
-  let lookup stamp on_replay =
+  (* A lookup line the manifest's clock already covers was folded. *)
+  let unfolded stamp redo =
     if Int64.compare stamp st.clock > 0 then begin
       st.clock <- stamp;
-      on_replay ()
+      redo ()
     end
   in
   List.iter
@@ -291,7 +290,7 @@ let replay_journal st records =
         ignore (remove_quiet (entry_path st hex));
         Hashtbl.remove st.tbl hex
       | `Hit (hex, stamp) ->
-        lookup stamp (fun () ->
+        unfolded stamp (fun () ->
             st.hits <- Int64.add st.hits 1L;
             match Hashtbl.find_opt st.tbl hex with
             | Some e -> e.last_access <- stamp
@@ -300,7 +299,7 @@ let replay_journal st records =
                 (fun row -> Hashtbl.replace st.tbl hex { row with last_access = stamp })
                 (verified_row (entry_path st hex)))
       | `Miss (hex, stamp) ->
-        lookup stamp (fun () ->
+        unfolded stamp (fun () ->
             st.misses <- Int64.add st.misses 1L;
             Hashtbl.remove st.tbl hex))
     records
