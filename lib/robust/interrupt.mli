@@ -6,8 +6,9 @@
     its safe points (on entry, at the start of every task, after each
     checkpoint round is stored; the figure catalogue also before each
     section, and the sections that run no sweep before each Monte
-    Carlo run, ODE step or serve session) and raises {!Interrupted}, which the CLI catches to flush
-    [--trace]/[--profile] output and exit with [128 + signal]
+    Carlo run, ODE step or serve session) and raises {!Interrupted},
+    which the CLI catches to flush [--trace]/[--profile] output and
+    exit with [128 + signal]
     (130 for SIGINT, 143 for SIGTERM — distinct from the 0/1/2/3
     result codes).
 

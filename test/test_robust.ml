@@ -231,7 +231,9 @@ let caches st seeds =
     [ epidemic_entry ]
 
 (* A pending signal stops a sweep on entry, with or without a store,
-   and even when every cell would be a cache hit. *)
+   and even when every cell would be a cache hit. The model tables,
+   which run no sweep, stop inside their Monte Carlo average and ODE
+   solve. *)
 let test_sweeps_notice_pending_signal () =
   let st = fresh_store () in
   let stored () =
@@ -250,7 +252,12 @@ let test_sweeps_notice_pending_signal () =
             ~exec:{ Core.Experiments.default_exec with jobs = Some 1 }
             ~scale:{ Core.Experiments.default_scale with n_messages = 2; k = 10 }
             { Core.Experiments.name = "test"; label = "test"; seed = 0L; trace = sweep_trace });
-      expect_sigint "all-hit stored sweep" stored)
+      expect_sigint "all-hit stored sweep" stored;
+      expect_sigint "Monte Carlo average" (fun () ->
+          Core.Montecarlo.average_runs { Core.Homogeneous.n = 20; lambda = 0.5 }
+            ~rng:(Core.Rng.create ~seed:5L ()) ~runs:2 ~sample_times:[ 1. ]);
+      expect_sigint "ODE solve" (fun () ->
+          Core.Ode.rk4 ~f:(fun ~t:_ ~y -> y) ~y0:[| 1. |] ~t0:0. ~t1:1. ~steps:10))
 
 (* A signal mid-sweep: the task running when it lands completes, the
    rest of its checkpoint round fails fast, the completed cells are
