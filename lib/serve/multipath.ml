@@ -93,24 +93,18 @@ let dump r =
       let st = r.stats.(i) in
       (r.s_names.(i), (st.obs, st.success, st.delay, st.has_delay, st.loss)))
 
-let load cfg rows =
-  match create cfg ~names:(List.map fst rows) with
-  | Error _ as e -> e
-  | Ok r ->
-    let bad = ref None in
+let load r rows =
+  if not (List.equal String.equal (List.map fst rows) (Array.to_list r.s_names)) then
+    Error "router state: strategies differ from the router's, in name or order"
+  else if List.exists (fun (_, (obs, _, _, _, _)) -> obs < 0) rows then
+    Error "router state: negative observation count"
+  else begin
     List.iteri
       (fun i (_, (obs, success, delay, has_delay, loss)) ->
-        if obs < 0 then bad := Some "negative observation count"
-        else begin
-          let st = r.stats.(i) in
-          st.obs <- obs;
-          st.success <- success;
-          st.delay <- delay;
-          st.has_delay <- has_delay;
-          st.loss <- loss
-        end)
+        r.stats.(i) <- { obs; success; delay; has_delay; loss })
       rows;
-    (match !bad with Some reason -> Error ("router state: " ^ reason) | None -> Ok r)
+    Ok ()
+  end
 
 (* ---- diversity ------------------------------------------------------ *)
 

@@ -62,11 +62,12 @@ val dump : t -> (string * (int * float * float * bool * float)) list
 (** Raw per-strategy state [(obs, success, delay, has_delay, loss)] in
     registration order — what snapshots persist. *)
 
-val load :
-  config -> (string * (int * float * float * bool * float)) list -> (t, string) result
-(** Rebuild from {!dump} output; inverse of [dump] (bit-exact when the
-    floats round-tripped exactly, which the snapshot codec's hex-float
-    rendering guarantees). *)
+val load : t -> (string * (int * float * float * bool * float)) list -> (unit, string) result
+(** Overwrite the router's state with {!dump} output; inverse of
+    [dump] (bit-exact when the floats round-tripped exactly, which the
+    snapshot codec's hex-float rendering guarantees). [Error], leaving
+    the router untouched, unless the rows name the router's strategies
+    in registration order with non-negative observation counts. *)
 
 val diversity : Psn_paths.Path.t list -> (float * float) option
 (** [(node, edge)] diversity of a path set: 1 minus the mean pairwise

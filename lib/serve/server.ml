@@ -321,8 +321,8 @@ let inject t ~src ~dst t_opt =
     else begin
       let name = Multipath.pick t.router in
       let entry =
-        (* pick returns a name the router was created with, which is a
-           resolved entry by construction *)
+        (* the router's names are the entries' names, in order: [create]
+           builds it from them and [Multipath.load] accepts no others *)
         Array.to_list t.entries |> List.find (fun e -> String.equal e.Registry.name name)
       in
       let id = t.next_id in
@@ -615,227 +615,147 @@ exception Snapshot_malformed of string
 
 let sfail fmt = Printf.ksprintf (fun s -> raise (Snapshot_malformed s)) fmt
 
+(* The v2 reader: one cursor over the lines [snapshot_text] writes.
+   The config lines build a server with [create]; every later line is
+   read straight into it. Rows go through the checks the live verbs
+   run on the same data, so a crafted snapshot is an [Error], never an
+   exception in a later reply. *)
 let restore ?telemetry ?store ?session ?jobs ?chunk text =
-  let lines = String.split_on_char '\n' text |> Array.of_list in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
   let pos = ref 0 in
-  let next () =
-    if !pos >= Array.length lines then sfail "truncated snapshot (line %d)" (!pos + 1)
-    else begin
-      let l = lines.(!pos) in
-      incr pos;
-      l
-    end
+  let fields () =
+    if !pos >= Array.length lines then sfail "truncated snapshot (line %d)" (!pos + 1);
+    incr pos;
+    String.split_on_char ' ' lines.(!pos - 1) |> List.filter (fun s -> String.length s > 0)
   in
-  let words l = String.split_on_char ' ' l |> List.filter (fun s -> String.length s > 0) in
-  let int_of what s =
-    match int_of_string_opt s with Some v -> v | None -> sfail "bad %s: %S" what s
+  let bad tag = sfail "bad %s line" tag in
+  let line tag = match fields () with t :: rest when String.equal t tag -> rest | _ -> bad tag in
+  let typed conv valid what s =
+    match conv s with Some v when valid v -> v | _ -> sfail "bad %s: %S" what s
   in
-  let float_of what s =
-    match float_of_string_opt s with Some v -> v | None -> sfail "bad %s: %S" what s
+  let int = typed int_of_string_opt (fun _ -> true) in
+  let nat = typed int_of_string_opt (fun v -> v >= 0) in
+  let float = typed float_of_string_opt Float.is_finite in
+  let ok = function Ok v -> v | Error reason -> raise (Snapshot_malformed reason) in
+  let rows tag row =
+    match line tag with
+    | [ n ] -> List.init (nat (tag ^ " count") n) (fun _ -> row (fields ()))
+    | _ -> bad tag
   in
-  let int64_of what s =
-    match Int64.of_string_opt s with Some v -> v | None -> sfail "bad %s: %S" what s
-  in
-  let parse () =
-    (match words (next ()) with
-    | [ "psn-serve-snapshot"; "2" ] -> ()
-    | [ "psn-serve-snapshot"; v ] -> sfail "unsupported snapshot version %S (want 2)" v
-    | _ -> sfail "not a psn-serve snapshot (bad header)");
+  let read () =
+    (match line "psn-serve-snapshot" with
+    | [ "2" ] -> ()
+    | v -> sfail "unsupported snapshot version %S (want 2)" (String.concat " " v));
     let window =
-      match words (next ()) with
-      | [ "window"; span; budget; policy; nodes ] ->
+      match line "window" with
+      | [ span; budget; policy; nodes ] ->
         {
-          Window.span = float_of "span" span;
-          budget = int_of "budget" budget;
+          Window.span = float "span" span;
+          budget = int "budget" budget;
           policy =
             (match policy with
             | "drop" -> Window.Drop
             | "slide" -> Window.Slide
             | other -> sfail "bad policy: %S" other);
-          nodes = int_of "nodes" nodes;
+          nodes = int "nodes" nodes;
         }
-      | _ -> sfail "bad window line"
+      | _ -> bad "window"
     in
     let delta, k =
-      match words (next ()) with
-      | [ "enum"; delta; k ] -> (float_of "delta" delta, int_of "k" k)
-      | _ -> sfail "bad enum line"
+      match line "enum" with [ d; k ] -> (float "delta" d, int "k" k) | _ -> bad "enum"
     in
-    let router_cfg =
-      match words (next ()) with
-      | [ "router"; alpha; explore ] ->
-        { Multipath.alpha = float_of "alpha" alpha; explore = int_of "explore" explore }
-      | _ -> sfail "bad router line"
+    let router =
+      match line "router" with
+      | [ a; e ] -> { Multipath.alpha = float "alpha" a; explore = int "explore" e }
+      | _ -> bad "router"
     in
-    let n_strategies =
-      match words (next ()) with
-      | [ "strategies"; n ] -> int_of "strategy count" n
-      | _ -> sfail "bad strategies line"
-    in
-    let strategies = List.init n_strategies (fun _ -> String.trim (next ())) in
+    let strategies = rows "strategies" (function [ name ] -> name | _ -> bad "strategy") in
     let faults =
-      match words (next ()) with
-      | [ "faults"; "0" ] -> None
-      | [ "faults"; "1"; loss; crash; down; jitter; seed ] ->
+      match line "faults" with
+      | [ "0" ] -> None
+      | [ "1"; loss; crash; down; jitter; seed ] ->
         Some
           {
-            Faults.loss = float_of "loss" loss;
-            crash_rate = float_of "crash rate" crash;
-            down_time = float_of "down time" down;
-            jitter = float_of "jitter" jitter;
-            seed = int64_of "fault seed" seed;
+            Faults.loss = float "loss" loss;
+            crash_rate = float "crash rate" crash;
+            down_time = float "down time" down;
+            jitter = float "jitter" jitter;
+            seed = typed Int64.of_string_opt (fun _ -> true) "fault seed" seed;
           }
-      | _ -> sfail "bad faults line"
+      | _ -> bad "faults"
     in
+    let cfg = { window; delta; k; strategies; router; faults } in
+    let t = ok (create ?telemetry ?store ?session ?jobs ?chunk cfg) in
     let now, last_start, pop, peak =
-      match words (next ()) with
-      | [ "clock"; now; last_start; pop; peak ] ->
-        (float_of "now" now, float_of "last start" last_start, int_of "population" pop,
-         int_of "peak" peak)
-      | _ -> sfail "bad clock line"
+      match line "clock" with
+      | [ now; ls; pop; peak ] ->
+        (float "now" now, float "last start" ls, int "population" pop, int "peak" peak)
+      | _ -> bad "clock"
     in
     let counters =
-      match words (next ()) with
-      | [ "counters"; a; b; c; d; e; f; gg; hh; ww; i ] ->
-        ( {
-            Window.ingested = int_of "ingested" a;
-            evicted = int_of "evicted" b;
-            budget_evicted = int_of "budget evictions" c;
-            dropped = int_of "dropped" d;
-          },
-          int_of "next id" e,
-          int_of "delivered" f,
-          int_of "expired" gg,
-          int_of "snapshots" hh,
-          int_of "snapshot writes" ww,
-          int_of "advances" i )
-      | _ -> sfail "bad counters line"
-    in
-    let n_contacts =
-      match words (next ()) with
-      | [ "contacts"; n ] -> int_of "contact count" n
-      | _ -> sfail "bad contacts line"
+      match line "counters" with
+      | [ ingested; evicted; budget_evicted; dropped; next_id; delivered; expired; s; w; adv ] ->
+        t.next_id <- int "next id" next_id;
+        t.delivered <- int "delivered" delivered;
+        t.expired <- int "expired" expired;
+        t.snapshots <- int "snapshots" s;
+        t.snap_writes <- int "snapshot writes" w;
+        t.advances <- int "advances" adv;
+        {
+          Window.ingested = int "ingested" ingested;
+          evicted = int "evicted" evicted;
+          budget_evicted = int "budget evictions" budget_evicted;
+          dropped = int "dropped" dropped;
+        }
+      | _ -> bad "counters"
     in
     let contacts =
-      List.init n_contacts (fun _ ->
-          match words (next ()) with
-          | [ a; b; s; e ] -> (
-            match Contact.of_fields a b s e with
-            | Ok c -> c
-            | Error reason -> sfail "bad contact: %s" reason)
-          | _ -> sfail "bad contact line")
+      rows "contacts" (function
+        | [ a; b; s; e ] -> ok (Contact.of_fields a b s e)
+        | _ -> bad "contact")
     in
-    let n_live =
-      match words (next ()) with
-      | [ "live"; n ] -> int_of "live count" n
-      | _ -> sfail "bad live line"
-    in
-    let live_rows =
-      List.init n_live (fun _ ->
-          match words (next ()) with
-          | [ id; src; dst; tt; name ] ->
-            ( int_of "message id" id,
-              int_of "source" src,
-              int_of "destination" dst,
-              float_of "creation time" tt,
-              name )
-          | _ -> sfail "bad live message line")
-    in
-    let n_ewma =
-      match words (next ()) with
-      | [ "ewma"; n ] -> int_of "ewma count" n
-      | _ -> sfail "bad ewma line"
-    in
-    let ewma_rows =
-      List.init n_ewma (fun _ ->
-          match words (next ()) with
-          | [ name; obs; success; delay; has_delay; loss ] ->
-            ( name,
-              ( int_of "observations" obs,
-                float_of "success" success,
-                float_of "delay" delay,
-                (match has_delay with
-                | "0" -> false
-                | "1" -> true
-                | other -> sfail "bad has_delay flag: %S" other),
-                float_of "loss" loss ) )
-          | _ -> sfail "bad ewma row")
-    in
-    let pending =
-      match words (next ()) with
-      | [ "pending"; n ] -> int_of "pending ingest" n
-      | _ -> sfail "bad pending line"
-    in
-    let hist_row what =
-      let line = next () in
-      let prefix = "hist " ^ what ^ " " in
-      let plen = String.length prefix in
-      if String.length line > plen && String.equal (String.sub line 0 plen) prefix then begin
-        match Hist.decode (String.sub line plen (String.length line - plen)) with
-        | Some hh -> hh
-        | None -> sfail "bad %s histogram" what
-      end
-      else sfail "bad hist %s line" what
-    in
-    let h_delay = hist_row "delay" in
-    let h_batch = hist_row "batch" in
-    (match words (next ()) with [ "end" ] -> () | _ -> sfail "missing end marker");
-    ( { window; delta; k; strategies; router = router_cfg; faults },
-      (now, last_start, pop, peak),
-      counters,
-      contacts,
-      live_rows,
-      ewma_rows,
-      (pending, h_delay, h_batch) )
-  in
-  match parse () with
-  | exception Snapshot_malformed reason -> Error ("snapshot: " ^ reason)
-  | ( cfg,
-      (now, last_start, pop, peak),
-      (wc, next_id, delivered, expired, snapshots, snap_writes, advances),
-      contacts,
-      live_rows,
-      ewma_rows,
-      (pending, h_delay, h_batch) ) -> (
-    match create ?telemetry ?store ?session ?jobs ?chunk cfg with
-    | Error _ as e -> e
-    | Ok t -> (
-      match
-        Window.restore cfg.window ~now ~last_start ~n_nodes:pop ~peak ~counters:wc contacts
-      with
-      | Error _ as e -> e
-      | Ok window -> (
-        match Multipath.load cfg.router ewma_rows with
-        | Error _ as e -> e
-        | Ok router ->
-          let find_entry name =
-            match
-              Array.to_list t.entries |> List.find_opt (fun e -> String.equal e.Registry.name name)
-            with
+    t.window <- ok (Window.restore window ~now ~last_start ~n_nodes:pop ~peak ~counters contacts);
+    t.live <-
+      rows "live" (function
+        | [ id; src; dst; tt; name ] ->
+          let l_src = nat "source" src and l_dst = nat "destination" dst in
+          ok (check_endpoints t ~src:l_src ~dst:l_dst);
+          let l_entry =
+            match Array.find_opt (fun e -> String.equal e.Registry.name name) t.entries with
             | Some e -> e
-            | None -> raise (Snapshot_malformed (Printf.sprintf "unknown live strategy %S" name))
+            | None -> sfail "unknown live strategy %S" name
           in
-          (match
-             List.map
-               (fun (l_id, l_src, l_dst, l_t, name) ->
-                 { l_id; l_src; l_dst; l_t; l_entry = find_entry name })
-               live_rows
-           with
-          | exception Snapshot_malformed reason -> Error ("snapshot: " ^ reason)
-          | live ->
-            t.window <- window;
-            t.router <- router;
-            t.live <- live;
-            t.next_id <- next_id;
-            t.delivered <- delivered;
-            t.expired <- expired;
-            t.snapshots <- snapshots;
-            t.snap_writes <- snap_writes;
-            t.advances <- advances;
-            t.pending_ingest <- pending;
-            Hist.merge_into ~into:t.h_delay h_delay;
-            Hist.merge_into ~into:t.h_batch h_batch;
-            Ok t))))
+          { l_id = int "message id" id; l_src; l_dst; l_t = float "creation time" tt; l_entry }
+        | _ -> bad "live message");
+    ok
+      (Multipath.load t.router
+         (rows "ewma" (function
+           | [ name; obs; success; delay; has_delay; loss ] ->
+             let has_delay =
+               match has_delay with
+               | "0" -> false
+               | "1" -> true
+               | other -> sfail "bad has_delay flag: %S" other
+             in
+             let obs = int "observations" obs and loss = float "loss" loss in
+             (name, (obs, float "success" success, float "delay" delay, has_delay, loss))
+           | _ -> bad "ewma row")));
+    t.pending_ingest <- (match line "pending" with [ n ] -> nat "pending" n | _ -> bad "pending");
+    List.iter
+      (fun (what, into) ->
+        match line "hist" with
+        | w :: code when String.equal w what -> (
+          match Hist.decode (String.concat " " code) with
+          | Some h -> Hist.merge_into ~into h
+          | None -> sfail "bad %s histogram" what)
+        | _ -> bad ("hist " ^ what))
+      [ ("delay", t.h_delay); ("batch", t.h_batch) ];
+    (match line "end" with [] -> () | _ -> bad "end");
+    t
+  in
+  match read () with
+  | t -> Ok t
+  | exception Snapshot_malformed reason -> Error ("snapshot: " ^ reason)
 
 (* ---- dispatch ------------------------------------------------------- *)
 

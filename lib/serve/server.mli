@@ -105,7 +105,10 @@ val restore :
     configuration comes from the snapshot; [jobs]/[chunk]/[telemetry]
     are fresh runtime choices (they cannot change replies). The
     restored server's subsequent replies are byte-identical to the
-    original server's — the kill-and-resume CI check. *)
+    original server's — the kill-and-resume CI check. Never raises:
+    every row passes the check the live verb that made it runs, so a
+    malformed or crafted snapshot is an [Error] ("snapshot: ...")
+    rather than a server whose later replies raise. *)
 
 type summary = {
   s_now : float;

@@ -88,15 +88,19 @@ let pop_min w =
 
 (* ---- construction --------------------------------------------------- *)
 
+(* The bound ingest enforces through [Contact.of_fields]: a population
+   never exceeds [Node.id_bound], whether pinned, grown or restored. *)
+let population_ok n = n >= 0 && n <= Psn_trace.Node.id_bound
+
+let population_error n =
+  Printf.sprintf "population must be between 0 and %d (got %d)" Psn_trace.Node.id_bound n
+
 let create cfg =
   if not (cfg.span > 0. && Float.is_finite cfg.span) then
     Error (Printf.sprintf "window span must be positive and finite (got %g)" cfg.span)
   else if cfg.budget < 1 then
     Error (Printf.sprintf "window budget must be at least 1 (got %d)" cfg.budget)
-  else if cfg.nodes < 0 || cfg.nodes > Psn_trace.Node.id_bound then
-    Error
-      (Printf.sprintf "population must be between 0 and %d (got %d)" Psn_trace.Node.id_bound
-         cfg.nodes)
+  else if not (population_ok cfg.nodes) then Error (population_error cfg.nodes)
   else
     Ok
       {
@@ -241,6 +245,7 @@ let restore cfg ~now:t_now ~last_start ~n_nodes:pop ~peak ~counters:(cnt : count
       Error (Printf.sprintf "snapshot clock skew: last start %g after now %g" last_start t_now)
     else if cfg.nodes > 0 && pop <> cfg.nodes then
       Error (Printf.sprintf "snapshot population %d disagrees with fixed %d" pop cfg.nodes)
+    else if not (population_ok pop) then Error (population_error pop)
     else begin
       w.w_now <- t_now;
       w.last_start <- last_start;

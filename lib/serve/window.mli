@@ -116,4 +116,5 @@ val restore :
     to the window that was snapshotted (the heap is rebuilt, but the
     eviction key is a total order, so observable behaviour cannot tell
     the difference). [Error] on inconsistent state (a live contact
-    already expired, [last_start > now], bad population). *)
+    already expired, [last_start > now], a population that disagrees
+    with a fixed one or lies outside [\[0, Node.id_bound\]]). *)

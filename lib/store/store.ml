@@ -315,29 +315,23 @@ let fold st =
 let open_ ?(telemetry = T.Sink.null) ~dir () =
   ensure_dir dir;
   let tmp_swept = sweep_tmp dir in
+  (* Even a journal whose only line is torn counts: the fold removes
+     it, so the next append starts on a fresh line. *)
+  let journaled = Sys.file_exists (journal_path dir) in
   let records = read_journal dir in
   let tbl = Hashtbl.create 64 in
-  let clock, hits, misses =
-    match read_file (manifest_path dir) with
-    | None ->
+  let clock, hits, misses, rescanned =
+    match Option.map Codec.decode_manifest (read_file (manifest_path dir)) with
+    | None | Some (Error (_ : Codec.error)) ->
       rescan dir tbl;
-      (0L, 0L, 0L)
-    | Some data -> (
-      match Codec.decode_manifest data with
-      | Error (_ : Codec.error) ->
-        rescan dir tbl;
-        (0L, 0L, 0L)
-      | Ok m ->
-        List.iter
-          (fun (e : Codec.manifest_entry) ->
-            Hashtbl.replace tbl e.Codec.e_key
-              {
-                kind = e.Codec.e_kind;
-                size = e.Codec.e_size;
-                last_access = e.Codec.e_last_access;
-              })
-          m.Codec.m_entries;
-        (m.Codec.m_clock, m.Codec.m_hits, m.Codec.m_misses))
+      (0L, 0L, 0L, true)
+    | Some (Ok m) ->
+      List.iter
+        (fun (e : Codec.manifest_entry) ->
+          Hashtbl.replace tbl e.Codec.e_key
+            { kind = e.Codec.e_kind; size = e.Codec.e_size; last_access = e.Codec.e_last_access })
+        m.Codec.m_entries;
+      (m.Codec.m_clock, m.Codec.m_hits, m.Codec.m_misses, false)
   in
   (* Only interrupted inserts and evictions count as recovery; lookup
      lines are the normal record of a run that exited between folds. *)
@@ -349,11 +343,13 @@ let open_ ?(telemetry = T.Sink.null) ~dir () =
     { dir; tbl; clock; hits; misses; logged = 0; tmp_swept; journal_replays; telemetry }
   in
   replay_journal st records;
-  (* Only now does the journal go: the manifest written by the fold
-     agrees with the shard tree, so there is nothing left to replay. A
-     crash anywhere above re-runs the same replay against the same
-     disk. *)
-  fold st;
+  (* An open writes only when it recovered something; a clean open
+     leaves every byte and mtime alone, so [store stats] and [store
+     verify] are read-only. Only after the fold does the journal go:
+     the manifest it writes agrees with the shard tree, so there is
+     nothing left to replay. A crash anywhere above re-runs the same
+     replay against the same disk. *)
+  if journaled || tmp_swept > 0 || rescanned then fold st;
   if tmp_swept > 0 then T.count telemetry "store.tmp_swept" tmp_swept;
   if journal_replays > 0 then T.count telemetry "store.journal_replays" journal_replays;
   st

@@ -65,8 +65,10 @@ val open_ : ?telemetry:Psn_telemetry.Telemetry.sink -> dir:string -> unit -> t
     missing or corrupt, rebuilds the index by scanning the shard
     directories and verifying each frame, dropping undecodable
     entries. Then replays the journal over it (see above) and folds:
-    the manifest is rewritten and the journal deleted. Raises
-    [Sys_error] only if [dir] cannot be created or read at all.
+    the manifest is rewritten and the journal deleted. The fold runs
+    only when the open recovered something (a journal, swept [.tmp]
+    files or a rescanned index); opening a clean store writes nothing.
+    Raises [Sys_error] only if [dir] cannot be created or read at all.
 
     [telemetry] (default null) records ["store.lookup"] /
     ["store.insert"] / ["store.gc"] spans and counters for hits,

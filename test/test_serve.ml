@@ -225,7 +225,8 @@ let test_multipath_dump_load_roundtrip () =
   Multipath.observe r "a" ~delivered:true ~delay:(Some 12.5) ~loss:0.25;
   Multipath.observe r "b" ~delivered:false ~delay:None ~loss:1.;
   Multipath.observe r "a" ~delivered:true ~delay:(Some 3.) ~loss:0.;
-  let copy = ok_or_fail "load" (Multipath.load cfg (Multipath.dump r)) in
+  let copy = ok_or_fail "create" (Multipath.create cfg ~names:[ "a"; "b" ]) in
+  ok_or_fail "load" (Multipath.load copy (Multipath.dump r));
   List.iter
     (fun name ->
       Alcotest.(check int)
@@ -521,17 +522,46 @@ let test_server_snapshot_roundtrip () =
   let got = run_script restored half_b in
   Alcotest.(check (list string)) "continuation identical" want got
 
+(* Replace field [i] of the snapshot line that starts with [prefix]. *)
+let set_field text ~prefix i v =
+  String.split_on_char '\n' text
+  |> List.map (fun l ->
+         if not (String.starts_with ~prefix l) then l
+         else
+           String.split_on_char ' ' l
+           |> List.mapi (fun j f -> if j = i then v else f)
+           |> String.concat " ")
+  |> String.concat "\n"
+
 let test_server_restore_rejects_garbage () =
   let reject text =
-    match Serve.restore text with Ok _ -> false | Error _ -> true
+    match Serve.restore text with
+    | Ok _ -> false
+    | Error _ -> true
+    | exception e -> Alcotest.failf "restore raised %s" (Printexc.to_string e)
   in
   Alcotest.(check bool) "empty" true (reject "");
   Alcotest.(check bool) "bad header" true (reject "psn-serve-snapshot 99\nend\n");
   let s = default_server () in
-  ignore (run_script s [ "0,1,0,60"; "advance 50" ]);
+  ignore (run_script s [ "0,1,0,60"; "1,2,30,90"; "advance 100"; "inject 0 2" ]);
   let text = Serve.snapshot_text s in
+  Alcotest.(check bool) "untouched snapshot restores" false (reject text);
   let truncated = String.sub text 0 (String.length text / 2) in
-  Alcotest.(check bool) "truncated" true (reject truncated)
+  Alcotest.(check bool) "truncated" true (reject truncated);
+  (* Crafted rows that parse: each must be refused by the check the
+     live verb that writes such a row runs, not accepted and left to
+     raise in a later reply. The live row is message 0 from node 0. *)
+  List.iter
+    (fun (what, prefix, i, v) ->
+      Alcotest.(check bool) what true (reject (set_field text ~prefix i v)))
+    [
+      ("negative strategy count", "strategies ", 1, "-1");
+      ("negative contact count", "contacts ", 1, "-1");
+      ("renamed ewma row", "epidemic ", 0, "epidemik");
+      ("live destination outside the population", "0 0 ", 2, "99");
+      ("live source = destination", "0 0 ", 2, "0");
+      ("population over the node-id bound", "clock ", 3, "300000000");
+    ]
 
 (* --- properties --- *)
 
@@ -753,6 +783,52 @@ let qcheck_tests =
           | Error msg -> Test.fail_report msg
         in
         List.equal String.equal (run_script original after) (run_script restored after));
+    (* Hostile snapshots: one token of a real snapshot replaced by a
+       bad value (or dropped). [restore] never raises, and a snapshot
+       it accepts serves a follow-up session without raising either. *)
+    Test.make ~count:300 ~name:"mutated snapshot is an Error or serves, never raises"
+      ~print:(fun (cut, at, v, faulted) ->
+        Printf.sprintf "cut=%d token=%d value=%S faults=%b" cut at v faulted)
+      Gen.(
+        quad
+          (int_range 0 (List.length session_script))
+          (int_bound 10_000)
+          (oneofl [ "-1"; "99"; "x"; "nan"; "0x1p+40"; "" ])
+          bool)
+      (fun (cut, at, v, faulted) ->
+        let spec =
+          { Core.Faults.loss = 0.3; crash_rate = 0.02; down_time = 10.; jitter = 0.2; seed = 5L }
+        in
+        let faults = if faulted then Some spec else None in
+        let original = default_server ?faults () in
+        ignore (run_script original (List.filteri (fun i _ -> i < cut) session_script));
+        let lines =
+          List.map (String.split_on_char ' ')
+            (String.split_on_char '\n' (Serve.snapshot_text original))
+        in
+        let n_tokens = List.fold_left (fun acc l -> acc + List.length l) 0 lines in
+        let at = at mod n_tokens in
+        let seen = ref 0 in
+        let mutated =
+          List.map
+            (fun l ->
+              String.concat " "
+                (List.map
+                   (fun tok ->
+                     incr seen;
+                     if !seen - 1 = at then v else tok)
+                   l))
+            lines
+          |> String.concat "\n"
+        in
+        match Serve.restore mutated with
+        | Error _ -> true
+        | Ok s ->
+          ignore
+            (run_script s
+               [ "advance 2000"; "inject 0 1"; "delivery 0 1"; "stats"; "route"; "metrics" ]);
+          true
+        | exception e -> Test.fail_reportf "restore raised %s" (Printexc.to_string e));
   ]
   |> List.map QCheck_alcotest.to_alcotest
 

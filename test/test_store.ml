@@ -838,6 +838,38 @@ let test_lookup_log_replay_idempotent () =
   let again = Store.open_ ~dir () in
   Alcotest.(check string) "folded lines replay to nothing" (stats_line folded) (stats_line again)
 
+(* An open writes only when it recovers something. The manifest's
+   mtime is first set to a fixed past instant, so a rewrite shows even
+   within the same second (a rename can reuse the inode number, so
+   inodes prove nothing). *)
+let test_open_writes_only_on_recovery () =
+  let past = 946684800. in
+  let manifest dir = Filename.concat dir "manifest.psn" in
+  let age dir = Unix.utimes (manifest dir) past past in
+  let mtime dir = (Unix.stat (manifest dir)).Unix.st_mtime in
+  let bytes dir = In_channel.with_open_bin (manifest dir) In_channel.input_all in
+  let dir, keys = populated 3 in
+  age dir;
+  let before = bytes dir in
+  ignore (Store.stats (Store.open_ ~dir ()));
+  Alcotest.(check string) "clean open keeps the bytes" before (bytes dir);
+  Alcotest.(check (float 0.)) "clean open keeps the mtime" past (mtime dir);
+  let st = Store.open_ ~dir () in
+  ignore (Store.find_outcome st (List.hd keys));
+  Alcotest.(check int) "the hit is journaled" 1 (List.length (journal_lines dir));
+  age dir;
+  let st2 = Store.open_ ~dir () in
+  Alcotest.(check int) "the journal is folded" 0 (List.length (journal_lines dir));
+  Alcotest.(check bool) "the fold rewrote the manifest" true (mtime dir > past);
+  Alcotest.(check int64) "the hit is kept" 1L (Store.stats st2).Store.hits;
+  append_raw dir ("H " ^ Key.to_hex (List.hd keys) ^ " 00");
+  ignore (Store.open_ ~dir ());
+  Alcotest.(check int) "a torn-only journal is folded away" 0 (List.length (journal_lines dir));
+  Sys.remove (manifest dir);
+  let st3 = Store.open_ ~dir () in
+  Alcotest.(check bool) "a rescan writes the manifest again" true (Sys.file_exists (manifest dir));
+  Alcotest.(check int) "the rescan finds every entry" 3 (Store.stats st3).Store.entries
+
 let test_runner_stores_arity () =
   let trace = sample_trace () in
   let spec = { Core.Runner.workload; seeds = [ 1000L ] } in
@@ -904,6 +936,8 @@ let () =
             test_lookup_log_with_crashed_put;
           Alcotest.test_case "folded lines replay to nothing" `Quick
             test_lookup_log_replay_idempotent;
+          Alcotest.test_case "open writes only on recovery" `Quick
+            test_open_writes_only_on_recovery;
         ] );
       ( "runner",
         [
