@@ -37,15 +37,21 @@ let exit_usage msg =
   Printf.eprintf "psn: %s\n" msg;
   exit exit_usage_code
 
-(* Library validation errors (Invalid_argument) and I/O failures
-   (Sys_error) triggered by user-supplied values must reach the user as
-   one stderr line and a non-zero exit, not a backtrace. *)
+(* Library validation errors (Invalid_argument), I/O failures
+   (Sys_error) and injected failures must reach the user as one stderr
+   line and a non-zero exit, not a backtrace. An armed flight recorder
+   (serve --flight) dumps first; disarmed, the dump does nothing. *)
 let or_die f =
+  let die ~reason msg =
+    Core.Flight.dump ~reason ();
+    exit_err msg
+  in
   match f () with
   | v -> v
-  | exception Invalid_argument msg -> exit_err msg
-  | exception Sys_error msg -> exit_err msg
-  | exception (Core.Failpoint.Injected _ as ex) -> exit_err (Core.Failpoint.describe ex)
+  | exception (Invalid_argument msg | Sys_error msg) -> die ~reason:("uncaught error: " ^ msg) msg
+  | exception (Core.Failpoint.Injected _ as ex) ->
+    let msg = Core.Failpoint.describe ex in
+    die ~reason:msg msg
 
 (* --- shared arguments --- *)
 
@@ -443,10 +449,7 @@ let paths_cmd =
     let config =
       { Core.Enumerate.k; max_hops = None; stop_at_total = Some k; exhaustive = false }
     in
-    let result =
-      try Core.Enumerate.run ~config snap ~src ~dst ~t_create:time
-      with Invalid_argument msg -> exit_err msg
-    in
+    let result = or_die (fun () -> Core.Enumerate.run ~config snap ~src ~dst ~t_create:time) in
     let summary = Core.Explosion.analyze ~n_explosion:k result in
     Format.printf "%s: message n%d -> n%d created at %.0f s@." label src dst time;
     (match summary.Core.Explosion.optimal_duration with
@@ -744,7 +747,7 @@ let serve_cmd =
            end);
           loop ())
     in
-    (match loop () with
+    (match or_die loop with
     | () -> ()
     | exception Core.Interrupt.Interrupted n ->
       Printf.eprintf "psn: interrupted by signal %d; session snapshotted\n%!" n;
@@ -752,15 +755,7 @@ let serve_cmd =
       drain ();
       close_input ();
       ctx.finish ~store;
-      exit (Core.Interrupt.exit_code n)
-    | exception Invalid_argument msg | exception Sys_error msg ->
-      Core.Flight.dump ~reason:(Printf.sprintf "uncaught error: %s" msg) ();
-      close_input ();
-      exit_err msg
-    | exception (Core.Failpoint.Injected _ as ex) ->
-      Core.Flight.dump ~reason:(Core.Failpoint.describe ex) ();
-      close_input ();
-      exit_err (Core.Failpoint.describe ex));
+      exit (Core.Interrupt.exit_code n));
     close_input ();
     ctx.finish ~store
   in
@@ -881,8 +876,7 @@ let communities_cmd =
       | t0, t1 ->
         let t0 = Option.value t0 ~default:0. in
         let t1 = Option.value t1 ~default:(Core.Trace.horizon trace) in
-        (try Core.Trace.restrict trace ~t0 ~t1
-         with Invalid_argument msg -> exit_err msg)
+        or_die (fun () -> Core.Trace.restrict trace ~t0 ~t1)
     in
     let c = Core.Community.detect ~min_weight trace in
     Format.printf "%s: %d communities (modularity %.3f)@." label (Core.Community.n_communities c)

@@ -10,8 +10,8 @@
 
     Resolution is syntactic and untyped; the approximations are
     spelled out in DESIGN.md "Interprocedural enforcement". All
-    outputs are fully sorted, so the same tree produces the same
-    bytes regardless of how the per-file walks were scheduled. *)
+    outputs are fully sorted, so the same files given in the same
+    order produce the same bytes. *)
 
 type source = { s_kind : string; s_what : string }
 (** An ambient-effect read: [s_kind] is one of {!Rules.taint_kinds},
@@ -25,8 +25,8 @@ type file_facts
 (** The facts of one parsed file, before resolution. *)
 
 val collect_file : path:string -> Parsetree.structure -> file_facts
-(** Walk one parse tree. Pure per-file: safe to run concurrently for
-    different files. *)
+(** Walk one parse tree. Pure per file: the facts depend on that
+    file alone. *)
 
 type node = {
   n_id : int;

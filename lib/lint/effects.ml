@@ -23,7 +23,7 @@
    Determinism: the witnesses come from {!Callgraph.witnesses}, keyed
    by the kind's index in Rules.taint_kinds: edges are swept in their
    sorted order and the first witness for a (node, kind) pair wins, so
-   messages are stable across runs and across --jobs. *)
+   messages are stable across runs. *)
 
 let kinds = Array.of_list Rules.taint_kinds
 

@@ -255,50 +255,33 @@ let syntax_diagnostic path exn =
 
 let has_mli path = Sys.file_exists (Filename.remove_extension path ^ ".mli")
 
-(* Parsing and analysis are split: compiler-libs keeps global state in
-   its lexer, so parse trees are produced sequentially, while the
-   per-file walks (pure over their own state) can be fanned out over
-   domains. *)
-type parsed =
-  | Impl of Parsetree.structure
-  | Intf of Parsetree.signature
-  | Broken of Diagnostic.t
-  | Skipped
-
-let parse_file path =
-  match Filename.extension path with
-  | ".ml" -> (
-    match Pparse.parse_implementation ~tool_name:"psn_lint" path with
-    | str -> Impl str
-    | exception ((Syntaxerr.Error _ | Lexer.Error _) as exn) -> Broken (syntax_diagnostic path exn))
-  | ".mli" -> (
-    match Pparse.parse_interface ~tool_name:"psn_lint" path with
-    | sg -> Intf sg
-    | exception ((Syntaxerr.Error _ | Lexer.Error _) as exn) -> Broken (syntax_diagnostic path exn))
-  | _ -> Skipped
-
-(* The per-file stage: syntactic rules plus call-graph fact
-   collection. Pure per file — safe to run concurrently for
-   different files. *)
-let analyze_parsed ~config path parsed : Diagnostic.t list * Callgraph.file_facts option =
+(* The per-file stage: parse, then syntactic rules plus call-graph
+   fact collection. Only the facts outlive the call; the parse tree
+   does not. *)
+let analyze_file ~config path : Diagnostic.t list * Callgraph.file_facts option =
   let st = { diags = []; file_allows = []; scope_allows = []; config; path } in
   let it = make_iterator st in
-  match parsed with
-  | Impl str ->
-    st.file_allows <- allows_of_attrs st (floating_attrs_of_structure str);
-    it.Ast_iterator.structure it str;
-    if not (has_mli path || suppressed st "missing-mli") then
-      st.diags <-
-        Diagnostic.make ~file:path ~line:1 ~col:0 ~rule:"missing-mli"
-          ~message:"module has no interface; add a .mli stating its contract"
-        :: st.diags;
-    (st.diags, Some (Callgraph.collect_file ~path str))
-  | Intf sg ->
-    st.file_allows <- allows_of_attrs st (floating_attrs_of_signature sg);
-    it.Ast_iterator.signature it sg;
-    (st.diags, None)
-  | Broken d -> ([ d ], None)
-  | Skipped -> ([], None)
+  match
+    match Filename.extension path with
+    | ".ml" ->
+      let str = Pparse.parse_implementation ~tool_name:"psn_lint" path in
+      st.file_allows <- allows_of_attrs st (floating_attrs_of_structure str);
+      it.Ast_iterator.structure it str;
+      if not (has_mli path || suppressed st "missing-mli") then
+        st.diags <-
+          Diagnostic.make ~file:path ~line:1 ~col:0 ~rule:"missing-mli"
+            ~message:"module has no interface; add a .mli stating its contract"
+          :: st.diags;
+      Some (Callgraph.collect_file ~path str)
+    | ".mli" ->
+      let sg = Pparse.parse_interface ~tool_name:"psn_lint" path in
+      st.file_allows <- allows_of_attrs st (floating_attrs_of_signature sg);
+      it.Ast_iterator.signature it sg;
+      None
+    | _ -> None
+  with
+  | facts -> (st.diags, facts)
+  | exception ((Syntaxerr.Error _ | Lexer.Error _) as exn) -> ([ syntax_diagnostic path exn ], None)
 
 (* ------------------------------------------------------------------ *)
 (* Tree walking                                                       *)
@@ -322,38 +305,11 @@ let rec gather path acc =
   else if is_source path then path :: acc
   else acc
 
-(* Fan the per-file analyses over [jobs] domains. Scheduling is a
-   bare atomic counter; results land in a slot per file, so the
-   output order — and with it every downstream artifact — is
-   identical for any [jobs]. *)
-let parallel_map ~jobs f items =
-  let n = Array.length items in
-  let jobs = Int.max 1 (Int.min jobs n) in
-  if jobs = 1 then Array.map f items
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let rec drain () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (f items.(i));
-        drain ()
-      end
-    in
-    let workers = List.init (jobs - 1) (fun _ -> Domain.spawn drain) in
-    drain ();
-    List.iter Domain.join workers;
-    Array.map Option.get results
-  end
-
-let analyze ~config ?(jobs = 1) paths =
+let analyze ~config paths =
   let files = List.fold_left (fun acc p -> gather p acc) [] paths in
-  let files = List.sort_uniq String.compare files in
-  (* Sequential parse (compiler-libs lexer state), parallel walks. *)
-  let parsed = Array.of_list (List.map (fun p -> (p, parse_file p)) files) in
-  let results = parallel_map ~jobs (fun (path, pr) -> analyze_parsed ~config path pr) parsed in
-  let per_file = Array.to_list results |> List.concat_map fst in
-  let facts = Array.to_list results |> List.filter_map snd in
+  let results = List.map (analyze_file ~config) (List.sort_uniq String.compare files) in
+  let per_file = List.concat_map fst results in
+  let facts = List.filter_map snd results in
   let graph = Callgraph.build facts in
   let inter =
     Effects.run ~config graph

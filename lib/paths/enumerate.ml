@@ -391,14 +391,14 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
        incr steps_processed;
        let row = Snapshot.cell snap ~step:step_now 0 in
        st.row <- row;
-       (* An extension of path p over edge (u, v) can enter v's table (or
-          deliver) only if p is newly created or the edge is newly
-          present: a static configuration already produced the same-hop,
-          earlier-time copies in the previous step, and ties keep the
-          earlier copy. Restricting extensions accordingly removes the
-          dominant steady-state cost without changing any output. Fresh
-          edges are a linear merge of this step's sorted row against
-          last step's; exhaustive mode treats every edge as fresh. *)
+       (* Fast mode extends path p over edge (u, v) only if p is newly
+          created or the edge is newly present. This removes the
+          dominant steady-state cost, but it is a different count: every
+          later crossing of a contact that persists is dropped, while
+          the paper's per-step DP (exhaustive mode) keeps each one as a
+          distinct path. First arrivals agree. Fresh edges are a linear
+          merge of this step's sorted row against last step's;
+          exhaustive mode treats every edge as fresh. *)
        let needed = off.(row + n) - off.(row) in
        if needed > Array.length st.fresh then
          st.fresh <- Array.make (Int.max needed (2 * Array.length st.fresh)) 0;

@@ -22,16 +22,15 @@ type config = {
           lets explosion analyses (which need the first n* arrivals) cut
           enumeration short. *)
   exhaustive : bool;
-      (** When [false] (the default), paths only extend when they are
-          newly created, the edge is newly present, or the holding node
-          is inside the destination's contact component. This leaves
-          first arrivals and all deliveries identical to the exhaustive
-          algorithm (see the implementation note) while skipping the
-          steady-state re-extensions that dominate runtime; the only
-          deviation is that a node whose table was drained by a
-          first-preference kill is not refilled from static neighbours,
-          a second-order undercount of retained (not delivered) paths.
-          Set [true] for the paper's exact per-step behaviour. *)
+      (** When [true], every retained path is re-extended over every
+          edge at every step: the paper's per-step Fig. 3 count. When
+          [false] (the default), paths only extend when they are newly
+          created, the edge is newly present, or the holding node is
+          inside the destination's contact component. That is a
+          different count, not a faster route to the same one: it drops
+          every later crossing of a contact that persists over several
+          steps, so it may return fewer arrivals (never more). First
+          arrivals agree. *)
 }
 
 val default_config : config

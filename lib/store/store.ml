@@ -165,28 +165,34 @@ let sorted_names dir =
 let is_shard dir name =
   String.length name = 2 && Sys.is_directory (Filename.concat dir name)
 
+(* Visit the two levels of shard directories in path order, each
+   first-level directory before the second-level ones inside it.
+   [f ~leaf rel] gets the directory's path relative to the store root;
+   [leaf] marks the second level, which holds the entry frames. *)
+let iter_shards dir f =
+  List.iter
+    (fun s1 ->
+      if is_shard dir s1 then begin
+        f ~leaf:false s1;
+        let d1 = Filename.concat dir s1 in
+        List.iter
+          (fun s2 -> if is_shard d1 s2 then f ~leaf:true (Filename.concat s1 s2))
+          (sorted_names d1)
+      end)
+    (sorted_names dir)
+
 (* Visit every entry frame under the shard directories in path order.
    [f ~rel ~data] gets the path relative to the store root and the raw
    bytes ([None] if the file vanished or is unreadable). *)
 let walk_entries dir f =
-  List.iter
-    (fun s1 ->
-      if is_shard dir s1 then
-        let d1 = Filename.concat dir s1 in
+  iter_shards dir (fun ~leaf shard ->
+      if leaf then
         List.iter
-          (fun s2 ->
-            if is_shard d1 s2 then
-              let d2 = Filename.concat d1 s2 in
-              List.iter
-                (fun file ->
-                  if Filename.check_suffix file ".psn" then
-                    let rel =
-                      Filename.concat s1 (Filename.concat s2 file)
-                    in
-                    f ~rel ~data:(read_file (Filename.concat dir rel)))
-                (sorted_names d2))
-          (sorted_names d1))
-    (sorted_names dir)
+          (fun file ->
+            if Filename.check_suffix file ".psn" then
+              let rel = Filename.concat shard file in
+              f ~rel ~data:(read_file (Filename.concat dir rel)))
+          (sorted_names (Filename.concat dir shard)))
 
 (* A crash between a temp write and its rename strands a [.tmp] file;
    such a file is garbage by construction (its frame was never
@@ -202,16 +208,7 @@ let sweep_tmp dir =
       (sorted_names d)
   in
   sweep_dir dir;
-  List.iter
-    (fun s1 ->
-      if is_shard dir s1 then begin
-        let d1 = Filename.concat dir s1 in
-        sweep_dir d1;
-        List.iter
-          (fun s2 -> if is_shard d1 s2 then sweep_dir (Filename.concat d1 s2))
-          (sorted_names d1)
-      end)
-    (sorted_names dir);
+  iter_shards dir (fun ~leaf:_ shard -> sweep_dir (Filename.concat dir shard));
   !count
 
 (* ---- manifest ------------------------------------------------------- *)

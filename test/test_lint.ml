@@ -1,7 +1,8 @@
 (* Tests for psn_lint's configuration layer: the directory-boundary-
    aware prefix matching (qcheck properties — "bin" must never cover
    "bin_utils/...") and the three-table lint.toml parser ([allow] /
-   [boundary] / [ownership]) with its validation rules. *)
+   [boundary] / [ownership]) with its validation rules; and that the
+   analysis does not depend on the order its paths are given in. *)
 
 module Config = Psn_lint.Config
 
@@ -138,6 +139,23 @@ let test_ownership_free_form () =
   Alcotest.(check bool) "parses and matches" true
     (Config.owned c ~path:"lib/a.ml" ~name:"whatever_binding")
 
+(* --- analysis: argument order --- *)
+
+let render paths =
+  let findings, graph = Psn_lint.Linter.analyze ~config:Config.empty paths in
+  ( List.map (Format.asprintf "%a" Psn_lint.Diagnostic.pp) findings,
+    Format.asprintf "%a" Psn_lint.Callgraph.pp_json graph )
+
+let test_argument_order () =
+  let trees = [ "lint_fixtures/taint_tree/src"; "lint_fixtures/domain_tree/src" ] in
+  let findings, graph = render trees in
+  let findings', graph' = render (List.rev trees) in
+  Alcotest.(check bool) "both trees report findings" true
+    (List.exists (contains ~sub:"taint_tree") findings
+    && List.exists (contains ~sub:"domain_tree") findings);
+  Alcotest.(check (list string)) "same findings" findings findings';
+  Alcotest.(check string) "same --graph json bytes" graph graph'
+
 let () =
   Alcotest.run "lint"
     [
@@ -150,4 +168,5 @@ let () =
           Alcotest.test_case "typos rejected" `Quick test_parse_rejects_typos;
           Alcotest.test_case "ownership free-form" `Quick test_ownership_free_form;
         ] );
+      ("analyze", [ Alcotest.test_case "argument order" `Quick test_argument_order ]);
     ]

@@ -82,6 +82,31 @@ let run ?(k = 100) ?stop snap ~src ~dst ~t_create =
     ~config:{ Enumerate.k; max_hops = None; stop_at_total = stop; exhaustive = false }
     snap ~src ~dst ~t_create
 
+(* ROADMAP item 2's minimal case: contact 0-2 persists over steps 3
+   and 4, so 0 can hand the message to 2 at either step. Fast mode
+   extends a path over an edge only in the step the edge appears, so it
+   drops the later crossing; exhaustive mode, the paper's per-step
+   Fig. 3 DP, keeps both (same step and hops, listed in table order).
+   The first arrival agrees. *)
+let test_enumerate_persisting_contact () =
+  let t =
+    Trace.create ~n_nodes:3 ~horizon:100.
+      [
+        Contact.make ~a:0 ~b:2 ~t_start:21. ~t_end:39.;
+        Contact.make ~a:1 ~b:2 ~t_start:61. ~t_end:79.;
+      ]
+  in
+  let snap = Snapshot.of_trace t in
+  let paths exhaustive =
+    let config = { Enumerate.k = 1000; max_hops = None; stop_at_total = None; exhaustive } in
+    let r = Enumerate.run ~config snap ~src:0 ~dst:1 ~t_create:0. in
+    Array.to_list r.Enumerate.arrivals
+    |> List.map (fun a -> Format.asprintf "%a" Path.pp a.Enumerate.path)
+  in
+  Alcotest.(check (list string)) "fast" [ "n0@1 -> n2@3 -> n1@7" ] (paths false);
+  Alcotest.(check (list string))
+    "exhaustive" [ "n0@1 -> n2@4 -> n1@7"; "n0@1 -> n2@3 -> n1@7" ] (paths true)
+
 let test_enumerate_two_hop () =
   (* 0-1 in step 2 only, 1-2 in step 4 only: exactly one valid path. *)
   let t =
@@ -484,6 +509,7 @@ let () =
           Alcotest.test_case "total-arrivals stop" `Quick test_enumerate_stop_at_total;
           Alcotest.test_case "no delivery" `Quick test_enumerate_no_delivery;
           Alcotest.test_case "errors" `Quick test_enumerate_errors;
+          Alcotest.test_case "persisting contact" `Quick test_enumerate_persisting_contact;
         ] );
       ( "enumerate-pins",
         [

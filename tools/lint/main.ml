@@ -1,16 +1,14 @@
 (* psn_lint — the determinism-contract linter.
 
    Usage: psn_lint [--config lint.toml] [--format human|json|sarif]
-          [--graph json|dot] [--jobs N] [--rules] PATH...
+          [--graph json|dot] [--rules] PATH...
 
    Exit codes: 0 clean, 1 findings, 2 usage or configuration error.
    --graph prints the resolved whole-program call graph instead of
-   findings and always exits 0; its output is byte-stable across runs
-   and across --jobs values. *)
+   findings and always exits 0; its output is byte-stable across runs. *)
 
 let usage =
-  "psn_lint [--config FILE] [--format human|json|sarif] [--graph json|dot] [--jobs N] [--rules] \
-   PATH..."
+  "psn_lint [--config FILE] [--format human|json|sarif] [--graph json|dot] [--rules] PATH..."
 
 module Json = Psn_json.Json
 
@@ -46,7 +44,6 @@ let sarif findings =
 let () =
   let format = ref `Human in
   let graph = ref None in
-  let jobs = ref 1 in
   let config_path = ref None in
   let list_rules = ref false in
   let paths = ref [] in
@@ -72,7 +69,6 @@ let () =
       ( "--graph",
         Arg.String set_graph,
         "FMT print the whole-program call graph (json or dot) and exit 0" );
-      ("--jobs", Arg.Int (fun n -> jobs := n), "N fan per-file analysis over N domains (default 1)");
       ("--rules", Arg.Set list_rules, " list every rule with its rationale and exit");
     ]
   in
@@ -92,10 +88,6 @@ let () =
     Printf.eprintf "psn_lint: no paths given\nusage: %s\n" usage;
     exit 2
   end;
-  if !jobs < 1 then begin
-    Printf.eprintf "psn_lint: --jobs must be at least 1\n";
-    exit 2
-  end;
   List.iter
     (fun p ->
       if not (Sys.file_exists p) then begin
@@ -113,7 +105,7 @@ let () =
         Printf.eprintf "psn_lint: %s\n" msg;
         exit 2)
   in
-  let findings, callgraph = Psn_lint.Linter.analyze ~config ~jobs:!jobs paths in
+  let findings, callgraph = Psn_lint.Linter.analyze ~config paths in
   match !graph with
   | Some `Json ->
     Format.printf "%a" Psn_lint.Callgraph.pp_json callgraph;
