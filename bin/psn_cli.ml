@@ -148,14 +148,14 @@ let with_store_report store f =
       after.Core.Store.entries after.Core.Store.bytes;
     r
 
-(* --- robustness: failpoints, retries, checkpoint/resume --- *)
+(* --- robustness: failpoints, checkpoint/resume --- *)
 
 let failpoints_arg =
   let doc =
     "Deterministic fault injection: comma-separated $(i,site=action) rules where action is \
-     one of off, error, flaky or crash, optionally qualified with @N (Nth hit), *N (while \
-     the retry attempt is below N) or %P (probability per hit, hashed from the seed). An \
-     injected crash exits with code 170 and no cleanup; see DESIGN.md for the site list."
+     error or crash, optionally qualified with @N (Nth hit) or %P (probability per hit, \
+     hashed from the seed). An injected crash exits with code 170 and no cleanup; see \
+     DESIGN.md for the site list."
   in
   Arg.(value & opt (some string) None & info [ "failpoints" ] ~docv:"SPEC" ~doc)
 
@@ -175,17 +175,6 @@ let failpoints_term =
       spec
   in
   Term.(const parse $ failpoints_arg $ failpoint_seed_arg)
-
-let retries_arg =
-  let doc =
-    "Retry a task that failed with a transient error up to $(docv) more times \
-     (deterministic backoff). Permanent failures are reported, never retried."
-  in
-  Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
-
-let retries_term =
-  let resolve r = if r >= 0 then r else exit_usage "--retries must be non-negative" in
-  Term.(const resolve $ retries_arg)
 
 let checkpoint_arg =
   let doc =
@@ -312,7 +301,7 @@ let telemetry_ctx ~command ~trace_out ~profile ~metrics =
 (* --- sweeps --- *)
 
 (* The flags every sweep subcommand shares — --jobs --chunk --store
-   --failpoints --failpoint-seed --retries --checkpoint --resume
+   --failpoints --failpoint-seed --checkpoint --resume
    --trace-out --profile --metrics — validated as cmdliner
    evaluates them. The term's value runs one sweep: it installs the
    failpoints, opens the store, runs [compute] with the resolved
@@ -323,7 +312,7 @@ let telemetry_ctx ~command ~trace_out ~profile ~metrics =
    128+n on every sweep alike. It takes [()] so each command gets its
    own instance of the term's polymorphic type. *)
 let sweep_term () =
-  let make jobs chunk store failpoints retries checkpoint resume trace_out profile metrics =
+  let make jobs chunk store failpoints checkpoint resume trace_out profile metrics =
     if resume && Option.is_none store then
       exit_usage "--resume requires --store DIR (checkpoints live in the store)";
     let checkpoint = resolve_checkpoint ~store checkpoint in
@@ -332,7 +321,7 @@ let sweep_term () =
       let ctx = telemetry_ctx ~command ~trace_out ~profile ~metrics in
       let store = resolve_store ~telemetry:ctx.sink store in
       let exec =
-        { Core.Experiments.jobs = Some jobs; chunk; store; retries; checkpoint; telemetry = ctx.sink }
+        { Core.Experiments.jobs = Some jobs; chunk; store; checkpoint; telemetry = ctx.sink }
       in
       run_sweep ~checkpointed:(Option.is_some store)
         ~finish:(fun () -> ctx.finish ~store)
@@ -341,8 +330,8 @@ let sweep_term () =
           ctx.finish ~store)
   in
   Term.(
-    const make $ jobs_term $ chunk_term $ store_arg $ failpoints_term $ retries_term
-    $ checkpoint_arg $ resume_flag $ trace_out_arg $ profile_flag $ metrics_arg)
+    const make $ jobs_term $ chunk_term $ store_arg $ failpoints_term $ checkpoint_arg
+    $ resume_flag $ trace_out_arg $ profile_flag $ metrics_arg)
 
 (* --- fault flags --- *)
 

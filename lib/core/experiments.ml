@@ -75,13 +75,12 @@ type exec = {
   jobs : int option;
   chunk : int option;
   store : Store.t option;
-  retries : int;
   checkpoint : int;
   telemetry : T.sink;
 }
 
 let default_exec =
-  { jobs = None; chunk = None; store = None; retries = 0; checkpoint = 0; telemetry = T.Sink.null }
+  { jobs = None; chunk = None; store = None; checkpoint = 0; telemetry = T.Sink.null }
 
 (* The enumeration fan-out, through the runner's one sweep path
    ({!Runner.cached_map_result}): memoized when a store is given —
@@ -89,7 +88,7 @@ let default_exec =
    after the parallel rounds — so a warm store changes wall time, never
    results, and a killed sweep resumes from its last completed round. *)
 let enumerate ?(exec = default_exec) ~trace ~config snap specs =
-  let { jobs; chunk; store; retries; checkpoint; telemetry } = exec in
+  let { jobs; chunk; store; checkpoint; telemetry } = exec in
   let compute () sink (src, dst, t_create) =
     T.with_span sink "paths.enumerate"
       ~args:[ ("src", T.Int src); ("dst", T.Int dst) ]
@@ -108,7 +107,7 @@ let enumerate ?(exec = default_exec) ~trace ~config snap specs =
   in
   T.count telemetry "paths.enumerations" (Array.length specs);
   Parallel.join_results
-    (Runner.cached_map_result ?jobs ?chunk ~telemetry ~retries ~checkpoint ~prefix:"paths"
+    (Runner.cached_map_result ?jobs ?chunk ~telemetry ~checkpoint ~prefix:"paths"
        ?cache
        ~env:(fun () -> ())
        ~compute specs)
@@ -289,7 +288,7 @@ let entry_caches store ~trace ?faults ~workload entries =
     entries
 
 let sim_study ?(exec = default_exec) ?(scale = default_scale) ?faults input entries =
-  let { jobs; chunk; store; retries; checkpoint; telemetry } = exec in
+  let { jobs; chunk; store; checkpoint; telemetry } = exec in
   T.with_span telemetry "experiments.sim_study" ~args:[ ("dataset", T.Str input.label) ]
   @@ fun () ->
   T.begin_span telemetry "experiments.setup";
@@ -307,7 +306,7 @@ let sim_study ?(exec = default_exec) ?(scale = default_scale) ?faults input entr
      (algorithm, seed) cell costs one cell of the study, never the
      study. *)
   let cells =
-    Runner.outcomes_many_result ?jobs ?chunk ?faults:plan ?stores ~retries ~checkpoint
+    Runner.outcomes_many_result ?jobs ?chunk ?faults:plan ?stores ~checkpoint
       ~telemetry ~trace ~spec:{ Runner.workload; seeds }
       ~factories:(List.map (fun (e : Registry.entry) -> e.Registry.factory) entries)
       ()

@@ -66,7 +66,6 @@ type exec = {
   store : Psn_store.Store.t option;
       (** Memoizes every task's result, keyed on all its inputs: a warm
           store replays a study without recomputing it. *)
-  retries : int;  (** Deterministic re-attempts of a transient task failure. *)
   checkpoint : int;
       (** With a store, rounds of this many tasks, each stored before the
           next starts, so a killed study resumes where it stopped. 0 is
@@ -82,7 +81,7 @@ type exec = {
     are stored. *)
 
 val default_exec : exec
-(** Default [jobs] and [chunk], no store, retries or checkpoint, null
+(** Default [jobs] and [chunk], no store or checkpoint, null
     telemetry. *)
 
 (** {1 Enumeration studies} *)
@@ -187,8 +186,9 @@ val sim_study :
     trace and injected into every run; it also keys the store, so
     faulted and pristine outcomes never alias. The algorithm × seed
     grid is one parallel batch, and the store keys each (algorithm,
-    seed) outcome on the entry's [name]. A cell that still fails after
-    its retries lands in [sim_failed] rather than aborting the study.
+    seed) outcome on the entry's [name]. A failed cell lands in
+    [sim_failed] rather than aborting the study; it is never stored, so
+    a rerun over the same store recomputes exactly the failed cells.
     Records an ["experiments.sim_study"] span with a [setup] phase. *)
 
 val entry_caches :

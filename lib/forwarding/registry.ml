@@ -1,40 +1,30 @@
 type entry = {
   name : string;
   label : string;
-  in_paper : bool;
   online : bool;
   factory : Psn_sim.Algorithm.factory;
 }
 
 let paper_six =
   [
-    {
-      name = "epidemic";
-      label = "Epidemic";
-      in_paper = true;
-      online = true;
-      factory = Epidemic.factory;
-    };
-    { name = "fresh"; label = "FRESH"; in_paper = true; online = true; factory = Fresh.factory };
-    { name = "greedy"; label = "Greedy"; in_paper = true; online = true; factory = Greedy.factory };
+    { name = "epidemic"; label = "Epidemic"; online = true; factory = Epidemic.factory };
+    { name = "fresh"; label = "FRESH"; online = true; factory = Fresh.factory };
+    { name = "greedy"; label = "Greedy"; online = true; factory = Greedy.factory };
     {
       name = "greedy-total";
       label = "Greedy Total";
-      in_paper = true;
       online = false;
       factory = Greedy_total.factory;
     };
     {
       name = "greedy-online";
       label = "Greedy Online";
-      in_paper = true;
       online = true;
       factory = Greedy_online.factory;
     };
     {
       name = "dynamic-programming";
       label = "Dynamic Programming";
-      in_paper = true;
       online = false;
       factory = Dynprog.factory;
     };
@@ -42,59 +32,36 @@ let paper_six =
 
 let extensions =
   [
-    {
-      name = "direct";
-      label = "Direct";
-      in_paper = false;
-      online = true;
-      factory = Direct.factory;
-    };
+    { name = "direct"; label = "Direct"; online = true; factory = Direct.factory };
     {
       name = "random";
       label = "Random(p=0.5)";
-      in_paper = false;
       online = true;
       factory = Randomized.factory ();
     };
     {
       name = "spray-wait";
       label = "Spray&Wait(L=8)";
-      in_paper = false;
       online = true;
       factory = Spray_wait.factory ();
     };
-    {
-      name = "prophet";
-      label = "PRoPHET";
-      in_paper = false;
-      online = true;
-      factory = Prophet.factory ();
-    };
-    {
-      name = "two-hop";
-      label = "Two-Hop";
-      in_paper = false;
-      online = true;
-      factory = Two_hop.factory;
-    };
+    { name = "prophet"; label = "PRoPHET"; online = true; factory = Prophet.factory () };
+    { name = "two-hop"; label = "Two-Hop"; online = true; factory = Two_hop.factory };
     {
       name = "delegation";
       label = "Delegation(rate)";
-      in_paper = false;
       online = true;
       factory = Delegation.factory ();
     };
     {
       name = "delegation-dest";
       label = "Delegation(dest)";
-      in_paper = false;
       online = true;
       factory = Delegation.factory ~quality:Delegation.Destination_frequency ();
     };
     {
       name = "bubble-rap";
       label = "BubbleRap";
-      in_paper = false;
       online = false;
       factory = Bubble_rap.factory ();
     };

@@ -3,7 +3,6 @@
 type entry = {
   name : string;  (** Stable lookup key, e.g. ["greedy-total"]. *)
   label : string;  (** The paper's display name, e.g. ["Greedy Total"]. *)
-  in_paper : bool;  (** Whether §6 of the paper evaluates it. *)
   online : bool;
       (** [true] when the algorithm decides from information available
           at decision time (contact history, per-encounter state) —

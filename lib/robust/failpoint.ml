@@ -1,6 +1,6 @@
-type action = Off | Error_now | Flaky | Crash
+type action = Error_now | Crash
 
-type rule = Always | On_hit of int | First_attempts of int | Prob of float
+type rule = Always | On_hit of int | Prob of float
 
 type site = {
   name : string;
@@ -12,7 +12,7 @@ type site = {
 
 type plan = { seed : int64; plan_sites : site list }
 
-exception Injected of { site : string; transient : bool }
+exception Injected of { site : string }
 
 let crash_exit_code = 170
 
@@ -32,11 +32,9 @@ let hash_name name =
 (* ---- plan compilation ------------------------------------------------ *)
 
 let action_of_string = function
-  | "off" -> Ok Off
   | "error" -> Ok Error_now
-  | "flaky" -> Ok Flaky
   | "crash" -> Ok Crash
-  | other -> Error (Printf.sprintf "unknown action %S (want off|error|flaky|crash)" other)
+  | other -> Error (Printf.sprintf "unknown action %S (want error|crash)" other)
 
 let rule_of_suffix modifier arg =
   match modifier with
@@ -44,10 +42,6 @@ let rule_of_suffix modifier arg =
     match int_of_string_opt arg with
     | Some n when n >= 1 -> Ok (On_hit n)
     | Some _ | None -> Error (Printf.sprintf "@%s: hit index must be an integer >= 1" arg))
-  | '*' -> (
-    match int_of_string_opt arg with
-    | Some n when n >= 1 -> Ok (First_attempts n)
-    | Some _ | None -> Error (Printf.sprintf "*%s: attempt count must be an integer >= 1" arg))
   | '%' -> (
     match float_of_string_opt arg with
     | Some p when Float.is_finite p && p >= 0. && p <= 1. -> Ok (Prob p)
@@ -66,7 +60,7 @@ let parse_clause clause =
       let rec find_modifier j =
         if j >= String.length rhs then None
         else
-          match rhs.[j] with '@' | '*' | '%' -> Some j | _ -> find_modifier (j + 1)
+          match rhs.[j] with '@' | '%' -> Some j | _ -> find_modifier (j + 1)
       in
       let action_str, rule =
         match find_modifier 0 with
@@ -113,40 +107,17 @@ let[@lint.allow "dead-export"] uninstall () = Atomic.set current None
 
 (* ---- verdicts -------------------------------------------------------- *)
 
-(* The retry attempt is domain-local: a retry loop wraps each attempt
-   in [with_attempt], and since one task's attempts run consecutively
-   on one domain, the counter is exactly that task's attempt index —
-   never another task's. *)
-let attempt_key = Domain.DLS.new_key (fun () -> 0)
-
-let with_attempt n f =
-  let previous = Domain.DLS.get attempt_key in
-  Domain.DLS.set attempt_key n;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set attempt_key previous) f
-
 let fires plan site ~key =
-  match site.action with
-  | Off -> false
-  | Error_now | Flaky | Crash -> (
-    match site.rule with
-    | Always -> true
-    | On_hit n -> Atomic.fetch_and_add site.hits 1 = n - 1
-    | First_attempts n -> Domain.DLS.get attempt_key < n
-    | Prob p ->
-      let h =
-        mix_int (mix (mix plan.seed site.name_hash) key) (Domain.DLS.get attempt_key)
-      in
-      unit_of_digest h < p)
+  match site.rule with
+  | Always -> true
+  | On_hit n -> Atomic.fetch_and_add site.hits 1 = n - 1
+  | Prob p -> unit_of_digest (mix (mix plan.seed site.name_hash) key) < p
 
 let act site =
   match site.action with
-  | Off -> ()
   | Error_now ->
     Flight.note "failpoint.trip" [ ("site", site.name); ("action", "error") ];
-    raise (Injected { site = site.name; transient = false })
-  | Flaky ->
-    Flight.note "failpoint.trip" [ ("site", site.name); ("action", "flaky") ];
-    raise (Injected { site = site.name; transient = true })
+    raise (Injected { site = site.name })
   | Crash ->
     (* A faithful crash: no at_exit, no channel flushing — the process
        disappears exactly as a SIGKILL would leave it. The one
@@ -164,13 +135,6 @@ let trigger ?(key = 0L) name =
     | None -> ()
     | Some site -> if fires plan site ~key then act site)
 
-let is_transient = function
-  | Injected { transient; _ } -> transient
-  | _ -> false
-
 let describe = function
-  | Injected { site; transient } ->
-    Printf.sprintf "injected %s failure at %s"
-      (if transient then "transient" else "permanent")
-      site
+  | Injected { site } -> Printf.sprintf "injected permanent failure at %s" site
   | e -> Printexc.to_string e

@@ -3,15 +3,15 @@
     Robustness code is exactly as good as the failures it has been run
     against. This module lets the library name its dangerous moments
     ({e sites} such as ["store.insert.pre_rename"]) and lets a test or
-    a chaos run compile a {e plan} that makes chosen sites raise, act
-    flaky, or kill the process outright — while a production run pays
+    a chaos run compile a {e plan} that makes chosen sites raise or
+    kill the process outright — while a production run pays
     one atomic load and a branch per site ({!trigger} with no plan
     installed is a guaranteed no-op, the same null-sink discipline as
     telemetry).
 
     Determinism contract: every verdict is a pure function of the
-    plan's seed, the site name, the caller-supplied key and the current
-    {!with_attempt} retry attempt — seeded exactly like
+    plan's seed, the site name and the caller-supplied key — seeded
+    exactly like
     [Psn_sim.Faults], never from scheduling order — so an injected
     failure schedule is reproducible for any [--jobs] × [--chunk]
     combination as long as triggers pass a stable key (task seed,
@@ -24,27 +24,22 @@
     Plan syntax ({!parse}): comma-separated [site=action] clauses.
 
     {v
-    action  ::= off            never fires (documents a site)
-              | error          raise Injected (permanent) every hit
-              | flaky          raise Injected (transient) every hit
+    action  ::= error          raise Injected every hit
               | crash          kill the process (exit 170, no cleanup)
     rule    ::= action
               | action @ N     fire on the Nth hit of the site (1-based)
-              | action * N     fire while the retry attempt is < N
               | action % P     fire with probability P, hashed from
-                               (seed, site, key, attempt)
+                               (seed, site, key)
     v}
 
     Examples: ["store.insert.pre_rename=crash@1"] kills the process
     the first time an insert reaches its rename;
-    ["runner.task=flaky*2"] makes every task fail its first two
-    attempts and succeed on the third;
-    ["runner.task=error%0.2"] fails a deterministic 20% of tasks. *)
+    ["runner.task=error%0.2"] fails a deterministic 20% of tasks. A
+    task that fails this way becomes a [FAILED] cell of its sweep; a
+    [--store DIR --resume] rerun recomputes exactly the failed cells. *)
 
-exception Injected of { site : string; transient : bool }
-(** Raised by a triggered [error]/[flaky] site. [transient] failures
-    are the ones retry layers ({!Psn_sim.Parallel.map_result}) may
-    retry; permanent ones always propagate. *)
+exception Injected of { site : string }
+(** Raised by a triggered [error] site. *)
 
 val crash_exit_code : int
 (** Exit code of a [crash] action: 170. Chosen to collide with neither
@@ -74,18 +69,7 @@ val trigger : ?key:int64 -> string -> unit
     verdicts are schedule-independent; pass the task's seed, message
     id, or another stable identity. *)
 
-val is_transient : exn -> bool
-(** [true] exactly for [Injected {transient = true; _}] — the
-    predicate retry layers use to decide whether another attempt may
-    succeed. *)
-
 val describe : exn -> string
 (** Human-readable one-liner for a failed task cell: names the site
-    and permanence for {!Injected}, falls back to
-    [Printexc.to_string] for everything else. *)
-
-val with_attempt : int -> (unit -> 'a) -> 'a
-(** [with_attempt n f] runs [f] with the domain-local retry attempt
-    counter set to [n] (0 = first try), restoring the previous value
-    afterwards even on exception. [flaky*N] and [%P] verdicts read it,
-    which is how a retried task can deterministically stop failing. *)
+    of an {!Injected} failure, falls back to [Printexc.to_string] for
+    everything else. *)

@@ -1,5 +1,4 @@
 module T = Psn_telemetry.Telemetry
-module Failpoint = Psn_robust.Failpoint
 
 let default_jobs () = Domain.recommended_domain_count ()
 
@@ -10,15 +9,6 @@ let default_jobs () = Domain.recommended_domain_count ()
    default aims for ~4 chunks per worker, capped so a grab never walks
    away with more than 64 tasks of a long tail. *)
 let default_chunk ~jobs n = Int.max 1 (Int.min 64 (n / (jobs * 4)))
-
-(* Deterministic backoff between retry attempts: a bounded spin of
-   [Domain.cpu_relax], doubling per attempt. No wall clock (the lint
-   contract forbids it in lib/) and no scheduling dependence — the
-   delay is a pure function of the attempt index. *)
-let backoff attempt =
-  for _ = 1 to 64 * (1 lsl Int.min attempt 6) do
-    Domain.cpu_relax ()
-  done
 
 (* Chunked work-stealing by atomic counter. Each slot of [cells] is
    written by exactly one domain, and [Domain.join] publishes those
@@ -34,14 +24,8 @@ let backoff attempt =
    owned by exactly one domain for the whole section, so tasks may
    mutate it freely without coupling the runs.
 
-   Every task runs inside [Failpoint.with_attempt]; an exception that
-   [Failpoint.is_transient] judges retryable is retried up to
-   [retries] times (with deterministic backoff) before its cell
-   becomes [Error]. Because one task's attempts run consecutively on
-   one domain and verdicts are pure functions of (site, key, attempt),
-   the final cell array is bit-identical for every [jobs] × [chunk]
-   combination. *)
-let map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0) ~env f tasks =
+   A task that raises becomes an [Error] cell; it runs once. *)
+let map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ~env f tasks =
   let n = Array.length tasks in
   let jobs =
     match jobs with
@@ -55,7 +39,6 @@ let map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0) ~env f tas
     | Some c -> c
     | None -> default_chunk ~jobs n
   in
-  if retries < 0 then invalid_arg "Parallel.map_result: retries must be >= 0";
   let sinks = T.fork telemetry jobs in
   let cells : ('b, exn) result option array = Array.make n None in
   let next = Atomic.make 0 in
@@ -63,25 +46,13 @@ let map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0) ~env f tas
     let sink = sinks.(k) in
     let e = env () in
     let run_task i =
-      let rec attempt_loop a =
-        match Failpoint.with_attempt a (fun () -> f e sink tasks.(i)) with
-        | v ->
-          if a > 0 then T.count sink "parallel.recovered" 1;
-          Ok v
-        | exception ex ->
-          if a < retries && Failpoint.is_transient ex then begin
-            T.count sink "parallel.retries" 1;
-            Psn_robust.Flight.note "parallel.retry"
-              [ ("task", string_of_int i); ("attempt", string_of_int (a + 1)) ];
-            backoff a;
-            attempt_loop (a + 1)
-          end
-          else begin
-            T.count sink "parallel.failures" 1;
-            Error ex
-          end
-      in
-      cells.(i) <- Some (attempt_loop 0)
+      cells.(i) <-
+        Some
+          (match f e sink tasks.(i) with
+           | v -> Ok v
+           | exception ex ->
+             T.count sink "parallel.failures" 1;
+             Error ex)
     in
     let rec loop () =
       let start = Atomic.fetch_and_add next chunk in

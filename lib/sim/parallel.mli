@@ -31,14 +31,6 @@
     (every other entry point), so failure behaviour is deterministic
     for every [jobs] × [chunk] combination.
 
-    Transient failures ({!Psn_robust.Failpoint.is_transient}) are
-    retried in place, up to [retries] extra attempts per task with a
-    deterministic [Domain.cpu_relax] backoff: the attempts of one task
-    run consecutively on one domain under
-    {!Psn_robust.Failpoint.with_attempt}, so an injected failure
-    schedule — and therefore the final cell array — is bit-identical
-    across [jobs] × [chunk].
-
     Telemetry ({!map_traced}, {!map_env}): each worker domain records
     into its own forked {!Psn_telemetry.Telemetry.sink} (one
     Chrome-trace track per worker), merged deterministically after the
@@ -100,7 +92,6 @@ val map_result :
   ?jobs:int ->
   ?chunk:int ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
-  ?retries:int ->
   env:(unit -> 'env) ->
   ('env -> Psn_telemetry.Telemetry.sink -> 'a -> 'b) ->
   'a array ->
@@ -108,17 +99,10 @@ val map_result :
 (** {!map_env} with graceful degradation: each task's outcome lands in
     its own [result] cell instead of aborting the sweep, so one failed
     (algorithm, seed) run costs exactly one cell of a study, never the
-    study. A task that raises is retried in place — same worker, same
-    environment — up to [retries] (default 0, must be [>= 0]) extra
-    attempts {e if} the exception is transient per
-    {!Psn_robust.Failpoint.is_transient}; permanent errors and
-    exhausted retries become [Error] cells carrying the last
-    exception. Attempts run under {!Psn_robust.Failpoint.with_attempt}
-    with a deterministic, scheduling-independent backoff (a bounded
-    [Domain.cpu_relax] spin, doubling per attempt), so the cell array
-    is bit-identical for every [jobs] × [chunk] combination. The sink
-    counts ["parallel.retries"] (re-attempts), ["parallel.recovered"]
-    (tasks that succeeded after retrying) and ["parallel.failures"]
+    study. Each task runs once; a task that raises becomes an [Error]
+    cell carrying its exception. Recovery is the caller's: the store
+    layer never keeps a failed cell, so a resumed sweep recomputes
+    exactly the [Error] cells. The sink counts ["parallel.failures"]
     (cells that ended [Error]). *)
 
 val join_results : ('a, exn) result array -> 'a array

@@ -68,8 +68,7 @@ let run_seed ~schedule ~scratch ?(telemetry = T.Sink.null) ~trace ~spec ~factory
    misses within a round and task spans land on the right trace
    track. [prepare] runs once, in this domain, before the first miss,
    and never on an all-hit sweep. *)
-let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0)
-    ?(checkpoint = 0) ?(prefix = "runner") ?(prepare = ignore) ?cache ~env ~compute tasks =
+let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(checkpoint = 0) ?(prefix = "runner") ?(prepare = ignore) ?cache ~env ~compute tasks =
   if checkpoint < 0 then invalid_arg "Runner.cached_map_result: checkpoint must be >= 0";
   Interrupt.check ();
   let n = Array.length tasks in
@@ -95,7 +94,7 @@ let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0)
     let stop = Int.min m (!pos + round_size) in
     let batch = Array.sub miss_idx !pos (stop - !pos) in
     let computed =
-      Parallel.map_result ?jobs ?chunk ~telemetry ~retries ~env
+      Parallel.map_result ?jobs ?chunk ~telemetry ~env
         (fun e sink i ->
           Interrupt.check ();
           compute e sink tasks.(i))
@@ -116,7 +115,7 @@ let cached_map_result ?jobs ?chunk ?(telemetry = T.Sink.null) ?(retries = 0)
   done;
   Array.map (function Some r -> r | None -> assert false) results
 
-let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
+let outcomes_many_result ?jobs ?chunk ?faults ?stores ?checkpoint
     ?(telemetry = T.Sink.null) ~trace ~spec ~factories () =
   if List.is_empty spec.seeds then invalid_arg "Runner: need at least one seed";
   let seeds = Array.of_list spec.seeds in
@@ -144,7 +143,7 @@ let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
      whose every task hits the cache: a warm replay sorts nothing. *)
   let schedule = lazy (Engine.prepare ?faults ~telemetry trace) in
   let cells =
-    cached_map_result ?jobs ?chunk ~telemetry ?retries ?checkpoint
+    cached_map_result ?jobs ?chunk ~telemetry ?checkpoint
       ~prepare:(fun () -> ignore (Lazy.force schedule : Engine.schedule))
       ?cache ~env:Engine.scratch
       ~compute:(fun scratch sink (fi, seed) ->
@@ -158,10 +157,10 @@ let outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint
 (* Factory-major, seed-minor is the flat task order, so the first
    [Error] met walking the grid is the lowest-index failure that
    {!Parallel.join_results} would re-raise. *)
-let outcomes_many ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry ~trace
+let outcomes_many ?jobs ?chunk ?faults ?stores ?checkpoint ?telemetry ~trace
     ~spec ~factories () =
   let grid =
-    outcomes_many_result ?jobs ?chunk ?faults ?stores ?retries ?checkpoint ?telemetry ~trace
+    outcomes_many_result ?jobs ?chunk ?faults ?stores ?checkpoint ?telemetry ~trace
       ~spec ~factories ()
   in
   List.iter (List.iter (function Error e -> raise e | Ok _ -> ())) grid;

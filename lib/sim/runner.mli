@@ -41,9 +41,7 @@
     and — because a hit is byte-for-byte the outcome that the same
     inputs would recompute — cannot change results, only wall time.
 
-    They also take [?retries] and [?checkpoint] (both default 0).
-    [retries] bounds deterministic in-place re-attempts of transient
-    task failures ({!Parallel.map_result}). [checkpoint] splits the
+    They also take [?checkpoint] (default 0), which splits the
     misses into rounds of that many tasks: each round's successes reach
     the cache before the next round runs, so a sweep killed mid-way
     resumes from its last completed round — re-running the same command
@@ -80,7 +78,6 @@ val outcomes_many :
   ?chunk:int ->
   ?faults:Faults.plan ->
   ?stores:Cache.t list ->
-  ?retries:int ->
   ?checkpoint:int ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
   trace:Psn_trace.Trace.t ->
@@ -111,7 +108,6 @@ val outcomes_many_result :
   ?chunk:int ->
   ?faults:Faults.plan ->
   ?stores:Cache.t list ->
-  ?retries:int ->
   ?checkpoint:int ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
   trace:Psn_trace.Trace.t ->
@@ -132,7 +128,6 @@ val cached_map_result :
   ?jobs:int ->
   ?chunk:int ->
   ?telemetry:Psn_telemetry.Telemetry.sink ->
-  ?retries:int ->
   ?checkpoint:int ->
   ?prefix:string ->
   ?prepare:(unit -> unit) ->

@@ -207,8 +207,15 @@ let encode h =
   done;
   Buffer.contents b
 
+(* [decode] accepts only state that [add] and [merge_into] can reach:
+   non-negative counters, each bucket index at most once, a total that
+   is exactly the zero, overflow and bucket counts, and extremes that
+   are the empty sentinels when nothing was counted and finite and
+   ordered otherwise. A snapshot line that breaks any of these would
+   render a non-monotone cumulative histogram. *)
 let decode line =
   let ( let* ) o f = Option.bind o f in
+  let check b = if b then Some () else None in
   match String.split_on_char ' ' (String.trim line) with
   | "h1" :: total :: zero :: overflow :: skipped :: sum_q :: minv :: maxv :: pairs ->
     let* total = int_of_string_opt total in
@@ -218,6 +225,16 @@ let decode line =
     let* sum_q = Int64.of_string_opt sum_q in
     let* minv = float_of_string_opt minv in
     let* maxv = float_of_string_opt maxv in
+    let* () = check (total >= 0 && zero >= 0 && overflow >= 0 && skipped >= 0) in
+    let* () = check (zero <= total && overflow <= total - zero) in
+    let* () =
+      check
+        (if total = 0 then
+           Int64.equal sum_q 0L
+           && Float.equal minv Float.infinity
+           && Float.equal maxv Float.neg_infinity
+         else Float.is_finite minv && Float.is_finite maxv && minv <= maxv)
+    in
     let h = create () in
     h.total <- total;
     h.zero <- zero;
@@ -226,6 +243,9 @@ let decode line =
     h.sum_q <- sum_q;
     h.minv <- minv;
     h.maxv <- maxv;
+    (* Counts left for the buckets; subtracting keeps every step in
+       range whatever the line claims. *)
+    let left = ref (total - zero - overflow) in
     let ok =
       List.for_all
         (fun pair ->
@@ -235,11 +255,13 @@ let decode line =
             let idx = String.sub pair 0 colon in
             let n = String.sub pair (colon + 1) (String.length pair - colon - 1) in
             match (int_of_string_opt idx, int_of_string_opt n) with
-            | Some i, Some n when i >= 0 && i < n_buckets && n > 0 ->
+            | Some i, Some n
+              when i >= 0 && i < n_buckets && n > 0 && n <= !left && h.counts.(i) = 0 ->
               h.counts.(i) <- n;
+              left := !left - n;
               true
             | _ -> false))
         pairs
     in
-    if ok then Some h else None
+    if ok && !left = 0 then Some h else None
   | _ -> None

@@ -71,3 +71,8 @@ val encode : t -> string
     bit-exactly through {!decode} for snapshot/resume. *)
 
 val decode : string -> t option
+(** Inverse of {!encode}. [None] for a malformed line and for state
+    that {!add} and {!merge_into} cannot produce: a negative counter, a
+    bucket index given twice, a total other than the zero, overflow and
+    bucket counts summed, or extremes that are not the empty sentinels
+    of an empty histogram or finite and ordered otherwise. *)

@@ -417,10 +417,6 @@ let test_prophet_validation () =
 
 let test_registry_contents () =
   Alcotest.(check int) "six paper algorithms" 6 (List.length Registry.paper_six);
-  Alcotest.(check bool) "all flagged in_paper" true
-    (List.for_all (fun e -> e.Registry.in_paper) Registry.paper_six);
-  Alcotest.(check bool) "extensions not in paper" true
-    (List.for_all (fun e -> not e.Registry.in_paper) Registry.extensions);
   Alcotest.(check int) "fourteen total" 14 (List.length Registry.all)
 
 let test_registry_find () =

@@ -74,6 +74,33 @@ let test_cumulative_shape () =
       (List.for_all2 ( <= ) cums (List.tl cums @ [ max_int ]))
   | [] -> Alcotest.fail "cumulative of non-empty hist is empty"
 
+(* Lines that parse but describe state no sequence of [add] and
+   [merge_into] reaches. Bucket 248 holds 1.0. *)
+let test_codec_rejects_unreachable () =
+  let accepts line = Option.is_some (Hist.decode line) in
+  Alcotest.(check string) "one sample's line" "h1 1 0 0 0 1000000 0x1p+0 0x1p+0 248:1"
+    (Hist.encode (of_list [ 1. ]));
+  Alcotest.(check bool) "one sample" true (accepts "h1 1 0 0 0 1000000 0x1p+0 0x1p+0 248:1");
+  Alcotest.(check bool) "empty" true (accepts (Hist.encode (Hist.create ())));
+  List.iter
+    (fun (what, line) -> Alcotest.(check bool) what false (accepts line))
+    [
+      ("negative total", "h1 -1 0 0 0 0 infinity -infinity");
+      ("negative zero count", "h1 1 -1 0 0 0 0x1p+0 0x1p+0 248:2");
+      ("negative overflow count", "h1 1 0 -1 0 0 0x1p+0 0x1p+0 248:2");
+      ("negative skipped count", "h1 0 0 0 -1 0 infinity -infinity");
+      ("bucket index twice", "h1 2 0 0 0 2000000 0x1p+0 0x1p+0 248:1 248:1");
+      ("buckets above the total", "h1 1 0 0 0 0 0x1p+0 0x1p+0 5:7");
+      ("buckets below the total", "h1 2 0 0 0 1000000 0x1p+0 0x1p+0 248:1");
+      ("zero and overflow above the total", "h1 1 1 1 0 0 0x0p+0 0x1p+40");
+      ("empty with a sum", "h1 0 0 0 0 5 infinity -infinity");
+      ("empty with a finite min", "h1 0 0 0 0 0 0x1p+0 -infinity");
+      ("empty with a finite max", "h1 0 0 0 0 0 infinity 0x1p+0");
+      ("non-empty with infinite extremes", "h1 1 1 0 0 0 infinity -infinity");
+      ("non-empty with a NaN min", "h1 1 1 0 0 0 nan 0x0p+0");
+      ("min above max", "h1 2 0 0 0 3000000 0x1p+1 0x1p+0 248:1 256:1");
+    ]
+
 (* --- histogram: properties --- *)
 
 let float_sample_gen =
@@ -285,6 +312,8 @@ let () =
           Alcotest.test_case "quantile error bound" `Quick test_quantile_error_bound;
           Alcotest.test_case "digest" `Quick test_digest;
           Alcotest.test_case "cumulative shape" `Quick test_cumulative_shape;
+          Alcotest.test_case "codec rejects unreachable state" `Quick
+            test_codec_rejects_unreachable;
         ] );
       ("properties", hist_props);
       ( "openmetrics",

@@ -308,6 +308,17 @@ let test_pin_exhaustive () =
     { fig4_config with Enumerate.k = 200; stop_at_total = Some 200; exhaustive = true }
     3 ~steps:120 ~stopped:true ~arrivals:200 ~digest:"a4ac9ffef8f3ce8f"
 
+(* The fig4 panel's messages in the exhaustive DP at the same k, the
+   pins any exact-mode kernel change must keep. *)
+let test_pin_exhaustive_fig4 () =
+  let config = { fig4_config with Enumerate.exhaustive = true } in
+  check_pin "exhaustive msg 2" config 2 ~steps:27 ~stopped:true ~arrivals:2000
+    ~digest:"1d7aeba66b5c7153";
+  check_pin "exhaustive msg 3" config 3 ~steps:120 ~stopped:true ~arrivals:2000
+    ~digest:"461506b9d6415e6a";
+  check_pin "exhaustive msg 5" config 5 ~steps:114 ~stopped:true ~arrivals:2000
+    ~digest:"f6cf57c29ee94e1e"
+
 (* The hop cap leaves this message short of its budget at trace end. *)
 let test_pin_max_hops () =
   check_pin "max_hops 4" { fig4_config with Enumerate.max_hops = Some 4 } 5 ~steps:411 ~stopped:false
@@ -321,9 +332,11 @@ let test_pin_serve_shape () =
 
 (* --- Enumeration properties on random traces --- *)
 
-let random_trace rng =
-  let n_nodes = 6 + Rng.int rng 8 in
-  let n_contacts = 30 + Rng.int rng 60 in
+(* [nodes] and [contacts] are (least, spread) pairs: each count is
+   uniform in [least, least + spread). *)
+let random_trace ?(nodes = (6, 8)) ?(contacts = (30, 60)) rng =
+  let n_nodes = fst nodes + Rng.int rng (snd nodes) in
+  let n_contacts = fst contacts + Rng.int rng (snd contacts) in
   let contacts =
     List.init n_contacts (fun _ ->
         let a = Rng.int rng n_nodes in
@@ -423,6 +436,37 @@ let test_property_fast_mode_vs_exhaustive () =
       Alcotest.failf "fast mode overcounts: %d vs %d"
         (Array.length fast.Enumerate.arrivals)
         (Array.length exact.Enumerate.arrivals)
+  done;
+  (* At a k that never binds and with no total cap, nothing is trimmed,
+     so fast mode's arrivals are a subset of the exhaustive DP's: same
+     step, same path. The two counts still differ wherever a contact
+     persists over several steps (ROADMAP item 2). *)
+  let rng = Rng.create ~seed:606L () in
+  let key (a : Enumerate.arrival) =
+    ( a.Enumerate.step,
+      List.map (fun (h : Path.hop) -> (h.Path.step, h.Path.node)) (Path.hops a.Enumerate.path) )
+  in
+  for _ = 1 to 200 do
+    let trace = random_trace ~nodes:(6, 6) ~contacts:(30, 40) rng in
+    let snap = Snapshot.of_trace trace in
+    let n = Trace.n_nodes trace in
+    let src = Rng.int rng n in
+    let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
+    let t_create = Rng.float rng 200. in
+    let go exhaustive =
+      Enumerate.run
+        ~config:{ Enumerate.k = 100_000_000; max_hops = None; stop_at_total = None; exhaustive }
+        snap ~src ~dst ~t_create
+    in
+    let fast = go false and exact = go true in
+    let exact_keys = Hashtbl.create 64 in
+    Array.iter (fun a -> Hashtbl.replace exact_keys (key a) ()) exact.Enumerate.arrivals;
+    Array.iter
+      (fun a ->
+        if not (Hashtbl.mem exact_keys (key a)) then
+          Alcotest.failf "fast arrival at step %d via %a is not an exhaustive arrival"
+            a.Enumerate.step (fun ppf -> Path.pp ppf) a.Enumerate.path)
+      fast.Enumerate.arrivals
   done
 
 let test_property_paths_distinct () =
@@ -515,6 +559,7 @@ let () =
         [
           Alcotest.test_case "fig4 panel, k=2000" `Slow test_pin_fig4;
           Alcotest.test_case "exhaustive, k=200" `Slow test_pin_exhaustive;
+          Alcotest.test_case "exhaustive fig4 panel, k=2000" `Slow test_pin_exhaustive_fig4;
           Alcotest.test_case "max_hops 4" `Slow test_pin_max_hops;
           Alcotest.test_case "serve shape, k=64" `Slow test_pin_serve_shape;
         ] );

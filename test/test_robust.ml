@@ -25,10 +25,14 @@ let fires_on site ?key () =
 
 let test_parse_ok () =
   with_plan "a.site=error" (fun () ->
-      Alcotest.(check bool) "named site fires" true (fires_on "a.site" ());
+      (match Failpoint.trigger "a.site" with
+      | () -> Alcotest.fail "error site did not raise"
+      | exception Failpoint.Injected { site } ->
+        Alcotest.(check string) "error names its site" "a.site" site);
       Alcotest.(check bool) "other site silent" false (fires_on "a" ()));
-  with_plan " x=off , y=flaky@2, z=crash%0.5 " (fun () ->
-      Alcotest.(check bool) "off clause silent" false (fires_on "x" ()))
+  with_plan " y=error@2 , z=crash%0.5 " (fun () ->
+      Alcotest.(check bool) "spaced clause, first hit silent" false (fires_on "y" ());
+      Alcotest.(check bool) "spaced clause, second hit fires" true (fires_on "y" ()))
 
 let test_parse_errors () =
   let rejected spec =
@@ -41,10 +45,12 @@ let test_parse_errors () =
   Alcotest.(check bool) "unknown action" true (rejected "s=explode");
   Alcotest.(check bool) "bad hit index" true (rejected "s=error@0");
   Alcotest.(check bool) "non-integer hit" true (rejected "s=error@x");
-  Alcotest.(check bool) "bad attempt count" true (rejected "s=flaky*0");
+  Alcotest.(check bool) "no flaky action" true (rejected "s=flaky");
+  Alcotest.(check bool) "no off action" true (rejected "s=off");
+  Alcotest.(check bool) "no attempt rule" true (rejected "s=error*2");
   Alcotest.(check bool) "probability above 1" true (rejected "s=error%1.5");
   Alcotest.(check bool) "probability not a number" true (rejected "s=error%p");
-  Alcotest.(check bool) "duplicate site" true (rejected "s=error,s=flaky");
+  Alcotest.(check bool) "duplicate site" true (rejected "s=error,s=crash@1");
   match Failpoint.parse "s=explode" with
   | Error msg ->
     Alcotest.(check bool) "error names the clause" true
@@ -58,27 +64,8 @@ let test_disabled_is_noop () =
   (* With no plan (and after uninstall) any site is silent. *)
   Failpoint.trigger "store.insert.pre_rename";
   with_plan "a=error" (fun () ->
-      Alcotest.(check bool) "other sites silent" false (fires_on "b" ());
-      Alcotest.(check bool) "off never fires" false
-        (match Failpoint.parse "a=off" with
-        | Ok p ->
-          Failpoint.install p;
-          fires_on "a" ()
-        | Error msg -> Alcotest.fail msg));
+      Alcotest.(check bool) "other sites silent" false (fires_on "b" ()));
   Failpoint.trigger "a" (* uninstalled again by with_plan *)
-
-let test_error_vs_flaky () =
-  with_plan "a=error,b=flaky" (fun () ->
-      (match Failpoint.trigger "a" with
-      | () -> Alcotest.fail "error site did not raise"
-      | exception Failpoint.Injected { site; transient } ->
-        Alcotest.(check string) "site name" "a" site;
-        Alcotest.(check bool) "permanent" false transient);
-      match Failpoint.trigger "b" with
-      | () -> Alcotest.fail "flaky site did not raise"
-      | exception (Failpoint.Injected { transient; _ } as e) ->
-        Alcotest.(check bool) "transient" true transient;
-        Alcotest.(check bool) "is_transient" true (Failpoint.is_transient e))
 
 let test_on_hit_rule () =
   with_plan "a=error@3" (fun () ->
@@ -86,30 +73,13 @@ let test_on_hit_rule () =
       Alcotest.(check (list bool)) "only the 3rd hit" [ false; false; true; false; false ]
         verdicts)
 
-let test_first_attempts_rule () =
-  with_plan "a=flaky*2" (fun () ->
-      let at n = Failpoint.with_attempt n (fun () -> fires_on "a" ()) in
-      Alcotest.(check bool) "attempt 0 fails" true (at 0);
-      Alcotest.(check bool) "attempt 1 fails" true (at 1);
-      Alcotest.(check bool) "attempt 2 succeeds" false (at 2);
-      (* default attempt (no with_attempt wrapper) is 0 *)
-      Alcotest.(check bool) "bare trigger fails" true (fires_on "a" ()))
-
-let test_with_attempt_restores () =
-  Alcotest.(check int) "nested attempts restore" 7
-    (Failpoint.with_attempt 7 (fun () ->
-         (try Failpoint.with_attempt 9 (fun () -> failwith "boom") with Failure _ -> ());
-         with_plan "a=flaky*8" (fun () ->
-             if not (fires_on "a" ()) then Alcotest.fail "outer attempt not restored");
-         7))
-
 let test_prob_rule () =
   with_plan "never=error%0,always=error%1" (fun () ->
       for _ = 1 to 20 do
         Alcotest.(check bool) "p=0 never fires" false (fires_on "never" ());
         Alcotest.(check bool) "p=1 always fires" true (fires_on "always" ())
       done);
-  (* Verdicts are a pure function of (seed, site, key, attempt):
+  (* Verdicts are a pure function of (seed, site, key):
      re-triggering the same key repeats the verdict, and over many keys
      the firing rate tracks p. *)
   let verdict ~seed ~key =
@@ -131,18 +101,12 @@ let test_prob_rule () =
     (List.equal Bool.equal first other)
 
 let test_describe () =
-  Alcotest.(check string) "transient"
-    "injected transient failure at s"
-    (Failpoint.describe (Failpoint.Injected { site = "s"; transient = true }));
-  Alcotest.(check string) "permanent"
+  Alcotest.(check string) "injected"
     "injected permanent failure at s"
-    (Failpoint.describe (Failpoint.Injected { site = "s"; transient = false }));
+    (Failpoint.describe (Failpoint.Injected { site = "s" }));
   Alcotest.(check string) "other exceptions fall back"
     (Printexc.to_string Stdlib.Not_found)
     (Failpoint.describe Stdlib.Not_found)
-
-let test_is_transient_other () =
-  Alcotest.(check bool) "arbitrary exn" false (Failpoint.is_transient Stdlib.Not_found)
 
 (* --- interrupts --- *)
 
@@ -308,13 +272,9 @@ let () =
       ( "trigger",
         [
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
-          Alcotest.test_case "error vs flaky" `Quick test_error_vs_flaky;
           Alcotest.test_case "@N hit rule" `Quick test_on_hit_rule;
-          Alcotest.test_case "*N attempt rule" `Quick test_first_attempts_rule;
-          Alcotest.test_case "with_attempt restores" `Quick test_with_attempt_restores;
           Alcotest.test_case "%P probability rule" `Quick test_prob_rule;
           Alcotest.test_case "describe" `Quick test_describe;
-          Alcotest.test_case "is_transient on other exns" `Quick test_is_transient_other;
         ] );
       ( "interrupt",
         [

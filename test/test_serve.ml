@@ -561,6 +561,9 @@ let test_server_restore_rejects_garbage () =
       ("live destination outside the population", "0 0 ", 2, "99");
       ("live source = destination", "0 0 ", 2, "0");
       ("population over the node-id bound", "clock ", 3, "300000000");
+      (* one batch sample of 2 contacts: a total of 2 disagrees with
+         its buckets and would serve a non-monotone histogram *)
+      ("histogram total above its buckets", "hist batch ", 3, "2");
     ]
 
 (* --- properties --- *)

@@ -759,7 +759,7 @@ let test_parallel_chunked_exception_order () =
         [ 1; 3; 64 ])
     [ 1; 2; 4; 7 ]
 
-(* --- graceful degradation: map_result cells, retries, checkpoint --- *)
+(* --- graceful degradation: map_result cells, checkpoint --- *)
 
 module Failpoint = Core.Failpoint
 
@@ -804,39 +804,14 @@ let test_parallel_map_result_cells () =
         (Core.Parallel.join_results
            (Core.Parallel.map_result ~jobs:4 ~env:(fun () -> ()) f input)))
 
-let test_parallel_retries_recover () =
-  let input = Array.init 12 (fun i -> i) in
-  let f _env _sink i =
-    Failpoint.trigger ~key:(Int64.of_int i) "test.retry";
-    i + 100
-  in
-  with_failpoints "test.retry=flaky*2" (fun () ->
-      (* two extra attempts beat a site that fails the first two *)
-      let cells =
-        Core.Parallel.map_result ~jobs:3 ~chunk:2 ~retries:2 ~env:(fun () -> ()) f input
-      in
-      Array.iteri
-        (fun i cell ->
-          match cell with
-          | Ok v -> Alcotest.(check int) "recovered value" (i + 100) v
-          | Error _ -> Alcotest.failf "task %d not recovered with retries=2" i)
-        cells;
-      (* one extra attempt does not *)
-      let short = Core.Parallel.map_result ~jobs:3 ~retries:1 ~env:(fun () -> ()) f input in
-      Array.iter
-        (function
-          | Ok _ -> Alcotest.fail "retries=1 cannot beat flaky*2"
-          | Error e -> Alcotest.(check bool) "still transient" true (Failpoint.is_transient e))
-        short)
-
 let test_parallel_permanent_not_retried () =
   let attempts = Atomic.make 0 in
   let f _env _sink () =
     Atomic.incr attempts;
     raise Stdlib.Exit
   in
-  let cells = Core.Parallel.map_result ~jobs:1 ~retries:5 ~env:(fun () -> ()) f [| () |] in
-  Alcotest.(check int) "permanent failure tried once" 1 (Atomic.get attempts);
+  let cells = Core.Parallel.map_result ~jobs:1 ~env:(fun () -> ()) f [| () |] in
+  Alcotest.(check int) "a raising task runs once" 1 (Atomic.get attempts);
   match cells.(0) with
   | Error Stdlib.Exit -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected the task's own exception in the cell"
@@ -1504,7 +1479,6 @@ let () =
           Alcotest.test_case "chunked exception order" `Quick
             test_parallel_chunked_exception_order;
           Alcotest.test_case "map_result cells" `Quick test_parallel_map_result_cells;
-          Alcotest.test_case "transient retries recover" `Quick test_parallel_retries_recover;
           Alcotest.test_case "permanent not retried" `Quick test_parallel_permanent_not_retried;
           Alcotest.test_case "checkpoint and resume" `Quick test_cached_map_checkpoint_resume;
           Alcotest.test_case "scratch reuse" `Quick test_engine_scratch_reuse;
