@@ -77,9 +77,9 @@ let test_feasibility () =
 
 (* --- Enumeration: hand-worked scenarios --- *)
 
-let run ?(k = 100) ?stop snap ~src ~dst ~t_create =
+let run ?(k = 100) ?stop ?(exhaustive = false) snap ~src ~dst ~t_create =
   Enumerate.run
-    ~config:{ Enumerate.k; max_hops = None; stop_at_total = stop; exhaustive = false }
+    ~config:{ Enumerate.k; max_hops = None; stop_at_total = stop; exhaustive }
     snap ~src ~dst ~t_create
 
 (* ROADMAP item 2's minimal case: contact 0-2 persists over steps 3
@@ -253,6 +253,128 @@ let test_enumerate_errors () =
   (* The smallest legal values run. *)
   run_with { config with Enumerate.max_hops = Some 1; stop_at_total = Some 1 }
 
+(* --- Enumeration: the first-preference kill across steps ---
+
+   Each case lists every arrival (path and step), the steps processed
+   and the stop flag; both modes agree on all of them here. *)
+
+let modes = [ false; true ]
+
+let check_arrivals name ?(k = 100) ?stop trace ~src ~dst ~steps ~stopped ~paths =
+  let snap = Snapshot.of_trace trace in
+  List.iter
+    (fun exhaustive ->
+      let mode = if exhaustive then name ^ " (exhaustive)" else name ^ " (fast)" in
+      let r =
+        Enumerate.run
+          ~config:{ Enumerate.k; max_hops = None; stop_at_total = stop; exhaustive }
+          snap ~src ~dst ~t_create:0.
+      in
+      Alcotest.(check int) (mode ^ " steps") steps r.Enumerate.steps_processed;
+      Alcotest.(check bool) (mode ^ " stopped early") stopped r.Enumerate.stopped_early;
+      Alcotest.(check (list string))
+        (mode ^ " arrivals") paths
+        (Array.to_list r.Enumerate.arrivals
+        |> List.map (fun a ->
+               Format.asprintf "%a at %d" Path.pp a.Enumerate.path a.Enumerate.step)))
+    modes
+
+(* The destination 3 meets x = 1 over steps 3-6. A path through x born
+   at step 5, after the kill of step 3, still meets the destination's
+   row and is dropped at step 5, so 1 cannot carry it to 2 at step 8
+   and on to 3 at step 10. *)
+let test_enumerate_kill_persisting_neighbour () =
+  let t =
+    Trace.create ~n_nodes:4 ~horizon:100.
+      [
+        Contact.make ~a:1 ~b:3 ~t_start:21. ~t_end:59.;
+        Contact.make ~a:0 ~b:2 ~t_start:22. ~t_end:28.;
+        Contact.make ~a:0 ~b:1 ~t_start:41. ~t_end:49.;
+        Contact.make ~a:1 ~b:2 ~t_start:71. ~t_end:79.;
+        Contact.make ~a:2 ~b:3 ~t_start:91. ~t_end:99.;
+      ]
+  in
+  let paths = [ "n0@1 -> n1@5 -> n3@5 at 5"; "n0@1 -> n2@3 -> n3@10 at 10" ] in
+  check_arrivals "persisting neighbour" t ~src:0 ~dst:3 ~steps:9 ~stopped:false
+    ~paths
+
+(* The destination 4 meets x = 1 from step 4 and gains y = 2 at step
+   6. The paths 0-2 and 0-2-3, retained since before the kill of step
+   4, visited y and are dropped at step 6, so 3 delivers nothing at
+   step 8. *)
+let test_enumerate_kill_new_neighbour () =
+  let t =
+    Trace.create ~n_nodes:5 ~horizon:100.
+      [
+        Contact.make ~a:0 ~b:2 ~t_start:11. ~t_end:19.;
+        Contact.make ~a:2 ~b:3 ~t_start:21. ~t_end:29.;
+        Contact.make ~a:1 ~b:4 ~t_start:31. ~t_end:59.;
+        Contact.make ~a:0 ~b:1 ~t_start:32. ~t_end:38.;
+        Contact.make ~a:2 ~b:4 ~t_start:51. ~t_end:59.;
+        Contact.make ~a:3 ~b:4 ~t_start:71. ~t_end:79.;
+      ]
+  in
+  let paths = [ "n0@1 -> n1@4 -> n4@4 at 4"; "n0@1 -> n2@2 -> n4@6 at 6" ] in
+  check_arrivals "new neighbour" t ~src:0 ~dst:4 ~steps:9 ~stopped:false ~paths
+
+(* The destination 4 meets 3 at step 4, when 3 holds no path and no
+   other holder has an edge: no path is active, so no kill runs. The
+   next kill, at step 6, is on the changed row {2, 3}; those at steps
+   8 and 9 are on {3} and {2}. *)
+let test_enumerate_kill_after_idle_step () =
+  let t =
+    Trace.create ~n_nodes:5 ~horizon:100.
+      [
+        Contact.make ~a:0 ~b:1 ~t_start:11. ~t_end:19.;
+        Contact.make ~a:1 ~b:4 ~t_start:12. ~t_end:18.;
+        Contact.make ~a:0 ~b:2 ~t_start:21. ~t_end:29.;
+        Contact.make ~a:3 ~b:4 ~t_start:31. ~t_end:39.;
+        Contact.make ~a:2 ~b:3 ~t_start:41. ~t_end:49.;
+        Contact.make ~a:2 ~b:4 ~t_start:51. ~t_end:59.;
+        Contact.make ~a:3 ~b:4 ~t_start:52. ~t_end:58.;
+        Contact.make ~a:0 ~b:3 ~t_start:71. ~t_end:79.;
+        Contact.make ~a:3 ~b:4 ~t_start:72. ~t_end:78.;
+        Contact.make ~a:0 ~b:2 ~t_start:81. ~t_end:89.;
+        Contact.make ~a:2 ~b:4 ~t_start:82. ~t_end:88.;
+      ]
+  in
+  let paths =
+    [
+      "n0@1 -> n1@2 -> n4@2 at 2";
+      "n0@1 -> n2@3 -> n4@6 at 6";
+      "n0@1 -> n2@3 -> n3@5 -> n4@6 at 6";
+      "n0@1 -> n3@8 -> n4@8 at 8";
+      "n0@1 -> n2@9 -> n4@9 at 9";
+    ]
+  in
+  check_arrivals "kill after idle step" t ~src:0 ~dst:4 ~steps:9 ~stopped:false
+    ~paths
+
+(* A kill on row {1} at step 2, then relays 2-5 meet the destination 6
+   together with 1 at step 5: the stop fires after the second (k = 2)
+   or third (total 3) arrival of that step, and the run ends there. *)
+let test_enumerate_stop_mid_step () =
+  let t =
+    Trace.create ~n_nodes:7 ~horizon:100.
+      ([
+         Contact.make ~a:0 ~b:1 ~t_start:11. ~t_end:19.;
+         Contact.make ~a:1 ~b:6 ~t_start:12. ~t_end:18.;
+         Contact.make ~a:1 ~b:6 ~t_start:41. ~t_end:49.;
+       ]
+      @ List.concat_map
+          (fun r ->
+            [
+              Contact.make ~a:0 ~b:r ~t_start:21. ~t_end:29.;
+              Contact.make ~a:r ~b:6 ~t_start:42. ~t_end:48.;
+            ])
+          [ 2; 3; 4; 5 ])
+  in
+  let paths =
+    [ "n0@1 -> n1@2 -> n6@2 at 2"; "n0@1 -> n5@3 -> n6@5 at 5"; "n0@1 -> n4@3 -> n6@5 at 5" ]
+  in
+  check_arrivals "k = 2" ~k:2 t ~src:0 ~dst:6 ~steps:4 ~stopped:true ~paths;
+  check_arrivals "total 3" ~stop:3 t ~src:0 ~dst:6 ~steps:4 ~stopped:true ~paths
+
 (* --- Enumeration pins on the Fig. 4 study ---
 
    The kernel's exact output on real workloads: FNV digests of the
@@ -332,9 +454,9 @@ let test_pin_serve_shape () =
 
 (* --- Enumeration properties on random traces --- *)
 
-(* [nodes] and [contacts] are (least, spread) pairs: each count is
-   uniform in [least, least + spread). *)
-let random_trace ?(nodes = (6, 8)) ?(contacts = (30, 60)) rng =
+(* [nodes], [contacts] and [duration] (seconds) are (least, spread)
+   pairs: each is uniform in [least, least + spread). *)
+let random_trace ?(nodes = (6, 8)) ?(contacts = (30, 60)) ?(duration = (5., 60.)) rng =
   let n_nodes = fst nodes + Rng.int rng (snd nodes) in
   let n_contacts = fst contacts + Rng.int rng (snd contacts) in
   let contacts =
@@ -342,19 +464,23 @@ let random_trace ?(nodes = (6, 8)) ?(contacts = (30, 60)) rng =
         let a = Rng.int rng n_nodes in
         let b = (a + 1 + Rng.int rng (n_nodes - 1)) mod n_nodes in
         let s = Rng.float rng 500. in
-        Contact.make ~a ~b ~t_start:s ~t_end:(s +. 5. +. Rng.float rng 60.))
+        Contact.make ~a ~b ~t_start:s ~t_end:(s +. fst duration +. Rng.float rng (snd duration)))
   in
   Trace.create ~n_nodes ~horizon:600. contacts
 
-let test_property_arrivals_valid_and_feasible () =
-  let rng = Rng.create ~seed:101L () in
+(* Contacts lasting 10 to 40 steps, so the destination's contacts
+   persist across the kills of several steps. *)
+let long_contact_trace rng = random_trace ~contacts:(15, 25) ~duration:(100., 300.) rng
+
+let check_valid_and_feasible ~seed ~exhaustive gen =
+  let rng = Rng.create ~seed () in
   for _ = 1 to 25 do
-    let trace = random_trace rng in
+    let trace = gen rng in
     let snap = Snapshot.of_trace trace in
     let n = Trace.n_nodes trace in
     let src = Rng.int rng n in
     let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
-    let result = run ~k:50 ~stop:300 snap ~src ~dst ~t_create:(Rng.float rng 200.) in
+    let result = run ~k:50 ~stop:300 ~exhaustive snap ~src ~dst ~t_create:(Rng.float rng 200.) in
     Array.iter
       (fun (a : Enumerate.arrival) ->
         let p = a.Enumerate.path in
@@ -367,6 +493,12 @@ let test_property_arrivals_valid_and_feasible () =
         if List.nth nodes (List.length nodes - 1) <> dst then Alcotest.fail "wrong destination")
       result.Enumerate.arrivals
   done
+
+let test_property_arrivals_valid_and_feasible () =
+  check_valid_and_feasible ~seed:101L ~exhaustive:false random_trace;
+  List.iter
+    (fun exhaustive -> check_valid_and_feasible ~seed:111L ~exhaustive long_contact_trace)
+    modes
 
 let test_property_first_arrival_matches_flood () =
   let rng = Rng.create ~seed:202L () in
@@ -469,15 +601,15 @@ let test_property_fast_mode_vs_exhaustive () =
       fast.Enumerate.arrivals
   done
 
-let test_property_paths_distinct () =
-  let rng = Rng.create ~seed:404L () in
+let check_paths_distinct ~seed ~exhaustive gen =
+  let rng = Rng.create ~seed () in
   for _ = 1 to 15 do
-    let trace = random_trace rng in
+    let trace = gen rng in
     let snap = Snapshot.of_trace trace in
     let n = Trace.n_nodes trace in
     let src = Rng.int rng n in
     let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
-    let result = run ~k:30 ~stop:200 snap ~src ~dst ~t_create:0. in
+    let result = run ~k:30 ~stop:200 ~exhaustive snap ~src ~dst ~t_create:0. in
     let paths = Array.to_list result.Enumerate.arrivals |> List.map (fun a -> a.Enumerate.path) in
     let compare_hops (x : Path.hop) (y : Path.hop) =
       let c = Int.compare x.Path.step y.Path.step in
@@ -488,6 +620,10 @@ let test_property_paths_distinct () =
     in
     Alcotest.(check int) "all paths distinct" (List.length paths) (List.length sorted)
   done
+
+let test_property_paths_distinct () =
+  check_paths_distinct ~seed:404L ~exhaustive:false random_trace;
+  List.iter (fun exhaustive -> check_paths_distinct ~seed:414L ~exhaustive long_contact_trace) modes
 
 (* --- Explosion --- *)
 
@@ -554,6 +690,11 @@ let () =
           Alcotest.test_case "no delivery" `Quick test_enumerate_no_delivery;
           Alcotest.test_case "errors" `Quick test_enumerate_errors;
           Alcotest.test_case "persisting contact" `Quick test_enumerate_persisting_contact;
+          Alcotest.test_case "kill: persisting neighbour" `Quick
+            test_enumerate_kill_persisting_neighbour;
+          Alcotest.test_case "kill: new neighbour" `Quick test_enumerate_kill_new_neighbour;
+          Alcotest.test_case "kill: after an idle step" `Quick test_enumerate_kill_after_idle_step;
+          Alcotest.test_case "stop mid-step" `Quick test_enumerate_stop_mid_step;
         ] );
       ( "enumerate-pins",
         [
