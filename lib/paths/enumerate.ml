@@ -22,10 +22,10 @@ type result = {
 }
 
 (* Bitsets are [stride]-byte rows; [base] is the row's first byte. *)
-let[@psn.hot] bitset_mem_at bs base i =
+let[@psn.hot] [@inline] bitset_mem_at bs base i =
   Char.code (Bytes.get bs (base + (i lsr 3))) land (1 lsl (i land 7)) <> 0
 
-let[@psn.hot] bitset_add_at bs base i =
+let[@psn.hot] [@inline] bitset_add_at bs base i =
   let byte = base + (i lsr 3) in
   Bytes.set bs byte (Char.chr (Char.code (Bytes.get bs byte) lor (1 lsl (i land 7))))
 
@@ -51,9 +51,15 @@ let[@psn.hot] rec bitset_meets bs base (nodes : int array) j stop =
    level (0 when empty).
 
    The per-hop worklists [buckets.(h)] are stacks, [heights.(h)] deep,
-   with the LIFO order of cons lists. An entry [i * n + u] names the path
-   at position [i] of node [u]'s level [h]: positions only move in the
-   kill and the trim, after the worklists have drained.
+   with the LIFO order of cons lists. An entry [(i lsl shift) lor u]
+   names the path at position [i] of node [u]'s level [h] ([n <= 2^shift],
+   so a pop decodes with a mask and a shift, no division): positions
+   only move in the kill and the trim, after the worklists have drained.
+
+   Every path born at or before [last_kill] survived that step's kill,
+   so it visited none of that step's destination row
+   [nbr.(kill_lo .. kill_hi - 1)]; such paths are a prefix of each
+   level.
 
    Neighbours are read from the snapshot's flat rows: node [u]'s row
    this step is [nbr.(off.(row + u)) .. nbr.(off.(row + u + 1) - 1)],
@@ -79,6 +85,7 @@ type state = {
   mutable live : int;
   buckets : int array array;
   heights : int array;
+  shift : int;
   new_count : int array;  (* paths this step added to each node *)
   touched : int array;  (* nodes with [new_count > 0], first [n_touched] *)
   mutable n_touched : int;
@@ -89,6 +96,10 @@ type state = {
   in_dst_component : bool array;
   component : int array;  (* the destination's component, first [n_component] *)
   mutable n_component : int;
+  arrived : int array;  (* the destination's neighbours absent from the last kill's row *)
+  mutable last_kill : int;
+  mutable kill_lo : int;
+  mutable kill_hi : int;
   mutable step : int;
   mutable step_time : float;
   mutable step_duration : float;
@@ -121,7 +132,7 @@ let[@psn.hot] truncate st u h len =
 (* Appends an unset path to node [u]'s level [h] — after the node's
    retained paths of that level and this step's earlier ones — and
    returns its position. *)
-let claim st u h =
+let[@inline] claim st u h =
   if Array.length st.counts.(u) = 0 then begin
     st.hops.(u) <- Array.make (st.hop_cap + 1) [||];
     st.born.(u) <- Array.make (st.hop_cap + 1) [||];
@@ -142,7 +153,7 @@ let claim st u h =
   st.live <- st.live + 1;
   i
 
-let push st h entry =
+let[@inline] push st h entry =
   let height = st.heights.(h) in
   if height = Array.length st.buckets.(h) then st.buckets.(h) <- grown st.buckets.(h) height 0;
   st.buckets.(h).(height) <- entry;
@@ -183,7 +194,7 @@ let[@psn.hot] seed st u ~all ~recent =
     let len = st.counts.(u).(h) in
     let first = if h <= all then 0 else recent_from st.born.(u).(h) len (st.step - 1) in
     for i = first to len - 1 do
-      (push st h ((i * st.n) + u)) [@lint.allow "hot-path-alloc"]
+      (push st h ((i lsl st.shift) lor u)) [@lint.allow "hot-path-alloc"]
       (* a stack only grows until it holds a step's peak worklist *)
     done
   done
@@ -212,7 +223,7 @@ let deliver st u h i =
 
 (* Copies the path at position [i] of node [u]'s level [h] into node
    [v]'s table, one hop longer and ending at [v]. *)
-let extend st u h i v =
+let[@inline] extend st u h i v =
   if st.new_count.(v) = 0 then begin
     st.touched.(st.n_touched) <- v;
     st.n_touched <- st.n_touched + 1
@@ -225,7 +236,7 @@ let extend st u h i v =
   let marks = st.marks.(v).(h') in
   Bytes.blit st.marks.(u).(h) (i * st.stride) marks (j * st.stride) st.stride;
   bitset_add_at marks (j * st.stride) v;
-  if h' <= st.reach.(v) then push st h' ((j * st.n) + v)
+  if h' <= st.reach.(v) then push st h' ((j lsl st.shift) lor v)
 
 (* Offers the path along [targets.(j .. stop - 1)]. [marks] and [base]
    locate its visited set: extending writes only to level [h + 1], so
@@ -248,7 +259,7 @@ let rec drain st h =
   if height > 0 then begin
     let entry = st.buckets.(h).(height - 1) in
     st.heights.(h) <- height - 1;
-    let u = entry mod st.n and i = entry / st.n in
+    let u = entry land ((1 lsl st.shift) - 1) and i = entry lsr st.shift in
     if st.born.(u).(h).(i) >= st.step - 1 || st.in_dst_component.(u) then
       expand st u h i st.marks.(u).(h) (i * st.stride) st.nbr
         st.off.(st.row + u)
@@ -274,22 +285,30 @@ let[@psn.hot] rec compact hops born marks stride nodes lo hi i len kept =
     compact hops born marks stride nodes lo hi (i + 1) len (kept + 1)
   end
 
-(* Compacts node [w]'s levels [1, h]; returns how many paths they keep. *)
-let[@psn.hot] rec kill_levels st w lo hi h kept_below =
+(* Compacts node [w]'s levels [1, h]; returns how many paths they keep.
+   A level's paths born at or before the last kill can meet the row only
+   at [arrived.(0 .. n_arrived - 1)], so they are tested against those
+   alone, and skipped when there are none; younger ones are tested
+   against the whole row. *)
+let[@psn.hot] rec kill_levels st w n_arrived lo hi h kept_below =
   if h = 0 then kept_below
   else begin
     let len = st.counts.(w).(h) in
+    let hops = st.hops.(w).(h) and born = st.born.(w).(h) and marks = st.marks.(w).(h) in
+    let old = recent_from born len (st.last_kill + 1) in
     let kept =
-      compact st.hops.(w).(h) st.born.(w).(h) st.marks.(w).(h) st.stride st.nbr lo hi 0 len 0
+      if n_arrived = 0 then old
+      else compact hops born marks st.stride st.arrived 0 n_arrived 0 old 0
     in
+    let kept = compact hops born marks st.stride st.nbr lo hi old len kept in
     if kept < len then truncate st w h kept;
-    kill_levels st w lo hi (h - 1) (kept_below + kept)
+    kill_levels st w n_arrived lo hi (h - 1) (kept_below + kept)
   end
 
 (* Drops every path node [w] holds that visited one of the nodes
-   [nbr.(lo .. hi - 1)]. *)
-let[@psn.hot] kill st w lo hi =
-  let size = kill_levels st w lo hi st.top.(w) 0 in
+   [nbr.(lo .. hi - 1)], this step's destination row. *)
+let[@psn.hot] kill st w n_arrived lo hi =
+  let size = kill_levels st w n_arrived lo hi st.top.(w) 0 in
   st.live <- st.live - st.size.(w) + size;
   st.size.(w) <- size;
   st.top.(w) <- lower_top st.counts.(w) st.top.(w)
@@ -358,6 +377,9 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
          k-shortest pruning exact. *)
       buckets = Array.make (n + 2) [||];
       heights = Array.make (n + 2) 0;
+      shift =
+        (let rec bits b = if 1 lsl b >= n then b else bits (b + 1) in
+         bits 0);
       new_count = Array.make n 0;
       touched = Array.make n 0;
       n_touched = 0;
@@ -368,6 +390,10 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
       in_dst_component = Array.make n false;
       component = Array.make n 0;
       n_component = 0;
+      arrived = Array.make n 0;
+      last_kill = min_int;
+      kill_lo = 0;
+      kill_hi = 0;
       step = c0;
       step_time = 0.;
       step_duration = 0.;
@@ -482,10 +508,15 @@ let run ?(config = default_config) snap ~src ~dst ~t_create =
             step's destination contacts — both retained paths and this
             step's fresh ones. Their same-step deliveries were already
             emitted above. *)
-         if dst_hi > dst_lo then
+         if dst_hi > dst_lo then begin
+           let n_arrived = fresh_diff nbr st.arrived dst_lo dst_hi st.kill_lo st.kill_hi 0 in
            for w = 0 to n - 1 do
-             if st.size.(w) > 0 then kill st w dst_lo dst_hi
+             if st.size.(w) > 0 then kill st w n_arrived dst_lo dst_hi
            done;
+           st.last_kill <- step_now;
+           st.kill_lo <- dst_lo;
+           st.kill_hi <- dst_hi
+         end;
          (* Cut each grown table back to its k fewest-hop paths. *)
          for i = 0 to st.n_touched - 1 do
            let v = st.touched.(i) in
