@@ -265,11 +265,7 @@ let check_arrivals name ?(k = 100) ?stop trace ~src ~dst ~steps ~stopped ~paths 
   List.iter
     (fun exhaustive ->
       let mode = if exhaustive then name ^ " (exhaustive)" else name ^ " (fast)" in
-      let r =
-        Enumerate.run
-          ~config:{ Enumerate.k; max_hops = None; stop_at_total = stop; exhaustive }
-          snap ~src ~dst ~t_create:0.
-      in
+      let r = run ~k ?stop ~exhaustive snap ~src ~dst ~t_create:0. in
       Alcotest.(check int) (mode ^ " steps") steps r.Enumerate.steps_processed;
       Alcotest.(check bool) (mode ^ " stopped early") stopped r.Enumerate.stopped_early;
       Alcotest.(check (list string))
@@ -295,8 +291,7 @@ let test_enumerate_kill_persisting_neighbour () =
       ]
   in
   let paths = [ "n0@1 -> n1@5 -> n3@5 at 5"; "n0@1 -> n2@3 -> n3@10 at 10" ] in
-  check_arrivals "persisting neighbour" t ~src:0 ~dst:3 ~steps:9 ~stopped:false
-    ~paths
+  check_arrivals "persisting neighbour" t ~src:0 ~dst:3 ~steps:9 ~stopped:false ~paths
 
 (* The destination 4 meets x = 1 from step 4 and gains y = 2 at step
    6. The paths 0-2 and 0-2-3, retained since before the kill of step
@@ -347,8 +342,7 @@ let test_enumerate_kill_after_idle_step () =
       "n0@1 -> n2@9 -> n4@9 at 9";
     ]
   in
-  check_arrivals "kill after idle step" t ~src:0 ~dst:4 ~steps:9 ~stopped:false
-    ~paths
+  check_arrivals "kill after idle step" t ~src:0 ~dst:4 ~steps:9 ~stopped:false ~paths
 
 (* A kill on row {1} at step 2, then relays 2-5 meet the destination 6
    together with 1 at step 5: the stop fires after the second (k = 2)
